@@ -9,13 +9,16 @@
 # protections off, bounded graceful degradation on, <10 s), then a quick
 # perf smoke run (appends a row to BENCH_results.json), then the trajectory
 # compare, which exits non-zero if any headline metric regressed more
-# than 10 % against the previous full-size run.
+# than 10 % against the previous full-size run. `make bench` runs the
+# five-workload benchmark BENCHMARK.json declares (end-to-end metrics,
+# one child process per workload); `make bench-test` runs the
+# benchmark's own tests, which tier 1 does not collect.
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: verify test obs fastpath-ab ablations2 shard population overload \
-	perf perf-full compare experiments
+	perf perf-full compare experiments bench bench-test
 
 verify: test obs fastpath-ab ablations2 shard population overload perf \
 	compare
@@ -52,3 +55,9 @@ compare:
 
 experiments:
 	$(PYTHON) -m repro.experiments.run_all
+
+bench:
+	$(PYTHON) -m bench --seed 1
+
+bench-test:
+	$(PYTHON) -m pytest bench/tests -q

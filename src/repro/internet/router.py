@@ -3,12 +3,21 @@
 One :class:`AsRouter` per AS forwards both kinds of traffic:
 
 * **SCION** packets carry their path in the header; the router checks
-  that the current hop names this AS, verifies the hop field's MAC with
-  the AS's forwarding key (dropping forgeries), and forwards out the hop's
-  egress interface — the router holds *no* per-destination state, which is
-  SCION's defining data-plane property,
-* **IP** packets are forwarded by longest... by exact-match destination-AS
-  lookup in the BGP-derived forwarding table.
+  that the current hop names this AS, that the hop field's MAC verifies
+  under the AS's forwarding key (dropping forgeries) and that the hop
+  field has not expired, and forwards out the hop's egress interface —
+  the router holds *no* per-destination state, which is SCION's defining
+  data-plane property,
+* **IP** packets are forwarded by exact-match destination-AS lookup in
+  the BGP-derived forwarding table.
+
+Per packet the router checks the AS match and the hop field's expiry
+against the clock. The HMAC is computed once per distinct
+``(segment timestamp, hop field)``: the verdict is a pure function of
+the router's key and those bytes, so a hop field that verified is
+remembered together with its expiry time. Forgeries are never
+remembered — each one is re-verified and dropped, so hostile traffic
+cannot grow or poison the table.
 
 Transit crossings (external interface in, external interface out) are
 charged the AS's internal latency so the data plane matches the latency
@@ -19,7 +28,8 @@ from __future__ import annotations
 
 from repro.crypto.mac import verify_hop_mac
 from repro.errors import VerificationError
-from repro.scion.path import ScionPath
+from repro.scion.beacon import HopField
+from repro.scion.path import EXP_TIME_UNIT_S, ScionPath
 from repro.simnet.node import Node
 from repro.simnet.packet import Packet
 from repro.topology.isd_as import IsdAs
@@ -45,6 +55,9 @@ class AsRouter(Node):
         self.host_ports: dict[str, int] = {}
         #: BGP forwarding table: destination AS -> egress interface id.
         self.ip_table: dict[IsdAs, int] = {}
+        #: (segment timestamp, hop field) -> expiry (ms) of every hop
+        #: field whose MAC verified under ``forwarding_key``.
+        self._verified_expiry_ms: dict[tuple[int, HopField], float] = {}
         # drop counters
         self.mac_failures = 0
         self.path_errors = 0
@@ -74,80 +87,80 @@ class AsRouter(Node):
         path: ScionPath | None = packet.meta.get("path")
         if path is None:
             # Intra-AS SCION traffic: deliver directly to the local host.
-            self._deliver_local(packet, transit=False)
+            self._deliver_local(packet)
             return
         hop_index = packet.meta.get("hop_index", 0)
+        hops = path.hops
         while True:
-            if hop_index >= len(path.hops):
+            if hop_index >= len(hops):
                 self.path_errors += 1
                 return
-            hop = path.hops[hop_index]
+            hop = hops[hop_index]
             if hop.isd_as != self.isd_as:
                 self.path_errors += 1
                 return
-            if self.verify_macs and not self._mac_ok(path, hop_index):
-                self.mac_failures += 1
-                return
-            if self._hop_expired(path, hop_index):
+            expiry_ms = self._verified_expiry_ms.get(
+                (path.timestamp, hop.hop_field))
+            if expiry_ms is None:
+                expiry_ms = self._verify_hop(path.timestamp, hop.hop_field)
+                if expiry_ms is None:
+                    self.mac_failures += 1
+                    return
+            if self.loop.now >= expiry_ms:
+                # SCION routers drop packets on expired paths.
                 self.expired_drops += 1
                 return
             if hop.egress != 0:
                 packet.meta["hop_index"] = hop_index + 1
-                transit = in_ifid in self.external_ifids
-                self._send_delayed(packet, hop.egress, transit=transit)
+                delay = (self.internal_latency_ms
+                         if in_ifid in self.external_ifids
+                         else PROCESSING_DELAY_MS)
+                self.loop.call_later(delay, self.send, packet, hop.egress)
                 return
             next_index = hop_index + 1
-            if (next_index < len(path.hops)
-                    and path.hops[next_index].isd_as == self.isd_as):
+            if (next_index < len(hops)
+                    and hops[next_index].isd_as == self.isd_as):
                 hop_index = next_index  # segment crossover, keep processing
                 continue
-            self._deliver_local(packet, transit=False)
+            self._deliver_local(packet)
             return
 
-    def _hop_expired(self, path: ScionPath, hop_index: int) -> bool:
-        """Enforce the hop field's relative expiration (SCION routers
-        drop packets on expired paths)."""
-        from repro.scion.path import EXP_TIME_UNIT_S
-        hop_field = path.hops[hop_index].hop_field
-        expiry_ms = (path.timestamp
+    def _verify_hop(self, timestamp: int, hop_field: HopField) -> float | None:
+        """First sight of a hop field: its expiry time (ms), or ``None``
+        for a forgery. Only a field that verified is remembered."""
+        expiry_ms = (timestamp
                      + (hop_field.exp_time + 1) * EXP_TIME_UNIT_S) * 1000.0
-        assert self.loop is not None
-        return self.loop.now >= expiry_ms
-
-    def _mac_ok(self, path: ScionPath, hop_index: int) -> bool:
-        hop_field = path.hops[hop_index].hop_field
-        try:
-            verify_hop_mac(self.forwarding_key, path.timestamp,
-                           hop_field.exp_time, hop_field.ingress,
-                           hop_field.egress, hop_field.mac, hop_field.chain)
-        except VerificationError:
-            return False
-        return True
+        if self.verify_macs:
+            try:
+                verify_hop_mac(self.forwarding_key, timestamp,
+                               hop_field.exp_time, hop_field.ingress,
+                               hop_field.egress, hop_field.mac,
+                               hop_field.chain)
+            except VerificationError:
+                return None
+            self._verified_expiry_ms[timestamp, hop_field] = expiry_ms
+        return expiry_ms
 
     # -- legacy IP -----------------------------------------------------------------
 
     def _forward_ip(self, packet: Packet, in_ifid: int) -> None:
         dst = packet.dst
         if dst.isd_as == self.isd_as:
-            self._deliver_local(packet, transit=False)
+            self._deliver_local(packet)
             return
         egress = self.ip_table.get(dst.isd_as)
         if egress is None:
             self.no_route += 1
             return
-        transit = in_ifid in self.external_ifids
-        self._send_delayed(packet, egress, transit=transit)
+        delay = (self.internal_latency_ms if in_ifid in self.external_ifids
+                 else PROCESSING_DELAY_MS)
+        self.loop.call_later(delay, self.send, packet, egress)
 
     # -- helpers ------------------------------------------------------------------
 
-    def _deliver_local(self, packet: Packet, transit: bool) -> None:
+    def _deliver_local(self, packet: Packet) -> None:
         ifid = self.host_ports.get(packet.dst.host)
         if ifid is None:
             self.no_host += 1
             return
-        self._send_delayed(packet, ifid, transit=transit)
-
-    def _send_delayed(self, packet: Packet, ifid: int, transit: bool) -> None:
-        delay = self.internal_latency_ms if transit else PROCESSING_DELAY_MS
-        assert self.loop is not None
-        self.loop.call_later(delay, self.send, packet, ifid)
+        self.loop.call_later(PROCESSING_DELAY_MS, self.send, packet, ifid)

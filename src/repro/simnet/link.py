@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.simnet.packet import DEFAULT_MTU, Packet
-from repro.units import transmission_delay_ms
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.events import EventLoop
@@ -203,9 +202,13 @@ class Link:
             self._record("drop-loss", packet)
             return
 
-        serialization = transmission_delay_ms(packet.size, cfg.bandwidth_mbps)
-        start = max(self.loop.now, self._tx_free_at[sender_name])
-        tx_done = start + serialization
+        # Per-packet path, so inline: FIFO start, then size / bytes-per-ms
+        # (125 bytes/ms per Mbps; <= 0 means infinite, serializing instantly).
+        now = self.loop.now
+        free_at = self._tx_free_at[sender_name]
+        tx_done = free_at if free_at > now else now
+        if cfg.bandwidth_mbps > 0:
+            tx_done += packet.size / (cfg.bandwidth_mbps * 125.0)
         self._tx_free_at[sender_name] = tx_done
         jitter_bound = cfg.jitter_ms + self._extra_jitter_ms
         jitter = self.rng.uniform(0.0, jitter_bound) if jitter_bound > 0 else 0.0
@@ -214,13 +217,15 @@ class Link:
         self.packets_sent += 1
         self.bytes_sent += packet.size
         self.inflight += 1
-        self._record("send", packet)
+        if self.trace is not None:
+            self._record("send", packet)
         packet.hops += 1
         self.loop.call_at(arrival, self._deliver, receiver, receiver_port, packet)
 
     def _deliver(self, receiver: "Node", port: int, packet: Packet) -> None:
         self.inflight -= 1
-        self._record("recv", packet)
+        if self.trace is not None:
+            self._record("recv", packet)
         receiver.receive(packet, port)
 
     def _record(self, event: str, packet: Packet) -> None:

@@ -8,6 +8,8 @@ pool, or partitioned across a shard fleet (fast path off; with it on,
 cross-shard routes legitimately run packet-level).
 """
 
+import hashlib
+
 import pytest
 
 from repro.experiments import population as pop
@@ -63,6 +65,32 @@ class TestDeterminism:
                                                shards=2, users=10, sites=8,
                                                arrival=FAST)
         assert serial == sharded
+
+
+class TestRecordedRun:
+    """The simulated result of one small city, as recorded at the commit
+    before routers kept a table of verified hop fields. Hop-path edits must
+    change the simulator's speed only; if this moves, the science moved."""
+
+    def test_small_city_replays_the_recorded_run(self):
+        world = pop.build_population_world("opportunistic-SCION", 950,
+                                           users=10, sites=8, arrival=FAST)
+        processes = pop.start_sessions(world)
+        world.internet.run()
+        rows = pop.harvest_rows(processes)
+        internet = world.internet
+        assert internet.loop.events_processed == 75607
+        assert internet.network.stats() == {
+            "links": 25, "nodes": 25, "packets_sent": 47994,
+            "packets_dropped": 0, "bytes_sent": 31212366}
+        for router in internet.routers.values():
+            assert (router.mac_failures, router.path_errors,
+                    router.expired_drops, router.no_route,
+                    router.no_host) == (0, 0, 0, 0, 0)
+        assert len(rows) == 32
+        plts = ",".join(row[2].hex() for row in rows)
+        assert hashlib.sha256(plts.encode()).hexdigest() == (
+            "3c659e3f78492ed5cd2b49126f7745a146911c9ae116fa2bec259f2ab1600329")
 
 
 class TestMetrics:

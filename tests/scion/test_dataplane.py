@@ -5,8 +5,7 @@ import dataclasses
 import pytest
 
 from repro.internet.build import Internet
-from repro.scion.beacon import HopField
-from repro.scion.path import PathHop, ScionPath
+from repro.scion.path import ScionPath
 from repro.topology.defaults import remote_testbed
 
 
@@ -80,22 +79,28 @@ class TestForwarding:
 
 
 class TestMacEnforcement:
-    def forged_path(self, path: ScionPath) -> ScionPath:
-        """Flip the egress interface of a transit hop without re-MACing."""
+    def forged_path(self, path: ScionPath, **changes) -> ScionPath:
+        """Alter a transit hop's hop field without re-MACing (default:
+        flip its egress interface)."""
         hops = list(path.hops)
         victim = next(i for i, hop in enumerate(hops)
                       if hop.ingress and hop.egress)
         old = hops[victim]
-        forged_field = HopField(
-            ingress=old.hop_field.ingress,
-            egress=old.hop_field.egress + 1,
-            exp_time=old.hop_field.exp_time,
-            mac=old.hop_field.mac,
-            chain=old.hop_field.chain,
-        )
-        hops[victim] = PathHop(isd_as=old.isd_as, ingress=old.ingress,
-                               egress=old.egress, hop_field=forged_field)
+        if not changes:
+            changes = {"egress": old.hop_field.egress + 1}
+        forged_field = dataclasses.replace(old.hop_field, **changes)
+        hops[victim] = dataclasses.replace(old, hop_field=forged_field)
         return dataclasses.replace(path, hops=tuple(hops))
+
+    @staticmethod
+    def verified_entries(internet) -> int:
+        return sum(len(router._verified_expiry_ms)
+                   for router in internet.routers.values())
+
+    @staticmethod
+    def mac_failures(internet) -> int:
+        return sum(router.mac_failures
+                   for router in internet.routers.values())
 
     def test_forged_hop_field_dropped(self, world):
         internet, ases, client, server = world
@@ -137,6 +142,96 @@ class TestMacEnforcement:
         internet.run()
         assert server.datagrams_received == 0
 
+    def test_forgery_of_a_verified_hop_is_dropped_and_not_remembered(
+            self, world):
+        internet, ases, client, server = world
+        server.udp_socket(7)
+        genuine = client.daemon.paths(ases.remote_server)[0]
+        socket = client.udp_socket()
+        socket.send(server.addr, 7, b"ok", 64, via="scion", path=genuine)
+        internet.run()
+        assert server.datagrams_received == 1
+        entries = self.verified_entries(internet)
+        assert entries == len(genuine.hops)
+        field = next(hop.hop_field for hop in genuine.hops
+                     if hop.ingress and hop.egress)
+        forgeries = [
+            self.forged_path(genuine, egress=field.egress + 1),
+            self.forged_path(genuine, exp_time=field.exp_time + 1),
+            self.forged_path(genuine, mac=bytes(b ^ 1 for b in field.mac)),
+            self.forged_path(genuine, chain=field.chain + b"\x00"),
+            dataclasses.replace(genuine, timestamp=genuine.timestamp + 1),
+        ]
+        for sent, forged in enumerate(forgeries, start=1):
+            socket.send(server.addr, 7, b"evil", 64, via="scion",
+                        path=forged)
+            internet.run()
+            assert self.mac_failures(internet) == sent
+        assert server.datagrams_received == 1
+        assert self.verified_entries(internet) == entries
+
+    def test_verified_hop_still_expires(self, world):
+        internet, ases, client, server = world
+        server.udp_socket(7)
+        path = client.daemon.paths(ases.remote_server)[0]
+        socket = client.udp_socket()
+        socket.send(server.addr, 7, b"fresh", 64, via="scion", path=path)
+        internet.run()
+        assert server.datagrams_received == 1
+        internet.loop.run(until=path.expiry_ms())
+        socket.send(server.addr, 7, b"stale", 64, via="scion", path=path)
+        internet.run()
+        assert server.datagrams_received == 1
+        assert internet.routers[ases.client].expired_drops == 1
+        assert self.mac_failures(internet) == 0
+
+    def test_hop_field_verified_once_per_router(self, world, monkeypatch):
+        from repro.internet import router
+        internet, ases, client, server = world
+        calls = []
+        real = router.verify_hop_mac
+
+        def counting(*args):
+            calls.append(args)
+            real(*args)
+
+        monkeypatch.setattr(router, "verify_hop_mac", counting)
+        server.udp_socket(7)
+        genuine = client.daemon.paths(ases.remote_server)[0]
+        socket = client.udp_socket()
+        for _ in range(1000):
+            socket.send(server.addr, 7, b"ok", 64, via="scion", path=genuine)
+        internet.run()
+        assert server.datagrams_received == 1000
+        assert len(calls) == len(set(calls)) == len(genuine.hops)
+        entries = self.verified_entries(internet)
+        forged = self.forged_path(genuine)
+        for _ in range(1000):
+            socket.send(server.addr, 7, b"evil", 64, via="scion",
+                        path=forged)
+        internet.run()
+        assert server.datagrams_received == 1000
+        assert self.mac_failures(internet) == 1000
+        assert len(calls) == len(genuine.hops) + 1000  # re-verified each time
+        assert self.verified_entries(internet) == entries
+
+    def test_disabled_macs_forward_forgeries_but_enforce_expiry(self):
+        topology, ases = remote_testbed()
+        internet = Internet(topology, seed=4, verify_macs=False)
+        client = internet.add_host("client", ases.client)
+        server = internet.add_host("server", ases.remote_server)
+        server.udp_socket(7)
+        forged = self.forged_path(client.daemon.paths(ases.remote_server)[0])
+        socket = client.udp_socket()
+        socket.send(server.addr, 7, b"evil", 64, via="scion", path=forged)
+        internet.run()
+        assert server.datagrams_received == 1
+        internet.loop.run(until=forged.expiry_ms())
+        socket.send(server.addr, 7, b"stale", 64, via="scion", path=forged)
+        internet.run()
+        assert server.datagrams_received == 1
+        assert internet.routers[ases.client].expired_drops == 1
+        assert self.verified_entries(internet) == 0
 
 class TestReversePath:
     def test_reverse_swaps_direction(self, world):
