@@ -24,6 +24,7 @@ def test_bench_beaconing(benchmark):
     topology = random_internet(n_isds=3, cores_per_isd=2, leaves_per_isd=4,
                                seed=1)
     pki = ControlPlanePki(topology, seed=1)
+    pki.certificates  # key generation is lazy; keep it out of the timing
 
     def run():
         return BeaconingService(topology, pki).build_store()

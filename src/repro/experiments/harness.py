@@ -27,8 +27,6 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.errors import ReproError
 
 #: Environment variable overriding the default worker count.
@@ -70,6 +68,11 @@ class BoxStats:
         """Compute the summary; requires at least one sample."""
         if not samples:
             raise ReproError("cannot summarize zero samples")
+        # Imported here: only summaries need numpy, and importing it costs
+        # more than the rest of ``import repro`` together, which every
+        # spawned worker and fresh-process trial would otherwise pay.
+        import numpy as np
+
         data = np.asarray(samples, dtype=float)
         return cls(
             n=len(samples),

@@ -34,7 +34,11 @@ Correctness properties (test-enforced):
   the mutable ``available`` flag) is per-Internet, daemons keep their
   own path caches, and ``BgpRib.forwarding_table`` returns fresh dicts.
   Store mutations (only done by tests building custom worlds) bump the
-  store's ``generation`` and invalidate the combine memo.
+  store's ``generation`` and invalidate the combine memo. The PKI fills
+  in its RSA material at the first signature (during the snapshot build
+  for any multi-AS topology; whenever a world first signs for a
+  single-AS one) — a write-once value that is a pure function of the
+  key, so it does not matter which sharing world triggers it.
 
 Debugging escape hatch: set ``REPRO_SNAPSHOT_CACHE=0`` (or ``off`` /
 ``false`` / ``no``) to bypass the cache entirely — every build then

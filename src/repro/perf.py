@@ -8,9 +8,10 @@ A set of fixed workloads quantifies the simulator's speed:
 * **figure-3-sized battery** — wall-clock for a four-condition page-load
   battery run serially vs. fanned out over a worker pool, which is what
   dominates ``run_all`` regeneration time;
-* **snapshot cache** — per-trial latency of a local-testbed trial with
+* **snapshot cache** — per-trial latency of a remote-testbed trial with
   the control-plane snapshot cache disabled vs. primed, isolating what
-  cross-trial world reuse saves;
+  cross-trial world reuse saves (PKI + beaconing + BGP of seven ASes; a
+  single-AS world has no control plane worth caching);
 * **tracing overhead** — the same trial untraced vs. with the
   ``repro.obs`` tracer attached, guarding the observability subsystem's
   "inert and cheap" contract;
@@ -226,40 +227,37 @@ def measure_battery(trials: int = 12, n_resources: int = 12,
 # ---------------------------------------------------------------------------
 
 
-def measure_snapshot_cache(trials: int = 8, n_resources: int = 12,
+def measure_snapshot_cache(trials: int = 8, n_resources: int = 9,
                            base_seed: int = 100,
                            repeats: int = 3) -> dict[str, Any]:
-    """Per-trial latency of a local-testbed trial, uncached vs. cached.
+    """Per-trial latency of a remote-testbed trial, uncached vs. cached.
 
-    The uncached pass disables the snapshot cache entirely (every world
-    rebuilds PKI + beaconing + BGP from scratch, the pre-cache
-    behavior); the cached pass runs the same seeds with their snapshots
+    The world is the seven-AS testbed because that is where the cache
+    has something to save: its control plane generates keys, signs and
+    verifies beacons and converges BGP, while a single-AS world builds
+    nothing but forwarding keys. The uncached pass disables the snapshot
+    cache entirely (every world rebuilds PKI + beaconing + BGP from
+    scratch); the cached pass runs the same seeds with their snapshots
     already interned — the steady state inside ``run_all``, where each
-    seed's control plane is shared across all four Figure 3 conditions.
+    seed's control plane is shared across a figure's conditions.
     Samples must be bit-identical either way. The cached arm (the one
-    ``--compare`` gates) takes the best of ``repeats`` passes — at
-    ~2 ms/trial a single pass is scheduler noise on small containers.
+    ``--compare`` gates) takes the best of ``repeats`` passes — a single
+    pass of a few ms/trial is scheduler noise on small containers.
     """
-    from repro.experiments.local_setup import figure3_trial
+    from repro.experiments.remote_setup import FAR_ORIGIN, remote_trial
     from repro.internet import snapshot
+    from repro.internet.knobs import forced
 
     seeds = range(base_seed, base_seed + trials)
 
     def pass_over_seeds() -> tuple[list[float], float]:
         started = time.perf_counter()
-        samples = [figure3_trial("SCION-only", seed,
-                                 n_resources=n_resources) for seed in seeds]
+        samples = [remote_trial(FAR_ORIGIN, "single origin / SCION", seed,
+                                n_resources=n_resources) for seed in seeds]
         return samples, time.perf_counter() - started
 
-    previous = os.environ.get(snapshot.SNAPSHOT_CACHE_ENV)
-    os.environ[snapshot.SNAPSHOT_CACHE_ENV] = "0"
-    try:
+    with forced(snapshot.SNAPSHOT_CACHE_ENV, False):
         uncached_samples, uncached_s = pass_over_seeds()
-    finally:
-        if previous is None:
-            del os.environ[snapshot.SNAPSHOT_CACHE_ENV]
-        else:
-            os.environ[snapshot.SNAPSHOT_CACHE_ENV] = previous
 
     snapshot.clear_cache()
     pass_over_seeds()  # prime: one miss per seed
@@ -268,7 +266,7 @@ def measure_snapshot_cache(trials: int = 8, n_resources: int = 12,
         _, elapsed = pass_over_seeds()
         cached_s = min(cached_s, elapsed)
     return {
-        "workload": f"snapshot-cache/{trials}x{n_resources}",
+        "workload": f"snapshot-cache-remote/{trials}x{n_resources}",
         "trials": trials,
         "n_resources": n_resources,
         "uncached_trial_ms": round(uncached_s / trials * 1000.0, 2),
@@ -660,6 +658,7 @@ COMPARE_METRICS = (
     ("serial_s", False),
     ("parallel_s", False),
     # Absent in pre-snapshot-cache rows; compare skips missing metrics.
+    # Local-testbed trials before the ``snapshot-cache-remote`` rows.
     ("cached_trial_ms", False),
     # Absent in pre-observability rows.
     ("traced_trial_ms", False),
@@ -686,20 +685,34 @@ COMPARE_METRICS = (
 )
 
 
-def _runs_by_ts(rows: list[dict[str, Any]],
-                label: str) -> list[dict[str, Any]]:
-    """Trajectory rows folded into one dict per run.
+#: Row fields that say what a metric's number measured. A baseline row
+#: counts only when it agrees with the current row on all of them: the
+#: ablation sweep's wall-clock grows with every registered component,
+#: and a workload renamed because its world changed starts a new
+#: trajectory instead of being judged against the old one.
+WORKLOAD_FIELDS = ("workload", "ablate_components")
 
-    A run is every row sharing a timestamp (``run_suite`` stamps both of
+
+def _runs_by_ts(rows: list[dict[str, Any]],
+                label: str) -> list[list[dict[str, Any]]]:
+    """Trajectory rows grouped into one list per run.
+
+    A run is every row sharing a timestamp (``run_suite`` stamps all of
     its rows with the same fingerprint). Rows are appended
     chronologically, so insertion order is run order.
     """
-    runs: dict[str, dict[str, Any]] = {}
+    runs: dict[str, list[dict[str, Any]]] = {}
     for row in rows:
         if row.get("label") != label:
             continue
-        runs.setdefault(str(row.get("ts")), {}).update(row)
+        runs.setdefault(str(row.get("ts")), []).append(row)
     return list(runs.values())
+
+
+def _row_with(run: list[dict[str, Any]],
+              metric: str) -> dict[str, Any] | None:
+    """The row of ``run`` that recorded ``metric``."""
+    return next((row for row in run if metric in row), None)
 
 
 def compare_runs(rows: list[dict[str, Any]], label: str = "full",
@@ -719,14 +732,16 @@ def compare_runs(rows: list[dict[str, Any]], label: str = "full",
     run, while a single outlier among three is simply voted out.
 
     Runs from different PRs legitimately carry different workloads and
-    metrics: a metric absent from every baseline run is reported as
-    ``"new"`` and one absent only from the current run as ``"gone"`` —
-    neither is a regression, so a PR that adds or retires a workload
-    does not wedge the gate. A metric that is *present* but not
-    comparable — non-numeric or zero in every baseline run, or
-    non-numeric in the current one — is reported as an ``"error"`` row
-    instead of being silently dropped: a workload that started writing
-    garbage must show up in the report, not vanish from it.
+    metrics: a metric absent from every baseline run — or recorded
+    there only for a different workload (:data:`WORKLOAD_FIELDS`) — is
+    reported as ``"new"`` and one absent only from the current run as
+    ``"gone"`` — neither is a regression, so a PR that adds, resizes or
+    retires a workload does not wedge the gate. A metric that is
+    *present* but not comparable — non-numeric or zero in every baseline
+    run, or non-numeric in the current one — is reported as an
+    ``"error"`` row instead of being silently dropped: a workload that
+    started writing garbage must show up in the report, not vanish from
+    it.
     """
     runs = _runs_by_ts(rows, label)
     if len(runs) < 2:
@@ -735,12 +750,18 @@ def compare_runs(rows: list[dict[str, Any]], label: str = "full",
     baseline_runs = runs[max(0, len(runs) - 1 - window):-1]
     metrics: list[dict[str, Any]] = []
     for name, higher_is_better in COMPARE_METRICS:
-        history = [run[name] for run in baseline_runs if name in run]
+        new_row = _row_with(current, name)
+        history = []
+        for run in baseline_runs:
+            row = _row_with(run, name)
+            if row is not None and (new_row is None or all(
+                    row.get(f) == new_row.get(f) for f in WORKLOAD_FIELDS)):
+                history.append(row[name])
         numeric = [v for v in history
                    if isinstance(v, (int, float)) and v]
-        new = current.get(name)
+        new_present = new_row is not None
+        new = new_row[name] if new_present else None
         old_present = bool(history)
-        new_present = name in current
         if not old_present and not new_present:
             continue
         new_ok = isinstance(new, (int, float))
@@ -781,9 +802,9 @@ def compare_runs(rows: list[dict[str, Any]], label: str = "full",
             "regression": regressed,
         })
     return {
-        "baseline_ts": baseline_runs[-1].get("ts"),
+        "baseline_ts": baseline_runs[-1][0].get("ts"),
         "baseline_runs": len(baseline_runs),
-        "current_ts": current.get("ts"),
+        "current_ts": current[0].get("ts"),
         "metrics": metrics,
         "regressions": [m["metric"] for m in metrics if m["regression"]],
     }

@@ -8,13 +8,16 @@ as certificate authorities issuing certificates to the ASes of their ISD
 The PKI here is fully functional: every AS gets an RSA key pair, core
 keys are listed in the ISD's TRC, AS certificates are signed by a core
 CA, and beacon verification walks the chain certificate → TRC. Tampering
-with any signed byte makes verification fail (tests assert this).
+with any signed byte makes verification fail (tests assert this). The
+RSA material is generated on first use (see :class:`ControlPlanePki`).
 """
 
 from __future__ import annotations
 
+import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from repro.crypto.mac import derive_forwarding_key
 from repro.crypto.rsa import RsaKeyPair, RsaPublicKey, generate_keypair
@@ -53,16 +56,35 @@ class AsCertificate:
                 f"{self.public_key.e:x}|{self.issuer}").encode()
 
 
+class _Asymmetric(NamedTuple):
+    """The RSA-derived half of the PKI, built together on first use."""
+
+    keypairs: dict[IsdAs, RsaKeyPair]
+    trcs: dict[int, Trc]
+    certificates: dict[IsdAs, AsCertificate]
+
+
 class ControlPlanePki:
     """Key material and verification logic for a whole topology.
 
-    Construction generates, deterministically from ``seed``:
+    Everything derives deterministically from ``seed``:
 
+    * a data-plane forwarding key per AS (for hop-field MACs),
     * an RSA key pair per AS,
     * one TRC per ISD listing its core ASes' public keys,
     * an AS certificate per AS, issued by the lowest-numbered core AS of
-      its ISD (core ASes self-issue),
-    * a data-plane forwarding key per AS (for hop-field MACs).
+      its ISD (core ASes self-issue).
+
+    Routers need the forwarding keys to be built, so construction derives
+    those. The RSA material is generated for all ASes at once by the first
+    :meth:`sign`, :meth:`verify`, :meth:`verify_certificate`,
+    :attr:`trcs` or :attr:`certificates` access, from the same private RNG
+    stream continued past the master secret — a world that never signs (a
+    single AS has nobody to beacon to) never pays for Miller–Rabin, and a
+    world that does gets the keys it would have got at construction. Which
+    ASes exist, which anchor each ISD and who issues to whom are captured
+    at construction, so editing the topology afterwards cannot change
+    which keys exist.
 
     The private signing keys live in ``self`` because the simulator plays
     all parties; the verification API only ever uses public material.
@@ -71,56 +93,64 @@ class ControlPlanePki:
     def __init__(self, topology: AsTopology, seed: int = 0,
                  key_bits: int = 256) -> None:
         self.topology = topology
-        rng = random.Random(("pki", seed).__repr__())
-        master_secret = rng.randbytes(32)
-        self._keypairs: dict[IsdAs, RsaKeyPair] = {}
-        self._forwarding_keys: dict[IsdAs, bytes] = {}
-        for info in topology.ases():
-            self._keypairs[info.isd_as] = generate_keypair(rng, bits=key_bits)
-            self._forwarding_keys[info.isd_as] = derive_forwarding_key(
-                master_secret, str(info.isd_as))
+        self._key_bits = key_bits
+        self._rng = random.Random(("pki", seed).__repr__())
+        master_secret = self._rng.randbytes(32)
+        infos = topology.ases()
+        self._forwarding_keys: dict[IsdAs, bytes] = {
+            info.isd_as: derive_forwarding_key(master_secret,
+                                               str(info.isd_as))
+            for info in infos}
+        self._trc_cores: dict[int, tuple[IsdAs, ...]] = {
+            isd: tuple(info.isd_as for info in infos
+                       if info.core and info.isd == isd)
+            for isd in topology.isds()}
+        #: subject -> issuing CA, in ``topology.ases()`` order (the order
+        #: key pairs are drawn from the RNG).
+        self._issuers: dict[IsdAs, IsdAs] = {}
+        for info in infos:
+            cores = self._trc_cores[info.isd]
+            if not cores:
+                raise CryptoError(f"ISD {info.isd} has no core CA")
+            self._issuers[info.isd_as] = (info.isd_as if info.core
+                                          else min(cores))
 
-        self.trcs: dict[int, Trc] = {}
-        for isd in topology.isds():
-            core_keys = {info.isd_as: self._keypairs[info.isd_as].public
-                         for info in topology.core_ases() if info.isd == isd}
-            self.trcs[isd] = Trc(isd=isd, serial=1, core_keys=core_keys)
+    @functools.cached_property
+    def _asymmetric(self) -> _Asymmetric:
+        keypairs = {isd_as: generate_keypair(self._rng, bits=self._key_bits)
+                    for isd_as in self._issuers}
+        trcs = {isd: Trc(isd=isd, serial=1,
+                         core_keys={core: keypairs[core].public
+                                    for core in cores})
+                for isd, cores in self._trc_cores.items()}
+        certificates = {}
+        for subject, issuer in self._issuers.items():
+            unsigned = AsCertificate(subject=subject,
+                                     public_key=keypairs[subject].public,
+                                     issuer=issuer, signature=0)
+            certificates[subject] = replace(
+                unsigned,
+                signature=keypairs[issuer].sign(unsigned.signed_payload()))
+        return _Asymmetric(keypairs, trcs, certificates)
 
-        self.certificates: dict[IsdAs, AsCertificate] = {}
-        for info in topology.ases():
-            issuer = self._issuer_for(info.isd_as)
-            unsigned = AsCertificate(
-                subject=info.isd_as,
-                public_key=self._keypairs[info.isd_as].public,
-                issuer=issuer,
-                signature=0,
-            )
-            signature = self._keypairs[issuer].sign(unsigned.signed_payload())
-            self.certificates[info.isd_as] = AsCertificate(
-                subject=unsigned.subject,
-                public_key=unsigned.public_key,
-                issuer=unsigned.issuer,
-                signature=signature,
-            )
+    @property
+    def trcs(self) -> dict[int, Trc]:
+        """One TRC per ISD."""
+        return self._asymmetric.trcs
 
-    def _issuer_for(self, isd_as: IsdAs) -> IsdAs:
-        info = self.topology.as_info(isd_as)
-        if info.core:
-            return isd_as
-        isd_cores = sorted(info.isd_as for info in self.topology.core_ases()
-                           if info.isd == isd_as.isd)
-        if not isd_cores:
-            raise CryptoError(f"ISD {isd_as.isd} has no core CA")
-        return isd_cores[0]
+    @property
+    def certificates(self) -> dict[IsdAs, AsCertificate]:
+        """One certificate per AS."""
+        return self._asymmetric.certificates
 
     # -- signing (used by the beaconing service) -------------------------------
 
     def sign(self, isd_as: IsdAs, payload: bytes) -> int:
         """Sign ``payload`` with the AS's private key."""
-        try:
-            return self._keypairs[isd_as].sign(payload)
-        except KeyError:
-            raise CryptoError(f"no key pair for {isd_as}") from None
+        keypair = self._asymmetric.keypairs.get(isd_as)
+        if keypair is None:
+            raise CryptoError(f"no key pair for {isd_as}")
+        return keypair.sign(payload)
 
     def forwarding_key(self, isd_as: IsdAs) -> bytes:
         """The AS's data-plane forwarding key (hop-field MACs)."""

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import OrderedDict
 from typing import Any
 
 from repro.errors import ConnectionClosedError
@@ -159,7 +160,23 @@ class RouteLeg:
 #: Sentinel for "resolution attempted, no analytic route exists".
 _UNROUTABLE = object()
 
-_MAX_JITTER_CACHE: dict[tuple, float] = {}
+#: Bound on each jitter-model cache below. A long battery over fresh
+#: seeds keeps minting keys (every distinct RTT is one), so the caches
+#: evict least-recently-used entries instead of growing for the life of
+#: the process. Both functions are pure (neither reads the world's RNG
+#: or clock), so an evicted key is recomputed to the same value.
+MAX_CACHED_JITTER_VALUES = 4096
+
+
+def _remember(cache: OrderedDict[tuple, float], key: tuple,
+              value: float) -> float:
+    cache[key] = value
+    while len(cache) > MAX_CACHED_JITTER_VALUES:
+        cache.popitem(last=False)
+    return value
+
+
+_MAX_JITTER_CACHE: OrderedDict[tuple, float] = OrderedDict()
 
 
 def expected_max_jitter(bounds: tuple, window: int) -> float:
@@ -174,11 +191,12 @@ def expected_max_jitter(bounds: tuple, window: int) -> float:
     """
     if not bounds or window <= 0:
         return 0.0
-    if window == 1 or len(bounds) == 0:
-        return sum(bounds) * 0.5 if window == 1 else 0.0
+    if window == 1:
+        return sum(bounds) * 0.5
     key = (bounds, window)
     cached = _MAX_JITTER_CACHE.get(key)
     if cached is not None:
+        _MAX_JITTER_CACHE.move_to_end(key)
         return cached
     total = sum(bounds)
     k = len(bounds)
@@ -210,12 +228,10 @@ def expected_max_jitter(bounds: tuple, window: int) -> float:
             if d > 0.0:
                 acc += sign * d ** k
         integral += (acc / norm) ** window
-    value = total - integral * dx
-    _MAX_JITTER_CACHE[key] = value
-    return value
+    return _remember(_MAX_JITTER_CACHE, key, total - integral * dx)
 
 
-_ROUND_JITTER_CACHE: dict[tuple, float] = {}
+_ROUND_JITTER_CACHE: OrderedDict[tuple, float] = OrderedDict()
 _ROUND_JITTER_SAMPLES = 256
 #: Transfers beyond this many segments use the cheap mean-based jitter
 #: model — at that scale serialization dwarfs any order-statistic bias.
@@ -240,9 +256,11 @@ def expected_round_jitter(fwd_bounds: tuple, rev_bounds: tuple,
     key = (fwd_bounds, rev_bounds, round(rtt_ms, 3), cwnd0, n)
     cached = _ROUND_JITTER_CACHE.get(key)
     if cached is not None:
+        _ROUND_JITTER_CACHE.move_to_end(key)
         return cached
-    rng = random.Random(f"repro-fastpath-round-jitter:{key}")
-    uniform = rng.uniform
+    # ``bound * draw()`` is ``rng.uniform(0.0, bound)`` by that method's
+    # definition (``a + (b - a) * random()``), without its call overhead.
+    draw = random.Random(f"repro-fastpath-round-jitter:{key}").random
     total = 0.0
     for _ in range(_ROUND_JITTER_SAMPLES):
         # Event tuples: (time, tiebreak, kind, value). kind 0 = arrival
@@ -253,7 +271,7 @@ def expected_round_jitter(fwd_bounds: tuple, rev_bounds: tuple,
         for seg in range(window):
             jitter = 0.0
             for bound in fwd_bounds:
-                jitter += uniform(0.0, bound)
+                jitter += bound * draw()
             heapq.heappush(events, (jitter, seg, 0, seg))
         next_seg = window
         unacked = window
@@ -273,7 +291,7 @@ def expected_round_jitter(fwd_bounds: tuple, rev_bounds: tuple,
                     high += 1
                 jitter = 0.0
                 for bound in rev_bounds:
-                    jitter += uniform(0.0, bound)
+                    jitter += bound * draw()
                 heapq.heappush(events, (time + rtt_ms + jitter, value, 1, high))
             else:  # cumulative ACK
                 newly = value - acked
@@ -285,15 +303,14 @@ def expected_round_jitter(fwd_bounds: tuple, rev_bounds: tuple,
                 while next_seg < n and unacked < cwnd:
                     jitter = 0.0
                     for bound in fwd_bounds:
-                        jitter += uniform(0.0, bound)
+                        jitter += bound * draw()
                     heapq.heappush(events,
                                    (time + jitter, next_seg, 0, next_seg))
                     next_seg += 1
                     unacked += 1
         total += last_arrival
-    value = total / _ROUND_JITTER_SAMPLES - rounds * rtt_ms
-    _ROUND_JITTER_CACHE[key] = value
-    return value
+    return _remember(_ROUND_JITTER_CACHE, key,
+                     total / _ROUND_JITTER_SAMPLES - rounds * rtt_ms)
 
 
 class EndpointRecord:

@@ -14,13 +14,14 @@ import enum
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import TopologyError
 from repro.simnet.packet import DEFAULT_MTU
 from repro.topology.isd_as import IsdAs
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class LinkKind(enum.Enum):
@@ -254,6 +255,9 @@ class AsTopology:
 
     def to_networkx(self) -> nx.MultiGraph:
         """The underlying multigraph with link attributes, for analysis."""
+        # Imported here: this export is the package's only use of networkx.
+        import networkx as nx
+
         graph = nx.MultiGraph()
         for info in self.ases():
             graph.add_node(info.isd_as, core=info.core, isd=info.isd)

@@ -51,7 +51,11 @@ class TestWorkloads:
         assert row["identical"] is True
         assert row["uncached_trial_ms"] > 0
         assert row["cached_trial_ms"] > 0
-        assert row["workload"].startswith("snapshot-cache/")
+        assert row["workload"].startswith("snapshot-cache-remote/")
+        # The world it times has a control plane worth caching (seven
+        # key pairs, signed beacons, BGP); on a single-AS world the
+        # speedup would be flat by construction.
+        assert row["snapshot_speedup"] > 1.2
 
     def test_render_mentions_speedup(self):
         rows = [{"workload": "figure3-battery/2x4", "serial_s": 1.0,
@@ -132,6 +136,36 @@ class TestCompareRuns:
                       if m["metric"] == "events_per_sec")
         assert events["baseline"] == 1000.0
         assert report["regressions"] == []
+
+    def test_metric_compares_only_against_the_same_workload(self):
+        """The ablation sweep's wall-clock grows with every registered
+        component, and a renamed workload times a different world:
+        neither may be judged against baseline rows that measured
+        something else."""
+        def run(ts, components, sweep_ms, workload, cached_ms):
+            return _run_rows(ts) + [
+                {"ts": ts, "label": "full", "workload": "ablations2/selftest",
+                 "ablate_components": components,
+                 "ablate_selftest_ms": sweep_ms},
+                {"ts": ts, "label": "full", "workload": workload,
+                 "cached_trial_ms": cached_ms}]
+
+        rows = (run("t1", 10, 3000.0, "snapshot-cache/8x12", 2.0)
+                + run("t2", 10, 3200.0, "snapshot-cache/8x12", 2.1)
+                + run("t3", 12, 4800.0, "snapshot-cache-remote/8x9", 18.0))
+        report = perf.compare_runs(rows)
+        status = {m["metric"]: m["status"] for m in report["metrics"]}
+        assert status["ablate_selftest_ms"] == "new"
+        assert status["cached_trial_ms"] == "new"
+        assert report["regressions"] == []
+
+        rows += run("t4", 12, 6000.0, "snapshot-cache-remote/8x9", 25.0)
+        report = perf.compare_runs(rows)
+        by_name = {m["metric"]: m for m in report["metrics"]}
+        assert by_name["ablate_selftest_ms"]["baseline"] == 4800.0
+        assert by_name["cached_trial_ms"]["baseline"] == 18.0
+        assert set(report["regressions"]) == {"ablate_selftest_ms",
+                                              "cached_trial_ms"}
 
     def test_improvements_are_never_regressions(self):
         rows = _run_rows("t1") + _run_rows("t2", events=5000.0,

@@ -16,13 +16,16 @@ The contract under test (see :mod:`repro.simnet.fastpath`):
 """
 
 import dataclasses
+from collections import OrderedDict
 
 import pytest
 
 from repro.internet.build import Internet
 from repro.ip.tcp import TcpListener, tcp_connect
 from repro.obs.spans import Tracer
-from repro.simnet.fastpath import PLT_ERROR_BOUND, fastpath_enabled
+from repro.simnet import fastpath
+from repro.simnet.fastpath import (PLT_ERROR_BOUND, expected_max_jitter,
+                                   expected_round_jitter, fastpath_enabled)
 from repro.simnet.faults import FaultSchedule, inject
 from repro.simnet.link import LinkConfig
 from repro.simnet.network import Network
@@ -132,6 +135,44 @@ class TestJitterFreeExactness:
         monkeypatch.setenv("REPRO_FASTPATH", "1")
         fast = trial()
         assert abs(fast - oracle) / oracle <= PLT_ERROR_BOUND
+
+
+class TestJitterModelCaches:
+    """The two jitter models are pure functions behind bounded caches."""
+
+    ROUND_ARGS = ((0.3, 0.3), (0.3,), 12.345, 10, 40, 2)
+
+    def test_values_recorded_before_the_caches_were_bounded(self):
+        assert expected_round_jitter(*self.ROUND_ARGS) == 1.4830313793622345
+        assert expected_round_jitter((0.25,), (0.25, 0.1), 3.2, 4, 25, 3) \
+            == -2.231246157414989
+        assert expected_max_jitter((0.3, 0.5), 4) == 0.5751245714308764
+        assert expected_max_jitter((0.3, 0.5), 1) == 0.4
+        assert expected_max_jitter((), 4) == 0.0
+        assert expected_max_jitter((0.3,), 0) == 0.0
+
+    def test_caches_evict_least_recently_used_without_changing_values(
+            self, monkeypatch):
+        monkeypatch.setattr(fastpath, "MAX_CACHED_JITTER_VALUES", 2)
+        for name, model, calls in (
+                ("_ROUND_JITTER_CACHE", expected_round_jitter,
+                 [((0.3,), (0.3,), rtt, 4, 12, 2) for rtt in (5.0, 6.0, 7.0)]),
+                ("_MAX_JITTER_CACHE", expected_max_jitter,
+                 [((0.3, 0.5), window) for window in (2, 3, 4)])):
+            cache = OrderedDict()
+            monkeypatch.setattr(fastpath, name, cache)
+            first, second, third = calls
+            value = model(*first)
+            model(*second)
+            assert model(*first) == value  # a hit: ``first`` is now newest
+            model(*third)                  # evicts ``second``
+            assert len(cache) == 2
+            hot, _newest = cache
+            assert cache[hot] == value
+            model(*second)                 # evicts ``first``
+            assert value not in cache.values()
+            assert model(*first) == value  # recomputed, same value
+            assert len(cache) == 2
 
 
 def _far_server(internet, ases):
