@@ -1,27 +1,25 @@
-# Developer entry points. `make verify` is the per-PR gate: the full
-# tier-1 test suite, the obs selftest, the fast-path A/B selftest
+# Developer entry points. `make verify` is the per-PR gate, eight steps:
+# the full tier-1 test suite, the obs selftest, the fast-path A/B selftest
 # (paired error-bound check against the packet-level oracle), the
 # component-ablation selftest (leave-one-out knob sweep with exact
-# contract verification), the shard determinism selftest (serial vs
-# REPRO_SHARDS=2 exact sample equality, <10 s), the population-workload
-# selftest (determinism, tail sanity, leak audit, <10 s), the overload
-# selftest (flash-crowd metastability contrast: retry storm with
-# protections off, bounded graceful degradation on, <10 s), then a quick
-# perf smoke run (appends a row to BENCH_results.json), then the trajectory
-# compare, which exits non-zero if any headline metric regressed more
-# than 10 % against the previous full-size run. `make bench` runs the
-# five-workload benchmark BENCHMARK.json declares (end-to-end metrics,
-# one child process per workload); `make bench-test` runs the
-# benchmark's own tests, which tier 1 does not collect.
+# contract verification), the population-workload selftest (determinism,
+# tail sanity, leak audit, <10 s), the overload selftest (flash-crowd
+# metastability contrast: retry storm with protections off, bounded
+# graceful degradation on, <10 s), then a quick perf smoke run (appends a
+# row to BENCH_results.json), then the trajectory compare, which exits
+# non-zero if any headline metric regressed more than 10 % against the
+# previous full-size run. `make bench` runs the five-workload benchmark
+# BENCHMARK.json declares (end-to-end metrics, one child process per
+# workload); `make bench-test` runs the benchmark's own tests, which
+# tier 1 does not collect.
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify test obs fastpath-ab ablations2 shard population overload \
+.PHONY: verify test obs fastpath-ab ablations2 population overload \
 	perf perf-full compare experiments bench bench-test
 
-verify: test obs fastpath-ab ablations2 shard population overload perf \
-	compare
+verify: test obs fastpath-ab ablations2 population overload perf compare
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -34,9 +32,6 @@ fastpath-ab:
 
 ablations2:
 	$(PYTHON) -m repro.experiments.ablations2 --selftest
-
-shard:
-	$(PYTHON) -m repro.experiments.sharded --selftest
 
 population:
 	$(PYTHON) -m repro.experiments.population --selftest

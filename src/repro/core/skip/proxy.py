@@ -372,8 +372,6 @@ class SkipProxy:
                         fingerprint, loop.now) == "close":
                     span.event("breaker.close", fingerprint=fingerprint)
                     metrics.counter("breaker_closes_total").inc()
-                # Feed the daemon's per-path health EWMAs.
-                self.host.daemon.record_path_success(fingerprint, elapsed)
             self.stats.record_scion(
                 request.host,
                 fingerprint=(choice.path.fingerprint() if choice.path

@@ -1,10 +1,8 @@
 """Component ablation harness: leave-one-out importance + contracts.
 
 Every optional subsystem this repo has grown — the hybrid-fidelity fast
-path, the control-plane snapshot cache, revocation dissemination, event
-pooling, the combine-segments memo, the proxy's circuit breakers, the
-daemon's health ranking, tracing, the sharded parallel event core,
-population revisit locality, admission control in the shared path
+path, the control-plane snapshot cache, revocation dissemination, the
+proxy's circuit breakers, tracing, admission control in the shared path
 services, the proxy's per-client retry budget — is registered here as a
 :class:`Component` with three declarative facts:
 
@@ -25,9 +23,10 @@ leave-one-out run per component, computes per-component importance
 deltas (with p50/p95 spread of the per-seed paired deltas), verifies
 every contract *exactly*, and collects in-process **evidence** that each
 toggle actually took effect (``internet.fastpath is None``, a bypass
-counter moved, a memo stayed cold, …) so an ablation can never silently
-measure the wrong thing. Components whose off-run raises are reported
-as ``error`` rows at the top of the ranking instead of being dropped.
+counter moved, a breaker board stayed inert, …) so an ablation can never
+silently measure the wrong thing. Components whose off-run raises are
+reported as ``error`` rows at the top of the ranking instead of being
+dropped.
 
 Toggles are applied *inside* the trial functions (via
 :func:`repro.internet.knobs.forced_many`), so serial and worker-pool
@@ -61,13 +60,8 @@ from repro.experiments.harness import run_samples
 from repro.internet.knobs import forced_many
 from repro.internet.snapshot import SNAPSHOT_CACHE_ENV
 from repro.scion.admission import ADMISSION_ENV
-from repro.scion.combinator import COMBINE_MEMO_ENV, combine_segments
-from repro.scion.health import HEALTH_RANKING_ENV
 from repro.scion.revocation import REVOCATION_ENV
-from repro.simnet.events import EVENT_POOL_ENV
 from repro.simnet.fastpath import FASTPATH_ENV, PLT_ERROR_BOUND
-from repro.simnet.shard import SHARDS_ENV
-from repro.workload.session import LOCALITY_ENV
 
 #: Contract kinds.
 BIT_IDENTICAL = "bit_identical"
@@ -76,7 +70,6 @@ STATISTICALLY_EQUIVALENT = "statistically_equivalent"
 #: Batteries importance is measured on.
 FIGURE3 = "figure3"
 RESILIENCE = "resilience"
-POPULATION = "population"
 OVERLOAD = "overload"
 
 
@@ -103,17 +96,12 @@ class Component:
             it on and measures the overhead).
         context: extra knob pins for the *importance* measurement only,
             applied to both the context baseline and the off-run. The
-            circuit breaker and health ranking use this to pin
-            revocation off: with dissemination on, failures never reach
-            the proxy, so a plain leave-one-out would report zero
-            importance for components that only act under discovery-led
-            recovery. Contracts are always verified without context.
+            circuit breaker uses this to pin revocation off: with
+            dissemination on, failures never reach the proxy, so a
+            plain leave-one-out would report zero importance for a
+            component that only acts under discovery-led recovery.
+            Contracts are always verified without context.
         description: one line for the report.
-        on_value / off_value: what "on" and "off" *mean* for the knob.
-            Boolean knobs keep the ``True``/``False`` defaults; value
-            knobs like ``REPRO_SHARDS`` (an integer shard count, where
-            ``"1"`` is the serial default and ``"2"`` turns sharding
-            on) override them with the literal spelling to pin.
     """
 
     name: str
@@ -124,23 +112,11 @@ class Component:
     default_on: bool = True
     context: tuple[tuple[str, bool], ...] = ()
     description: str = ""
-    on_value: bool | str = True
-    off_value: bool | str = False
 
     @property
     def ablated_state(self) -> bool:
         """The non-default state the leave-one-out run pins."""
         return not self.default_on
-
-    @property
-    def default_value(self) -> bool | str:
-        """The knob spelling of the component's default state."""
-        return self.on_value if self.default_on else self.off_value
-
-    @property
-    def ablated_value(self) -> bool | str:
-        """The knob spelling the leave-one-out run pins."""
-        return self.off_value if self.default_on else self.on_value
 
 
 #: The registry: every toggleable component, in rough dependency order.
@@ -159,16 +135,6 @@ COMPONENTS: tuple[Component, ...] = (
         metrics=("wallclock_ms",),
         description="cross-trial control-plane snapshot cache"),
     Component(
-        name="event_pooling", knob=EVENT_POOL_ENV,
-        contract=BIT_IDENTICAL, battery=FIGURE3,
-        metrics=("wallclock_ms", "events_per_s"),
-        description="event/timeout object recycling in the loop"),
-    Component(
-        name="combine_memo", knob=COMBINE_MEMO_ENV,
-        contract=BIT_IDENTICAL, battery=FIGURE3,
-        metrics=("wallclock_ms",),
-        description="per-store memo of combined end-to-end paths"),
-    Component(
         name="tracing", knob=None,
         contract=BIT_IDENTICAL, battery=FIGURE3,
         metrics=("wallclock_ms",), default_on=False,
@@ -184,25 +150,6 @@ COMPONENTS: tuple[Component, ...] = (
         metrics=("ttr_ms", "plt_ms", "failed_requests"),
         context=((REVOCATION_ENV, False),),
         description="per-path circuit breakers in the SKIP proxy"),
-    Component(
-        name="health_ranking", knob=HEALTH_RANKING_ENV,
-        contract=BIT_IDENTICAL, battery=RESILIENCE,
-        metrics=("ttr_ms", "plt_ms", "failed_requests"),
-        context=((REVOCATION_ENV, False),),
-        description="observed-health demotion in daemon path ranking"),
-    Component(
-        name="sharded_core", knob=SHARDS_ENV,
-        contract=BIT_IDENTICAL, battery=FIGURE3,
-        metrics=("wallclock_ms",), default_on=False,
-        on_value="2", off_value="1",
-        description="conservative-lookahead parallel event loops across "
-                    "worker processes (REPRO_SHARDS=2)"),
-    Component(
-        name="population_locality", knob=LOCALITY_ENV,
-        contract=BIT_IDENTICAL, battery=POPULATION,
-        metrics=("daemon_hit_rate", "p99_plt_ms", "pool_wait_ms"),
-        description="revisit locality in population session plans "
-                    "(warm daemon caches + HTTP pools)"),
     Component(
         name="admission_control", knob=ADMISSION_ENV,
         contract=BIT_IDENTICAL, battery=OVERLOAD,
@@ -228,22 +175,21 @@ def component(name: str) -> Component:
 
 
 def default_knob_states(components: tuple[Component, ...] = COMPONENTS
-                        ) -> dict[str, bool | str]:
+                        ) -> dict[str, bool]:
     """Every registered env knob pinned to its default.
 
     Both the baseline and each leave-one-out run pin *all* knobs, so
     the harness measures the registry's defaults — not whatever
-    ``REPRO_*`` happens to be set in the ambient environment. Value
-    knobs (``REPRO_SHARDS``) pin their literal default spelling.
+    ``REPRO_*`` happens to be set in the ambient environment.
     """
-    return {comp.knob: comp.default_value
+    return {comp.knob: comp.default_on
             for comp in components if comp.knob is not None}
 
 
 # -- trial functions (module-level: the worker pool pickles them) ---------
 
 
-def figure3_ablation_trial(overrides: tuple[tuple[str, bool | str], ...],
+def figure3_ablation_trial(overrides: tuple[tuple[str, bool], ...],
                            condition: str, n_resources: int, obs: bool,
                            jitter: bool, seed: int) -> tuple[float, float]:
     """One Figure 3 trial under pinned knobs.
@@ -251,10 +197,7 @@ def figure3_ablation_trial(overrides: tuple[tuple[str, bool | str], ...],
     Returns ``(plt_ms, loop_events)``. The knobs are forced *inside*
     the trial so spawned pool workers see exactly the same environment
     as a serial run, and are restored afterwards (the shared pool's
-    workers persist across batteries). Routing through
-    :func:`~repro.experiments.local_setup.figure3_trial_events` means a
-    pinned ``REPRO_SHARDS`` actually redirects the trial into the
-    sharded fleet — the sharded_core ablation measures the real thing.
+    workers persist across batteries).
     """
     from repro.experiments import local_setup
 
@@ -267,7 +210,7 @@ def figure3_ablation_trial(overrides: tuple[tuple[str, bool | str], ...],
             calibration=calibration, obs=obs)
 
 
-def resilience_ablation_trial(overrides: tuple[tuple[str, bool | str], ...],
+def resilience_ablation_trial(overrides: tuple[tuple[str, bool], ...],
                               loads: int, seed: int
                               ) -> tuple[float, float, float, float]:
     """One resilience-battery churn session under pinned knobs.
@@ -282,28 +225,7 @@ def resilience_ablation_trial(overrides: tuple[tuple[str, bool | str], ...],
         return resilience_trial(None, "opportunistic", seed, loads=loads)
 
 
-def population_ablation_trial(overrides: tuple[tuple[str, bool | str], ...],
-                              users: int, sites: int, seed: int
-                              ) -> tuple[float, float, float, float]:
-    """One opportunistic population trial under pinned knobs.
-
-    Returns ``(p99_plt_ms, p50_plt_ms, daemon_hit_rate, pool_wait_ms)``
-    — p99 first so the paired-delta spread tracks the tail. The arrival
-    window is compressed so even the selftest slice carries real
-    concurrency (and therefore real pool contention).
-    """
-    from repro.experiments.population import population_trial
-    from repro.workload.arrivals import ArrivalCurve
-
-    with forced_many(dict(overrides)):
-        sample = population_trial(
-            "opportunistic-SCION", seed, users=users, sites=sites,
-            arrival=ArrivalCurve(window_ms=3_000.0))
-    return (sample.plt_p99_ms, sample.plt_p50_ms,
-            sample.daemon_cache_hit_rate, sample.pool_wait_ms)
-
-
-def overload_ablation_trial(overrides: tuple[tuple[str, bool | str], ...],
+def overload_ablation_trial(overrides: tuple[tuple[str, bool], ...],
                             seed: int) -> tuple[float, float, float, float]:
     """One protections-on flash-crowd trial under pinned knobs.
 
@@ -340,10 +262,6 @@ class AblationConfig:
     resilience_trials: int = 4
     resilience_base_seed: int = 4200
     resilience_loads: int = 6
-    population_trials: int = 2
-    population_base_seed: int = 910
-    population_users: int = 60
-    population_sites: int = 20
     overload_trials: int = 2
     overload_base_seed: int = 1300
     contract_trials: int = 2
@@ -357,11 +275,6 @@ class AblationConfig:
     def resilience_seeds(self) -> range:
         return range(self.resilience_base_seed,
                      self.resilience_base_seed + self.resilience_trials)
-
-    @property
-    def population_seeds(self) -> range:
-        return range(self.population_base_seed,
-                     self.population_base_seed + self.population_trials)
 
     @property
     def overload_seeds(self) -> range:
@@ -389,8 +302,7 @@ def selftest_config(workers: int = 1) -> AblationConfig:
     return AblationConfig(conditions=("SCION-only", "mixed SCION-IP"),
                           trials=3, n_resources=6,
                           resilience_trials=2, resilience_loads=3,
-                          population_trials=1, population_users=10,
-                          population_sites=8, overload_trials=1,
+                          overload_trials=1,
                           contract_trials=2, workers=workers)
 
 
@@ -433,17 +345,6 @@ def _resilience_metrics(samples: list[tuple[float, float, float, float]],
     }
 
 
-def _population_metrics(samples: list[tuple[float, float, float, float]],
-                        wallclock_ms: float) -> dict[str, float]:
-    return {
-        "p99_plt_ms": sum(row[0] for row in samples) / len(samples),
-        "p50_plt_ms": sum(row[1] for row in samples) / len(samples),
-        "daemon_hit_rate": sum(row[2] for row in samples) / len(samples),
-        "pool_wait_ms": sum(row[3] for row in samples),
-        "wallclock_ms": wallclock_ms,
-    }
-
-
 def _overload_metrics(samples: list[tuple[float, float, float, float]],
                       wallclock_ms: float) -> dict[str, float]:
     return {
@@ -465,7 +366,7 @@ def battery_label(battery: str, context: tuple[tuple[str, bool], ...] = ()
     return f"{battery}({pins})"
 
 
-def run_battery(battery: str, overrides: dict[str, bool | str],
+def run_battery(battery: str, overrides: dict[str, bool],
                 config: AblationConfig, obs: bool = False) -> BatteryRun:
     """Run one battery sweep under ``overrides``; deterministic samples."""
     pinned = tuple(sorted(overrides.items()))
@@ -496,16 +397,6 @@ def run_battery(battery: str, overrides: dict[str, bool | str],
         return BatteryRun(battery=battery, samples=tuple(samples),
                           wallclock_ms=wallclock_ms,
                           metrics=_resilience_metrics(samples, wallclock_ms))
-    if battery == POPULATION:
-        trial = functools.partial(population_ablation_trial, pinned,
-                                  config.population_users,
-                                  config.population_sites)
-        samples = list(run_samples(trial, config.population_seeds,
-                                   workers=config.workers))
-        wallclock_ms = (time.perf_counter() - started) * 1000.0
-        return BatteryRun(battery=battery, samples=tuple(samples),
-                          wallclock_ms=wallclock_ms,
-                          metrics=_population_metrics(samples, wallclock_ms))
     if battery == OVERLOAD:
         trial = functools.partial(overload_ablation_trial, pinned)
         samples = list(run_samples(trial, config.overload_seeds,
@@ -585,7 +476,7 @@ def rank_score(comp: Component,
 # -- contracts -------------------------------------------------------------
 
 
-def _contract_probe(overrides: dict[str, bool | str], config: AblationConfig,
+def _contract_probe(overrides: dict[str, bool], config: AblationConfig,
                     obs: bool, jitter: bool) -> tuple:
     """The small fault-free Figure 3 slice contracts are stated on."""
     pinned = tuple(sorted(overrides.items()))
@@ -611,7 +502,7 @@ def verify_contract(comp: Component, config: AblationConfig,
     """
     overrides = default_knob_states()
     if comp.knob is not None:
-        overrides[comp.knob] = comp.ablated_value
+        overrides[comp.knob] = comp.ablated_state
     obs = comp.knob is None and comp.ablated_state
     if comp.contract == BIT_IDENTICAL:
         probe = _contract_probe(overrides, config, obs, jitter=True)
@@ -665,45 +556,6 @@ def _evidence_snapshot_cache() -> str:
     return f"snapshot.stats.bypasses advanced by {bypassed}"
 
 
-def _evidence_event_pooling() -> str:
-    from repro.simnet.network import Network
-
-    with forced_many({EVENT_POOL_ENV: False}):
-        off = Network()
-    with forced_many({EVENT_POOL_ENV: True}):
-        on = Network()
-    assert not off.loop.pooling, "loop pooling on despite knob off"
-    assert on.loop.pooling, "loop pooling off despite knob on"
-    return "EventLoop.pooling tracks the knob"
-
-
-def _evidence_combine_memo() -> str:
-    from repro.internet.build import Internet
-    from repro.topology.defaults import remote_testbed
-
-    topology, ases = remote_testbed()
-    with forced_many({COMBINE_MEMO_ENV: False}):
-        internet = Internet(topology, seed=0)
-        store = internet.segment_store
-        hits_before = store.combine_memo_hits
-        size_before = len(store._combine_memo)
-        for _ in range(2):
-            combine_segments(ases.client, ases.remote_server, store,
-                             core_ases=internet.core_ases)
-        assert store.combine_memo_hits == hits_before, \
-            "memo hit despite knob off"
-        assert len(store._combine_memo) == size_before, \
-            "memo written despite knob off"
-    with forced_many({COMBINE_MEMO_ENV: True}):
-        hits_before = store.combine_memo_hits
-        for _ in range(2):
-            combine_segments(ases.client, ases.remote_server, store,
-                             core_ases=internet.core_ases)
-        assert store.combine_memo_hits > hits_before, \
-            "no memo hit with knob on"
-    return "memo stays cold (no reads, no writes) with the knob off"
-
-
 def _evidence_tracing() -> str:
     off = _tiny_local_world(obs=False)
     on = _tiny_local_world(obs=True)
@@ -734,40 +586,6 @@ def _evidence_circuit_breaker() -> str:
     assert breakers.record_failure("fp", 0.0, 10.0) is None
     assert not breakers.blocked(1.0), "disabled board blocked a path"
     return "proxy.breakers inert (stores/blocks nothing) with knob off"
-
-
-def _evidence_sharded_core() -> str:
-    from repro.experiments.local_setup import figure3_trial_events
-    from repro.simnet import shard
-
-    with forced_many({SHARDS_ENV: "2"}):
-        sharded = figure3_trial_events("SCION-only", 4242, n_resources=4)
-    workers = shard.active_worker_count()
-    with forced_many({SHARDS_ENV: "1"}):
-        serial = figure3_trial_events("SCION-only", 4242, n_resources=4)
-    assert workers > 0, "no live worker fleet after a sharded trial"
-    assert sharded == serial, \
-        f"sharded sample {sharded} != serial {serial}"
-    return (f"{workers} worker process(es) served the sharded probe, "
-            f"samples identical to serial")
-
-
-def _evidence_population_locality() -> str:
-    from repro.workload.catalog import default_catalog
-    from repro.workload.session import SessionConfig, plan_session
-
-    catalog = default_catalog(12, origins=("far.example",), seed=0)
-    eager = SessionConfig(mean_visits=6.0, revisit_probability=1.0)
-    with forced_many({LOCALITY_ENV: True}):
-        on = plan_session(catalog, 0, 0, eager)
-    with forced_many({LOCALITY_ENV: False}):
-        off = plan_session(catalog, 0, 0, eager)
-    assert any(visit.revisit for visit in on[1:]), \
-        "no revisit despite locality on and revisit_probability=1"
-    assert not any(visit.revisit for visit in off), \
-        "revisit planned despite locality knobbed off"
-    return ("plans revisit with the knob on and never with it off "
-            "(revisit_probability=1 probe)")
 
 
 def _evidence_admission_control() -> str:
@@ -815,29 +633,13 @@ def _evidence_retry_budget() -> str:
     return "capacity-1 bucket exhausts with the knob on, inert off"
 
 
-def _evidence_health_ranking() -> str:
-    with forced_many({HEALTH_RANKING_ENV: False}):
-        world = _tiny_local_world()
-    health = world.internet.hosts["client"].daemon.health
-    assert not health.enabled, "health tracker on despite knob off"
-    health.record_failure("fp")
-    health.record_failure("fp")
-    assert health.get("fp") is None, "disabled tracker recorded state"
-    return "daemon.health records nothing with the knob off"
-
-
 #: component name → callable returning an evidence line (or raising).
 EVIDENCE_PROBES = {
     "fastpath": _evidence_fastpath,
     "snapshot_cache": _evidence_snapshot_cache,
-    "event_pooling": _evidence_event_pooling,
-    "combine_memo": _evidence_combine_memo,
     "tracing": _evidence_tracing,
     "revocation": _evidence_revocation,
     "circuit_breaker": _evidence_circuit_breaker,
-    "health_ranking": _evidence_health_ranking,
-    "sharded_core": _evidence_sharded_core,
-    "population_locality": _evidence_population_locality,
     "admission_control": _evidence_admission_control,
     "retry_budget": _evidence_retry_budget,
 }
@@ -1013,7 +815,7 @@ def run_ablations(config: AblationConfig | None = None,
             overrides = dict(defaults)
             overrides.update(dict(comp.context))
             if comp.knob is not None:
-                overrides[comp.knob] = comp.ablated_value
+                overrides[comp.knob] = comp.ablated_state
             obs = comp.knob is None and comp.ablated_state
             off_run = run_battery(comp.battery, overrides, config, obs=obs)
             base_run = report.baselines[battery_label(comp.battery,

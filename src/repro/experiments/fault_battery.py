@@ -75,30 +75,22 @@ class FaultWorld:
     """One freshly-built world for a chaos trial."""
 
     internet: Internet
-    #: ``None`` inside shard workers that don't own the client's AS.
-    browser: BraveBrowser | None
+    browser: BraveBrowser
     page: WebPage
-    #: ``None`` inside shard workers that don't own the origin's AS.
-    server: HttpServer | None
+    server: HttpServer
     ases: object  # the testbed's TestbedAses record
     #: Observability tracer, present when built with ``obs=True``.
     tracer: Tracer | None = None
 
 
 def build_fault_world(seed: int, n_resources: int = 6,
-                      strict: bool = False, obs: bool = False,
-                      shard_slice=None) -> FaultWorld:
+                      strict: bool = False, obs: bool = False) -> FaultWorld:
     """A distributed-testbed world with one dual-stack origin.
 
     The origin serves both QUIC/SCION and TCP/IP, so SCION-specific
     faults leave an IP escape hatch — which opportunistic mode may take
     and strict mode must not. A latency policy makes both core routes
     policy-compliant (failover has somewhere to go).
-
-    ``shard_slice`` builds one shard's slice (the chaos soak runs this
-    battery at ``shards=2``): the browser exists only on the client's
-    shard, the origin server only on its own, and fault schedules arm
-    against each shard's local links.
     """
     topology, ases = remote_testbed()
     # Packet tracing rides along with observability so traced loads can
@@ -107,31 +99,25 @@ def build_fault_world(seed: int, n_resources: int = 6,
     # injector (which disables the fast path anyway), and the ones that
     # don't — baseline, quic-outage, segment-expiry — must produce rows
     # bit-identical to them and to pre-fast-path behavior.
-    internet = Internet(topology, seed=seed, trace=obs, fastpath=False,
-                        shard_slice=shard_slice)
+    internet = Internet(topology, seed=seed, trace=obs, fastpath=False)
     client = internet.add_host("client", ases.client)
     origin = internet.add_host("origin", ases.remote_server)
     page = synthetic_page(ORIGIN, n_resources=n_resources, seed=seed)
-    server = None
-    if internet.owns_host("origin"):
-        server = HttpServer(origin, content_for_origin(page, ORIGIN),
-                            serve_tcp=True, serve_quic=True)
+    server = HttpServer(origin, content_for_origin(page, ORIGIN),
+                        serve_tcp=True, serve_quic=True)
     resolver = Resolver(internet.loop, lookup_latency_ms=2.0)
     resolver.register_host(ORIGIN, ip_address=origin.addr,
                            scion_address=origin.addr)
-    browser = None
-    if internet.owns_host("client"):
-        browser = BraveBrowser(client, resolver, rng=internet.network.rng)
-        browser.settings.extra_policies.append(latency_optimized())
-        browser.extension.apply_settings()
-        browser.proxy.request_timeout_ms = CHAOS_REQUEST_TIMEOUT_MS
-        if strict:
-            browser.extension.enable_strict_mode()
+    browser = BraveBrowser(client, resolver, rng=internet.network.rng)
+    browser.settings.extra_policies.append(latency_optimized())
+    browser.extension.apply_settings()
+    browser.proxy.request_timeout_ms = CHAOS_REQUEST_TIMEOUT_MS
+    if strict:
+        browser.extension.enable_strict_mode()
     tracer = None
     if obs:
         tracer = Tracer(internet.loop)
-        if browser is not None:
-            browser.attach_tracer(tracer)
+        browser.attach_tracer(tracer)
         internet.revocations.tracer = tracer
         if internet.fastpath is not None:
             internet.fastpath.attach_tracer(tracer)
@@ -159,18 +145,12 @@ def scenario_schedule(scenario: str, ases) -> FaultSchedule:
 
 
 def _prepare_scenario(world: FaultWorld, scenario: str) -> None:
-    """Arm the scenario against a built world (before the load starts).
-
-    Shard slices arm only what they own: the QUIC outage happens where
-    the server lives, cache warming where the browser lives, and the
-    fault schedule against each slice's local links.
-    """
+    """Arm the scenario against a built world (before the load starts)."""
     if scenario == "quic-outage":
         # The origin's SCION side dies; its TCP listener stays up.
-        if world.server is not None:
-            assert world.server.quic_listener is not None
-            world.server.quic_listener.close()
-    elif scenario == "segment-expiry" and world.browser is not None:
+        assert world.server.quic_listener is not None
+        world.server.quic_listener.close()
+    elif scenario == "segment-expiry":
         # Warm the daemon cache, kill the infrastructure, then let every
         # cached segment age out: refreshes are impossible.
         daemon = world.browser.host.daemon

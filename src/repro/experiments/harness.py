@@ -6,13 +6,6 @@ shows (quartiles, whiskers as min/max, plus mean/std for the tables in
 EXPERIMENTS.md); :func:`run_condition` runs one scenario callable over a
 battery of seeds, each trial in a completely fresh world, so trials are
 independent and the whole battery is reproducible.
-
-Two orthogonal parallelism axes compose here. ``REPRO_WORKERS``
-(:func:`resolve_workers`) fans *seeds* out across this pool;
-``REPRO_SHARDS`` (:func:`repro.simnet.shard.resolve_shards`) fans each
-trial's *world* out across a shard fleet. Pool workers are spawned
-non-daemonic precisely so a trial running inside one may legally spawn
-its own shard workers; both knobs inherit through the environment.
 """
 
 from __future__ import annotations

@@ -69,8 +69,7 @@ class LocalWorld:
     """One freshly-built local testbed."""
 
     internet: Internet
-    #: ``None`` inside shard workers that don't own the client's AS.
-    browser: BraveBrowser | None
+    browser: BraveBrowser
     page: WebPage
     #: Observability tracer, present when built with ``obs=True``.
     tracer: Tracer | None = None
@@ -97,33 +96,23 @@ def build_local_world(page: WebPage, seed: int,
                       calibration: LocalCalibration = DEFAULT_CALIBRATION,
                       extension_enabled: bool = True,
                       strict: bool = False,
-                      obs: bool = False,
-                      shard_slice=None) -> LocalWorld:
+                      obs: bool = False) -> LocalWorld:
     """Assemble a fresh laptop world serving ``page``.
 
     ``obs=True`` attaches a :class:`~repro.obs.spans.Tracer` across the
     whole browser stack (``world.tracer``); tracing is inert, so the
     measured PLTs are bit-identical either way.
-
-    ``shard_slice`` (a :class:`~repro.simnet.shard.ShardContext`) builds
-    only this shard's slice: hosts in unowned ASes become address-only
-    ghosts and their servers/browser are skipped (``world.browser`` is
-    then ``None`` on non-client shards). The testbed is single-AS, so
-    every slice either owns the whole laptop or none of it.
     """
     internet = Internet(local_testbed(), seed=seed,
-                        host_jitter_ms=calibration.host_jitter_ms,
-                        shard_slice=shard_slice)
+                        host_jitter_ms=calibration.host_jitter_ms)
     client = internet.add_host("client", LOCAL_AS)
     scion_fs = internet.add_host("scion-fs", LOCAL_AS)
     ip_fs = internet.add_host("tcpip-fs", LOCAL_AS)
 
-    if internet.owns_host("scion-fs"):
-        HttpServer(scion_fs, content_for_origin(page, SCION_ORIGIN),
-                   serve_tcp=True, serve_quic=True)
-    if internet.owns_host("tcpip-fs"):
-        HttpServer(ip_fs, content_for_origin(page, IP_ORIGIN),
-                   serve_tcp=True, serve_quic=False)
+    HttpServer(scion_fs, content_for_origin(page, SCION_ORIGIN),
+               serve_tcp=True, serve_quic=True)
+    HttpServer(ip_fs, content_for_origin(page, IP_ORIGIN),
+               serve_tcp=True, serve_quic=False)
 
     resolver = Resolver(internet.loop,
                         lookup_latency_ms=calibration.dns_latency_ms)
@@ -131,23 +120,20 @@ def build_local_world(page: WebPage, seed: int,
                            scion_address=scion_fs.addr)
     resolver.register_host(IP_ORIGIN, ip_address=ip_fs.addr)
 
-    browser = None
-    if internet.owns_host("client"):
-        browser = BraveBrowser(
-            client, resolver,
-            extension_enabled=extension_enabled,
-            proxy_processing_ms=calibration.proxy_processing_ms,
-            extension_overhead_ms=calibration.extension_overhead_ms,
-            ipc_latency_ms=calibration.ipc_latency_ms,
-            rng=internet.network.rng,
-        )
-        if strict:
-            browser.extension.enable_strict_mode()
+    browser = BraveBrowser(
+        client, resolver,
+        extension_enabled=extension_enabled,
+        proxy_processing_ms=calibration.proxy_processing_ms,
+        extension_overhead_ms=calibration.extension_overhead_ms,
+        ipc_latency_ms=calibration.ipc_latency_ms,
+        rng=internet.network.rng,
+    )
+    if strict:
+        browser.extension.enable_strict_mode()
     tracer = None
     if obs:
         tracer = Tracer(internet.loop)
-        if browser is not None:
-            browser.attach_tracer(tracer)
+        browser.attach_tracer(tracer)
         if internet.fastpath is not None:
             internet.fastpath.attach_tracer(tracer)
     return LocalWorld(internet=internet, browser=browser, page=page,
@@ -162,36 +148,16 @@ def load_once(world: LocalWorld) -> float:
 
 def figure3_trial(condition: str, seed: int, n_resources: int = 12,
                   calibration: LocalCalibration = DEFAULT_CALIBRATION,
-                  obs: bool = False, shards: int | None = None) -> float:
-    """One Figure 3 trial: fresh world, one page load, PLT out.
-
-    ``shards`` (default: the ``REPRO_SHARDS`` knob) > 1 routes the
-    trial through the sharded discrete-event core — same samples, the
-    world just executes across worker processes.
-    """
+                  obs: bool = False) -> float:
+    """One Figure 3 trial: fresh world, one page load, PLT out."""
     return figure3_trial_events(condition, seed, n_resources=n_resources,
-                                calibration=calibration, obs=obs,
-                                shards=shards)[0]
+                                calibration=calibration, obs=obs)[0]
 
 
 def figure3_trial_events(condition: str, seed: int, n_resources: int = 12,
                          calibration: LocalCalibration = DEFAULT_CALIBRATION,
-                         obs: bool = False, shards: int | None = None
-                         ) -> tuple[float, float]:
-    """One Figure 3 trial returning ``(plt_ms, loop events processed)``.
-
-    The event count is summed across shards when sharded, so the
-    ablation harness's efficiency metrics stay comparable across
-    execution modes.
-    """
-    from repro.simnet.shard import resolve_shards
-
-    if resolve_shards(shards) > 1:
-        from repro.experiments.sharded import sharded_figure3_trial
-
-        return sharded_figure3_trial(
-            condition, seed, shards=resolve_shards(shards),
-            n_resources=n_resources, calibration=calibration, obs=obs)
+                         obs: bool = False) -> tuple[float, float]:
+    """One Figure 3 trial returning ``(plt_ms, loop events processed)``."""
     page = make_page(condition, n_resources, seed)
     world = build_local_world(
         page, seed,

@@ -404,8 +404,8 @@ def overload_trial(arm: str, seed: int,
     # control, no retry budget — and no circuit breaking either, so
     # per-request retries return to the congested path they just timed
     # out on (the storm's defining feedback loop).
-    overrides = ({ADMISSION_ENV: "0", RETRY_BUDGET_ENV: "0",
-                  BREAKER_ENV: "0"}
+    overrides = ({ADMISSION_ENV: False, RETRY_BUDGET_ENV: False,
+                  BREAKER_ENV: False}
                  if arm == "protections-off" else {})
     with forced_many(overrides):
         world = build_overload_world(seed, config)

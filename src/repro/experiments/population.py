@@ -24,10 +24,9 @@ its arguments, and samples are frozen dataclasses — so serial and
 ``REPRO_WORKERS=4`` batteries are bit-identical, and
 ``python -m repro.experiments.population --selftest`` (a
 ``make verify`` gate) checks exactly that plus leak-free interrupted
-runs. ``REPRO_SHARDS>1`` routes through
-:func:`repro.experiments.sharded.sharded_population_trial`;
-``REPRO_FASTPATH`` applies unchanged because the battery builds worlds
-through the ordinary :class:`~repro.internet.build.Internet` facade.
+runs. ``REPRO_FASTPATH`` applies unchanged because the battery builds
+worlds through the ordinary :class:`~repro.internet.build.Internet`
+facade.
 """
 
 from __future__ import annotations
@@ -90,12 +89,11 @@ class PopulationSample:
 
 @dataclass
 class PopulationWorld:
-    """One built population world (possibly one shard's slice)."""
+    """One built population world."""
 
     internet: object
     catalog: SiteCatalog
-    #: ``(user_id, browser, plan, arrival_ms)`` for users this slice
-    #: owns (empty in server-only shard workers).
+    #: ``(user_id, browser, plan, arrival_ms)`` per user.
     users: list
     tracer: object | None = None
 
@@ -124,15 +122,14 @@ def build_population_world(mode: str, seed: int, users: int,
                            sites: int = DEFAULT_SITES,
                            arrival: ArrivalCurve = DEFAULT_ARRIVAL,
                            session: SessionConfig = DEFAULT_SESSION,
-                           obs: bool = False,
-                           shard_slice=None) -> PopulationWorld:
+                           obs: bool = False) -> PopulationWorld:
     """Assemble the distributed testbed with a browsing population.
 
     Origins mirror :mod:`repro.experiments.remote_setup` (legacy TCP
     servers fronted by SCION reverse proxies); each user gets their own
     client host, daemon, and browser so per-user warmth is real. The
     world is jitter-free: population tails should come from load, not
-    injected noise, and shard slices stay exact.
+    injected noise.
     """
     from repro.core.browser.brave import BraveBrowser
     from repro.core.ppl.policies import latency_optimized
@@ -144,7 +141,7 @@ def build_population_world(mode: str, seed: int, users: int,
     from repro.topology.defaults import remote_testbed
 
     topology, ases = remote_testbed()
-    internet = Internet(topology, seed=seed, shard_slice=shard_slice)
+    internet = Internet(topology, seed=seed)
     resolver = Resolver(internet.loop, lookup_latency_ms=4.0)
 
     catalog = default_catalog(
@@ -161,11 +158,10 @@ def build_population_world(mode: str, seed: int, users: int,
         label = origin.split(".")[0]
         server_host = internet.add_host(f"origin-{label}", isd_as)
         rp_host = internet.add_host(f"rp-{label}", isd_as)
-        if internet.owns_host(f"origin-{label}"):
-            HttpServer(server_host, catalog.origin_content(origin),
-                       serve_tcp=True, serve_quic=False)
-            ScionReverseProxy(rp_host, server_host.addr,
-                              advertise_strict_scion_max_age=3600)
+        HttpServer(server_host, catalog.origin_content(origin),
+                   serve_tcp=True, serve_quic=False)
+        ScionReverseProxy(rp_host, server_host.addr,
+                          advertise_strict_scion_max_age=3600)
         resolver.register_host(origin, ip_address=server_host.addr,
                                scion_address=rp_host.addr)
 
@@ -175,22 +171,21 @@ def build_population_world(mode: str, seed: int, users: int,
         internet.fastpath.attach_tracer(tracer)
 
     population = []
-    if internet.owns(ases.client):
-        arrivals = arrival_times(users, arrival, seed)
-        for user_id, host in enumerate(hosts):
-            browser = BraveBrowser(
-                host, resolver,
-                extension_enabled=(mode != "BGP/IP-only"),
-                rng=internet.network.rng,
-            )
-            browser.settings.extra_policies.append(latency_optimized())
-            if mode == "strict-SCION":
-                browser.extension.enable_strict_mode()
-            browser.extension.apply_settings()
-            if tracer is not None:
-                browser.attach_tracer(tracer)
-            plan = plan_session(catalog, user_id, seed, session)
-            population.append((user_id, browser, plan, arrivals[user_id]))
+    arrivals = arrival_times(users, arrival, seed)
+    for user_id, host in enumerate(hosts):
+        browser = BraveBrowser(
+            host, resolver,
+            extension_enabled=(mode != "BGP/IP-only"),
+            rng=internet.network.rng,
+        )
+        browser.settings.extra_policies.append(latency_optimized())
+        if mode == "strict-SCION":
+            browser.extension.enable_strict_mode()
+        browser.extension.apply_settings()
+        if tracer is not None:
+            browser.attach_tracer(tracer)
+        plan = plan_session(catalog, user_id, seed, session)
+        population.append((user_id, browser, plan, arrivals[user_id]))
     return PopulationWorld(internet=internet, catalog=catalog,
                            users=population, tracer=tracer)
 
@@ -221,7 +216,7 @@ def _user_session(world: PopulationWorld, browser, plan, arrival_ms: float):
 
 
 def start_sessions(world: PopulationWorld) -> list:
-    """Spawn every owned user's session as a loop process."""
+    """Spawn every user's session as a loop process."""
     loop = world.internet.loop
     return [loop.process(_user_session(world, browser, plan, arrival_ms),
                          name=f"user-{user_id}")
@@ -252,18 +247,15 @@ def as_link_bytes(named_bytes) -> tuple[tuple[str, int], ...]:
 
 
 def _pool_client_stats(world: PopulationWorld):
-    """Both HTTP clients (proxy + direct) of every owned browser."""
+    """Both HTTP clients (proxy + direct) of every browser."""
     for _user_id, browser, _plan, _arrival in world.users:
         yield browser.proxy.client.stats
         yield browser._direct_engine.fetcher.client.stats
 
 
-def collect_scalars(world: PopulationWorld, mode: str, users: int,
-                    rows) -> dict:
-    """Everything a :class:`PopulationSample` needs except the
-    world-wide fields (``events``, ``as_link_bytes``) — those come from
-    the local slice in serial runs and from merged per-shard stats in
-    sharded runs."""
+def collect_sample(world: PopulationWorld, mode: str, users: int,
+                   rows) -> PopulationSample:
+    """Aggregate a drained world + harvested session rows into a sample."""
     internet = world.internet
     plts = sorted(row[2] for row in rows if not row[3])
     failed = sum(1 for row in rows if row[3])
@@ -280,36 +272,27 @@ def collect_scalars(world: PopulationWorld, mode: str, users: int,
         connections += stats.connections_opened
     duration_ms = internet.loop.now
     lookups = internet.path_server.stats.total()
-    return {
-        "mode": mode,
-        "users": users,
-        "loads": len(rows),
-        "failed_loads": failed,
-        "plt_p50_ms": percentile(plts, 0.50),
-        "plt_p95_ms": percentile(plts, 0.95),
-        "plt_p99_ms": percentile(plts, 0.99),
-        "plt_mean_ms": sum(plts) / len(plts) if plts else 0.0,
-        "duration_ms": duration_ms,
-        "path_server_lookups": lookups,
-        "path_server_qps": (lookups / (duration_ms / 1000.0)
-                            if duration_ms else 0.0),
-        "daemon_queries": daemon_queries,
-        "daemon_cache_hits": daemon_hits,
-        "daemon_cache_hit_rate": (daemon_hits / daemon_queries
-                                  if daemon_queries else 0.0),
-        "pool_waits": pool_waits,
-        "pool_wait_ms": pool_wait_ms,
-        "connections_opened": connections,
-        "scion_fetches": sum(row[4] for row in rows),
-    }
-
-
-def collect_sample(world: PopulationWorld, mode: str, users: int,
-                   rows) -> PopulationSample:
-    """Aggregate a drained world + harvested session rows into a sample."""
-    internet = world.internet
     return PopulationSample(
-        **collect_scalars(world, mode, users, rows),
+        mode=mode,
+        users=users,
+        loads=len(rows),
+        failed_loads=failed,
+        plt_p50_ms=percentile(plts, 0.50),
+        plt_p95_ms=percentile(plts, 0.95),
+        plt_p99_ms=percentile(plts, 0.99),
+        plt_mean_ms=sum(plts) / len(plts) if plts else 0.0,
+        duration_ms=duration_ms,
+        path_server_lookups=lookups,
+        path_server_qps=(lookups / (duration_ms / 1000.0)
+                         if duration_ms else 0.0),
+        daemon_queries=daemon_queries,
+        daemon_cache_hits=daemon_hits,
+        daemon_cache_hit_rate=(daemon_hits / daemon_queries
+                               if daemon_queries else 0.0),
+        pool_waits=pool_waits,
+        pool_wait_ms=pool_wait_ms,
+        connections_opened=connections,
+        scion_fetches=sum(row[4] for row in rows),
         events=internet.loop.events_processed,
         as_link_bytes=as_link_bytes((link.name, link.bytes_sent)
                                     for link in internet.network.links),
@@ -332,7 +315,7 @@ def population_leak_report(world: PopulationWorld) -> list[str]:
     Returns human-readable violations; empty means quiescent. Covers
     what the chaos soak asserts, across *every* user: busy pooled
     streams, queued pool waiters, half-open connections, CPU tokens,
-    open spans, dirty recycled events, and pending revocation work.
+    open spans, and pending revocation work.
     """
     leaks = []
     for user_id, browser, _plan, _arrival in world.users:
@@ -358,11 +341,6 @@ def population_leak_report(world: PopulationWorld) -> list[str]:
         if open_spans:
             leaks.append(f"{len(open_spans)} open spans: "
                          f"{[span.name for span in open_spans[:5]]}")
-    loop = world.internet.loop
-    for event in loop._event_pool:
-        if event.triggered or event._callbacks:
-            leaks.append("dirty event in the recycling pool")
-            break
     revocations = world.internet.revocations
     if revocations.pending_propagations:
         leaks.append(f"{revocations.pending_propagations} revocation "
@@ -374,22 +352,8 @@ def population_trial(mode: str, seed: int, users: int = 100,
                      sites: int = DEFAULT_SITES,
                      arrival: ArrivalCurve = DEFAULT_ARRIVAL,
                      session: SessionConfig = DEFAULT_SESSION,
-                     obs: bool = False,
-                     shards: int | None = None) -> PopulationSample:
-    """One population trial; a pure function of its arguments.
-
-    ``shards`` (default: the ``REPRO_SHARDS`` knob) > 1 partitions the
-    world across a shard fleet via
-    :func:`repro.experiments.sharded.sharded_population_trial`.
-    """
-    from repro.simnet.shard import resolve_shards
-
-    if resolve_shards(shards) > 1:
-        from repro.experiments.sharded import sharded_population_trial
-
-        return sharded_population_trial(
-            mode, seed, shards=resolve_shards(shards), users=users,
-            sites=sites, arrival=arrival, session=session)
+                     obs: bool = False) -> PopulationSample:
+    """One population trial; a pure function of its arguments."""
     world = build_population_world(mode, seed, users=users, sites=sites,
                                    arrival=arrival, session=session, obs=obs)
     processes = start_sessions(world)

@@ -67,8 +67,7 @@ class RemoteWorld:
     """One freshly-built distributed testbed."""
 
     internet: Internet
-    #: ``None`` inside shard workers that don't own the client's AS.
-    browser: BraveBrowser | None
+    browser: BraveBrowser
     page: WebPage
     #: Observability tracer, present when built with ``obs=True``.
     tracer: Tracer | None = None
@@ -90,20 +89,11 @@ def make_remote_page(primary: str, multi_origin: bool, n_resources: int,
 def build_remote_world(page: WebPage, seed: int,
                        calibration: RemoteCalibration = DEFAULT_REMOTE_CALIBRATION,
                        extension_enabled: bool = True,
-                       obs: bool = False,
-                       shard_slice=None) -> RemoteWorld:
-    """Assemble a fresh distributed testbed serving ``page``.
-
-    ``shard_slice`` (a :class:`~repro.simnet.shard.ShardContext`)
-    builds only this shard's slice: origin servers and reverse proxies
-    exist where their AS is owned, the browser only on the client's
-    shard, and everything else is an address-only ghost (the resolver
-    still learns every origin's addresses from the ghosts).
-    """
+                       obs: bool = False) -> RemoteWorld:
+    """Assemble a fresh distributed testbed serving ``page``."""
     topology, ases = remote_testbed()
     internet = Internet(topology, seed=seed,
-                        host_jitter_ms=calibration.host_jitter_ms,
-                        shard_slice=shard_slice)
+                        host_jitter_ms=calibration.host_jitter_ms)
     client = internet.add_host("client", ases.client)
     resolver = Resolver(internet.loop,
                         lookup_latency_ms=calibration.dns_latency_ms)
@@ -118,33 +108,29 @@ def build_remote_world(page: WebPage, seed: int,
         label = origin.split(".")[0]
         server_host = internet.add_host(f"origin-{label}", isd_as)
         rp_host = internet.add_host(f"rp-{label}", isd_as)
-        if internet.owns_host(f"origin-{label}"):
-            HttpServer(server_host, content_for_origin(page, origin),
-                       serve_tcp=True, serve_quic=False)
-            ScionReverseProxy(rp_host, server_host.addr,
-                              advertise_strict_scion_max_age=3600)
+        HttpServer(server_host, content_for_origin(page, origin),
+                   serve_tcp=True, serve_quic=False)
+        ScionReverseProxy(rp_host, server_host.addr,
+                          advertise_strict_scion_max_age=3600)
         resolver.register_host(origin, ip_address=server_host.addr,
                                scion_address=rp_host.addr)
 
-    browser = None
-    if internet.owns_host("client"):
-        browser = BraveBrowser(
-            client, resolver,
-            extension_enabled=extension_enabled,
-            proxy_processing_ms=calibration.proxy_processing_ms,
-            extension_overhead_ms=calibration.extension_overhead_ms,
-            ipc_latency_ms=calibration.ipc_latency_ms,
-            rng=internet.network.rng,
-        )
-        # The path-aware part of the experiment: prefer low-latency paths
-        # (this is what lets SCION pick the detour in Figure 5).
-        browser.settings.extra_policies.append(latency_optimized())
-        browser.extension.apply_settings()
+    browser = BraveBrowser(
+        client, resolver,
+        extension_enabled=extension_enabled,
+        proxy_processing_ms=calibration.proxy_processing_ms,
+        extension_overhead_ms=calibration.extension_overhead_ms,
+        ipc_latency_ms=calibration.ipc_latency_ms,
+        rng=internet.network.rng,
+    )
+    # The path-aware part of the experiment: prefer low-latency paths
+    # (this is what lets SCION pick the detour in Figure 5).
+    browser.settings.extra_policies.append(latency_optimized())
+    browser.extension.apply_settings()
     tracer = None
     if obs:
         tracer = Tracer(internet.loop)
-        if browser is not None:
-            browser.attach_tracer(tracer)
+        browser.attach_tracer(tracer)
         if internet.fastpath is not None:
             internet.fastpath.attach_tracer(tracer)
     return RemoteWorld(internet=internet, browser=browser, page=page,
@@ -154,26 +140,11 @@ def build_remote_world(page: WebPage, seed: int,
 def remote_trial(primary: str, condition: str, seed: int,
                  n_resources: int = 9,
                  calibration: RemoteCalibration = DEFAULT_REMOTE_CALIBRATION,
-                 obs: bool = False, shards: int | None = None) -> float:
+                 obs: bool = False) -> float:
     """One trial of Figure 5 (``primary=FAR_ORIGIN``) or Figure 6
-    (``primary=NEAR_ORIGIN``); returns the PLT in ms.
-
-    ``shards`` (default: the ``REPRO_SHARDS`` knob) > 1 partitions the
-    seven-AS world across worker processes; cross-shard transfers then
-    run packet-level (the fast path declines routes it cannot see end
-    to end), so exactness against serial holds on jitter-free,
-    fastpath-off configurations — see the shard determinism tests.
-    """
-    from repro.simnet.shard import resolve_shards
-
+    (``primary=NEAR_ORIGIN``); returns the PLT in ms."""
     multi = condition.startswith("multiple")
     over_scion = condition.endswith("SCION")
-    if resolve_shards(shards) > 1:
-        from repro.experiments.sharded import sharded_remote_trial
-
-        return sharded_remote_trial(
-            primary, condition, seed, shards=resolve_shards(shards),
-            n_resources=n_resources, calibration=calibration, obs=obs)[0]
     page = make_remote_page(primary, multi_origin=multi,
                             n_resources=n_resources, seed=seed)
     world = build_remote_world(page, seed, calibration=calibration,

@@ -13,12 +13,6 @@ three ablations. Trial batteries fan out over ``--workers`` processes
 are submitted up front so they overlap in one shared pool; results are
 identical to a serial run.
 
-``--shards N`` additionally partitions each trial's *world* across N
-worker processes (the ``REPRO_SHARDS`` knob; see README "Sharded
-execution"). The two axes compose: the pool fans seeds out, each trial
-fans its topology out. Fault-free figures are bit-identical at any
-shard count, so the report is unchanged — only wall-clock moves.
-
 ``--resilience`` additionally runs the resilience battery
 (time-to-recover and PLT under repeated link churn, revocation
 dissemination on vs off × opportunistic/strict — the self-healing-paths
@@ -104,9 +98,9 @@ Running with ``--obs`` additionally writes traced-load JSON artifacts
 (span trees, metrics, PLT waterfalls) to ``results/obs/`` — inspect
 them with ``python -m repro.obs report <artifact>`` or diff two runs
 with ``python -m repro.obs diff``. Execution-mode knobs
-(``REPRO_WORKERS``, ``REPRO_SHARDS``, ``REPRO_FASTPATH``, …) never
-change fault-free samples — the consolidated knob table with defaults
-and overrides lives in README "Runtime knobs".
+(``REPRO_WORKERS``, ``REPRO_FASTPATH``, …) never change fault-free
+samples — the consolidated knob table with defaults and overrides lives
+in README "Runtime knobs".
 
 | Experiment | Paper's claim | Measured shape | Holds |
 |---|---|---|---|
@@ -157,7 +151,7 @@ per-site resource profiles, per-user session plans (think time, tab
 parallelism, revisit locality that re-hits warm daemon caches and HTTP
 pools), and an open-loop/diurnal arrival curve — every stream on its
 own string-seeded RNG, so the same seed replays the same city
-bit-for-bit at any worker or shard count. Each transport mode runs the
+bit-for-bit at any worker count. Each transport mode runs the
 identical session plans; only the browser's network integration
 changes, so per-mode deltas are attributable to the transport stack
 alone.
@@ -177,9 +171,8 @@ Commands::
     python -m repro.experiments.run_all --population     # this report
     python -m repro.experiments.population --users 200 --json out.json
 
-``REPRO_POPULATION_USERS`` scales the city; ``REPRO_POPULATION_LOCALITY=0``
-ablates revisit locality (also registered as the ``population_locality``
-component in the ablation sweep). The machine-readable battery lands in
+``REPRO_POPULATION_USERS`` scales the city; ``SessionConfig(locality=False)``
+turns revisit locality off. The machine-readable battery lands in
 ``results/population.json``; throughput and simulated p99 are tracked
 longitudinally as ``population_users_per_sec`` / ``population_p99_plt_ms``
 in ``BENCH_results.json`` (``repro.perf``).
@@ -247,8 +240,8 @@ ABLATION_NOTE = """
 ## Component ablations — how to read the block above
 
 Every optional runtime component (fast path, snapshot cache, revocation
-dissemination, event pooling, combine memo, circuit breaker, health
-ranking, tracing) is registered declaratively in
+dissemination, circuit breaker, tracing, admission control, retry
+budget) is registered declaratively in
 ``repro.experiments.ablations2`` with its toggle, its correctness
 contract, and the metrics it is expected to move. The harness runs a
 baseline plus one leave-one-out run per component and ranks components
@@ -261,9 +254,9 @@ Contracts are verified exactly, not eyeballed: components promising
 the bit when disabled; the fast path's ``statistically_equivalent``
 contract is checked against the documented <1% jitter-free PLT error
 bound. Components whose effect is masked by another layer declare a
-measurement *context* (the circuit breaker and health ranking measure
-with revocation dissemination pinned off, since with dissemination on
-failures never reach the proxy).
+measurement *context* (the circuit breaker measures with revocation
+dissemination pinned off, since with dissemination on failures never
+reach the proxy).
 
 Commands::
 
@@ -446,17 +439,7 @@ def write_ablation_report(directory: str = "results") -> "object":
 def main(output_path: str = "EXPERIMENTS.md",
          workers: int | None = None, obs: bool = False,
          resilience: bool = False, ablate: bool = False,
-         shards: int | None = None, population: bool = False,
-         overload: bool = False) -> None:
-    import os
-
-    from repro.simnet.shard import SHARDS_ENV, resolve_shards
-
-    if shards is not None:
-        # Env, not an argument thread: every trial function resolves
-        # REPRO_SHARDS itself, and pool workers inherit the variable at
-        # spawn — one assignment covers the whole evaluation.
-        os.environ[SHARDS_ENV] = str(resolve_shards(shards))
+         population: bool = False, overload: bool = False) -> None:
     workers = resolve_workers(workers)
     started = time.time()
     # Battery-level parallelism: every condition battery of every figure
@@ -703,12 +686,7 @@ if __name__ == "__main__":
                              "(leave-one-out importance + contract "
                              "verification; writes "
                              "results/ablations2.json)")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="partition each trial's world across N "
-                             "shard processes (default: $REPRO_SHARDS, "
-                             "else serial); fault-free results are "
-                             "bit-identical at any width")
     cli = parser.parse_args(sys.argv[1:])
     main(cli.output_path, workers=cli.workers, obs=cli.obs,
-         resilience=cli.resilience, ablate=cli.ablate, shards=cli.shards,
+         resilience=cli.resilience, ablate=cli.ablate,
          population=cli.population, overload=cli.overload)

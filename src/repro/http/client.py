@@ -182,7 +182,7 @@ class HttpClient:
                 self.stats.connections_opened += 1
                 return pooled
             assert self.host.loop is not None
-            waiter = self.host.loop.reusable_event()
+            waiter = self.host.loop.event()
             pool.waiters.append(waiter)
             self.stats.pool_waits += 1
             queued_at = self.host.loop.now

@@ -32,14 +32,12 @@ from repro.scion.addr import HostAddr
 from repro.scion.admission import AdmissionController
 from repro.scion.beaconing import SegmentStore
 from repro.scion.daemon import PathDaemon
-from repro.scion.health import HealthTracker
 from repro.scion.path_server import PathServer
 from repro.scion.pki import ControlPlanePki
 from repro.scion.revocation import RevocationService
 from repro.simnet.fastpath import FastPath, fastpath_enabled
 from repro.simnet.link import LinkConfig
 from repro.simnet.network import Network
-from repro.simnet.shard import resolve_shards
 from repro.topology.graph import AsTopology
 from repro.topology.isd_as import IsdAs
 
@@ -60,30 +58,14 @@ class Internet:
                  revocation: bool | None = None,
                  fastpath: bool | None = None,
                  snapshot_cache: bool | None = None,
-                 event_pool: bool | None = None,
-                 combine_memo: bool | None = None,
-                 health_ranking: bool | None = None,
-                 admission: bool | None = None,
-                 shards: int | None = None,
-                 shard_slice=None) -> None:
+                 admission: bool | None = None) -> None:
         topology.validate()
         self.topology = topology
-        #: Requested shard width for this world: explicit ``shards=``
-        #: beats ``REPRO_SHARDS`` (default 1 = the single-loop engine).
-        #: Constructing an ``Internet`` never spawns workers itself —
-        #: the shard-aware experiment entry points read this knob and
-        #: route through :mod:`repro.simnet.shard`'s coordinator, whose
-        #: workers each build one slice of the world (below).
-        self.shards = resolve_shards(shards)
-        #: Inside a shard worker, the :class:`~repro.simnet.shard.
-        #: ShardContext` describing which slice of the topology this
-        #: process owns (``None`` for whole-world builds).
-        self.shard_slice = shard_slice
         # Every feature knob below follows the same convention: an
         # explicit kwarg wins, ``None`` defers to the matching REPRO_*
         # environment variable (parsed by repro.internet.knobs), and the
         # default is on. The ablation harness flips them one at a time.
-        self.network = Network(seed=seed, trace=trace, pooling=event_pool)
+        self.network = Network(seed=seed, trace=trace)
         self.host_bandwidth_mbps = host_bandwidth_mbps
         self.host_jitter_ms = host_jitter_ms
 
@@ -107,8 +89,6 @@ class Internet:
 
         self.routers: dict[IsdAs, AsRouter] = {}
         for info in topology.ases():
-            if not self.owns(info.isd_as):
-                continue
             router = AsRouter(
                 name=router_name(info.isd_as),
                 isd_as=info.isd_as,
@@ -131,42 +111,14 @@ class Internet:
                 loss_rate=link.loss_rate,
                 mtu=link.mtu + 128,  # leave room for simulated headers
             )
-            link_name = f"{link.a}#{link.a_ifid}<->{link.b}#{link.b_ifid}"
-            owns_a, owns_b = self.owns(link.a), self.owns(link.b)
-            if owns_a and owns_b:
-                simnet_link = self.network.connect(
-                    self.routers[link.a], self.routers[link.b],
-                    config=config, a_ifid=link.a_ifid, b_ifid=link.b_ifid,
-                    name=link_name)
-            elif owns_a or owns_b:
-                # Cross-shard cut: this process owns one end, so it gets
-                # an egress-only stub at the *same* ifid and name as the
-                # serial link (host ifid assignment and merged counters
-                # stay aligned with the single-loop world). The inbound
-                # direction is the peer shard's stub; arrivals are
-                # scheduled directly onto this router by the worker.
-                from repro.simnet.shard import CrossShardLink
-
-                local_as = link.a if owns_a else link.b
-                remote_as = link.b if owns_a else link.a
-                local_ifid = link.a_ifid if owns_a else link.b_ifid
-                remote_ifid = link.b_ifid if owns_a else link.a_ifid
-                stub = CrossShardLink(
-                    self.network.loop, self.routers[local_as], local_ifid,
-                    router_name(remote_as), remote_ifid,
-                    dst_shard=shard_slice.plan.shard_of(remote_as),
-                    config=config, outbox=shard_slice.outbox,
-                    name=link_name, trace=self.network.trace, seed=seed)
-                simnet_link = self.network.attach_stub(
-                    stub, self.routers[local_as], local_ifid)
-            else:
-                continue
+            simnet_link = self.network.connect(
+                self.routers[link.a], self.routers[link.b],
+                config=config, a_ifid=link.a_ifid, b_ifid=link.b_ifid,
+                name=f"{link.a}#{link.a_ifid}<->{link.b}#{link.b_ifid}")
             self._interas_links[link.link_id] = simnet_link
             self._interas_by_simnet[id(simnet_link)] = link
-            if owns_a:
-                self.routers[link.a].external_ifids.add(link.a_ifid)
-            if owns_b:
-                self.routers[link.b].external_ifids.add(link.b_ifid)
+            self.routers[link.a].external_ifids.add(link.a_ifid)
+            self.routers[link.b].external_ifids.add(link.b_ifid)
 
         # Shared (frozen) store; the PathServer wrapper is per-Internet
         # because it carries mutable state (the ``available`` flag flips
@@ -199,37 +151,11 @@ class Internet:
         for isd_as, router in self.routers.items():
             router.ip_table = self.bgp.forwarding_table(isd_as)
 
-        #: Per-world overrides threaded into every host's daemon.
-        self._combine_memo = combine_memo
-        self._health_ranking = health_ranking
+        #: Per-world override threaded into every host's daemon.
         self._admission = admission
 
         self.hosts: dict[str, Host] = {}
         self._host_links: dict[str, object] = {}
-        #: Hosts whose AS belongs to another shard: address-only
-        #: stand-ins, never attached to this slice's network.
-        self._ghost_hosts: set[str] = set()
-
-    # -- sharding ---------------------------------------------------------------
-
-    def owns(self, isd_as: IsdAs | str) -> bool:
-        """Whether this build owns ``isd_as``.
-
-        Whole-world builds own everything; inside a shard worker only
-        the ASes the :class:`~repro.simnet.shard.ShardPlan` assigned to
-        this slice are owned. World builders gate every per-AS actor
-        (servers, proxies, the browser) on this predicate.
-        """
-        if self.shard_slice is None:
-            return True
-        identifier = (isd_as if isinstance(isd_as, IsdAs)
-                      else IsdAs.parse(isd_as))
-        return self.shard_slice.owns(identifier)
-
-    def owns_host(self, name: str) -> bool:
-        """Whether ``name`` is a real host here (not a cross-shard
-        ghost)."""
-        return name in self.hosts and name not in self._ghost_hosts
 
     # -- hosts ------------------------------------------------------------------
 
@@ -246,16 +172,6 @@ class Internet:
         identifier = isd_as if isinstance(isd_as, IsdAs) else IsdAs.parse(isd_as)
         if name in self.hosts:
             raise TopologyError(f"duplicate host name {name!r}")
-        if not self.owns(identifier):
-            # Another shard owns this AS: return an address-only ghost
-            # so local actors (DNS resolvers, placement tables) can
-            # still name it; it has no link, daemon, or network entry.
-            self.topology.as_info(identifier)  # validate the AS exists
-            ghost = Host(name=name, addr=HostAddr(isd_as=identifier,
-                                                  host=name))
-            self.hosts[name] = ghost
-            self._ghost_hosts.add(name)
-            return ghost
         if identifier not in self.routers:
             raise TopologyError(f"unknown AS {identifier}")
         info = self.topology.as_info(identifier)
@@ -279,8 +195,6 @@ class Internet:
             core_ases=set(self.core_ases),
             pki=self.pki if verify_paths else None,
             clock=self.network.loop,
-            combine_memo=self._combine_memo,
-            health=HealthTracker(enabled=self._health_ranking),
             admission=AdmissionController(
                 service="daemon", clock=self.network.loop,
                 enabled=self._admission),
@@ -297,9 +211,7 @@ class Internet:
         every host gets its own access link, path daemon, and revocation
         subscription — per-user state (daemon path caches, HTTP pools)
         stays genuinely per-user, which is what makes revisit-locality
-        cache warmth measurable. Inside a shard worker the whole batch
-        collapses to address-only ghosts when another shard owns the
-        AS, exactly like the singular form.
+        cache warmth measurable.
         """
         if count < 0:
             raise TopologyError("population count must be >= 0")
@@ -359,14 +271,8 @@ class Internet:
         as_b = b if isinstance(b, IsdAs) else IsdAs.parse(b)
         links = [self._interas_links[link.link_id]
                  for link in self.topology.links()
-                 if {link.a, link.b} == {as_a, as_b}
-                 and link.link_id in self._interas_links]
+                 if {link.a, link.b} == {as_a, as_b}]
         if not links:
-            if self.shard_slice is not None and not (
-                    self.owns(as_a) or self.owns(as_b)):
-                # Neither end lives in this slice: the fault (or admin
-                # toggle) targets a link some other shard owns.
-                return []
             raise TopologyError(f"no link between {as_a} and {as_b}")
         return links
 
@@ -384,8 +290,6 @@ class Internet:
             return self.links_between(a, b)
         if target in self._host_links:
             return [self._host_links[target]]
-        if target in self._ghost_hosts:
-            return []  # the owning shard arms this host's access link
         raise TopologyError(f"unknown fault target {target!r}")
 
     # -- conveniences --------------------------------------------------------------

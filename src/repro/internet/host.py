@@ -92,16 +92,7 @@ class UdpSocket:
         """
         if self.host.loop is None:
             raise SimulationError("host not attached to a network")
-        if timeout_ms is None:
-            # Hot path: one recv per request hop. Poolable is safe here
-            # because only deliver()/close() ever trigger the event and
-            # both drop their reference immediately.
-            event = self.host.loop.reusable_event()
-        else:
-            # The timed path must NOT pool: the pending _expire_waiter
-            # callback keeps a reference past a clean consume and would
-            # fire against a recycled (re-armed) event.
-            event = self.host.loop.event()
+        event = self.host.loop.event()
         if self._queue:
             event.succeed(self._queue.popleft())
             return event

@@ -1,13 +1,13 @@
 """Uniform environment-knob parsing for every toggleable component.
 
 Every optional subsystem in the repo — the hybrid-fidelity fast path,
-the control-plane snapshot cache, revocation dissemination, event
-pooling, the combine-segments memo, the proxy's circuit breakers, the
-daemon's health ranking — is switched by one boolean environment knob
-plus a per-world constructor override. Before this module each site
-parsed its own variable with its own accepted spellings (some took
-``off``, some only ``0``), which is exactly the kind of drift the
-ablation harness (:mod:`repro.experiments.ablations2`) exists to catch.
+the control-plane snapshot cache, revocation dissemination, the proxy's
+circuit breakers, admission control, retry budgets — is switched by one
+boolean environment knob plus a per-world constructor override. Before
+this module each site parsed its own variable with its own accepted
+spellings (some took ``off``, some only ``0``), which is exactly the
+kind of drift the ablation harness
+(:mod:`repro.experiments.ablations2`) exists to catch.
 
 One contract, everywhere:
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterator, Mapping
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
 
 #: Spellings that turn a knob off (case-insensitive, whitespace-trimmed).
 FALSE_SPELLINGS = ("0", "false", "no", "off")
@@ -66,15 +66,17 @@ def resolve_knob(name: str, override: bool | None = None,
     return knob(name, default)
 
 
-def int_knob(name: str, default: int = 1, minimum: int = 1) -> int:
-    """The integer value of environment knob ``name``.
+def resolve_int_knob(name: str, override: int | None = None,
+                     default: int = 1, minimum: int = 1) -> int:
+    """Resolve an integer knob: explicit override, then environment.
 
-    Unset, empty, or any of :data:`FALSE_SPELLINGS` means ``default``;
-    a non-integer value raises ``ValueError`` (a typo'd width knob must
-    fail loudly, not silently run serial). Values are clamped to
-    ``minimum`` — the count knobs (``REPRO_SHARDS``) treat anything
-    below 1 as 1.
+    The count twin of :func:`resolve_knob`. Unset, empty, or any of
+    :data:`FALSE_SPELLINGS` means ``default``; a non-integer value
+    raises ``ValueError`` (a typo'd count must fail loudly). Values are
+    clamped to ``minimum``.
     """
+    if override is not None:
+        return max(minimum, int(override))
     raw = os.environ.get(name)
     if raw is None:
         return default
@@ -87,59 +89,23 @@ def int_knob(name: str, default: int = 1, minimum: int = 1) -> int:
         raise ValueError(f"{name}={raw!r} is not an integer") from None
 
 
-def resolve_int_knob(name: str, override: int | None = None,
-                     default: int = 1, minimum: int = 1) -> int:
-    """Resolve an integer knob: explicit override, then environment.
-
-    The count twin of :func:`resolve_knob` — ``Internet(shards=4)``
-    beats ``REPRO_SHARDS=2``, and with no override the environment
-    (then ``default``) decides.
-    """
-    if override is not None:
-        return max(minimum, int(override))
-    return int_knob(name, default, minimum)
-
-
-def _spell(value: "bool | str | int") -> str:
-    """The environment spelling of a pinned knob value.
-
-    Booleans keep the historical ``"1"``/``"0"`` spellings; strings and
-    integers (the value-carrying knobs like ``REPRO_SHARDS=2``) pin
-    verbatim.
-    """
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return str(value)
-
-
-@contextmanager
-def forced(name: str, enabled: "bool | str | int") -> Iterator[None]:
+def forced(name: str, enabled: bool) -> AbstractContextManager[None]:
     """Pin one knob for the duration of the block, then restore it."""
-    previous = os.environ.get(name)
-    os.environ[name] = _spell(enabled)
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ[name]
-        else:
-            os.environ[name] = previous
+    return forced_many({name: enabled})
 
 
 @contextmanager
-def forced_many(overrides: "Mapping[str, bool | str | int]"
-                ) -> Iterator[None]:
+def forced_many(overrides: Mapping[str, bool]) -> Iterator[None]:
     """Pin several knobs at once (the ablation harness's toggle set).
 
-    Values may be booleans (``"1"``/``"0"``) or literal strings/ints
-    for value-carrying knobs (``{"REPRO_SHARDS": "2"}``). Restores
-    every variable to its previous state on exit, even when the block
-    raises — a failed off-run must not poison later runs.
+    Restores every variable to its previous state on exit, even when
+    the block raises or itself unsets a pinned variable — a failed
+    off-run must not poison later runs.
     """
     previous: dict[str, str | None] = {
         name: os.environ.get(name) for name in overrides}
     for name, enabled in overrides.items():
-        os.environ[name] = _spell(enabled)
+        os.environ[name] = "1" if enabled else "0"
     try:
         yield
     finally:

@@ -88,26 +88,10 @@ class SnapshotStats:
                 "bypasses": self.bypasses, "evictions": self.evictions}
 
     def delta_since(self, base: dict[str, int]) -> dict[str, int]:
-        """Counter growth since a previously captured :meth:`as_dict`.
-
-        Shard workers are long-lived, so absolute counters would
-        double-count earlier trials; each trial ships only its delta.
-        """
+        """Counter growth since a previously captured :meth:`as_dict`."""
         current = self.as_dict()
         return {name: current[name] - base.get(name, 0)
                 for name in current}
-
-    def merge(self, delta: dict[str, int]) -> None:
-        """Fold a worker's counter delta into this (parent) instance.
-
-        This is how sharded runs keep the process-global ``stats``
-        honest: without it, cache activity inside shard workers would
-        be silently dropped from the parent's report.
-        """
-        self.hits += delta.get("hits", 0)
-        self.misses += delta.get("misses", 0)
-        self.bypasses += delta.get("bypasses", 0)
-        self.evictions += delta.get("evictions", 0)
 
 
 #: Process-local usage counters.

@@ -133,67 +133,6 @@ class Histogram:
         }
 
 
-def parse_key(rendered: str) -> tuple[str, dict[str, str]]:
-    """Invert :func:`render_key`: ``name{k=v,...}`` → name + labels.
-
-    Label values containing ``,`` or ``=`` would be ambiguous; no
-    instrument in the repo uses them (link names use ``<->``/``#``).
-    """
-    if not rendered.endswith("}") or "{" not in rendered:
-        return rendered, {}
-    name, inner = rendered[:-1].split("{", 1)
-    labels: dict[str, str] = {}
-    for pair in inner.split(","):
-        key, value = pair.split("=", 1)
-        labels[key] = value
-    return name, labels
-
-
-def merge_histogram_dicts(left: dict[str, Any],
-                          right: dict[str, Any]) -> dict[str, Any]:
-    """Sum two :meth:`Histogram.to_dict` payloads bucket-by-bucket."""
-    if left["bounds"] != right["bounds"]:
-        raise ValueError(
-            f"histogram bounds differ: {left['bounds']!r} vs "
-            f"{right['bounds']!r}")
-    return {
-        "bounds": list(left["bounds"]),
-        "bucket_counts": [a + b for a, b in zip(left["bucket_counts"],
-                                                right["bucket_counts"])],
-        "count": left["count"] + right["count"],
-        "sum": left["sum"] + right["sum"],
-    }
-
-
-def merge_snapshots(snapshots: list[dict]) -> dict[str, Any]:
-    """Fold several :meth:`MetricsRegistry.snapshot` dicts into one.
-
-    Counters and gauges sum per rendered key (each shard owns disjoint
-    worlds, so per-label-set gauges like ``link_bytes_sent{link=…}``
-    are owned by exactly one shard — or, for cut links, each side
-    contributes its own egress direction and the sum is the serial
-    value); histograms merge bucket counts, counts, and sums. This is
-    the cross-process half of the stats-merging fix: per-shard metric
-    activity aggregates into one parent-side snapshot instead of being
-    dropped.
-    """
-    merged: dict[str, Any] = {"counters": {}, "gauges": {},
-                              "histograms": {}}
-    for snapshot in snapshots:
-        for section in ("counters", "gauges"):
-            target = merged[section]
-            for key, value in snapshot.get(section, {}).items():
-                target[key] = target.get(key, 0.0) + value
-        target = merged["histograms"]
-        for key, payload in snapshot.get("histograms", {}).items():
-            held = target.get(key)
-            target[key] = (dict(payload) if held is None
-                           else merge_histogram_dicts(held, payload))
-    for section in merged:
-        merged[section] = dict(sorted(merged[section].items()))
-    return merged
-
-
 class _NullInstrument:
     """Shared no-op counter/gauge/histogram for disabled worlds."""
 
@@ -296,32 +235,6 @@ class MetricsRegistry:
                            for (name, labels), histogram
                            in sorted(self._histograms.items())},
         }
-
-    def merge_snapshot(self, snapshot: dict[str, Any]) -> None:
-        """Fold a (remote) :meth:`snapshot` dict into this registry.
-
-        The live-registry half of the cross-process stats fix: a shard
-        worker ships ``tracer.metrics.snapshot()`` home and the parent
-        merges it here, so report code that iterates
-        :meth:`gauges_named` / :meth:`counters_named` (the proxy stats
-        report's per-AS utilization section) sees the whole fleet.
-        Counters and gauges add; histograms merge bucket-by-bucket.
-        """
-        for key, value in snapshot.get("counters", {}).items():
-            name, labels = parse_key(key)
-            self.counter(name, **labels).value += value
-        for key, value in snapshot.get("gauges", {}).items():
-            name, labels = parse_key(key)
-            self.gauge(name, **labels).value += value
-        for key, payload in snapshot.get("histograms", {}).items():
-            name, labels = parse_key(key)
-            bounds = tuple(math.inf if bound == "inf" else float(bound)
-                           for bound in payload["bounds"])
-            histogram = self.histogram(name, bounds, **labels)
-            merged = merge_histogram_dicts(histogram.to_dict(), payload)
-            histogram.bucket_counts = list(merged["bucket_counts"])
-            histogram.count = merged["count"]
-            histogram.total = merged["sum"]
 
     def render(self) -> str:
         """Human-readable dump of every instrument."""

@@ -134,7 +134,7 @@ class QuicConnection:
 
     def accept_stream(self):
         """Event yielding the next peer-initiated stream."""
-        event = self.loop.reusable_event()
+        event = self.loop.event()
         if self._accept_queue:
             event.succeed(self._accept_queue.popleft())
         elif self.closed:

@@ -78,8 +78,8 @@ class AdmissionController:
     _arrivals: deque = field(default_factory=deque)
 
     def __post_init__(self) -> None:
-        # Imported here (as in repro.scion.health) because the knob
-        # parser lives in repro.internet, which imports this module.
+        # Imported here because the knob parser lives in repro.internet,
+        # which imports this module.
         from repro.internet.knobs import resolve_knob
         self.enabled = resolve_knob(ADMISSION_ENV, self.enabled)
 

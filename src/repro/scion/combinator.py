@@ -24,12 +24,6 @@ from __future__ import annotations
 
 from repro.errors import SegmentError
 from repro.scion.beacon import AsEntry
-
-#: Environment knob disabling the combined-path memo
-#: (``0``/``false``/``no``/``off``; see :mod:`repro.internet.knobs`).
-#: Without the memo every daemon lookup re-runs assemble-and-sort — the
-#: pre-memo behavior the ablation harness A/Bs.
-COMBINE_MEMO_ENV = "REPRO_COMBINE_MEMO"
 from repro.scion.beaconing import SegmentStore
 from repro.scion.path import PathHop, PathMetadata, ScionPath
 from repro.scion.segments import PathSegment
@@ -156,7 +150,7 @@ def combine_segments(src: IsdAs, dst: IsdAs, store: SegmentStore,
                      core_ases: set[IsdAs],
                      max_paths: int = 64,
                      revoked: frozenset[tuple[IsdAs, int]] = frozenset(),
-                     memo: bool | None = None,
+                     memo: bool = True,
                      ) -> list[ScionPath]:
     """All loop-free end-to-end paths from ``src`` to ``dst``.
 
@@ -171,15 +165,11 @@ def combine_segments(src: IsdAs, dst: IsdAs, store: SegmentStore,
             traversing any of them are dropped *before* the ``max_paths``
             cap, so revocation never shrinks the usable candidate set
             below what the store could offer.
-        memo: per-call override of the ``REPRO_COMBINE_MEMO`` knob
-            (``None`` defers to the environment). With the memo off the
-            store is neither read from nor written to, so toggling is
-            side-effect-free on shared snapshot stores.
+        memo: ``False`` computes the un-memoized reference: the store
+            is neither read from nor written to.
     """
     if src == dst:
         return []
-    from repro.internet.knobs import resolve_knob
-    use_memo = resolve_knob(COMBINE_MEMO_ENV, memo)
     # Combination over a given store is deterministic, and the store
     # invalidates this memo whenever it mutates (generation bump), so a
     # snapshot-cached store pays the assemble-and-sort cost once per
@@ -188,7 +178,7 @@ def combine_segments(src: IsdAs, dst: IsdAs, store: SegmentStore,
     # correct because each distinct revocation view memoizes separately,
     # and the common empty view keeps its hot entry.
     memo_key = (src, dst, max_paths, frozenset(core_ases), revoked)
-    if use_memo:
+    if memo:
         cached = store._combine_memo.get(memo_key)
         if cached is not None:
             store.combine_memo_hits += 1
@@ -229,6 +219,6 @@ def combine_segments(src: IsdAs, dst: IsdAs, store: SegmentStore,
         unique.setdefault(path.fingerprint(), path)
     ordered = sorted(unique.values(), key=lambda p: p.metadata.latency_ms)
     result = ordered[:max_paths]
-    if use_memo:
+    if memo:
         store._combine_memo[memo_key] = tuple(result)
     return list(result)

@@ -24,7 +24,6 @@ from repro.errors import (NoPathError, OverloadError,
 from repro.obs.spans import NULL_TRACER
 from repro.scion.admission import AdmissionController
 from repro.scion.combinator import combine_segments
-from repro.scion.health import HealthTracker
 from repro.scion.path import ScionPath
 from repro.scion.path_server import PathServer
 from repro.scion.pki import ControlPlanePki
@@ -84,13 +83,6 @@ class PathDaemon:
     #: How long a reported-dead path stays quarantined when the reporter
     #: does not say (ms).
     dead_path_ttl_ms: float = 30_000.0
-    #: Observed per-fingerprint health (EWMA latency/loss fed from the
-    #: proxy's request outcomes); demotes repeatedly-failing candidates
-    #: behind healthy ones in every answer.
-    health: HealthTracker = field(default_factory=HealthTracker)
-    #: Per-daemon override of the combined-path memo knob
-    #: (``REPRO_COMBINE_MEMO``); ``None`` defers to the environment.
-    combine_memo: bool | None = None
     #: Bounded-queue admission gate for this daemon's fresh fetches
     #: (``REPRO_ADMISSION``); ``None`` admits everything. The shared
     #: path server's own gate (``path_server.admission``) runs after it.
@@ -150,7 +142,7 @@ class PathDaemon:
                 if alive and self._revoked:
                     alive = self._not_revoked(alive)
                 if alive:
-                    return self.health.rank(alive)
+                    return alive
                 # Every cached path was reported dead or revoked: keep
                 # the entry (quarantine and revocations are
                 # time-bounded) but try a fresh combination below —
@@ -164,7 +156,7 @@ class PathDaemon:
                 # fresh fetch the overloaded service cannot afford.
                 shedder.shed("serve-stale")
                 self.stats.shed_served_stale += 1
-                return self.health.rank(stale_candidates)
+                return stale_candidates
             shedder.shed("rejected")
             self.stats.shed_rejected += 1
             raise OverloadError(
@@ -187,8 +179,7 @@ class PathDaemon:
         paths = combine_segments(self.isd_as, dst, self.path_server.store,
                                  core_ases=self.core_ases,
                                  max_paths=self.max_paths,
-                                 revoked=revoked,
-                                 memo=self.combine_memo)
+                                 revoked=revoked)
         paths = self._unexpired(paths)
         if not paths:
             raise NoPathError(f"no SCION path {self.isd_as} -> {dst}")
@@ -197,7 +188,7 @@ class PathDaemon:
         if not alive:
             raise NoPathError(
                 f"all SCION paths {self.isd_as} -> {dst} reported dead")
-        return self.health.rank(alive)
+        return alive
 
     def _overloaded(self) -> AdmissionController | None:
         """Run the fresh-fetch admission gates (daemon first, then the
@@ -243,7 +234,6 @@ class PathDaemon:
         # before looking up) must not grow the quarantine map unboundedly.
         self._purge_quarantine(now)
         self._dead_paths[fingerprint] = now + ttl
-        self.health.record_failure(fingerprint)
         entry = self._cache.get(dst)
         if entry is not None and self._not_quarantined(entry[0]):
             return True
@@ -352,12 +342,6 @@ class PathDaemon:
             if server_view:
                 revoked = revoked | server_view
         return revoked
-
-    def record_path_success(self, fingerprint: str,
-                            latency_ms: float) -> None:
-        """An application request over ``fingerprint`` succeeded —
-        feeds the health tracker's EWMA latency/loss."""
-        self.health.record_success(fingerprint, latency_ms)
 
     def try_paths(self, dst: IsdAs) -> list[ScionPath]:
         """Like :meth:`paths` but returns [] instead of raising.

@@ -16,19 +16,11 @@ such processes, which keeps their state machines readable.
 from __future__ import annotations
 
 import heapq
-import math
 from collections import deque
 from collections.abc import Callable, Generator
 from typing import Any
 
 from repro.errors import SimulationError
-
-#: Environment knob disabling the Event/Timeout recycling pools
-#: (``0``/``false``/``no``/``off``; see :mod:`repro.internet.knobs`).
-#: With pooling off, ``reusable_event()`` and ``timeout()`` hand out
-#: fresh, never-recycled objects — the pre-pooling behavior the
-#: ablation harness A/Bs.
-EVENT_POOL_ENV = "REPRO_EVENT_POOL"
 
 
 class Event:
@@ -39,8 +31,7 @@ class Event:
     loop (never synchronously, so triggering is safe from any context).
     """
 
-    __slots__ = ("loop", "triggered", "value", "exception", "_callbacks",
-                 "_poolable", "_nwaiters")
+    __slots__ = ("loop", "triggered", "value", "exception", "_callbacks")
 
     def __init__(self, loop: "EventLoop") -> None:
         self.loop = loop
@@ -48,12 +39,6 @@ class Event:
         self.value: Any = None
         self.exception: BaseException | None = None
         self._callbacks: list[Callable[[Event], None]] = []
-        # Recycling support (see EventLoop.reusable_event): _poolable
-        # marks events the loop may reclaim after a clean single-waiter
-        # consume; _nwaiters counts callbacks ever registered so shared
-        # events (AnyOf/AllOf children, multi-waiter) are never reclaimed.
-        self._poolable = False
-        self._nwaiters = 0
 
     @property
     def ok(self) -> bool:
@@ -79,7 +64,6 @@ class Event:
         If the event already triggered, the callback is scheduled to run
         immediately (at the current simulation time).
         """
-        self._nwaiters += 1
         if self.triggered:
             self.loop.call_soon(callback, self)
         else:
@@ -115,9 +99,7 @@ class Timeout(Event):
         removed from the loop's view of pending work, so an unexpired
         watchdog timer does not keep the simulation clock running to its
         deadline. Only the creator should cancel — other processes may
-        already be waiting on this event — and never after yielding the
-        timeout and resuming: a consumed timeout may have been recycled
-        into a new timer (see :meth:`EventLoop.timeout`).
+        already be waiting on this event.
         """
         if not self.triggered:
             self.loop.cancel_scheduled(self._handle)
@@ -172,11 +154,6 @@ class Process(Event):
             self._throw(event.exception, None)
             return
         send_value = event.value if event is not None else None
-        if event is not None and event._poolable and event._nwaiters == 1:
-            # Clean consume by the only waiter that ever registered:
-            # nobody else holds a meaningful reference, so the event can
-            # go back to the loop's pool before the process resumes.
-            self.loop._recycle(event)
         try:
             target = self._generator.send(send_value)
         except StopIteration as stop:
@@ -297,7 +274,7 @@ class SerialResource:
         Usage from a process: ``yield resource.acquire()`` ... work ...
         ``resource.release()``.
         """
-        event = self.loop.reusable_event()
+        event = self.loop.event()
         if self._in_use < self.capacity:
             self._in_use += 1
             event.succeed()
@@ -335,37 +312,19 @@ class EventLoop:
     """
 
     __slots__ = ("_now", "_sequence", "_queue", "_events_processed",
-                 "_cancelled", "_event_pool", "_timeout_pool", "_pooling")
+                 "_cancelled")
 
-    #: Per-pool cap; beyond this, retired events are left to the GC.
-    POOL_LIMIT = 256
-
-    def __init__(self, pooling: bool | None = None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
         self._sequence = 0
         self._queue: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._events_processed = 0
         self._cancelled: set[int] = set()
-        self._event_pool: list[Event] = []
-        self._timeout_pool: list[Timeout] = []
-        if pooling is None:
-            # Lazy import: knobs lives under repro.internet so every
-            # component shares one parsing rule, but simnet must stay
-            # importable standalone (no import-time cycle).
-            from repro.internet.knobs import knob
-            pooling = knob(EVENT_POOL_ENV, default=True)
-        self._pooling = bool(pooling)
 
     @property
     def now(self) -> float:
         """Current simulated time in milliseconds."""
         return self._now
-
-    @property
-    def pooling(self) -> bool:
-        """Whether Event/Timeout recycling pools are active (resolved
-        from the ``pooling`` argument, else ``REPRO_EVENT_POOL``)."""
-        return self._pooling
 
     @property
     def events_processed(self) -> int:
@@ -426,70 +385,9 @@ class EventLoop:
         """Create a fresh untriggered event bound to this loop."""
         return Event(self)
 
-    def reusable_event(self) -> Event:
-        """An untriggered event the loop may recycle after consumption.
-
-        Like :meth:`event`, but the returned event returns to a pool
-        once a process consumes it cleanly as the sole waiter, so hot
-        request paths stop allocating one event per hop (ROADMAP perf
-        follow-on (a)). Use only where the trigger-side drops its
-        reference after triggering — i.e. no late ``succeed``/``fail``
-        on a consumed event — and never hand one to code that may touch
-        it after the waiter resumed.
-
-        With pooling disabled (``REPRO_EVENT_POOL=0``) this degrades to
-        :meth:`event`: fresh, never-recycled objects, bit-identical
-        scheduling either way (the ablation contract).
-        """
-        if not self._pooling:
-            return Event(self)
-        pool = self._event_pool
-        if pool:
-            return pool.pop()
-        event = Event(self)
-        event._poolable = True
-        return event
-
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that fires after ``delay`` ms.
-
-        Timeouts are drawn from a recycling pool: one consumed cleanly by
-        its sole waiter is re-armed for a later ``timeout()`` call
-        instead of being garbage. Cancelled or shared (AnyOf/AllOf)
-        timeouts are never recycled. With pooling disabled
-        (``REPRO_EVENT_POOL=0``) every timeout is fresh.
-        """
-        if not self._pooling:
-            return Timeout(self, delay, value)
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay: {delay}")
-            timeout = pool.pop()
-            timeout.delay = delay
-            timeout._handle = self.call_later(delay, timeout._expire, value)
-            return timeout
-        timeout = Timeout(self, delay, value)
-        timeout._poolable = True
-        return timeout
-
-    def _recycle(self, event: Event) -> None:
-        """Return a cleanly consumed poolable event to its pool.
-
-        Called only from :meth:`Process._step` for events whose single
-        ever-registered waiter just consumed them, so resetting the
-        trigger state cannot be observed by anyone else. Subclasses
-        other than :class:`Timeout` (Process, AllOf, AnyOf) are never
-        poolable and never reach this.
-        """
-        event.triggered = False
-        event.value = None
-        event.exception = None
-        event._nwaiters = 0
-        pool = self._timeout_pool if type(event) is Timeout \
-            else self._event_pool
-        if len(pool) < self.POOL_LIMIT:
-            pool.append(event)
+        """Create an event that fires after ``delay`` ms."""
+        return Timeout(self, delay, value)
 
     def process(self, generator: Generator[Event, Any, Any], name: str = "") -> Process:
         """Start a generator as a simulation process."""
@@ -550,67 +448,6 @@ class EventLoop:
                         f"exceeded {max_events} events; runaway simulation?")
             if until > self._now:
                 self._now = until
-            return self._now
-        finally:
-            self._events_processed += processed
-
-    # -- horizon bookkeeping (sharded execution) ----------------------------
-
-    def next_event_time(self) -> float:
-        """Timestamp of the earliest pending (non-cancelled) event.
-
-        ``math.inf`` when the queue is drained. Cancelled entries at the
-        top of the heap are discarded lazily here, so a cancelled
-        far-future timer does not stretch a shard's reported horizon —
-        the conservative-lookahead coordinator (see
-        :mod:`repro.simnet.shard`) grants simulation windows from this
-        value and an inflated horizon would stall every neighbor shard.
-        """
-        queue = self._queue
-        cancelled = self._cancelled
-        while queue:
-            when, seq = queue[0][0], queue[0][1]
-            if cancelled and seq in cancelled:
-                heapq.heappop(queue)
-                cancelled.discard(seq)
-                continue
-            return when
-        return math.inf
-
-    def run_before(self, horizon: float,
-                   max_events: int = 10_000_000) -> float:
-        """Process events strictly *before* ``horizon`` (exclusive).
-
-        The sharded engine's window primitive: a conservative grant of
-        ``horizon`` promises that no cross-shard packet can arrive with
-        ``arrival < horizon``, so events ``< horizon`` are safe to run —
-        but events *at* ``horizon`` may race an arrival at exactly that
-        time and must wait for the next grant. Unlike :meth:`run`, the
-        clock is never fabricated forward to ``horizon``: it stays at the
-        last executed event so late-inserted arrivals ``>= horizon``
-        always schedule into the future. Returns the current time.
-        """
-        queue = self._queue
-        pop = heapq.heappop
-        cancelled = self._cancelled
-        processed = 0
-        try:
-            while queue:
-                when, seq, callback, args = queue[0]
-                if cancelled and seq in cancelled:
-                    pop(queue)
-                    cancelled.discard(seq)
-                    continue  # invisible: must not advance the clock
-                if when >= horizon:
-                    break
-                pop(queue)
-                self._now = when
-                callback(*args)
-                processed += 1
-                if processed > max_events:
-                    raise SimulationError(
-                        f"exceeded {max_events} events; "
-                        f"runaway simulation?")
             return self._now
         finally:
             self._events_processed += processed

@@ -21,9 +21,8 @@ from repro.simnet.trace import PacketTrace
 class Network:
     """Container for a simulated network."""
 
-    def __init__(self, seed: int = 0, trace: bool = False,
-                 pooling: bool | None = None) -> None:
-        self.loop = EventLoop(pooling=pooling)
+    def __init__(self, seed: int = 0, trace: bool = False) -> None:
+        self.loop = EventLoop()
         self.rng = random.Random(seed)
         self.seed = seed
         self.nodes: dict[str, Node] = {}
@@ -81,19 +80,6 @@ class Network:
         link.watcher = self.link_watcher
         node_a.attach_port(ifid_a, link)
         node_b.attach_port(ifid_b, link)
-        self.links.append(link)
-        return link
-
-    def attach_stub(self, link: Link, local: Node, ifid: int) -> Link:
-        """Register a single-ended link (a cross-shard egress stub).
-
-        The far endpoint lives in another shard's process, so only the
-        local node gets a port; the link still joins ``links`` (fault
-        targeting, counters) and inherits the watcher hook like every
-        :meth:`connect`-built link.
-        """
-        link.watcher = self.link_watcher
-        local.attach_port(ifid, link)
         self.links.append(link)
         return link
 

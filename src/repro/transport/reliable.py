@@ -184,7 +184,7 @@ class ReliableChannel:
         Fails with :class:`ConnectionClosedError` when the peer closed and
         no buffered messages remain.
         """
-        event = self.loop.reusable_event()
+        event = self.loop.event()
         if self._recv_queue:
             event.succeed(self._recv_queue.popleft())
         elif self.remote_closed:

@@ -25,12 +25,11 @@ from repro.workload.arrivals import (ArrivalCurve, arrival_times,
                                      burst_window_ms, spike_site_flags)
 from repro.workload.catalog import (SiteCatalog, SiteProfile, ZipfSampler,
                                     default_catalog)
-from repro.workload.session import (LOCALITY_ENV, SessionConfig, Visit,
-                                    plan_session)
+from repro.workload.session import SessionConfig, Visit, plan_session
 
 __all__ = [
     "ArrivalCurve", "arrival_times", "burst_intensity", "burst_mass",
     "burst_window_ms", "spike_site_flags",
     "SiteCatalog", "SiteProfile", "ZipfSampler", "default_catalog",
-    "LOCALITY_ENV", "SessionConfig", "Visit", "plan_session",
+    "SessionConfig", "Visit", "plan_session",
 ]

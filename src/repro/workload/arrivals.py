@@ -20,7 +20,7 @@ Four shapes, all open-loop (arrivals never wait for the system):
 All draws come from the dedicated ``arrivals:{seed}`` stream (and the
 spike-site coin flips from ``spike-site:{seed}``), so every curve is a
 pure deterministic function of ``(n_users, curve, seed)`` — replays
-stay bit-for-bit at any worker or shard count.
+stay bit-for-bit at any worker count.
 """
 
 from __future__ import annotations

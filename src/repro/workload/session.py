@@ -12,9 +12,8 @@ Revisit locality is the load-bearing behaviour: with probability
 ``locality_window`` sites instead of drawing fresh from the Zipf
 catalog. Revisits are what warm per-user state — browser caches, HTTP
 connection pools, and the path daemon's segment cache all hit on the
-second visit. The ``REPRO_POPULATION_LOCALITY`` knob gates it for the
-ablation harness; the roll is consumed either way, so toggling the
-knob never shifts the rest of the stream.
+second visit. ``SessionConfig(locality=False)`` turns it off; the roll
+is consumed either way, so the rest of the stream never shifts.
 """
 
 from __future__ import annotations
@@ -23,10 +22,6 @@ import random
 from dataclasses import dataclass
 
 from repro.workload.catalog import SiteCatalog
-
-#: Gates revisit locality (``1`` on, ``0`` off) for the ablation
-#: harness; see :mod:`repro.internet.knobs`.
-LOCALITY_ENV = "REPRO_POPULATION_LOCALITY"
 
 #: Hard cap on visits per session, so one user's geometric draw can
 #: never dominate a battery's wall-clock.
@@ -50,8 +45,8 @@ class SessionConfig:
     revisit_probability: float = 0.45
     #: How far back "recent history" reaches (distinct sites).
     locality_window: int = 3
-    #: ``None`` → the ``REPRO_POPULATION_LOCALITY`` knob (default on).
-    locality: bool | None = None
+    #: ``False`` draws every page fresh from the catalog.
+    locality: bool = True
 
 
 DEFAULT_SESSION = SessionConfig()
@@ -69,9 +64,6 @@ class Visit:
 def plan_session(catalog: SiteCatalog, user_id: int, seed: int,
                  config: SessionConfig = DEFAULT_SESSION) -> tuple[Visit, ...]:
     """Materialize one user's deterministic visit plan."""
-    from repro.internet.knobs import resolve_knob
-
-    locality = resolve_knob(LOCALITY_ENV, config.locality, True)
     rng = random.Random(f"user:{seed}:{user_id}")
     continue_probability = (1.0 - 1.0 / config.mean_visits
                             if config.mean_visits > 1 else 0.0)
@@ -89,11 +81,11 @@ def plan_session(catalog: SiteCatalog, user_id: int, seed: int,
         sites = []
         any_revisit = False
         for _tab in range(tabs):
-            # Consume the roll even when locality is knobbed off, so the
-            # knob changes *only* the revisit decisions downstream of it.
+            # Consume the roll even when locality is off, so the field
+            # changes *only* the revisit decisions downstream of it.
             roll = rng.random()
             revisit = (bool(history) and roll < config.revisit_probability
-                       and locality)
+                       and config.locality)
             if revisit:
                 window = history[-config.locality_window:]
                 index = window[rng.randrange(len(window))]

@@ -11,8 +11,8 @@ SMALL = ab.AblationConfig(conditions=("SCION-only",), trials=2,
                           n_resources=4, resilience_trials=1,
                           resilience_loads=2, contract_trials=1)
 
-SUBSET = (ab.component("snapshot_cache"), ab.component("combine_memo"),
-          ab.component("tracing"), ab.component("revocation"))
+SUBSET = (ab.component("snapshot_cache"), ab.component("tracing"),
+          ab.component("revocation"))
 
 
 @pytest.fixture(scope="module")

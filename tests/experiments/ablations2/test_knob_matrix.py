@@ -45,12 +45,12 @@ def baseline():
 class TestBitIdenticalOffSwitches:
     def test_serial(self, comp, baseline):
         overrides = ab.default_knob_states()
-        overrides[comp.knob] = comp.ablated_value
+        overrides[comp.knob] = comp.ablated_state
         assert figure3_samples(overrides) == baseline
 
     def test_workers_pool(self, comp, baseline):
         overrides = ab.default_knob_states()
-        overrides[comp.knob] = comp.ablated_value
+        overrides[comp.knob] = comp.ablated_state
         assert figure3_samples(overrides, workers=4) == baseline
 
 

@@ -6,10 +6,8 @@ import pytest
 from repro.experiments import ablations2 as ab
 
 EXPECTED_NAMES = {
-    "fastpath", "snapshot_cache", "event_pooling", "combine_memo",
-    "tracing", "revocation", "circuit_breaker", "health_ranking",
-    "sharded_core", "population_locality", "admission_control",
-    "retry_budget",
+    "fastpath", "snapshot_cache", "tracing", "revocation",
+    "circuit_breaker", "admission_control", "retry_budget",
 }
 
 
@@ -35,7 +33,7 @@ class TestRegistry:
     def test_batteries_are_known(self):
         for comp in ab.COMPONENTS:
             assert comp.battery in (ab.FIGURE3, ab.RESILIENCE,
-                                    ab.POPULATION, ab.OVERLOAD)
+                                    ab.OVERLOAD)
 
     def test_every_component_declares_metrics(self):
         for comp in ab.COMPONENTS:
@@ -53,22 +51,12 @@ class TestRegistry:
         assert ab.component("tracing").ablated_state is True
         assert ab.component("fastpath").ablated_state is False
 
-    def test_sharded_core_is_a_value_knob(self):
-        """REPRO_SHARDS carries a width, not a boolean: the default is
-        the serial engine ("1") and ablating *widens* it ("2")."""
-        comp = ab.component("sharded_core")
-        assert comp.default_value == "1"
-        assert comp.ablated_value == "2"
-        assert ab.component("fastpath").default_value is True
-        assert ab.component("fastpath").ablated_value is False
-
     def test_failure_components_pin_revocation_off(self):
         """With dissemination on, failures never reach the proxy; the
-        breaker and health ranking measure under discovery-led
-        recovery or they would always score zero."""
-        for name in ("circuit_breaker", "health_ranking"):
-            context = dict(ab.component(name).context)
-            assert context == {"REPRO_REVOCATION": False}
+        breaker measures under discovery-led recovery or it would
+        always score zero."""
+        context = dict(ab.component("circuit_breaker").context)
+        assert context == {"REPRO_REVOCATION": False}
 
     def test_contexts_never_touch_the_component_itself(self):
         for comp in ab.COMPONENTS:
@@ -79,9 +67,7 @@ class TestDefaultKnobStates:
     def test_covers_every_env_knob(self):
         states = ab.default_knob_states()
         assert len(states) == len(EXPECTED_NAMES) - 1  # tracing: no knob
-        assert states[ab.SHARDS_ENV] == "1"  # value knob: serial default
-        assert all(value is True for name, value in states.items()
-                   if name != ab.SHARDS_ENV)  # boolean knobs default on
+        assert all(value is True for value in states.values())
 
     def test_respects_a_subset(self):
         subset = (ab.component("fastpath"), ab.component("tracing"))

@@ -86,6 +86,14 @@ class TestForced:
                 raise RuntimeError("boom")
         assert os.environ[KNOB] == "yes"
 
+    def test_block_may_unset_the_variable(self, monkeypatch):
+        """A "clear every REPRO_*" inside a pinned block (the
+        benchmark's ``pin_environment``) must not break the restore."""
+        monkeypatch.delenv(KNOB, raising=False)
+        with knobs.forced(KNOB, False):
+            del os.environ[KNOB]
+        assert KNOB not in os.environ
+
 
 class TestForcedMany:
     OTHER = "REPRO_TEST_KNOB_2"

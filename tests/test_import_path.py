@@ -1,10 +1,10 @@
 """Cold start: what building and running worlds must not import.
 
 ``numpy`` and ``networkx`` cost more to import than the rest of the
-package together, and every fresh process — a spawned pool worker, a
-shard, one benchmark child — pays for ``import repro`` before its first
-trial. Only battery summaries (``BoxStats``) and the ``to_networkx``
-export need them, so only those may import them.
+package together, and every fresh process — a spawned pool worker, one
+benchmark child — pays for ``import repro`` before its first trial.
+Only battery summaries (``BoxStats``) and the ``to_networkx`` export
+need them, so only those may import them.
 """
 
 import os

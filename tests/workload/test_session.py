@@ -1,7 +1,8 @@
-"""Session plans: determinism, locality semantics, the knob contract."""
+"""Session plans: determinism and locality semantics."""
 
-from repro.internet.knobs import forced
-from repro.workload import LOCALITY_ENV, SessionConfig, plan_session
+import dataclasses
+
+from repro.workload import SessionConfig, plan_session
 from repro.workload.catalog import default_catalog
 from repro.workload.session import MAX_VISITS
 
@@ -69,29 +70,17 @@ class TestLocality:
                     seen.remove(site)
                 seen.append(site)
 
-    def test_knob_off_disables_revisits(self):
-        with forced(LOCALITY_ENV, False):
-            plans = [plan_session(CATALOG, u, seed=42,
-                                  config=self.REVISIT_HEAVY)
-                     for u in range(20)]
+    NO_LOCALITY = dataclasses.replace(REVISIT_HEAVY, locality=False)
+
+    def test_locality_off_disables_revisits(self):
+        plans = [plan_session(CATALOG, u, seed=42, config=self.NO_LOCALITY)
+                 for u in range(20)]
         assert not any(v.revisit for plan in plans for v in plan)
 
-    def test_knob_only_changes_decisions_not_the_stream(self):
-        """The revisit roll is consumed either way: toggling the knob
-        keeps visit counts, tab widths, and think times identical."""
-        with forced(LOCALITY_ENV, True):
-            on = plan_session(CATALOG, 1, seed=42,
-                              config=self.REVISIT_HEAVY)
-        with forced(LOCALITY_ENV, False):
-            off = plan_session(CATALOG, 1, seed=42,
-                               config=self.REVISIT_HEAVY)
+    def test_locality_only_changes_decisions_not_the_stream(self):
+        """The revisit roll is consumed either way: turning locality off
+        keeps visit counts and tab widths identical."""
+        on = plan_session(CATALOG, 1, seed=42, config=self.REVISIT_HEAVY)
+        off = plan_session(CATALOG, 1, seed=42, config=self.NO_LOCALITY)
         assert len(on) == len(off)
         assert [len(v.sites) for v in on] == [len(v.sites) for v in off]
-
-    def test_config_overrides_the_knob(self):
-        with forced(LOCALITY_ENV, False):
-            config = SessionConfig(mean_visits=8.0, revisit_probability=1.0,
-                                   locality=True)
-            plans = [plan_session(CATALOG, u, seed=42, config=config)
-                     for u in range(10)]
-        assert any(v.revisit for plan in plans for v in plan)
