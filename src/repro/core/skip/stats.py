@@ -147,6 +147,12 @@ class PathUsageStats:
             analytic = sum(transfers.values())
             lines.append(f"hybrid-fidelity fast path: "
                          f"{analytic:,.0f} analytic transfers")
+            waits = sum(self.metrics.counters_named(
+                "fastpath_burst_waits_total").values())
+            wait_ms = sum(self.metrics.counters_named(
+                "fastpath_wait_ms_total").values())
+            lines.append(f"  bursts that queued at a transmitter: "
+                         f"{waits:,.0f} ({wait_ms:,.3f} ms modelled wait)")
             for labels, count in fallbacks.items():
                 reason = dict(labels).get("reason", "?")
                 lines.append(f"  fallback[{reason}]: {count:,.0f}")

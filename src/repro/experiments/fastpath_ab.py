@@ -20,26 +20,68 @@ expected values, so *per-seed* PLTs differ by design while distribution
 medians track within sampling error; the harness reports that drift
 informationally (``--jittered``), it is not part of the bound.
 
+**Contended cells.** Next to the figure conditions run three worlds in
+which flows share transmitters — where the fast path queues analytic
+bursts FIFO behind whatever holds a hop instead of replaying packets:
+one 60-user city (the ``bench`` workload's world; jitter-free by
+construction) and the two arms of the 78-user flash crowd, each drained
+once per arm of the knob over identical inputs. Here the contract is
+at *distribution* level. Per-load error cannot be: which of a page's
+parallel fetches finishes first decides which pooled connection, with
+which congestion window, the next fetch gets, so a sub-millisecond
+reordering moves one load by a whole RTT (the parent already differed
+from the oracle by > 1 % on 85 of the city's 254 loads while its mean
+differed by 0.03 %); per-load median and p95 error are printed as
+information. The gates:
+
+* city: ``|mean|`` within :data:`PLT_ERROR_BOUND` (1 %) and p50, p95,
+  p99 each within :data:`CITY_QUANTILE_BOUND` (2 % — a quantile of 254
+  loads is one load's value, so it inherits those discrete flips);
+* overload arms: ``|mean|`` of the successful loads within
+  :data:`OVERLOAD_MEAN_BOUND` (3 %) and the number of successful loads
+  within :data:`OVERLOAD_OK_LOADS` (± 5 of 78). The wider bound is the
+  retry storm's, not the model's taste: a load there ends on a 1.2 s
+  timeout ladder, so a fetch that lands 1 % sooner can finish a load a
+  whole retry earlier. Over 32 seeds the protections-off mean moves by
+  a median −1.4 % (mean −3.5 %, mean ``|error|`` 4.6 %, 17 seeds inside
+  the bound) and the protections-on mean by −0.1 % (mean +0.7 %,
+  ``|error|`` 1.4 %, 27 inside). The gate pins the battery's own seed
+  (1200: −0.2 % on, −0.5 % off), which is deterministic — a regression
+  check, not a claim about every seed.
+
 Usage::
 
     python -m repro.experiments.fastpath_ab [--selftest] [--trials N]
     python -m repro.experiments.fastpath_ab --jittered
 
-Exit status 1 when any condition exceeds the bound.
+Exit status 1 when any condition or contended cell exceeds its bound.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import statistics
 import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.experiments.population import percentile
 from repro.internet.knobs import forced
 from repro.simnet.fastpath import FASTPATH_ENV, PLT_ERROR_BOUND
+
+#: Contended-cell gates (see the module docstring for why each is what
+#: it is): the city's p50/p95/p99, the overload arms' mean over
+#: successful loads, and how many loads may succeed in one arm of the
+#: knob and not the other.
+CITY_QUANTILE_BOUND = 0.02
+OVERLOAD_MEAN_BOUND = 0.03
+OVERLOAD_OK_LOADS = 5
+#: The population and overload batteries' own base seeds.
+CITY_SEED = 900
+OVERLOAD_SEED = 1200
 
 
 @dataclass(frozen=True)
@@ -71,17 +113,101 @@ class ConditionReport:
         return self.max_rel_error <= PLT_ERROR_BOUND
 
 
+@dataclass(frozen=True)
+class ContendedReport:
+    """Distribution-level A/B outcome of one contended world."""
+
+    name: str
+    #: Per load, in the world's own order: ``(PLT ms, failed)``.
+    oracle_loads: tuple[tuple[float, bool], ...]
+    fastpath_loads: tuple[tuple[float, bool], ...]
+    mean_bound: float
+    #: ``None``: quantiles are reported, not gated.
+    quantile_bound: float | None
+    #: How many loads may succeed in one arm of the knob and not the other.
+    ok_loads_bound: int
+    oracle_s: float
+    fastpath_s: float
+
+    @functools.cached_property
+    def ok_plts(self) -> tuple[list[float], list[float]]:
+        """Ascending PLTs of the successful loads: (oracle, fast path)."""
+        return tuple(sorted(plt for plt, failed in loads if not failed)
+                     for loads in (self.oracle_loads, self.fastpath_loads))
+
+    @property
+    def ok_loads(self) -> tuple[int, int]:
+        """Successful loads: (oracle, fast path)."""
+        oracle, fast = self.ok_plts
+        return len(oracle), len(fast)
+
+    @property
+    def mean_error(self) -> float:
+        """Signed relative error of the mean PLT of successful loads."""
+        oracle, fast = self.ok_plts
+        return statistics.fmean(fast) / statistics.fmean(oracle) - 1.0
+
+    def quantile_errors(self) -> dict[str, float]:
+        """Signed relative error of p50 / p95 / p99."""
+        oracle, fast = self.ok_plts
+        return {f"p{round(q * 100)}":
+                percentile(fast, q) / percentile(oracle, q) - 1.0
+                for q in (0.50, 0.95, 0.99)}
+
+    def per_load_errors(self) -> tuple[float, float]:
+        """(median, p95) of ``|fast - oracle| / oracle`` over the loads
+        that succeeded in both arms — information, not a gate."""
+        errors = sorted(abs(fast - oracle) / oracle
+                        for (oracle, failed_o), (fast, failed_f)
+                        in zip(self.oracle_loads, self.fastpath_loads)
+                        if not failed_o and not failed_f)
+        return percentile(errors, 0.50), percentile(errors, 0.95)
+
+    @property
+    def speedup(self) -> float:
+        return self.oracle_s / self.fastpath_s if self.fastpath_s else 0.0
+
+    @property
+    def within_bound(self) -> bool:
+        oracle_ok, fast_ok = self.ok_loads
+        if abs(fast_ok - oracle_ok) > self.ok_loads_bound:
+            return False
+        if abs(self.mean_error) > self.mean_bound:
+            return False
+        return self.quantile_bound is None or all(
+            abs(error) <= self.quantile_bound
+            for error in self.quantile_errors().values())
+
+    def render(self) -> str:
+        oracle_ok, fast_ok = self.ok_loads
+        quantiles = " ".join(f"{name}={error * 100:+.2f}%" for name, error
+                             in self.quantile_errors().items())
+        median, p95 = self.per_load_errors()
+        gates = f"|mean|<={self.mean_bound:.0%}"
+        if self.quantile_bound is not None:
+            gates += f" |p50,p95,p99|<={self.quantile_bound:.0%}"
+        if self.ok_loads_bound:
+            gates += f" ok+-{self.ok_loads_bound}"
+        flag = "" if self.within_bound else "  << EXCEEDS BOUND"
+        return (f"{self.name:<16} ok={oracle_ok}->{fast_ok}"
+                f"/{len(self.oracle_loads)}  "
+                f"mean={self.mean_error * 100:+.2f}% {quantiles}  "
+                f"per-load median={median * 100:.2f}% p95={p95 * 100:.2f}%  "
+                f"speedup={self.speedup:5.2f}x  [{gates}]{flag}")
+
+
 @dataclass
 class AbReport:
     """The whole A/B run."""
 
     conditions: list[ConditionReport] = field(default_factory=list)
+    contended: list[ContendedReport] = field(default_factory=list)
     oracle_repeatable: bool = True
 
     @property
     def within_bound(self) -> bool:
         return self.oracle_repeatable and all(
-            c.within_bound for c in self.conditions)
+            c.within_bound for c in self.conditions + self.contended)
 
     @property
     def speedup(self) -> float:
@@ -97,8 +223,12 @@ class AbReport:
                 f"fig{c.figure}  {c.condition:<28} "
                 f"max_err={c.max_rel_error * 100:7.4f}%  "
                 f"speedup={c.speedup:5.2f}x{flag}")
+        if self.contended:
+            lines.append("-- contended (distribution level, fast path vs "
+                         "oracle over identical inputs) --")
+            lines.extend(cell.render() for cell in self.contended)
         lines.append(
-            f"overall: speedup {self.speedup:.2f}x, bound "
+            f"overall: figure speedup {self.speedup:.2f}x, per-seed bound "
             f"{PLT_ERROR_BOUND:.0%}, oracle repeatable: "
             f"{self.oracle_repeatable}, "
             f"{'PASS' if self.within_bound else 'FAIL'}")
@@ -120,8 +250,6 @@ def _figure_trials(trials: int, jitter: bool
     500, figure 6 from 600) so the A/B run exercises the exact worlds
     the figures are generated from.
     """
-    import functools
-
     from repro.experiments import local_setup, remote_setup
 
     local_cal = local_setup.DEFAULT_CALIBRATION
@@ -147,16 +275,66 @@ def _figure_trials(trials: int, jitter: bool
     return out
 
 
+def _city_loads() -> list[tuple[float, bool]]:
+    """One drained 60-user city (the ``bench`` workload's world)."""
+    from repro.experiments import population
+    from repro.workload.arrivals import ArrivalCurve
+
+    world = population.build_population_world(
+        "opportunistic-SCION", CITY_SEED, users=60, sites=40,
+        arrival=ArrivalCurve(window_ms=10_000.0))
+    processes = population.start_sessions(world)
+    world.internet.run()
+    return [(row[2], row[3]) for row in population.harvest_rows(processes)]
+
+
+def _overload_loads(arm: str) -> list[tuple[float, bool]]:
+    """One drained arm of the default 78-user flash crowd."""
+    from repro.experiments import overload
+
+    _world, rows = overload.drain_arm(arm, OVERLOAD_SEED)
+    return [(row[2], row[3]) for row in rows]
+
+
+def run_contended() -> list[ContendedReport]:
+    """The contended cells: a city and both overload arms, each drained
+    with the fast path off and on."""
+    from repro.experiments.overload import ARMS
+
+    cells = [("city 60x40", _city_loads, PLT_ERROR_BOUND,
+              CITY_QUANTILE_BOUND, 0)]
+    cells += [(arm, functools.partial(_overload_loads, arm),
+               OVERLOAD_MEAN_BOUND, None, OVERLOAD_OK_LOADS)
+              for arm in ARMS]
+    reports = []
+    for name, drain, mean_bound, quantile_bound, ok_loads_bound in cells:
+        loads, seconds = {}, {}
+        for enabled in (False, True):
+            started = time.perf_counter()
+            loads[enabled] = tuple(_with_fastpath(enabled, drain))
+            seconds[enabled] = time.perf_counter() - started
+        reports.append(ContendedReport(
+            name=name, oracle_loads=loads[False], fastpath_loads=loads[True],
+            mean_bound=mean_bound, quantile_bound=quantile_bound,
+            ok_loads_bound=ok_loads_bound,
+            oracle_s=seconds[False], fastpath_s=seconds[True]))
+    return reports
+
+
 def run_ab(trials: int = 3, jitter: bool = False,
-           check_repeatable: bool = True) -> AbReport:
+           check_repeatable: bool = True,
+           contended: bool = False) -> AbReport:
     """Run the paired A/B battery over every figure condition.
 
     ``jitter=False`` (the default) zeroes host jitter so the comparison
     is exact-paired; ``check_repeatable`` re-runs the first oracle
     condition and asserts bit-identical samples (the
-    ``REPRO_FASTPATH=0`` determinism contract).
+    ``REPRO_FASTPATH=0`` determinism contract); ``contended`` adds the
+    distribution-level cells of :func:`run_contended`.
     """
     report = AbReport()
+    if contended:
+        report.contended = run_contended()
     for index, (figure, condition, trial, seeds) in enumerate(
             _figure_trials(trials, jitter)):
 
@@ -209,14 +387,15 @@ def main(argv: list[str] | None = None) -> int:
                              "or 2 with --selftest)")
     parser.add_argument("--selftest", action="store_true",
                         help="small paired battery asserting the "
-                             "documented error bound (CI gate)")
+                             "documented error bounds, contended cells "
+                             "included (CI gate)")
     parser.add_argument("--jittered", action="store_true",
                         help="also report informational median drift "
                              "with host jitter enabled")
     args = parser.parse_args(argv)
 
     trials = args.trials or (2 if args.selftest else 5)
-    report = run_ab(trials=trials)
+    report = run_ab(trials=trials, contended=True)
     print(report.render())
     if args.jittered:
         print("== jittered median drift (informational) ==")

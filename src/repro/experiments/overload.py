@@ -392,10 +392,10 @@ def collect_sample(world: OverloadWorld, arm: str, rows) -> OverloadSample:
     )
 
 
-def overload_trial(arm: str, seed: int,
-                   config: OverloadConfig = DEFAULT_CONFIG
-                   ) -> OverloadSample:
-    """One overload trial; a pure function of ``(arm, seed, config)``."""
+def drain_arm(arm: str, seed: int, config: OverloadConfig = DEFAULT_CONFIG
+              ) -> tuple[OverloadWorld, list]:
+    """Build one arm's world and run its crowd to quiescence; returns
+    the drained world and its load rows (see :func:`harvest_rows`)."""
     from repro.internet.knobs import forced_many
 
     if arm not in ARMS:
@@ -411,7 +411,15 @@ def overload_trial(arm: str, seed: int,
         world = build_overload_world(seed, config)
         processes = start_crowd(world)
         world.internet.run()
-        return collect_sample(world, arm, harvest_rows(processes))
+        return world, harvest_rows(processes)
+
+
+def overload_trial(arm: str, seed: int,
+                   config: OverloadConfig = DEFAULT_CONFIG
+                   ) -> OverloadSample:
+    """One overload trial; a pure function of ``(arm, seed, config)``."""
+    world, rows = drain_arm(arm, seed, config)
+    return collect_sample(world, arm, rows)
 
 
 # ---------------------------------------------------------------------------

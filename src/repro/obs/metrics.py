@@ -340,10 +340,11 @@ def export_link_utilization(registry: MetricsRegistry, trace) -> None:
 def export_link_contention(registry: MetricsRegistry, network) -> None:
     """Sample per-link and per-AS contention gauges from live links.
 
-    Reads each :class:`~repro.simnet.link.Link`'s contention bookkeeping
-    — ``inflight`` (packets on the wire right now) and
-    ``busy_until(sender)`` (when each direction's transmitter frees up),
-    the same O(1) facts fast-path eligibility checks — and publishes:
+    Reads each :class:`~repro.simnet.link.Link`'s own bookkeeping —
+    ``inflight`` (packets on the wire right now, propagation included)
+    and ``busy_until(sender)`` (when each direction's transmitter frees
+    up: the clock packets queue on, and the one the fast path judges
+    contention by and stamps its bursts onto) — and publishes:
 
     * ``link_inflight{link=…}`` — in-flight packets per named link;
     * ``link_busy_ms{link=…}`` — how far beyond *now* the busier

@@ -5,13 +5,55 @@ tops out around a million coroutine events per second — far short of the
 ROADMAP's population-scale ambitions. This module adds the flow-level
 fast path the ROADMAP names: when a reliable-transport message (QUIC
 stream or TCP connection data) would traverse a route whose links are
-all up, loss-free (``loss_rate + extra_loss_rate == 0``), spike-free and
-uncontended, its completion time is computed *analytically* — the same
-slow-start round arithmetic, per-hop serialization (``size/bandwidth``),
-propagation and router-crossing delays ``Link.transmit`` and
-:class:`~repro.internet.router.AsRouter` would produce packet by packet
-— and the payload is delivered to the far channel in a single scheduled
-event.
+all up, loss-free (``loss_rate + extra_loss_rate == 0``) and spike-free,
+with no standing queue on it, its completion time is computed
+*analytically* — the same slow-start round arithmetic, per-hop
+serialization (``size/bandwidth``), propagation and router-crossing
+delays ``Link.transmit`` and :class:`~repro.internet.router.AsRouter`
+would produce packet by packet — and the payload is delivered to the far
+channel by one chain of events: one per burst and finite-bandwidth hop,
+then the delivery.
+
+**Contention is judged at the transmitter, at the time the burst gets
+there.** Sharing a link is not contention, and a packet in propagation
+is in nobody's queue; what matters is whether a hop's transmitter
+(``Link._tx_free_at``, the per-direction clock real packets queue on)
+is still serializing when a burst's first segment reaches it.
+
+* At commit a transfer falls back (reason ``contention``) only on what
+  is already known: a forward hop stamped busy past the moment its
+  first burst would arrive — a standing queue — or a hop on the way
+  back serializing right now; ACKs are folded into the round-trip time
+  and get no second look, so their path has to be idle when the
+  rounds are laid out.
+* Every burst is judged again when it reaches each finite hop
+  (:meth:`FastPath._step`). It occupies the transmitter for exactly
+  the window the oracle's packets would, so whatever arrives next —
+  real packets or another analytic burst — queues behind it; if the
+  transmitter is busy the burst itself queues FIFO behind whatever
+  holds it, and its later hops and rounds, its completion and any
+  message chained behind it on the channel slide by the wait.
+* A transfer may absorb such modelled waits up to
+  :data:`PLT_ERROR_BOUND` of its own uncontended duration. Past that it
+  is in a real queue — where the oracle's retransmission timer fires
+  and retry storms live — and goes back to packet level (reason
+  ``queue``). The budget is a property of the input, not a knob: in a
+  60-user city whose busiest link is 1.7 % utilised, 35 of 7,050
+  transfers ever wait, 0.20 ms at most; in the flash crowd, whose
+  1.5 Mbps detour holds seconds of backlog, two sends in three start in
+  a standing queue and stay packet-level. A flow whose bursts take
+  longer to serialize than its own round trip (bandwidth-limited, where
+  the round arithmetic no longer holds) meets its own previous burst
+  and demotes the same way.
+
+No flow's arrival ever demotes another flow. What the block model gives
+up is interleaving: two bursts that meet at a transmitter are served one
+after the other, not packet by packet, so which of two near-simultaneous
+transfers finishes first can differ from the oracle by the length of a
+burst. The contended contract is therefore at distribution level (see
+:mod:`repro.experiments.fastpath_ab`): a city's mean PLT within
+:data:`PLT_ERROR_BOUND` and its p50/p95/p99 within 2 % of the oracle's,
+the overload arms' mean within 3 %.
 
 Eligibility is O(1) amortized and **revoked live**: every
 :class:`~repro.simnet.link.Link` fault-hook transition (``up``,
@@ -19,17 +61,16 @@ Eligibility is O(1) amortized and **revoked live**: every
 global epoch — invalidating all cached route validations — and demotes
 any in-flight fast-path transfer crossing that link back to packet-level
 mid-stream, resending the not-yet-"arrived" remainder through the
-ordinary :class:`~repro.transport.reliable.ReliableChannel`. A second
-concurrent fast-path flow on a shared finite-bandwidth link demotes the
-same way (infinite-bandwidth links serialize nothing, so flows on them
-provably do not interact). Arming a
-:class:`~repro.simnet.faults.FaultInjector` disables the fast path for
-the whole world up front, which keeps fault/chaos/resilience batteries
-bit-identical to pure packet-level mode.
+ordinary :class:`~repro.transport.reliable.ReliableChannel`
+(infinite-bandwidth links serialize nothing, so flows on them provably
+do not interact). Arming a :class:`~repro.simnet.faults.FaultInjector`
+disables the fast path for the whole world up front, which keeps
+fault/chaos/resilience batteries bit-identical to pure packet-level
+mode.
 
 Approximation contract (documented bound, asserted by the A/B harness
 in :mod:`repro.experiments.fastpath_ab`): on fault-free figure
-conditions the fast path reproduces PLT medians within
+conditions the fast path reproduces every seed's PLT within
 :data:`PLT_ERROR_BOUND` (1 %) of the packet-level oracle. Static link
 jitter enters the analytic schedule at its expected value — the fast
 path never draws from the world RNG, so paired experiment conditions
@@ -52,8 +93,10 @@ from repro.transport.reliable import CONTROL_FRAME_BYTES, MAX_CWND
 #: Environment knob: set to 0/false/no to force pure packet-level mode.
 FASTPATH_ENV = "REPRO_FASTPATH"
 
-#: Documented per-figure PLT approximation bound on fault-free
-#: conditions (fraction of the packet-level oracle's median).
+#: Documented PLT approximation bound (fraction of the packet-level
+#: oracle's value): per seed on fault-free figure conditions, on the
+#: mean in a contended city — and therefore also the share of its own
+#: duration a transfer may spend in modelled queueing.
 PLT_ERROR_BOUND = 0.01
 
 #: Mirrors :data:`repro.internet.router.PROCESSING_DELAY_MS` (imported
@@ -80,9 +123,8 @@ class RouteLeg:
     """
 
     __slots__ = ("links", "base_delay_ms", "jitter_bounds", "jitter_mean",
-                 "finite", "finite_meta", "inv_rate", "bottleneck_inv",
-                 "first_inv", "min_mtu", "expiry_ms", "static_clean",
-                 "_epoch")
+                 "finite_meta", "inv_rate", "bottleneck_inv", "min_mtu",
+                 "expiry_ms", "static_clean", "_epoch")
 
     def __init__(self, links: list[tuple[Any, str]], base_delay_ms: float,
                  expiry_ms: float,
@@ -98,38 +140,33 @@ class RouteLeg:
             link.config.jitter_ms for link, _sender in self.links
             if link.config.jitter_ms > 0.0)
         self.jitter_mean = sum(self.jitter_bounds) * 0.5
-        self.finite = tuple(
-            (link, sender) for link, sender in self.links
-            if link.config.bandwidth_mbps > 0.0)
         # ms-per-byte factors: serialization of B bytes over the whole
         # leg is B * inv_rate; the slowest hop clocks out a burst at
         # B * bottleneck_inv per segment.
         rates = [1.0 / (link.config.bandwidth_mbps * 125.0)
-                 for link, _sender in self.finite]
+                 for link, _sender in self.links
+                 if link.config.bandwidth_mbps > 0.0]
         self.inv_rate = sum(rates)
         self.bottleneck_inv = max(rates, default=0.0)
-        # Serialization rate of the leg's first *finite* hop: what a
-        # cumulative ACK occupies ahead of a follow-up send (downstream
-        # hops re-absorb the gap, so only the first one persists).
-        self.first_inv = rates[0] if rates else 0.0
         # Per finite hop: (link, sender, fixed delay before entering the
-        # hop, Σ inv up to and including it, max inv up to and including
-        # it, own inv) — enough to place each analytic burst's
-        # serialization window on each hop so real cross traffic
-        # (handshakes, competing flows) queues behind it exactly as it
-        # would behind the oracle's packets.
+        # hop, Σ inv over the finite hops before it, max inv up to and
+        # including it, own inv) — enough to place each analytic burst's
+        # serialization window on each hop, so whatever reaches the
+        # transmitter next (handshakes, competing flows' packets,
+        # another analytic burst) queues behind it as it would behind
+        # the oracle's packets.
         if entry_delays is None:
             entry_delays = [0.0] * len(self.links)
         meta = []
-        inv_sum = 0.0
+        inv_before = 0.0
         inv_max = 0.0
         for (link, sender), entry in zip(self.links, entry_delays):
             bandwidth = link.config.bandwidth_mbps
             if bandwidth > 0.0:
                 inv = 1.0 / (bandwidth * 125.0)
-                inv_sum += inv
                 inv_max = max(inv_max, inv)
-                meta.append((link, sender, entry, inv_sum, inv_max, inv))
+                meta.append((link, sender, entry, inv_before, inv_max, inv))
+                inv_before += inv
         self.finite_meta = tuple(meta)
         self.min_mtu = min((link.config.mtu for link, _s in self.links),
                            default=0)
@@ -261,53 +298,59 @@ def expected_round_jitter(fwd_bounds: tuple, rev_bounds: tuple,
     # ``bound * draw()`` is ``rng.uniform(0.0, bound)`` by that method's
     # definition (``a + (b - a) * random()``), without its call overhead.
     draw = random.Random(f"repro-fastpath-round-jitter:{key}").random
+    push, pop = heapq.heappush, heapq.heappop
+    first_window = min(n, cwnd0)
     total = 0.0
     for _ in range(_ROUND_JITTER_SAMPLES):
         # Event tuples: (time, tiebreak, kind, value). kind 0 = arrival
         # at receiver (value = segment id), kind 1 = cumulative ACK back
         # at sender (value = cumulative count).
         events: list = []
-        window = min(n, cwnd0)
-        for seg in range(window):
+        for seg in range(first_window):
             jitter = 0.0
             for bound in fwd_bounds:
                 jitter += bound * draw()
-            heapq.heappush(events, (jitter, seg, 0, seg))
-        next_seg = window
-        unacked = window
+            events.append((jitter, seg, 0, seg))
+        heapq.heapify(events)
+        next_seg = unacked = first_window
         cwnd = cwnd0
         acked = 0
-        received: set = set()
+        arrived = [False] * n
         high = 0
         last_arrival = 0.0
-        while events:
-            time, _tie, kind, value = heapq.heappop(events)
+        while next_seg < n:
+            time, _tie, kind, value = pop(events)
             if kind == 0:  # data arrival; in-order delivery gates on max
                 if time > last_arrival:
                     last_arrival = time
-                received.add(value)
-                while high in received:
-                    received.discard(high)
+                arrived[value] = True
+                while high < n and arrived[high]:
                     high += 1
                 jitter = 0.0
                 for bound in rev_bounds:
                     jitter += bound * draw()
-                heapq.heappush(events, (time + rtt_ms + jitter, value, 1, high))
-            else:  # cumulative ACK
-                newly = value - acked
-                if newly <= 0:
-                    continue
+                push(events, (time + rtt_ms + jitter, value, 1, high))
+            elif value > acked:  # cumulative ACK that acknowledges more
+                unacked -= value - acked
+                cwnd = min(MAX_CWND, cwnd + value - acked)
                 acked = value
-                unacked -= newly
-                cwnd = min(MAX_CWND, cwnd + newly)
                 while next_seg < n and unacked < cwnd:
                     jitter = 0.0
                     for bound in fwd_bounds:
                         jitter += bound * draw()
-                    heapq.heappush(events,
-                                   (time + jitter, next_seg, 0, next_seg))
+                    push(events, (time + jitter, next_seg, 0, next_seg))
                     next_seg += 1
                     unacked += 1
+        # Everything is released: no ACK can change the outcome any
+        # more, which is the slowest arrival still under way. Each of
+        # those would have drawn its ACK's jitter; keep the stream
+        # where the next sample expects it.
+        for time, _tie, kind, _value in events:
+            if kind == 0:
+                if time > last_arrival:
+                    last_arrival = time
+                for _bound in rev_bounds:
+                    draw()
         total += last_arrival
     return _remember(_ROUND_JITTER_CACHE, key,
                      total / _ROUND_JITTER_SAMPLES - rounds * rtt_ms)
@@ -348,26 +391,36 @@ class Transfer:
     __slots__ = ("stream_id", "payload", "size", "n_segments", "channel",
                  "sender_rec", "receiver_rec", "start_ms", "deliver_ms",
                  "handle", "cwnd0", "cwnd_final", "rtt_ms", "fwd_delay_ms",
-                 "full_payload", "seg_bytes", "fwd_bytes", "ack_bytes",
-                 "reservations", "close_after", "done")
+                 "full_payload", "seg_bytes", "last_bytes", "fwd_bytes",
+                 "ack_bytes", "windows", "round", "hop", "wait_budget_ms",
+                 "close_after", "done")
 
     def __init__(self) -> None:
         self.close_after = False
         self.done = False
-        #: Pending (dispatch_ms, handle) wire-reservation callbacks for
-        #: rounds not yet dispatched, cancellable on demotion.
-        self.reservations: list[tuple[float, Any]] = []
+        #: The transfer's one pending loop event: its next `_step`, or
+        #: its completion once the last burst has passed the last hop.
+        self.handle: Any = None
+        #: Which burst (index into ``windows``) reaches which finite
+        #: forward hop at that step.
+        self.round = 0
+        self.hop = 0
 
 
 class FastPathStats:
     """Plain counters, independent of any metrics registry."""
 
-    __slots__ = ("transfers", "fallbacks", "demotions")
+    __slots__ = ("transfers", "fallbacks", "demotions", "burst_waits",
+                 "wait_ms")
 
     def __init__(self) -> None:
         self.transfers = 0
         self.fallbacks: dict[str, int] = {}
         self.demotions = 0
+        #: Times an analytic burst found a hop's transmitter busy and
+        #: queued behind it, and the total wait so modelled.
+        self.burst_waits = 0
+        self.wait_ms = 0.0
 
 
 class FastPath:
@@ -376,8 +429,8 @@ class FastPath:
     Wired by :class:`~repro.internet.build.Internet`: it subscribes to
     every link's ``watcher`` hook, hosts point back at it, and transport
     endpoints register at connect/accept time. The controller never
-    draws from the world RNG except for the per-round jitter model, and
-    schedules exactly one loop event per analytic transfer.
+    draws from the world RNG (the per-round jitter model has a private
+    stream), and keeps one pending loop event per analytic transfer.
     """
 
     def __init__(self, network: Any, tracer=NULL_TRACER) -> None:
@@ -503,29 +556,29 @@ class FastPath:
             return self._fallback("mtu", channel)
 
         now = self.loop.now
-        # Contention: a second concurrent flow on a shared
-        # finite-bandwidth link demotes whatever is in flight there and
-        # keeps the new flow packet-level; stray packets mid-wire on a
-        # finite link make it ineligible too (O(1) per finite hop —
-        # zero hops on loopback-grade topologies).
-        contended = False
-        for leg in (fwd, rev):
-            for link, sender in leg.finite:
-                others = self._by_link.get(id(link))
-                if others:
-                    for transfer in list(others):
-                        self._demote(transfer, "contention")
-                    contended = True
-                if link.inflight or link.busy_until(sender) > now:
-                    contended = True
-        if contended:
-            return self._fallback("contention", channel)
+        active = getattr(channel, "_fp_active", None)
+        chained = bool(active)
+        # A channel that just finished *receiving* an analytic transfer
+        # owes its access link the final cumulative ACK's serialization
+        # time before it can put new data on the wire (the oracle's
+        # receiver transmits that ACK ahead of any response segment).
+        start = max(now, getattr(channel, "_fp_tx_busy_until", 0.0))
+        if chained:
+            start = max(start, channel._fp_busy_until)
+        # At commit, only what is already known (see the module
+        # docstring): a standing queue where the first burst is headed,
+        # or an ACK path that is serializing right now. Everything else
+        # is judged when a burst meets a transmitter (`_step`).
+        for link, sender, entry, _before, _max, _inv in fwd.finite_meta:
+            if link._tx_free_at[sender] > start + entry:
+                return self._fallback("contention", channel)
+        for link, sender, _entry, _before, _max, _inv in rev.finite_meta:
+            if link._tx_free_at[sender] > now:
+                return self._fallback("contention", channel)
 
         # Slow-start round arithmetic, mirroring ReliableChannel: the
         # initial burst is min(n, cwnd); each round's worth of ACKs
         # grows cwnd by the in-flight count and releases the next burst.
-        active = getattr(channel, "_fp_active", None)
-        chained = bool(active)
         cwnd0 = channel._fp_cwnd if chained else channel._cwnd
         window = n_segments if n_segments < cwnd0 else cwnd0
         sent = window
@@ -545,16 +598,21 @@ class FastPath:
 
         rtt = (fwd.base_delay_ms + rev.base_delay_ms
                + full_bytes * fwd.inv_rate + ack_bytes * rev.inv_rate)
-        # A channel that just finished *receiving* an analytic transfer
-        # owes its access link the final cumulative ACK's serialization
-        # time before it can put new data on the wire (the oracle's
-        # receiver transmits that ACK ahead of any response segment).
-        start = max(now, getattr(channel, "_fp_tx_busy_until", 0.0))
-        if chained:
-            start = max(start, channel._fp_busy_until)
-        deliver = (start + rounds * rtt + fwd.base_delay_ms
-                   + last_bytes * fwd.inv_rate
-                   + (last_window - 1) * full_bytes * fwd.bottleneck_inv)
+        # The last burst clocks out of the bottleneck one full segment
+        # at a time; its final, short segment serializes faster than the
+        # full one ahead of it and can catch up with it at any later
+        # hop — a tandem of FIFO queues, so the slowest staircase wins.
+        pipeline = (last_bytes * fwd.inv_rate
+                    + (last_window - 1) * full_bytes * fwd.bottleneck_inv)
+        if last_bytes < full_bytes and last_window > 1:
+            for _link, _sender, _entry, inv_before, inv_max, inv in \
+                    fwd.finite_meta:
+                caught_up = (full_bytes * (inv_before + inv)
+                             + (last_window - 2) * full_bytes * inv_max
+                             + last_bytes * (fwd.inv_rate - inv_before))
+                if caught_up > pipeline:
+                    pipeline = caught_up
+        deliver = start + rounds * rtt + fwd.base_delay_ms + pipeline
         # Expected jitter. Round-free transfers gate on the *slowest*
         # arrival of the initial window (an expected-max order
         # statistic); multi-round transfers additionally gate round
@@ -590,8 +648,13 @@ class FastPath:
         transfer.fwd_delay_ms = max(0.0, deliver - start - rounds * rtt)
         transfer.full_payload = full_payload
         transfer.seg_bytes = full_bytes
+        transfer.last_bytes = last_bytes
         transfer.fwd_bytes = (n_segments - 1) * full_bytes + last_bytes
         transfer.ack_bytes = ack_bytes
+        transfer.windows = windows
+        # Modelled queueing a transfer may absorb before it is demoted:
+        # the documented error bound, as a share of its own duration.
+        transfer.wait_budget_ms = PLT_ERROR_BOUND * (deliver - start)
 
         channel.stats.messages_sent += 1
         channel.stats.segments_sent += n_segments
@@ -605,42 +668,95 @@ class FastPath:
             self._by_link.setdefault(id(link), []).append(transfer)
         for link, _sender in rev.links:
             self._by_link.setdefault(id(link), []).append(transfer)
-        transfer.handle = self.loop.call_at(deliver, self._complete, transfer)
-        # Wire reservations: each analytic burst occupies real
-        # serialization slots (`Link._tx_free_at`) on every finite
-        # forward hop for exactly the window the oracle's packets would,
-        # so concurrent packet-level traffic — handshakes, competing
-        # flows, a demoted sibling's resend — queues behind it
-        # identically. Scheduled per (round, hop) at the burst's entry
-        # time there; O(rounds × hops) events, still far below the
-        # oracle's O(segments × hops).
-        if fwd.finite_meta:
-            last_round = len(windows) - 1
-            for index, burst in enumerate(windows):
-                dispatch = start + index * rtt
-                for link, sender, entry, inv_sum, inv_max, inv in \
-                        fwd.finite_meta:
-                    at = dispatch + entry
-                    tail = (dispatch + entry + full_bytes * inv_sum
-                            + (burst - 1) * full_bytes * inv_max)
-                    if index == last_round:
-                        # The message's final segment is short.
-                        tail -= (full_bytes - last_bytes) * inv
-                    if at <= now:
-                        if tail > link._tx_free_at.get(sender, 0.0):
-                            link._tx_free_at[sender] = tail
-                    else:
-                        handle = self.loop.call_at(
-                            at, self._reserve, link, sender, tail)
-                        transfer.reservations.append((dispatch, handle))
+        # One pending event per transfer: each burst visits each finite
+        # forward hop in turn (`_step`), then the message is delivered.
+        # O(rounds × hops) events, still far below the oracle's
+        # O(segments × hops); a route with no finite hop is one event.
+        if not fwd.finite_meta:
+            transfer.handle = self.loop.call_at(deliver, self._complete,
+                                                transfer)
+        else:
+            at = start + fwd.finite_meta[0][2]
+            if at > now:
+                transfer.handle = self.loop.call_at(at, self._step, transfer)
+            else:
+                self._step(transfer)
         self.stats.transfers += 1
         self.metrics.counter("fastpath_transfers_total").inc()
         return True
 
-    def _reserve(self, link: Any, sender: str, tail: float) -> None:
-        """Stamp an analytic burst's serialization tail onto a hop."""
-        if tail > link._tx_free_at.get(sender, 0.0):
-            link._tx_free_at[sender] = tail
+    def _step(self, transfer: Transfer) -> None:
+        """The transfer's current burst reaches its next finite hop.
+
+        The burst occupies the hop's transmitter (`Link._tx_free_at`)
+        for exactly the window the oracle's packets would, so whatever
+        arrives next — real packets or another analytic burst — queues
+        behind it. If the transmitter is still busy, the burst itself
+        queues FIFO behind whatever holds it and the rest of the
+        transfer slides by the wait; a transfer that has waited past its
+        budget is in a real queue and goes back to packet level.
+        """
+        hops = transfer.sender_rec.route.finite_meta
+        link, sender, entry, inv_before, inv_max, inv = hops[transfer.hop]
+        index = transfer.round
+        full_bytes = transfer.seg_bytes
+        # The burst's first segment has serialized over the hops before.
+        arrive = (transfer.start_ms + index * transfer.rtt_ms + entry
+                  + full_bytes * inv_before)
+        wait = link._tx_free_at[sender] - arrive
+        if wait > 0.0:
+            transfer.wait_budget_ms -= wait
+            if transfer.wait_budget_ms < 0.0:
+                transfer.handle = None  # this event; nothing else pending
+                active = transfer.channel._fp_active
+                for queued in active[active.index(transfer):]:
+                    # In channel order: messages chained behind the
+                    # demoted one must not overtake its resend.
+                    self._demote(queued, "queue" if queued is transfer
+                                 else "stream-order")
+                return
+            self._slide(transfer, wait)
+            arrive += wait
+        last_round = index == len(transfer.windows) - 1
+        tail = (arrive + full_bytes * inv
+                + (transfer.windows[index] - 1) * full_bytes * inv_max)
+        if last_round:
+            # The message's final segment is short.
+            tail -= (full_bytes - transfer.last_bytes) * inv
+        link._tx_free_at[sender] = tail
+        if transfer.hop + 1 < len(hops):
+            transfer.hop += 1
+        elif not last_round:
+            transfer.round += 1
+            transfer.hop = 0
+        else:
+            transfer.handle = self.loop.call_at(
+                transfer.deliver_ms, self._complete, transfer)
+            return
+        transfer.handle = self.loop.call_at(
+            transfer.start_ms + transfer.round * transfer.rtt_ms
+            + hops[transfer.hop][2], self._step, transfer)
+
+    def _slide(self, transfer: Transfer, wait: float) -> None:
+        """Shift the rest of ``transfer``'s schedule — later hops and
+        rounds, completion — and every message chained behind it on its
+        channel by a modelled queueing ``wait``."""
+        self.stats.burst_waits += 1
+        self.stats.wait_ms += wait
+        self.metrics.counter("fastpath_burst_waits_total").inc()
+        self.metrics.counter("fastpath_wait_ms_total").inc(wait)
+        channel = transfer.channel
+        channel._fp_busy_until += wait
+        active = channel._fp_active
+        first_entry = transfer.sender_rec.route.finite_meta[0][2]
+        for queued in active[active.index(transfer):]:
+            queued.start_ms += wait
+            queued.deliver_ms += wait
+            if queued is not transfer:
+                # Not started: its pending event is its first step.
+                self.loop.cancel_scheduled(queued.handle)
+                queued.handle = self.loop.call_at(
+                    queued.start_ms + first_entry, self._step, queued)
 
     def defer_close(self, channel: Any) -> bool:
         """Delay a channel close until its last in-flight fast-path
@@ -662,33 +778,21 @@ class FastPath:
         channel = transfer.channel
         channel._fp_active.remove(transfer)
         channel._cwnd = transfer.cwnd_final
-        # Deliver into the far side, mirroring datagram arrival: the
-        # receiving stream is created (and accept waiters woken) *now*,
-        # at delivery time, exactly as on_datagram would.
-        receiver = transfer.receiver_rec.conn.fastpath_channel(
-            transfer.stream_id)
-        receiver.stats.segments_received += transfer.n_segments
-        # The oracle's receiver serializes a final cumulative ACK onto
-        # its access link right now; an immediate response (the HTTP
-        # request→response turnaround) queues behind it. Stamp before
-        # delivering — _deliver may resume the handler synchronously.
+        # Deliver into the far side, mirroring datagram arrival, and
+        # credit the link counters with the packets the oracle would
+        # have put on the wire, keeping utilization stats meaningful.
+        receiver = self._credit(transfer, transfer.n_segments,
+                                transfer.fwd_bytes)
+        # The oracle's receiver puts a final cumulative ACK on the wire
+        # right now; an immediate response (the HTTP request→response
+        # turnaround) trails it hop by hop and is held up for as long
+        # as the ACK occupies the slowest one. Stamp before delivering
+        # — _deliver may resume the handler synchronously.
         rev_leg = transfer.receiver_rec.route
-        busy = self.loop.now + transfer.ack_bytes * rev_leg.first_inv
+        busy = self.loop.now + transfer.ack_bytes * rev_leg.bottleneck_inv
         if busy > getattr(receiver, "_fp_tx_busy_until", 0.0):
             receiver._fp_tx_busy_until = busy
         receiver._deliver(transfer.payload)
-        # Credit link counters with the packets the oracle would have
-        # put on the wire (data forward, one cumulative ACK per segment
-        # back), keeping utilization stats meaningful.
-        n = transfer.n_segments
-        fwd = transfer.sender_rec.route
-        rev = transfer.receiver_rec.route
-        for link, _sender in fwd.links:
-            link.packets_sent += n
-            link.bytes_sent += transfer.fwd_bytes
-        for link, _sender in rev.links:
-            link.packets_sent += n
-            link.bytes_sent += n * transfer.ack_bytes
         if transfer.close_after:
             channel._fp_closing = False
             channel.close()
@@ -696,55 +800,60 @@ class FastPath:
     def _demote(self, transfer: Transfer, reason: str) -> None:
         """Push an in-flight transfer back to packet level mid-stream.
 
-        Progress so far is preserved. The slow-start round structure is
-        reconstructed at demotion time; what counts as "kept" depends on
+        Only the transfer itself (and, for channel order, messages
+        chained behind it) is ever demoted — never another flow.
+        Progress so far is preserved; what counts as "kept" depends on
         why we are demoting:
 
-        * contention / stream-order: a later flow's packets queue
-          *behind* segments already serialized onto each hop, so every
-          dispatched segment is wire-committed — only the undispatched
-          remainder is resent. If the whole message is already on the
-          wire, the analytic completion stands and no demotion happens.
+        * queue: the bursts before the one that met the queue are
+          through; that burst and the rest re-run at packet level, so
+          they wait in the real queue, ACK clock and retransmission
+          timer included.
+        * stream-order: a follow-up packet-level message on the same
+          channel is not physically queued behind our analytic
+          segments, so in-order delivery needs a resend — of the
+          undispatched remainder only, every dispatched segment being
+          wire-committed.
         * fault / link-down / disable: the wire itself changed under the
           in-flight window, so only segments whose analytic arrival has
           already passed are kept; the rest re-runs real
           loss/retransmission dynamics over the now-faulty route.
 
-        Either way the channel resumes at the congestion window the ACK
-        clock would have grown to, so a demoted transfer keeps
-        pipelining instead of restarting cold.
+        Kept segments are credited to the channel and link counters
+        here (`_complete` will never run), the remainder is counted as
+        it is resent, and the channel resumes — now, so the resend
+        enters the channel before any follow-up message — at the
+        congestion window the ACK clock would have grown to, so a
+        demoted transfer keeps pipelining instead of restarting cold.
         """
         if transfer.done:
             return
-        elapsed = self.loop.now - transfer.start_ms
-        sent = arrived = acked = 0
-        last_dispatch = 0.0
-        last_window = 0
-        if elapsed > 0 and transfer.size > 0:
-            n, cwnd = transfer.n_segments, transfer.cwnd0
-            window = min(n, cwnd)
-            dispatch = 0.0
-            while sent < n and dispatch <= elapsed:
-                sent += window
-                last_dispatch = dispatch
-                last_window = window
-                if dispatch + transfer.fwd_delay_ms <= elapsed:
-                    arrived = sent
-                if dispatch + transfer.rtt_ms <= elapsed:
-                    acked = sent
-                cwnd = min(MAX_CWND, cwnd + window)
-                window = min(n - sent, cwnd)
-                dispatch += transfer.rtt_ms
-        wire_committed = reason in ("contention", "stream-order")
-        if reason == "contention" and sent >= transfer.n_segments:
-            # Fully on the wire: completion is already fixed. (stream-order
-            # still demotes — the follow-up packet-level message on the
-            # same channel is not physically queued behind our analytic
-            # segments, so in-order delivery needs the resend.)
-            return
-        kept = sent if wire_committed else arrived
+        if reason == "queue":
+            kept = grown = sum(transfer.windows[:transfer.round])
+        else:
+            # Reconstruct the slow-start round structure from the clock.
+            elapsed = self.loop.now - transfer.start_ms
+            sent = arrived = acked = 0
+            if elapsed > 0 and transfer.size > 0:
+                n, cwnd = transfer.n_segments, transfer.cwnd0
+                window = min(n, cwnd)
+                dispatch = 0.0
+                while sent < n and dispatch <= elapsed:
+                    sent += window
+                    if dispatch + transfer.fwd_delay_ms <= elapsed:
+                        arrived = sent
+                    if dispatch + transfer.rtt_ms <= elapsed:
+                        acked = sent
+                    cwnd = min(MAX_CWND, cwnd + window)
+                    window = min(n - sent, cwnd)
+                    dispatch += transfer.rtt_ms
+            if reason == "stream-order":
+                kept = grown = sent
+            else:
+                kept, grown = arrived, acked
         transfer.done = True
-        self.loop.cancel_scheduled(transfer.handle)
+        if transfer.handle is not None:
+            self.loop.cancel_scheduled(transfer.handle)
         self._unlink(transfer)
         channel = transfer.channel
         channel._fp_active.remove(transfer)
@@ -755,52 +864,42 @@ class FastPath:
         if tracer.enabled:
             tracer.span("fastpath.demote", reason=reason,
                         size=transfer.size).end()
-        # Committed rounds' wire reservations (scheduled at commit) stay
-        # — those bursts are on the wire either way. Rounds that will
-        # now never dispatch analytically must release theirs.
-        for dispatch_ms, handle in transfer.reservations:
-            if dispatch_ms > self.loop.now:
-                self.loop.cancel_scheduled(handle)
-        transfer.reservations = []
+        # The payload rides the message's last segment: always resent.
         kept = min(kept, transfer.n_segments - 1)
         remaining = transfer.size - kept * transfer.full_payload
         if transfer.size > 0:
             remaining = max(1, remaining)
-        # send_message re-counts the message; undo the analytic credit.
+        # send_message counts the message and the resent segments.
         channel.stats.messages_sent -= 1
-        channel.stats.segments_sent -= transfer.n_segments
-        resume_cwnd = min(MAX_CWND, transfer.cwnd0 + kept)
-        if reason == "contention":
-            # The oracle would dispatch the rest only when the committed
-            # burst's ACKs return: resume the packet-level resend on that
-            # ACK clock, at the window those ACKs would have grown.
-            resume_at = max(self.loop.now,
-                            transfer.start_ms + last_dispatch
-                            + transfer.rtt_ms)
-        else:
-            # Same-channel ordering (stream-order) or a changed wire
-            # (fault/link-down/disable): the resend must enter the
-            # channel before any follow-up message, so it goes out now.
-            resume_at = self.loop.now
-            if not wire_committed:
-                resume_cwnd = min(MAX_CWND, transfer.cwnd0 + acked)
-        if resume_at > self.loop.now:
-            self.loop.call_at(resume_at, self._resume_packet_level, channel,
-                              transfer, remaining, resume_cwnd)
-        else:
-            self._resume_packet_level(channel, transfer, remaining,
-                                      resume_cwnd)
-
-    def _resume_packet_level(self, channel: Any, transfer: Transfer,
-                             remaining: int, resume_cwnd: int) -> None:
-        """Re-issue the undelivered remainder of a demoted transfer
-        through the packet-level channel (possibly ACK-clock delayed)."""
+        channel.stats.segments_sent -= transfer.n_segments - kept
+        if kept:
+            self._credit(transfer, kept, kept * transfer.seg_bytes)
         if not channel.closed and not channel.broken:
-            channel._cwnd = resume_cwnd
+            channel._cwnd = min(MAX_CWND,
+                                transfer.cwnd0 + min(grown, kept))
             channel.send_message(transfer.payload, remaining)
         if transfer.close_after:
             channel._fp_closing = False
             channel.close()
+
+    def _credit(self, transfer: Transfer, segments: int,
+                fwd_bytes: int) -> Any:
+        """Count ``segments`` analytically carried segments where the
+        oracle would have: received by the far channel (returned), data
+        on every forward link, one cumulative ACK each on the way back."""
+        # The receiving stream is created (and accept waiters woken) on
+        # first use, exactly as on_datagram would at first arrival.
+        receiver = transfer.receiver_rec.conn.fastpath_channel(
+            transfer.stream_id)
+        receiver.stats.segments_received += segments
+        for link, _sender in transfer.sender_rec.route.links:
+            link.packets_sent += segments
+            link.bytes_sent += fwd_bytes
+        ack_bytes = segments * transfer.ack_bytes
+        for link, _sender in transfer.receiver_rec.route.links:
+            link.packets_sent += segments
+            link.bytes_sent += ack_bytes
+        return receiver
 
     def _unlink(self, transfer: Transfer) -> None:
         for leg in (transfer.sender_rec.route, transfer.receiver_rec.route):

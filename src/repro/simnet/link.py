@@ -91,10 +91,12 @@ class Link:
         # must not search the endpoint table each time.
         self._peer_of = {a.name: (b, b_port), b.name: (a, a_port)}
         # Transmitter-free times, one per direction, keyed by sender name.
+        # Packets queue FIFO on this clock; the fast path reads it to
+        # judge contention and stamps its analytic bursts onto it.
         self._tx_free_at = {a.name: 0.0, b.name: 0.0}
-        #: Packets currently on the wire (sent, not yet delivered) —
-        #: cheap contention bookkeeping for fast-path eligibility and
-        #: utilization gauges.
+        #: Packets currently on the wire (sent, not yet delivered,
+        #: propagation included) — read by the ``link_inflight`` /
+        #: ``as_link_inflight`` gauges only; it decides nothing.
         self.inflight = 0
         # Counters for stats/feedback (paper §4: per-path usage statistics).
         self.packets_sent = 0

@@ -3,6 +3,10 @@ guarantees the fast path must not break.
 
 * :func:`repro.experiments.fastpath_ab.run_ab` — paired, jitter-free
   comparison across every figure condition, within the documented bound;
+* its contended cells — a city and both overload arms, gated at
+  distribution level (``--selftest`` runs them, so the CLI test is
+  that gate: city mean inside 1 % and p50/p95/p99 inside 2 %, both
+  arms inside 3 % with the same loads succeeding +- 5);
 * :func:`repro.perf.measure_fastpath` — the trajectory row guarding
   wall-clock and loop-event savings;
 * ``repro.perf compare`` — tolerates metrics present in only one run
@@ -56,6 +60,66 @@ class TestConditionReport:
         report = fastpath_ab.AbReport(conditions=[self._report()],
                                       oracle_repeatable=False)
         assert not report.within_bound
+
+
+class TestContendedReport:
+    ORACLE = tuple((100.0 + index, False) for index in range(100))
+
+    def _cell(self, fast, mean_bound=0.01, quantile_bound=0.02,
+              ok_loads_bound=0, oracle=ORACLE):
+        return fastpath_ab.ContendedReport(
+            name="cell", oracle_loads=oracle, fastpath_loads=tuple(fast),
+            mean_bound=mean_bound, quantile_bound=quantile_bound,
+            ok_loads_bound=ok_loads_bound, oracle_s=3.0, fastpath_s=1.0)
+
+    def test_identical_distributions_pass(self):
+        cell = self._cell(self.ORACLE)
+        assert cell.mean_error == 0.0
+        assert set(cell.quantile_errors().values()) == {0.0}
+        assert cell.per_load_errors() == (0.0, 0.0)
+        assert cell.ok_loads == (100, 100)
+        assert cell.within_bound
+        assert cell.speedup == pytest.approx(3.0)
+
+    def test_a_reordering_moves_loads_but_not_the_distribution(self):
+        """Why per-load error is information only: the same PLTs on
+        different loads are the same distribution."""
+        cell = self._cell(reversed(self.ORACLE))
+        assert cell.within_bound
+        assert cell.per_load_errors()[1] > 0.4
+
+    def test_mean_and_quantiles_are_gated_separately(self):
+        shifted = [(plt * 1.015, failed) for plt, failed in self.ORACLE]
+        assert self._cell(shifted).mean_error == pytest.approx(0.015)
+        assert not self._cell(shifted).within_bound
+        assert self._cell(shifted, mean_bound=0.03).within_bound
+        tail = list(self.ORACLE[:-3]) + [(plt * 1.05, False)
+                                         for plt, _f in self.ORACLE[-3:]]
+        assert abs(self._cell(tail).mean_error) < 0.01
+        assert self._cell(tail).quantile_errors()["p99"] > 0.02
+        assert not self._cell(tail).within_bound
+        assert self._cell(tail, quantile_bound=None).within_bound
+
+    def test_successful_loads_must_match_within_their_bound(self):
+        fewer = [(plt, index < 6) for index, (plt, _f)
+                 in enumerate(self.ORACLE)]
+        assert self._cell(fewer, mean_bound=0.05, quantile_bound=None,
+                          ok_loads_bound=5).ok_loads == (100, 94)
+        assert not self._cell(fewer, mean_bound=0.05, quantile_bound=None,
+                              ok_loads_bound=5).within_bound
+        assert self._cell(fewer[1:] + [fewer[0]], mean_bound=0.05,
+                          quantile_bound=None,
+                          ok_loads_bound=6).within_bound
+        # Bound 0: the same number of loads must succeed in both arms.
+        assert not self._cell(fewer, mean_bound=0.05,
+                              quantile_bound=None).within_bound
+
+    def test_a_failing_cell_fails_the_run_and_says_so(self):
+        shifted = [(plt * 1.5, failed) for plt, failed in self.ORACLE]
+        report = fastpath_ab.AbReport(contended=[self._cell(shifted)])
+        assert not report.within_bound
+        assert "EXCEEDS BOUND" in report.render()
+        assert "FAIL" in report.render()
 
 
 class TestRunAb:

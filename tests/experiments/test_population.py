@@ -43,29 +43,43 @@ class TestDeterminism:
 
 
 class TestRecordedRun:
-    """The simulated result of one small city, as recorded at the commit
-    before routers kept a table of verified hop fields. Hop-path edits must
-    change the simulator's speed only; if this moves, the science moved."""
+    """The simulated result of one small city. The packet-level twin is
+    the value recorded at the commit before the fast path learned to
+    judge contention at the transmitter — engine edits must change the
+    simulator's speed only; if it moves, the science moved. The
+    fast-path run was re-recorded with that change: every transfer but
+    four now commits, and its PLTs agree with the oracle's to round-off
+    (mean 364.76885802535 vs 364.76885802534 ms; 364.7649 before)."""
 
-    def test_small_city_replays_the_recorded_run(self):
+    def _replay(self, events, packets, sent_bytes, digest):
         world = pop.build_population_world("opportunistic-SCION", 950,
                                            users=10, sites=8, arrival=FAST)
         processes = pop.start_sessions(world)
         world.internet.run()
         rows = pop.harvest_rows(processes)
         internet = world.internet
-        assert internet.loop.events_processed == 75607
+        assert internet.loop.events_processed == events
         assert internet.network.stats() == {
-            "links": 25, "nodes": 25, "packets_sent": 47994,
-            "packets_dropped": 0, "bytes_sent": 31212366}
+            "links": 25, "nodes": 25, "packets_sent": packets,
+            "packets_dropped": 0, "bytes_sent": sent_bytes}
         for router in internet.routers.values():
             assert (router.mac_failures, router.path_errors,
                     router.expired_drops, router.no_route,
                     router.no_host) == (0, 0, 0, 0, 0)
         assert len(rows) == 32
         plts = ",".join(row[2].hex() for row in rows)
-        assert hashlib.sha256(plts.encode()).hexdigest() == (
-            "3c659e3f78492ed5cd2b49126f7745a146911c9ae116fa2bec259f2ab1600329")
+        assert hashlib.sha256(plts.encode()).hexdigest() == digest
+
+    def test_small_city_replays_the_recorded_run(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FASTPATH", "1")
+        self._replay(10480, 48154, 31326606, (
+            "f8a8cd14030ae16c1091abdfb54895e84d6a488986d45b4f6d73a59ca75eadd7"))
+
+    def test_small_city_packet_level_replays_the_parents_run(
+            self, monkeypatch):
+        monkeypatch.setenv("REPRO_FASTPATH", "0")
+        self._replay(109172, 48154, 31326606, (
+            "e0e3d6429edce10d497dd0ad755ab3b2cdb6e4f5ac9379341da2b27649cb98cf"))
 
 
 class TestMetrics:
