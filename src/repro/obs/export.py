@@ -3,8 +3,8 @@
 An *artifact* is one JSON document holding everything a traced run
 recorded: the span tree, the metrics snapshot, and the assembled
 waterfall of every completed page load. ``run_all --obs`` writes one per
-figure next to the ``results/*.txt`` files; ``python -m repro.obs diff``
-turns two of them into a text report of what moved.
+figure under ``results/obs/``; ``python -m repro.obs diff`` turns two of
+them into a text report of what moved.
 
 Artifacts are deterministic for a given seed (sorted keys, no
 timestamps), so two runs of the same world diff byte-for-byte empty.

@@ -14,7 +14,7 @@ exploit it at the transport layer:
   shares sent in parallel, completing when the slowest share is
   acknowledged.
 
-The Ablation D benchmark uses this to measure the multipath speedup on
+Ablation D (``run_all``) uses this to measure the multipath speedup on
 the dual-homed testbed.
 """
 

@@ -87,8 +87,7 @@ class TestJsonShape:
 class TestCli:
     def test_selftest_gate_passes_and_writes_json(self, tmp_path, capsys):
         target = tmp_path / "ablations2.json"
-        assert ab.main(["--selftest", "--trials", "1",
-                        "--json", str(target)]) == 0
+        assert ab.main(["--selftest", "--json", str(target)]) == 0
         out = capsys.readouterr().out
         assert "leave-one-out importance" in out
         payload = json.loads(target.read_text())

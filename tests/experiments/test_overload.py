@@ -1,11 +1,11 @@
 """The overload battery: determinism, knob identity, the storm contrast.
 
 The expensive claims (metastable collapse off, graceful degradation on,
-drain bounds) live in ``python -m repro.experiments.overload --selftest``
-— the make-verify gate. Here we pin the *contracts*: trials are pure
-functions of ``(arm, seed, config)``, serial and worker-pool batteries
-are bit-identical, and fault-free runs with the protection knobs off
-replay the exact pre-overload-PR streams.
+drain bounds) are ``python -m repro.experiments.overload --selftest``,
+which ``TestSelftest`` runs at the CLI's own size. The rest pins the
+*contracts*: trials are pure functions of ``(arm, seed, config)``,
+serial and worker-pool batteries are bit-identical, and fault-free runs
+with the protection knobs off replay the exact pre-overload-PR streams.
 """
 
 import dataclasses
@@ -18,6 +18,7 @@ from repro.experiments.overload import (
     OverloadConfig,
     overload_trial,
     run_overload,
+    selftest,
 )
 from repro.internet.knobs import forced_many
 from repro.scion.admission import ADMISSION_ENV
@@ -100,6 +101,11 @@ class TestContrast:
         assert 0 <= sample.shed_served_stale <= sample.requests_shed
         assert sample.duration_ms > 0
         assert sample.events > 0
+
+
+class TestSelftest:
+    def test_selftest_passes(self):
+        assert selftest(verbose=False)
 
 
 class TestConfig:

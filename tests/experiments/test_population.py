@@ -141,6 +141,13 @@ class TestReport:
         assert result.busiest_ases()
 
 
+class TestSelftest:
+    def test_selftest_passes(self):
+        """``python -m repro.experiments.population --selftest``, at
+        the size the CLI runs it."""
+        assert pop.selftest(verbose=False)
+
+
 class TestLeakAudit:
     def test_interrupted_run_is_clean(self):
         world = pop.build_population_world(

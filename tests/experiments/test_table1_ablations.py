@@ -1,9 +1,10 @@
-"""Table 1 reproduction and the three ablations."""
+"""Table 1 reproduction and ablations A, B, C and E."""
 
 import pytest
 
 from repro.experiments.ablations import (
     ablation_c_point,
+    run_ablation_diversity,
     run_ablation_modes,
     run_ablation_overhead,
     run_ablation_policy,
@@ -95,3 +96,22 @@ class TestAblationModes:
         opportunistic = [p for p in points if p.mode == "opportunistic"]
         shares = [p.over_scion for p in opportunistic]
         assert shares == sorted(shares)
+
+
+class TestAblationDiversity:
+    @pytest.fixture(scope="class")
+    def by_budget(self):
+        return {point.beacons_per_target: point
+                for point in run_ablation_diversity()}
+
+    def test_diversity_grows_with_the_budget(self, by_budget):
+        counts = [by_budget[b].mean_paths_per_pair for b in sorted(by_budget)]
+        assert counts == sorted(counts)
+        assert by_budget[8].mean_paths_per_pair > \
+            2 * by_budget[1].mean_paths_per_pair
+
+    def test_smaller_stores_never_find_a_faster_path(self, by_budget):
+        """The largest budget is the reference the penalty is taken
+        against."""
+        assert by_budget[8].mean_latency_penalty == 1.0
+        assert by_budget[1].mean_latency_penalty >= 1.0

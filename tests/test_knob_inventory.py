@@ -16,16 +16,13 @@ KNOBS = {
     "REPRO_RETRY_BUDGET", "REPRO_POPULATION_USERS",
 }
 
-#: Where the perf trajectory is written — a deployment path, not a knob.
-NOT_KNOBS = {"REPRO_BENCH_FILE"}
-
 
 def test_source_reads_exactly_the_documented_knobs():
     literal = re.compile(r"""["'](REPRO_[A-Z_]+)["']""")
     found = set()
     for path in (ROOT / "src" / "repro").rglob("*.py"):
         found.update(literal.findall(path.read_text(encoding="utf-8")))
-    assert found - NOT_KNOBS == KNOBS
+    assert found == KNOBS
 
 
 def test_readme_table_lists_exactly_the_documented_knobs():
