@@ -1,4 +1,4 @@
-"""Ablations beyond the paper's figures (DESIGN.md, experiments A-C).
+"""Ablations beyond the paper's figures (DESIGN.md §4, experiments A-E).
 
 * **Ablation A — overhead decomposition.** §5.2 attributes the ~100 ms
   penalty to "the extension and the HTTP proxy" and predicts that "with
@@ -17,6 +17,10 @@
   delivers: resources loaded, SCION share, blocked count (§4.2's
   trade-off made quantitative).
 
+* **Ablation D — multipath bulk transfer.** §1's "native inter-domain
+  multipath": one 4 MB transfer over one and over two link-disjoint
+  paths of the dual-homed testbed.
+
 * **Ablation E — beacon-store diversity.** Sweep the beaconing service's
   ``beacons_per_target`` budget and measure how many end-to-end paths
   survive and how close the best one stays to the latency optimum —
@@ -25,7 +29,6 @@
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass, field
 
@@ -36,22 +39,23 @@ from repro.core.ppl.evaluator import metric_value, order_paths, permits
 from repro.core.ppl.policies import co2_optimized, latency_optimized
 from repro.dns.resolver import Resolver
 from repro.errors import NoPathError
-from repro.experiments.harness import (BoxStats, ExperimentResult,
-                                       PendingExperiment, submit_samples)
+from repro.experiments.harness import Battery, BoxStats, plt_result, serial
 from repro.experiments.local_setup import (
     DEFAULT_CALIBRATION,
-    IP_ORIGIN,
-    SCION_ORIGIN,
+    N_RESOURCES,
     LocalCalibration,
     build_local_world,
+    load_once,
     make_page,
 )
 from repro.http.server import HttpServer
 from repro.internet.build import Internet
+from repro.quic.multipath import BulkSink, disjoint_paths, multipath_send
 from repro.scion.beaconing import BeaconingService
 from repro.scion.combinator import combine_segments
 from repro.scion.pki import ControlPlanePki
-from repro.topology.defaults import LOCAL_AS, local_testbed
+from repro.topology.defaults import (LOCAL_AS, dual_homed_testbed,
+                                     local_testbed)
 from repro.topology.generator import random_internet
 
 # ---------------------------------------------------------------------------
@@ -79,46 +83,38 @@ def _calibration_for(condition: str) -> LocalCalibration:
 
 
 def ablation_a_trial(condition: str, seed: int,
-                     n_resources: int = 12) -> float:
+                     n_resources: int = N_RESOURCES) -> float:
     """One overhead-decomposition trial on the mixed local page."""
-    page = make_page("mixed SCION-IP", n_resources, seed)
-    world = build_local_world(
-        page, seed,
+    return load_once(build_local_world(
+        make_page("mixed SCION-IP", n_resources, seed), seed,
         calibration=_calibration_for(condition),
-        extension_enabled=condition != "no detour (BGP/IP)",
-    )
-    result = world.internet.loop.run_process(world.browser.load(world.page))
-    return result.plt_ms
+        extension_enabled=condition != "no detour (BGP/IP)"))
 
 
-def submit_ablation_overhead(trials: int = 15, n_resources: int = 12,
-                             base_seed: int = 700,
-                             workers: int | None = None) -> PendingExperiment:
-    """Submit every Ablation A condition battery to the shared pool."""
-    pending = PendingExperiment(ExperimentResult(
-        name="Ablation A — extension/proxy overhead decomposition",
-        description=(f"mixed local page, {n_resources} resources, "
-                     f"{trials} trials; PLT in ms"),
-    ))
-    seeds = range(base_seed, base_seed + trials)
-    for condition in ABLATION_A_CONDITIONS:
-        pending.add_pending(condition, submit_samples(
-            functools.partial(ablation_a_trial, condition,
-                              n_resources=n_resources),
-            seeds, workers=workers))
-    pending.result.notes.append(
+def ablation_a_holds(ablation_a) -> bool:
+    """Whether §5.2's prediction held: with the extension and the proxy
+    both free, the detour costs about what no detour does."""
+    return (ablation_a.median("free both")
+            < 1.6 * ablation_a.median("no detour (BGP/IP)"))
+
+
+ABLATION_A = Battery(
+    name="ablation-a", label="Ablation A",
+    title="Ablation A — overhead decomposition",
+    claim="§5.2: tighter integration removes the overhead",
+    measured=lambda ablation_a: (
+        f"'free both' {ablation_a.median('free both'):.0f} ms ≈ "
+        f"baseline {ablation_a.median('no detour (BGP/IP)'):.0f} ms"),
+    holds=ablation_a_holds,
+    assemble=lambda trials, rows_by_cell, n_resources=N_RESOURCES: plt_result(
+        "Ablation A — extension/proxy overhead decomposition",
+        f"mixed local page, {n_resources} resources, {trials} trials; "
+        "PLT in ms", rows_by_cell,
         "'free both' approximates the paper's predicted tighter browser "
-        "integration: the detour overhead nearly disappears")
-    return pending
-
-
-def run_ablation_overhead(trials: int = 15, n_resources: int = 12,
-                          base_seed: int = 700,
-                          workers: int | None = None) -> ExperimentResult:
-    """Ablation A: which component the Figure 3 overhead comes from."""
-    return submit_ablation_overhead(trials=trials, n_resources=n_resources,
-                                    base_seed=base_seed,
-                                    workers=workers).collect()
+        "integration: the detour overhead nearly disappears"),
+    cells=tuple((condition,) for condition in ABLATION_A_CONDITIONS),
+    trial=ablation_a_trial, base_seed=700, trials=15,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +212,25 @@ def run_ablation_policy(metric: str = "co2", seed: int = 42,
     return result
 
 
+def ablation_b_holds(ablation_b: PolicyQualityResult) -> bool:
+    """Whether policy selection was optimal for every pair and an
+    arbitrary choice measurably worse."""
+    return (abs(ablation_b.policy_vs_optimal.maximum - 1.0) < 1e-6
+            and ablation_b.arbitrary_vs_optimal.mean > 1.1)
+
+
+ABLATION_B = Battery(
+    name="ablation-b", label="Ablation B",
+    title="Ablation B — policy quality",
+    claim="§2: many path choices enable multi-criteria optimization",
+    measured=lambda ablation_b: (
+        f"{ablation_b.mean_paths_per_pair:.1f} paths/pair; policy always "
+        f"optimal, arbitrary choice "
+        f"{ablation_b.arbitrary_vs_optimal.mean:.2f}× worse on CO2"),
+    holds=ablation_b_holds, assemble=serial(run_ablation_policy),
+)
+
+
 # ---------------------------------------------------------------------------
 # Ablation C — partial availability modes
 # ---------------------------------------------------------------------------
@@ -289,6 +304,86 @@ def run_ablation_modes(fractions: tuple[float, ...] = (0.0, 0.25, 0.5,
     return points
 
 
+def render_mode_sweep(points: list[ModeSweepPoint]) -> str:
+    """Text table of the mode sweep."""
+    lines = ["== Ablation C — partial availability (opportunistic vs "
+             "strict) ==",
+             f"{'fraction':>8} {'mode':>13} {'loaded':>6} {'blocked':>7} "
+             f"{'scion':>5}  indicator"]
+    for point in points:
+        lines.append(f"{point.fraction:>8.2f} {point.mode:>13} "
+                     f"{point.loaded:>6} {point.blocked:>7} "
+                     f"{point.over_scion:>5}  {point.indicator}")
+    return "\n".join(lines)
+
+
+def ablation_c_holds(ablation_c: list[ModeSweepPoint]) -> bool:
+    """Whether the mode sweep matched §4.2: opportunistic never blocks,
+    strict fails the page with no SCION origins and blocks nothing when
+    all are."""
+    strict = {p.fraction: p for p in ablation_c if p.mode == "strict"}
+    return (all(p.blocked == 0 for p in ablation_c
+                if p.mode == "opportunistic")
+            and strict[0.0].loaded == 0 and strict[1.0].blocked == 0)
+
+
+ABLATION_C = Battery(
+    name="ablation-c", label="Ablation C",
+    title="Ablation C — availability modes",
+    claim="§4.2: opportunistic always loads, strict trades availability "
+          "for guarantees",
+    measured=lambda _ablation_c: (
+        "opportunistic: 0 blocked at all fractions; strict: blocks "
+        "scale with unavailability, page fails at 0%"),
+    holds=ablation_c_holds, assemble=serial(run_ablation_modes),
+    render=render_mode_sweep,
+)
+
+
+# ---------------------------------------------------------------------------
+# Ablation D — multipath bulk transfer
+# ---------------------------------------------------------------------------
+
+
+def run_ablation_multipath(size: int = 4_000_000) -> tuple[float, float]:
+    """Ablation D: ``(single-path ms, two-path ms)`` for one bulk
+    transfer across the dual-homed testbed."""
+    def transfer(n_paths: int) -> float:
+        topology, client_as, server_as = dual_homed_testbed()
+        internet = Internet(topology, seed=3)
+        client = internet.add_host("client", client_as)
+        server = internet.add_host("server", server_as)
+        BulkSink(server)
+        paths = disjoint_paths(client.daemon.paths(server_as))
+        return internet.loop.run_process(
+            multipath_send(client, server.addr, 4443, size,
+                           paths[:n_paths]))
+
+    return transfer(1), transfer(2)
+
+
+def render_multipath(times: tuple[float, float]) -> str:
+    """Text table of the multipath transfer."""
+    single, multi = times
+    return (f"4 MB, dual-homed testbed (2 x 300 Mbps disjoint paths)\n"
+            f"single path : {single:10.1f} ms\n"
+            f"two paths   : {multi:10.1f} ms\n"
+            f"speedup     : {single / multi:10.2f}x")
+
+
+ABLATION_D = Battery(
+    name="ablation-d", label="Ablation D",
+    title="Ablation D — multipath bulk transfer",
+    claim="§1: native inter-domain multipath aggregates capacity",
+    measured=lambda times: (
+        f"4 MB transfer: {times[0]:.0f} ms single path vs "
+        f"{times[1]:.0f} ms over two disjoint paths "
+        f"({times[0] / times[1]:.2f}x)"),
+    holds=lambda times: times[1] < times[0],
+    assemble=serial(run_ablation_multipath), render=render_multipath,
+)
+
+
 # ---------------------------------------------------------------------------
 # Ablation E — beacon-store diversity
 # ---------------------------------------------------------------------------
@@ -359,14 +454,25 @@ def render_diversity(points: list[DiversityPoint]) -> str:
     return "\n".join(lines)
 
 
-def render_mode_sweep(points: list[ModeSweepPoint]) -> str:
-    """Text table of the mode sweep."""
-    lines = ["== Ablation C — partial availability (opportunistic vs "
-             "strict) ==",
-             f"{'fraction':>8} {'mode':>13} {'loaded':>6} {'blocked':>7} "
-             f"{'scion':>5}  indicator"]
-    for point in points:
-        lines.append(f"{point.fraction:>8.2f} {point.mode:>13} "
-                     f"{point.loaded:>6} {point.blocked:>7} "
-                     f"{point.over_scion:>5}  {point.indicator}")
-    return "\n".join(lines)
+def ablation_e_holds(ablation_e: list[DiversityPoint]) -> bool:
+    """Whether path diversity grew with the beacon-store budget: never
+    shrinking, and more than doubling from budget 1 to budget 8."""
+    by_budget = {p.beacons_per_target: p.mean_paths_per_pair
+                 for p in ablation_e}
+    counts = [by_budget[budget] for budget in sorted(by_budget)]
+    return counts == sorted(counts) and by_budget[8] > 2 * by_budget[1]
+
+
+ABLATION_E = Battery(
+    name="ablation-e", label="Ablation E",
+    title="Ablation E — beacon-store diversity",
+    claim="§2: path diversity enables multi-criteria optimization "
+          "(beacon-store budget is the knob)",
+    measured=lambda ablation_e: (
+        f"paths/pair grows {ablation_e[0].mean_paths_per_pair:.1f} → "
+        f"{ablation_e[-1].mean_paths_per_pair:.1f} as the budget rises "
+        f"{ablation_e[0].beacons_per_target} → "
+        f"{ablation_e[-1].beacons_per_target}"),
+    holds=ablation_e_holds, assemble=serial(run_ablation_diversity),
+    render=render_diversity,
+)

@@ -28,16 +28,16 @@ silently measure the wrong thing. Components whose off-run raises are
 reported as ``error`` rows at the top of the ranking instead of being
 dropped.
 
-Toggles are applied *inside* the trial functions (via
+Toggles are applied *inside* the trial (:func:`pinned_trial`, via
 :func:`repro.internet.knobs.forced_many`), so serial and worker-pool
 runs see identical environments and stay bit-identical — the
 parametrized differential tests pin that. Batteries run sequentially
-with ``workers=1`` by default so per-run wall-clock deltas are honest.
+with ``workers=1`` so per-run wall-clock deltas are honest.
 
 Usage::
 
-    python -m repro.experiments.ablations2 --selftest      # CI gate, <10 s
-    python -m repro.experiments.ablations2 [--trials N] [--json PATH]
+    python -m repro.experiments components --selftest      # CI gate, <10 s
+    python -m repro.experiments components [--trials N] [--json PATH]
     python -m repro.experiments.run_all --ablate           # full battery
 
 Exit status 1 when any contract fails or any component run errors.
@@ -45,18 +45,20 @@ Exit status 1 when any contract fails or any component run errors.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import functools
 import gc
-import json
-import sys
 import time
 from dataclasses import dataclass, field
 
 from repro.core.skip.breaker import BREAKER_ENV
 from repro.core.skip.retry_budget import RETRY_BUDGET_ENV
-from repro.experiments.harness import run_samples
+from repro.experiments import local_setup
+from repro.experiments.harness import Battery, run_samples
+from repro.experiments.local_setup import FIGURE3
+from repro.experiments.overload import OVERLOAD
+from repro.experiments.population import percentile
+from repro.experiments.resilience_battery import RESILIENCE, SESSION_LOADS
 from repro.internet.knobs import forced_many
 from repro.internet.snapshot import SNAPSHOT_CACHE_ENV
 from repro.scion.admission import ADMISSION_ENV
@@ -66,11 +68,6 @@ from repro.simnet.fastpath import FASTPATH_ENV, PLT_ERROR_BOUND
 #: Contract kinds.
 BIT_IDENTICAL = "bit_identical"
 STATISTICALLY_EQUIVALENT = "statistically_equivalent"
-
-#: Batteries importance is measured on.
-FIGURE3 = "figure3"
-RESILIENCE = "resilience"
-OVERLOAD = "overload"
 
 
 @dataclass(frozen=True)
@@ -85,7 +82,8 @@ class Component:
         contract: what disabling promises — :data:`BIT_IDENTICAL` or
             :data:`STATISTICALLY_EQUIVALENT` — always stated against
             the fault-free Figure 3 slice.
-        battery: where importance is measured — the battery in which
+        battery: where importance is measured — the :class:`Battery`
+            (``FIGURE3``, ``RESILIENCE`` or ``OVERLOAD``) in which
             the component has work to do (the failure-handling
             components only matter under churn, the snapshot cache only
             where there is a control plane to rebuild).
@@ -107,7 +105,7 @@ class Component:
     name: str
     knob: str | None
     contract: str
-    battery: str
+    battery: Battery
     metrics: tuple[str, ...]
     default_on: bool = True
     context: tuple[tuple[str, bool], ...] = ()
@@ -186,60 +184,19 @@ def default_knob_states(components: tuple[Component, ...] = COMPONENTS
             for comp in components if comp.knob is not None}
 
 
-# -- trial functions (module-level: the worker pool pickles them) ---------
+# -- the trial wrapper (module-level: the worker pool pickles it) ----------
 
 
-def figure3_ablation_trial(overrides: tuple[tuple[str, bool], ...],
-                           condition: str, n_resources: int, obs: bool,
-                           jitter: bool, seed: int) -> tuple[float, float]:
-    """One Figure 3 trial under pinned knobs.
+def pinned_trial(overrides: tuple[tuple[str, bool], ...], trial, *args,
+                 **kwargs):
+    """``trial(*args, **kwargs)`` under pinned knobs.
 
-    Returns ``(plt_ms, loop_events)``. The knobs are forced *inside*
-    the trial so spawned pool workers see exactly the same environment
-    as a serial run, and are restored afterwards (the shared pool's
-    workers persist across batteries).
+    The knobs are forced *inside* the trial so spawned pool workers see
+    exactly the same environment as a serial run, and are restored
+    afterwards (the shared pool's workers persist across batteries).
     """
-    from repro.experiments import local_setup
-
-    calibration = local_setup.DEFAULT_CALIBRATION
-    if not jitter:
-        calibration = dataclasses.replace(calibration, host_jitter_ms=0.0)
     with forced_many(dict(overrides)):
-        return local_setup.figure3_trial_events(
-            condition, seed, n_resources=n_resources,
-            calibration=calibration, obs=obs)
-
-
-def resilience_ablation_trial(overrides: tuple[tuple[str, bool], ...],
-                              loads: int, seed: int
-                              ) -> tuple[float, float, float, float]:
-    """One resilience-battery churn session under pinned knobs.
-
-    ``revocation=None`` defers the world's revocation switch to the
-    pinned environment, so the same trial function serves every
-    component's leave-one-out run.
-    """
-    from repro.experiments.resilience_battery import resilience_trial
-
-    with forced_many(dict(overrides)):
-        return resilience_trial(None, "opportunistic", seed, loads=loads)
-
-
-def overload_ablation_trial(overrides: tuple[tuple[str, bool], ...],
-                            seed: int) -> tuple[float, float, float, float]:
-    """One protections-on flash-crowd trial under pinned knobs.
-
-    The leave-one-out run flips exactly one protection off while the
-    rest of the stack stays at its defaults — the ablation measures
-    what *that* protection contributes to surviving the spike. Returns
-    ``(goodput_ratio, retry_amplification, shed_fraction, drain_ms)``.
-    """
-    from repro.experiments.overload import overload_trial
-
-    with forced_many(dict(overrides)):
-        sample = overload_trial("protections-on", seed)
-    return (sample.goodput_ratio, sample.retry_amplification,
-            sample.shed_fraction, sample.time_to_drain_ms)
+        return trial(*args, **kwargs)
 
 
 # -- configuration ---------------------------------------------------------
@@ -249,61 +206,64 @@ def overload_ablation_trial(overrides: tuple[tuple[str, bool], ...],
 class AblationConfig:
     """Sizing of one ablation sweep.
 
-    ``workers`` defaults to 1: batteries run one at a time so each
-    run's wall-clock (and hence every ``wallclock_ms`` delta) is an
-    honest single-stream measurement. Samples are bit-identical at any
-    worker count — only the timing column gets noisier.
+    Figure 3 and resilience runs start from those batteries' own base
+    seeds; the flash crowd gets seeds of its own, off the battery's
+    recorded ones. ``workers`` defaults to 1: batteries run one at a
+    time so each run's wall-clock (and hence every ``wallclock_ms``
+    delta) is an honest single-stream measurement. Samples are
+    bit-identical at any worker count — only the timing column gets
+    noisier.
     """
 
-    conditions: tuple[str, ...]
+    conditions: tuple[str, ...] = local_setup.FIGURE3_CONDITIONS
     trials: int = 8
-    base_seed: int = 100
-    n_resources: int = 12
+    n_resources: int = local_setup.N_RESOURCES
     resilience_trials: int = 4
-    resilience_base_seed: int = 4200
-    resilience_loads: int = 6
+    resilience_loads: int = SESSION_LOADS
     overload_trials: int = 2
     overload_base_seed: int = 1300
     contract_trials: int = 2
     workers: int = 1
 
-    @property
-    def seeds(self) -> range:
-        return range(self.base_seed, self.base_seed + self.trials)
+    def plan(self, battery: Battery, obs: bool = False
+             ) -> tuple[list[tuple], range, dict]:
+        """``(cells, seeds, trial parameters)`` of one scored run.
 
-    @property
-    def resilience_seeds(self) -> range:
-        return range(self.resilience_base_seed,
-                     self.resilience_base_seed + self.resilience_trials)
-
-    @property
-    def overload_seeds(self) -> range:
-        return range(self.overload_base_seed,
-                     self.overload_base_seed + self.overload_trials)
+        Resilience runs one opportunistic session per seed with the
+        world's revocation switch deferred to the pinned knobs
+        (``None``), so the same cell serves every component; the flash
+        crowd runs its protections-on arm, from which the leave-one-out
+        run removes exactly one protection.
+        """
+        plans = {
+            FIGURE3.name: (
+                [(condition,) for condition in self.conditions],
+                (FIGURE3.base_seed, self.trials),
+                {"n_resources": self.n_resources, "obs": obs}),
+            RESILIENCE.name: (
+                [(None, "opportunistic")],
+                (RESILIENCE.base_seed, self.resilience_trials),
+                {"loads": self.resilience_loads}),
+            OVERLOAD.name: (
+                [("protections-on",)],
+                (self.overload_base_seed, self.overload_trials), {}),
+        }
+        if battery.name not in plans:
+            raise ValueError(f"no component is scored on {battery.name!r}")
+        cells, (base_seed, trials), params = plans[battery.name]
+        return cells, range(base_seed, base_seed + trials), params
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
 
 
-def full_config(workers: int = 1) -> AblationConfig:
-    """The full sweep ``run_all --ablate`` uses."""
-    from repro.experiments.local_setup import FIGURE3_CONDITIONS
-    from repro.experiments.resilience_battery import SESSION_LOADS
-
-    return AblationConfig(conditions=tuple(FIGURE3_CONDITIONS),
-                          trials=8, n_resources=12,
-                          resilience_trials=4,
-                          resilience_loads=SESSION_LOADS,
-                          contract_trials=2, workers=workers)
-
-
-def selftest_config(workers: int = 1) -> AblationConfig:
-    """A small slice the CI gate finishes in seconds."""
-    return AblationConfig(conditions=("SCION-only", "mixed SCION-IP"),
-                          trials=3, n_resources=6,
-                          resilience_trials=2, resilience_loads=3,
-                          overload_trials=1,
-                          contract_trials=2, workers=workers)
+#: The full sweep ``run_all --ablate`` uses, and the small slice the
+#: CI gate finishes in seconds.
+FULL_CONFIG = AblationConfig()
+SELFTEST_CONFIG = AblationConfig(conditions=("SCION-only", "mixed SCION-IP"),
+                                 trials=3, n_resources=6,
+                                 resilience_trials=2, resilience_loads=3,
+                                 overload_trials=1)
 
 
 # -- battery runs ----------------------------------------------------------
@@ -313,7 +273,7 @@ def selftest_config(workers: int = 1) -> AblationConfig:
 class BatteryRun:
     """One battery sweep under one knob assignment."""
 
-    battery: str
+    battery: Battery
     #: Flat sample tuples in deterministic submission order.
     samples: tuple[tuple[float, ...], ...]
     wallclock_ms: float
@@ -321,108 +281,55 @@ class BatteryRun:
     metrics: dict[str, float]
 
 
-def _figure3_metrics(samples: list[tuple[float, float]],
-                     wallclock_ms: float) -> dict[str, float]:
-    plts = [row[0] for row in samples]
-    events = sum(row[1] for row in samples)
-    return {
-        "plt_ms": sum(plts) / len(plts),
-        "events_total": events,
-        "events_per_s": events / (wallclock_ms / 1000.0)
-        if wallclock_ms else 0.0,
-        "wallclock_ms": wallclock_ms,
-    }
-
-
-def _resilience_metrics(samples: list[tuple[float, float, float, float]],
-                        wallclock_ms: float) -> dict[str, float]:
-    return {
-        "ttr_ms": sum(row[0] for row in samples) / len(samples),
-        "plt_ms": sum(row[1] for row in samples) / len(samples),
-        "failed_requests": sum(row[2] for row in samples),
-        "lost_requests": sum(row[3] for row in samples),
-        "wallclock_ms": wallclock_ms,
-    }
-
-
-def _overload_metrics(samples: list[tuple[float, float, float, float]],
-                      wallclock_ms: float) -> dict[str, float]:
-    return {
-        "goodput_ratio": sum(row[0] for row in samples) / len(samples),
-        "retry_amplification": sum(row[1] for row in samples) / len(samples),
-        "shed_fraction": sum(row[2] for row in samples) / len(samples),
-        "drain_ms": sum(row[3] for row in samples) / len(samples),
-        "wallclock_ms": wallclock_ms,
-    }
-
-
-def battery_label(battery: str, context: tuple[tuple[str, bool], ...] = ()
-                  ) -> str:
+def battery_label(battery: Battery,
+                  context: tuple[tuple[str, bool], ...] = ()) -> str:
     """Display/baseline key for a battery under extra context pins."""
     if not context:
-        return battery
+        return battery.name
     pins = ",".join(f"{name}={'1' if on else '0'}"
                     for name, on in context)
-    return f"{battery}({pins})"
+    return f"{battery.name}({pins})"
 
 
-def run_battery(battery: str, overrides: dict[str, bool],
+def _sweep(battery: Battery, overrides: dict[str, bool], cells, seeds,
+           workers: int, **params) -> list[tuple[float, ...]]:
+    """Rows of the battery's scored trial, cell by cell in seed order,
+    every trial under the pinned ``overrides``."""
+    pinned = tuple(sorted(overrides.items()))
+    samples: list[tuple[float, ...]] = []
+    for cell in cells:
+        trial = functools.partial(
+            pinned_trial, pinned, battery.score_trial or battery.trial,
+            *cell, **params)
+        samples.extend(run_samples(trial, seeds, workers=workers))
+    return samples
+
+
+def run_battery(battery: Battery, overrides: dict[str, bool],
                 config: AblationConfig, obs: bool = False) -> BatteryRun:
     """Run one battery sweep under ``overrides``; deterministic samples."""
-    pinned = tuple(sorted(overrides.items()))
+    cells, seeds, params = config.plan(battery, obs)
     # Collect now what earlier work left behind: ``run_all`` arrives
     # here with ~700k dead objects from its 1000-user worlds, and that
     # 1.5 s gen-2 pause otherwise lands inside whichever battery
     # happens to cross the allocation threshold, charged to its score.
     gc.collect()
     started = time.perf_counter()
-    if battery == FIGURE3:
-        samples: list[tuple[float, ...]] = []
-        for condition in config.conditions:
-            trial = functools.partial(figure3_ablation_trial, pinned,
-                                      condition, config.n_resources, obs,
-                                      True)
-            samples.extend(run_samples(trial, config.seeds,
-                                       workers=config.workers))
-        wallclock_ms = (time.perf_counter() - started) * 1000.0
-        return BatteryRun(battery=battery, samples=tuple(samples),
-                          wallclock_ms=wallclock_ms,
-                          metrics=_figure3_metrics(samples, wallclock_ms))
-    if battery == RESILIENCE:
-        trial = functools.partial(resilience_ablation_trial, pinned,
-                                  config.resilience_loads)
-        samples = list(run_samples(trial, config.resilience_seeds,
-                                   workers=config.workers))
-        wallclock_ms = (time.perf_counter() - started) * 1000.0
-        return BatteryRun(battery=battery, samples=tuple(samples),
-                          wallclock_ms=wallclock_ms,
-                          metrics=_resilience_metrics(samples, wallclock_ms))
-    if battery == OVERLOAD:
-        trial = functools.partial(overload_ablation_trial, pinned)
-        samples = list(run_samples(trial, config.overload_seeds,
-                                   workers=config.workers))
-        wallclock_ms = (time.perf_counter() - started) * 1000.0
-        return BatteryRun(battery=battery, samples=tuple(samples),
-                          wallclock_ms=wallclock_ms,
-                          metrics=_overload_metrics(samples, wallclock_ms))
-    raise ValueError(f"unknown battery {battery!r}")
+    samples = _sweep(battery, overrides, cells, seeds, config.workers,
+                     **params)
+    wallclock_ms = (time.perf_counter() - started) * 1000.0
+    metrics = {name: reduce(row[column] for row in samples)
+               for column, (name, reduce) in enumerate(battery.reducers)}
+    if "events_total" in metrics:
+        metrics["events_per_s"] = (
+            metrics["events_total"] / (wallclock_ms / 1000.0)
+            if wallclock_ms else 0.0)
+    metrics["wallclock_ms"] = wallclock_ms
+    return BatteryRun(battery=battery, samples=tuple(samples),
+                      wallclock_ms=wallclock_ms, metrics=metrics)
 
 
 # -- importance ------------------------------------------------------------
-
-
-def percentile(values: list[float], q: float) -> float:
-    """Linear-interpolated percentile (``q`` in 0..100); 0.0 when empty."""
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    if len(ordered) == 1:
-        return ordered[0]
-    pos = (len(ordered) - 1) * q / 100.0
-    lo = int(pos)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = pos - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
 def metric_deltas(base: dict[str, float], off: dict[str, float]
@@ -453,8 +360,9 @@ def sample_delta_spread(base: BatteryRun, off: BatteryRun
     for base_row, off_row in zip(base.samples, off.samples):
         if base_row[0]:
             deltas.append((off_row[0] - base_row[0]) / base_row[0] * 100.0)
-    return {"p50": percentile(deltas, 50.0),
-            "p95": percentile(deltas, 95.0)}
+    deltas.sort()
+    return {"p50": percentile(deltas, 0.50),
+            "p95": percentile(deltas, 0.95)}
 
 
 def rank_score(comp: Component,
@@ -479,15 +387,12 @@ def rank_score(comp: Component,
 def _contract_probe(overrides: dict[str, bool], config: AblationConfig,
                     obs: bool, jitter: bool) -> tuple:
     """The small fault-free Figure 3 slice contracts are stated on."""
-    pinned = tuple(sorted(overrides.items()))
-    seeds = range(config.base_seed,
-                  config.base_seed + config.contract_trials)
-    samples: list[tuple[float, ...]] = []
-    for condition in config.conditions:
-        trial = functools.partial(figure3_ablation_trial, pinned, condition,
-                                  config.n_resources, obs, jitter)
-        samples.extend(run_samples(trial, seeds, workers=1))
-    return tuple(samples)
+    cells, seeds, params = config.plan(FIGURE3, obs)
+    if not jitter:
+        params["calibration"] = dataclasses.replace(
+            local_setup.DEFAULT_CALIBRATION, host_jitter_ms=0.0)
+    seeds = range(seeds.start, seeds.start + config.contract_trials)
+    return tuple(_sweep(FIGURE3, overrides, cells, seeds, 1, **params))
 
 
 def verify_contract(comp: Component, config: AblationConfig,
@@ -529,8 +434,6 @@ def verify_contract(comp: Component, config: AblationConfig,
 
 
 def _tiny_local_world(obs: bool = False):
-    from repro.experiments import local_setup
-
     page = local_setup.make_page("SCION-only", 2, 0)
     return local_setup.build_local_world(page, 0, obs=obs)
 
@@ -687,6 +590,8 @@ class AblationReport:
     config: AblationConfig
     baselines: dict[str, BatteryRun] = field(default_factory=dict)
     results: list[ComponentResult] = field(default_factory=list)
+    #: Wall-clock of the whole sweep.
+    elapsed_s: float = 0.0
 
     @property
     def ranked(self) -> list[ComponentResult]:
@@ -769,6 +674,7 @@ class AblationReport:
             "absolute otherwise); wall-clock deltas are honest only at "
             "workers=1; bit_identical contracts are exact sample "
             "comparisons on the fault-free figure-3 slice")
+        lines.append(f"(sweep took {self.elapsed_s:.2f} s)")
         return "\n".join(lines)
 
 
@@ -781,12 +687,14 @@ def run_ablations(config: AblationConfig | None = None,
     silently dropped from the ranking (the failure mode this harness
     exists to surface).
     """
-    config = config or full_config()
+    config = config or FULL_CONFIG
+    started = time.perf_counter()
     report = AblationReport(config=config)
     defaults = default_knob_states(components)
 
     needed = {(comp.battery, comp.context) for comp in components}
-    for battery, context in sorted(needed):
+    for battery, context in sorted(
+            needed, key=lambda item: (item[0].name, item[1])):
         # Untimed warm-up first: the very first run pays one-off costs
         # (imports, the initial snapshot build) that would otherwise be
         # charged to the baseline and poison every wall-clock delta.
@@ -828,45 +736,22 @@ def run_ablations(config: AblationConfig | None = None,
         except Exception as exc:  # noqa: BLE001 — error rows by design
             row.status = "error"
             row.error = f"{type(exc).__name__}: {exc}"
+    report.elapsed_s = time.perf_counter() - started
     return report
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.ablations2",
-        description="leave-one-out component ablations with exact "
-                    "correctness contracts")
-    parser.add_argument("--selftest", action="store_true",
-                        help="small sweep asserting every contract and "
-                             "evidence probe (CI gate)")
-    parser.add_argument("--trials", type=int, default=None,
-                        help="figure-3 seeds per condition")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="trial-level parallelism (default 1 for "
-                             "honest wall-clock deltas)")
-    parser.add_argument("--json", type=str, default=None,
-                        help="also write the report as JSON to this path")
-    args = parser.parse_args(argv)
-
-    config = (selftest_config(args.workers) if args.selftest
-              else full_config(args.workers))
-    if args.trials:
-        config = dataclasses.replace(config, trials=args.trials)
-    started = time.perf_counter()
-    report = run_ablations(config)
-    elapsed = time.perf_counter() - started
-    print(report.render())
-    print(f"(sweep took {elapsed:.2f} s)")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if not report.all_ok:
-        print("ERROR: ablation contracts failed or component runs "
-              "errored", file=sys.stderr)
-        return 1
-    return 0
+def _assemble(trials: int, _rows_by_cell, small: bool = False
+              ) -> AblationReport:
+    return run_ablations(dataclasses.replace(
+        SELFTEST_CONFIG if small else FULL_CONFIG, trials=trials))
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+#: The sweep as a registry entry (``trials``: figure-3 seeds per
+#: condition); ``--selftest`` is the small slice.
+SWEEP = Battery(
+    name="components", label="Component ablations",
+    title="Component ablations — leave-one-out importance",
+    holds=lambda report: report.all_ok, assemble=_assemble,
+    trials=FULL_CONFIG.trials, artifact="ablations2.json",
+    selftest={"trials": SELFTEST_CONFIG.trials, "small": True},
+)

@@ -45,31 +45,36 @@ information. The gates:
   whole retry earlier. Over 32 seeds the protections-off mean moves by
   a median −1.4 % (mean −3.5 %, mean ``|error|`` 4.6 %, 17 seeds inside
   the bound) and the protections-on mean by −0.1 % (mean +0.7 %,
-  ``|error|`` 1.4 %, 27 inside). The gate pins the battery's own seed
-  (1200: −0.2 % on, −0.5 % off), which is deterministic — a regression
+  ``|error|`` 1.4 %, 27 inside). The gate pins the battery's own base
+  seed (−0.2 % on, −0.5 % off), which is deterministic — a regression
   check, not a claim about every seed.
+
+Figure cells, their seeds and the city's and the crowd's seeds are read
+from the batteries' declarations, so the A/B run exercises the exact
+worlds the figures are generated from.
 
 Usage::
 
-    python -m repro.experiments.fastpath_ab [--selftest] [--trials N]
-    python -m repro.experiments.fastpath_ab --jittered
+    python -m repro.experiments fastpath-ab [--selftest] [--trials N]
+    python -m repro.experiments fastpath-ab --jittered
 
 Exit status 1 when any condition or contended cell exceeds its bound.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import functools
 import statistics
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.experiments import local_setup, overload, population, remote_setup
+from repro.experiments.harness import Battery
 from repro.experiments.population import percentile
 from repro.internet.knobs import forced
+from repro.workload.arrivals import ArrivalCurve
 from repro.simnet.fastpath import FASTPATH_ENV, PLT_ERROR_BOUND
 
 #: Contended-cell gates (see the module docstring for why each is what
@@ -79,9 +84,6 @@ from repro.simnet.fastpath import FASTPATH_ENV, PLT_ERROR_BOUND
 CITY_QUANTILE_BOUND = 0.02
 OVERLOAD_MEAN_BOUND = 0.03
 OVERLOAD_OK_LOADS = 5
-#: The population and overload batteries' own base seeds.
-CITY_SEED = 900
-OVERLOAD_SEED = 1200
 
 
 @dataclass(frozen=True)
@@ -203,6 +205,9 @@ class AbReport:
     conditions: list[ConditionReport] = field(default_factory=list)
     contended: list[ContendedReport] = field(default_factory=list)
     oracle_repeatable: bool = True
+    #: :func:`jittered_median_drift` rows (``--jittered``; information).
+    drift: list[tuple[str, str, float, float, float]] = field(
+        default_factory=list)
 
     @property
     def within_bound(self) -> bool:
@@ -232,6 +237,12 @@ class AbReport:
             f"{PLT_ERROR_BOUND:.0%}, oracle repeatable: "
             f"{self.oracle_repeatable}, "
             f"{'PASS' if self.within_bound else 'FAIL'}")
+        if self.drift:
+            lines.append("== jittered median drift (informational) ==")
+            lines.extend(
+                f"fig{figure}  {condition:<28} oracle={om:9.3f} "
+                f"fast={fm:9.3f} drift={drift * 100:6.3f}%"
+                for figure, condition, om, fm, drift in self.drift)
         return "\n".join(lines)
 
 
@@ -244,45 +255,29 @@ def _with_fastpath(enabled: bool, fn: Callable[[], Any]) -> Any:
 def _figure_trials(trials: int, jitter: bool
                    ) -> list[tuple[str, str, Callable[[int], float],
                                    range]]:
-    """(figure, condition, trial_fn, seeds) for every figure condition.
-
-    Seeds match the real batteries (figure 3 from 100, figure 5 from
-    500, figure 6 from 600) so the A/B run exercises the exact worlds
-    the figures are generated from.
-    """
-    from repro.experiments import local_setup, remote_setup
-
-    local_cal = local_setup.DEFAULT_CALIBRATION
-    remote_cal = remote_setup.DEFAULT_REMOTE_CALIBRATION
-    if not jitter:
-        local_cal = dataclasses.replace(local_cal, host_jitter_ms=0.0)
-        remote_cal = dataclasses.replace(remote_cal, host_jitter_ms=0.0)
-
+    """(figure, condition, trial_fn, seeds) for every figure condition,
+    each from its battery's own base seed."""
     out: list = []
-    for condition in local_setup.FIGURE3_CONDITIONS:
-        out.append(("3", condition,
-                    functools.partial(local_setup.figure3_trial, condition,
-                                      calibration=local_cal),
-                    range(100, 100 + trials)))
-    for figure, primary, base in (("5", remote_setup.FAR_ORIGIN, 500),
-                                  ("6", remote_setup.NEAR_ORIGIN, 600)):
-        for condition in remote_setup.REMOTE_CONDITIONS:
-            out.append((figure, condition,
-                        functools.partial(remote_setup.remote_trial, primary,
-                                          condition,
-                                          calibration=remote_cal),
-                        range(base, base + trials)))
+    for battery, calibration in (
+            (local_setup.FIGURE3, local_setup.DEFAULT_CALIBRATION),
+            (remote_setup.FIGURE5, remote_setup.DEFAULT_REMOTE_CALIBRATION),
+            (remote_setup.FIGURE6, remote_setup.DEFAULT_REMOTE_CALIBRATION)):
+        if not jitter:
+            calibration = dataclasses.replace(calibration,
+                                              host_jitter_ms=0.0)
+        seeds = range(battery.base_seed, battery.base_seed + trials)
+        for cell in battery.cells:
+            out.append((battery.name.removeprefix("figure"), cell[-1],
+                        functools.partial(battery.trial, *cell,
+                                          calibration=calibration), seeds))
     return out
 
 
 def _city_loads() -> list[tuple[float, bool]]:
     """One drained 60-user city (the ``bench`` workload's world)."""
-    from repro.experiments import population
-    from repro.workload.arrivals import ArrivalCurve
-
     world = population.build_population_world(
-        "opportunistic-SCION", CITY_SEED, users=60, sites=40,
-        arrival=ArrivalCurve(window_ms=10_000.0))
+        "opportunistic-SCION", population.POPULATION.base_seed, users=60,
+        sites=40, arrival=ArrivalCurve(window_ms=10_000.0))
     processes = population.start_sessions(world)
     world.internet.run()
     return [(row[2], row[3]) for row in population.harvest_rows(processes)]
@@ -290,22 +285,18 @@ def _city_loads() -> list[tuple[float, bool]]:
 
 def _overload_loads(arm: str) -> list[tuple[float, bool]]:
     """One drained arm of the default 78-user flash crowd."""
-    from repro.experiments import overload
-
-    _world, rows = overload.drain_arm(arm, OVERLOAD_SEED)
+    _world, rows = overload.drain_arm(arm, overload.OVERLOAD.base_seed)
     return [(row[2], row[3]) for row in rows]
 
 
 def run_contended() -> list[ContendedReport]:
     """The contended cells: a city and both overload arms, each drained
     with the fast path off and on."""
-    from repro.experiments.overload import ARMS
-
     cells = [("city 60x40", _city_loads, PLT_ERROR_BOUND,
               CITY_QUANTILE_BOUND, 0)]
     cells += [(arm, functools.partial(_overload_loads, arm),
                OVERLOAD_MEAN_BOUND, None, OVERLOAD_OK_LOADS)
-              for arm in ARMS]
+              for arm in overload.ARMS]
     reports = []
     for name, drain, mean_bound, quantile_bound, ok_loads_bound in cells:
         loads, seconds = {}, {}
@@ -377,38 +368,20 @@ def jittered_median_drift(trials: int = 30) -> list[tuple[str, str, float,
     return rows
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.fastpath_ab",
-        description="paired fast-path vs packet-level-oracle comparison "
-                    "across every figure condition")
-    parser.add_argument("--trials", type=int, default=None,
-                        help="seeds per condition (default: 5, "
-                             "or 2 with --selftest)")
-    parser.add_argument("--selftest", action="store_true",
-                        help="small paired battery asserting the "
-                             "documented error bounds, contended cells "
-                             "included (CI gate)")
-    parser.add_argument("--jittered", action="store_true",
-                        help="also report informational median drift "
-                             "with host jitter enabled")
-    args = parser.parse_args(argv)
-
-    trials = args.trials or (2 if args.selftest else 5)
+def _assemble(trials: int, _rows_by_cell,
+              jittered: bool = False) -> AbReport:
     report = run_ab(trials=trials, contended=True)
-    print(report.render())
-    if args.jittered:
-        print("== jittered median drift (informational) ==")
-        for figure, condition, om, fm, drift in jittered_median_drift(
-                trials=max(trials, 20)):
-            print(f"fig{figure}  {condition:<28} oracle={om:9.3f} "
-                  f"fast={fm:9.3f} drift={drift * 100:6.3f}%")
-    if not report.within_bound:
-        print("ERROR: fast path exceeded its documented PLT bound",
-              file=sys.stderr)
-        return 1
-    return 0
+    if jittered:
+        report.drift = jittered_median_drift(trials=max(trials, 20))
+    return report
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+#: The A/B run as a registry entry (``trials``: seeds per condition).
+FASTPATH_AB = Battery(
+    name="fastpath-ab", label="Fast-path A/B",
+    title="Fast-path A/B — hybrid fidelity vs. packet-level oracle",
+    holds=lambda report: report.within_bound, assemble=_assemble, trials=5,
+    options=(("jittered", bool, "also report informational median drift "
+                                "with host jitter enabled"),),
+    selftest={"trials": 2},
+)

@@ -36,16 +36,16 @@ import functools
 from dataclasses import dataclass, field
 
 from repro.core.browser.brave import BraveBrowser
-from repro.core.browser.page import WebPage, content_for_origin, synthetic_page
+from repro.core.browser.page import content_for_origin, synthetic_page
 from repro.core.ppl.policies import latency_optimized
 from repro.dns.resolver import Resolver
 from repro.errors import ReproError
-from repro.experiments.harness import BoxStats, PendingSamples, submit_samples
+from repro.experiments.harness import (Battery, BoxStats, World,
+                                       attach_tracer, load_page)
 from repro.http.server import HttpServer
 from repro.internet.build import Internet
 from repro.obs.metrics import (export_link_contention,
                                export_link_utilization)
-from repro.obs.spans import Tracer
 from repro.simnet.faults import FaultSchedule, inject
 from repro.topology.defaults import remote_testbed
 
@@ -69,37 +69,31 @@ FALLBACK_SCENARIOS = ("quic-outage", "infra-outage", "segment-expiry")
 #: safe and keeps fault detection snappy.
 CHAOS_REQUEST_TIMEOUT_MS = 15_000.0
 
-
-@dataclass
-class FaultWorld:
-    """One freshly-built world for a chaos trial."""
-
-    internet: Internet
-    browser: BraveBrowser
-    page: WebPage
-    server: HttpServer
-    ases: object  # the testbed's TestbedAses record
-    #: Observability tracer, present when built with ``obs=True``.
-    tracer: Tracer | None = None
+#: Subresources of the chaos page.
+N_RESOURCES = 6
 
 
-def build_fault_world(seed: int, n_resources: int = 6,
-                      strict: bool = False, obs: bool = False) -> FaultWorld:
+def build_fault_world(seed: int, n_resources: int = N_RESOURCES,
+                      strict: bool = False, obs: bool = False,
+                      revocation: bool | None = None) -> World:
     """A distributed-testbed world with one dual-stack origin.
 
     The origin serves both QUIC/SCION and TCP/IP, so SCION-specific
     faults leave an IP escape hatch — which opportunistic mode may take
     and strict mode must not. A latency policy makes both core routes
-    policy-compliant (failover has somewhere to go).
+    policy-compliant (failover has somewhere to go). ``revocation``
+    switches dissemination per world (the resilience battery's cells);
+    ``None`` defers to the ``REPRO_REVOCATION`` knob.
     """
     topology, ases = remote_testbed()
     # Packet tracing rides along with observability so traced loads can
     # sample per-AS link-utilization gauges from the ring buffer.
-    # Chaos worlds run pure packet-level: most scenarios arm the fault
+    # Fault worlds run pure packet-level: most scenarios arm the fault
     # injector (which disables the fast path anyway), and the ones that
     # don't — baseline, quic-outage, segment-expiry — must produce rows
     # bit-identical to them and to pre-fast-path behavior.
-    internet = Internet(topology, seed=seed, trace=obs, fastpath=False)
+    internet = Internet(topology, seed=seed, trace=obs,
+                        revocation=revocation, fastpath=False)
     client = internet.add_host("client", ases.client)
     origin = internet.add_host("origin", ases.remote_server)
     page = synthetic_page(ORIGIN, n_resources=n_resources, seed=seed)
@@ -114,15 +108,8 @@ def build_fault_world(seed: int, n_resources: int = 6,
     browser.proxy.request_timeout_ms = CHAOS_REQUEST_TIMEOUT_MS
     if strict:
         browser.extension.enable_strict_mode()
-    tracer = None
-    if obs:
-        tracer = Tracer(internet.loop)
-        browser.attach_tracer(tracer)
-        internet.revocations.tracer = tracer
-        if internet.fastpath is not None:
-            internet.fastpath.attach_tracer(tracer)
-    return FaultWorld(internet=internet, browser=browser, page=page,
-                      server=server, ases=ases, tracer=tracer)
+    return World(internet, browser, page, server=server, ases=ases,
+                 tracer=attach_tracer(internet, browser) if obs else None)
 
 
 def scenario_schedule(scenario: str, ases) -> FaultSchedule:
@@ -144,7 +131,7 @@ def scenario_schedule(scenario: str, ases) -> FaultSchedule:
     return schedule
 
 
-def _prepare_scenario(world: FaultWorld, scenario: str) -> None:
+def _prepare_scenario(world: World, scenario: str) -> None:
     """Arm the scenario against a built world (before the load starts)."""
     if scenario == "quic-outage":
         # The origin's SCION side dies; its TCP listener stays up.
@@ -164,28 +151,28 @@ def _prepare_scenario(world: FaultWorld, scenario: str) -> None:
         inject(world.internet, schedule)
 
 
-def traced_fault_load(scenario: str, seed: int, n_resources: int = 6,
-                      mode: str = "opportunistic"):
-    """One traced chaos load; returns ``(world, result)``.
+def fault_load(scenario: str, mode: str, seed: int,
+               n_resources: int = N_RESOURCES, obs: bool = False):
+    """One chaos load in a fresh world; returns ``(world, result)``.
 
-    ``world.tracer`` carries the retry / path-failure / fallback span
-    events of the load — what the fault post-mortems read.
+    With ``obs=True`` ``world.tracer`` carries the retry / path-failure
+    / fallback span events of the load — what the fault post-mortems
+    read — plus the per-AS link gauges.
     """
     world = build_fault_world(seed, n_resources=n_resources,
-                              strict=(mode == "strict"), obs=True)
+                              strict=(mode == "strict"), obs=obs)
     _prepare_scenario(world, scenario)
-    result = world.internet.loop.run_process(
-        world.browser.load(world.page))
-    assert world.tracer is not None
-    export_link_utilization(world.tracer.metrics,
-                            world.internet.network.trace)
-    export_link_contention(world.tracer.metrics, world.internet.network)
+    result = load_page(world)
+    if obs:
+        export_link_utilization(world.tracer.metrics,
+                                world.internet.network.trace)
+        export_link_contention(world.tracer.metrics, world.internet.network)
     return world, result
 
 
 def fault_trial(scenario: str, mode: str, seed: int,
-                n_resources: int = 6) -> tuple[float, float, float, float,
-                                               float]:
+                n_resources: int = N_RESOURCES) -> tuple[float, float, float,
+                                                         float, float]:
     """One chaos trial; returns ``(plt_ms, ok, failover, fallback,
     failed)``.
 
@@ -195,11 +182,7 @@ def fault_trial(scenario: str, mode: str, seed: int,
     dead). Pure function of its arguments — the parallel trial pool
     relies on that.
     """
-    world = build_fault_world(seed, n_resources=n_resources,
-                              strict=(mode == "strict"))
-    _prepare_scenario(world, scenario)
-    result = world.internet.loop.run_process(
-        world.browser.load(world.page))
+    world, result = fault_load(scenario, mode, seed, n_resources)
     total = 1 + len(world.page.resources)
     ok = result.ok_count
     return (result.plt_ms, float(ok), float(result.failover_count),
@@ -260,59 +243,59 @@ class FaultBatteryResult:
         return "\n".join(lines)
 
 
-class PendingFaultBattery:
-    """The chaos battery with every cell's trials in flight."""
-
-    def __init__(self, trials: int, n_resources: int,
-                 cells: list[tuple[tuple[str, str], PendingSamples]]) -> None:
-        self._trials = trials
-        self._n_resources = n_resources
-        self._cells = cells
-
-    def collect(self) -> FaultBatteryResult:
-        """Wait for every cell; assemble rows in submission order."""
-        battery = FaultBatteryResult(trials=self._trials)
-        for key, pending in self._cells:
-            rows = pending.collect()
-            plts = [row[0] for row in rows]
-            battery.cells[key] = FaultCell(
-                plt=BoxStats.from_samples(plts),
-                ok=int(sum(row[1] for row in rows)),
-                failover=int(sum(row[2] for row in rows)),
-                fallback=int(sum(row[3] for row in rows)),
-                failed=int(sum(row[4] for row in rows)),
-                total=self._trials * (1 + self._n_resources),
-            )
-        return battery
+def _assemble(trials: int, rows_by_cell,
+              n_resources: int = N_RESOURCES) -> FaultBatteryResult:
+    battery = FaultBatteryResult(trials=trials)
+    for key, rows in rows_by_cell.items():
+        battery.cells[key] = FaultCell(
+            plt=BoxStats.from_samples([row[0] for row in rows]),
+            ok=int(sum(row[1] for row in rows)),
+            failover=int(sum(row[2] for row in rows)),
+            fallback=int(sum(row[3] for row in rows)),
+            failed=int(sum(row[4] for row in rows)),
+            total=trials * (1 + n_resources),
+        )
+    return battery
 
 
-def submit_fault_battery(trials: int = 10, n_resources: int = 6,
-                         base_seed: int = 500,
-                         scenarios: tuple[str, ...] = SCENARIOS,
-                         modes: tuple[str, ...] = MODES,
-                         workers: int | None = None) -> PendingFaultBattery:
-    """Submit every (scenario, mode) cell's trials to the shared pool."""
-    cells: list[tuple[tuple[str, str], PendingSamples]] = []
-    seeds = range(base_seed, base_seed + trials)
-    for scenario in scenarios:
-        for mode in modes:
-            trial = functools.partial(fault_trial, scenario, mode,
-                                      n_resources=n_resources)
-            cells.append(((scenario, mode),
-                          submit_samples(trial, seeds, workers=workers)))
-    return PendingFaultBattery(trials, n_resources, cells)
+def chaos_holds(chaos: FaultBatteryResult) -> bool:
+    """Whether the chaos battery matched §4.2's graceful-degradation
+    shape: failover without fallback on link-flap, and opportunistic
+    recovering (over IP) everything strict blocks in the SCION-specific
+    outages."""
+    flap = chaos.cell("link-flap", "opportunistic")
+    if flap.failover == 0 or flap.fallback > 0 or flap.failed > 0:
+        return False
+    for scenario in FALLBACK_SCENARIOS:
+        opportunistic = chaos.cell(scenario, "opportunistic")
+        strict = chaos.cell(scenario, "strict")
+        if opportunistic.failed > 0 or opportunistic.fallback == 0:
+            return False
+        if strict.failed == 0 or strict.ok > 0:
+            return False
+    return True
 
 
-def run_fault_battery(trials: int = 10, n_resources: int = 6,
-                      base_seed: int = 500,
-                      scenarios: tuple[str, ...] = SCENARIOS,
-                      modes: tuple[str, ...] = MODES,
-                      workers: int | None = None) -> FaultBatteryResult:
-    """Run the chaos battery; deterministic per ``base_seed``.
+def _measured(chaos: FaultBatteryResult) -> str:
+    recovered = sum(chaos.cell(scenario, "opportunistic").fallback
+                    for scenario in FALLBACK_SCENARIOS)
+    blocked = sum(chaos.cell(scenario, "strict").failed
+                  for scenario in FALLBACK_SCENARIOS)
+    return (f"link-flap: {chaos.cell('link-flap', 'opportunistic').failover} "
+            f"failovers, 0 fallbacks; SCION outages: opportunistic recovers "
+            f"{recovered} fetches over IP, strict blocks {blocked}")
 
-    Trials fan out over the shared worker pool exactly like the figure
-    batteries; results are bit-identical to a serial run.
-    """
-    return submit_fault_battery(trials=trials, n_resources=n_resources,
-                                base_seed=base_seed, scenarios=scenarios,
-                                modes=modes, workers=workers).collect()
+
+CHAOS = Battery(
+    name="chaos", label="Chaos battery",
+    title="Chaos battery — PLT and recovery under faults",
+    claim="§4.2: failures degrade gracefully — failover when an alternate "
+          "path exists, opportunistic falls back to IP, strict blocks "
+          "instead",
+    measured=_measured, holds=chaos_holds, assemble=_assemble,
+    cells=tuple((scenario, mode) for scenario in SCENARIOS
+                for mode in MODES),
+    trial=fault_trial, base_seed=500, trials=10,
+    traced=functools.partial(fault_load, obs=True),
+    traced_cell=("link-flap", "opportunistic"),
+)

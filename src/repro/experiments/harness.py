@@ -1,4 +1,5 @@
-"""Trial running and box-plot statistics.
+"""What every experiment shares: trial running, box-plot statistics, the
+:class:`Battery` record and the world records.
 
 The paper presents PLT distributions as box plots over repeated page
 loads. :class:`BoxStats` captures exactly the quantities a box plot
@@ -6,21 +7,33 @@ shows (quartiles, whiskers as min/max, plus mean/std for the tables in
 EXPERIMENTS.md); :func:`run_condition` runs one scenario callable over a
 battery of seeds, each trial in a completely fresh world, so trials are
 independent and the whole battery is reproducible.
+
+Every experiment since is the same arc — build a world from a seed, run
+one trial per seed per cell, collect in seed order, summarise, judge a
+shape — so each is declared once as a :class:`Battery` at the bottom of
+the module that owns its trial, and :func:`submit` / :func:`run` are the
+only way to execute one. ``python -m repro.experiments`` lists them.
 """
 
 from __future__ import annotations
 
 import atexit
+import dataclasses
+import functools
 import math
 import multiprocessing
+import operator
 import os
 import pickle
-from collections.abc import Callable, Iterator, Sequence
+import time
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.errors import ReproError
+from repro.internet.knobs import resolve_int_knob
 
 #: Environment variable overriding the default worker count.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -32,15 +45,7 @@ def resolve_workers(workers: int | None = None) -> int:
     Explicit ``workers`` wins; otherwise the ``REPRO_WORKERS`` environment
     variable; otherwise ``os.cpu_count()``. Always at least 1 (serial).
     """
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ReproError(f"{WORKERS_ENV}={env!r} is not an integer")
-    return os.cpu_count() or 1
+    return resolve_int_knob(WORKERS_ENV, workers, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,12 @@ class BoxStats:
 def summarize(samples: list[float]) -> BoxStats:
     """Shorthand for :meth:`BoxStats.from_samples`."""
     return BoxStats.from_samples(samples)
+
+
+def mean(values) -> float:
+    """Plain ``sum / len`` (the reducers' arithmetic; never reordered)."""
+    values = list(values)
+    return sum(values) / len(values)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +164,7 @@ def battery_chunksize(n_seeds: int, workers: int) -> int:
 
 
 class PendingSamples:
-    """A battery submitted to the pool whose results are not collected yet.
+    """One cell's trials submitted to the pool, results not collected yet.
 
     ``Executor.map`` submits every chunk eagerly, so constructing one of
     these (via :func:`submit_samples`) starts the trials; :meth:`collect`
@@ -265,28 +276,224 @@ class ExperimentResult:
         return "\n".join(lines)
 
 
-@dataclass
-class PendingExperiment:
-    """An experiment whose condition batteries are in flight on the pool.
+def plt_result(name: str, description: str, rows_by_cell: Mapping,
+               note: str) -> ExperimentResult:
+    """The ``assemble`` step of a PLT-per-condition battery: one box
+    plot per cell, labelled by the cell's condition."""
+    result = ExperimentResult(name, description, notes=[note])
+    for cell, samples in rows_by_cell.items():
+        result.add(cell[-1], BoxStats.from_samples(samples))
+    return result
 
-    ``submit_*`` experiment entry points build one of these by calling
-    :meth:`add_pending` per condition (submitting the battery) and
-    :meth:`collect` turns it into the finished
-    :class:`ExperimentResult`, summarizing conditions in submission
-    order — so results are byte-identical to the sequential form no
-    matter how the pool interleaves batteries.
+
+# ---------------------------------------------------------------------------
+# The battery record
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class Battery:
+    """One experiment, declared once (so compared by identity).
+
+    ``run_all`` (summary row, report block, ``results/<artifact>``), the
+    ``python -m repro.experiments <name>`` CLI, the component-ablation
+    harness, the fast-path A/B and ``repro.obs trace`` all read this
+    record instead of naming experiments. A *pooled* battery has
+    ``cells`` and a ``trial``; a *serial* one (Table 1, Ablations B–E,
+    the two harness tools) has neither and does its work in
+    ``assemble``.
     """
 
-    result: ExperimentResult
-    _pending: list[tuple[str, PendingSamples]] = field(default_factory=list)
+    #: Registry / CLI name, and the row label and block title of the
+    #: generated report.
+    name: str
+    label: str
+    title: str
+    #: The predicate deciding the summary row's "Holds" cell and the
+    #: CLI's exit status.
+    holds: Callable[[Any], bool]
+    #: ``assemble(trials, rows_by_cell, **params)`` → the result object.
+    assemble: Callable[..., Any]
+    #: The rest of the summary row: the paper's claim and the measured
+    #: shape as text (the two harness tools judge no claim).
+    claim: str = ""
+    measured: Callable[[Any], str] | None = None
+    #: Cell keys in presentation order; ``trial(*cell, seed, **params)``
+    #: is module-level so the pool can pickle it. Seeds run from
+    #: ``base_seed``; ``trials`` is the paper-scale count per cell.
+    cells: tuple[tuple, ...] = ()
+    trial: Callable[..., Any] | None = None
+    base_seed: int = 0
+    trials: int = 0
+    #: Text of a result (``result.render()`` unless the result is a list).
+    render: Callable[[Any], str] = operator.methodcaller("render")
+    #: ``run_all`` runs the battery only when asked (``--<name>``).
+    opt_in: bool = False
+    #: File name under ``results/`` for the machine-readable result.
+    artifact: str | None = None
+    #: ``configure(**params)`` → the trial's keyword arguments, resolved
+    #: once in the submitting process (environment knobs, CLI shorthands).
+    configure: Callable[..., dict] | None = None
+    #: Trial parameters the CLI exposes: ``(name, type, help)``; a
+    #: ``bool`` becomes a flag.
+    options: tuple[tuple[str, type, str], ...] = ()
+    #: ``traced(*cell, seed, **params)`` → ``(world, result)`` with
+    #: ``world.tracer`` attached, and the cell whose load explains the
+    #: battery (``run_all --obs``, ``repro.obs trace``).
+    traced: Callable[..., tuple] | None = None
+    traced_cell: tuple = ()
+    #: ``--selftest``: a checklist ``selftest(check)`` calling
+    #: ``check(label, passed)`` per claim, or the parameters of a small
+    #: run whose ``holds`` is the verdict.
+    selftest: Callable[[Callable], None] | Mapping[str, Any] | None = None
+    #: What the component harness scores on: the trial whose row tuples
+    #: it compares (default ``trial``) and one ``(metric, reduce)`` per
+    #: column of that row.
+    score_trial: Callable[..., tuple] | None = None
+    reducers: tuple[tuple[str, Callable], ...] = ()
 
-    def add_pending(self, condition: str, pending: PendingSamples) -> None:
-        """Register one condition's in-flight battery."""
-        self._pending.append((condition, pending))
 
-    def collect(self) -> ExperimentResult:
-        """Wait for every battery and assemble the result."""
-        for condition, pending in self._pending:
-            self.result.add(condition, BoxStats.from_samples(pending.collect()))
-        self._pending.clear()
-        return self.result
+class Pending:
+    """A submitted battery; :meth:`collect` blocks for its result.
+
+    Cells are assembled in submission order, so the result is
+    byte-identical to a serial run however the pool interleaved them.
+    """
+
+    def __init__(self, battery: Battery, trials: int,
+                 cells: list[tuple[tuple, PendingSamples]],
+                 params: dict) -> None:
+        self.battery = battery
+        self._trials = trials
+        self._cells = cells
+        self._params = params
+
+    def collect(self) -> Any:
+        """Wait for every cell and assemble the battery's result."""
+        rows = {cell: samples.collect() for cell, samples in self._cells}
+        return self.battery.assemble(self._trials, rows, **self._params)
+
+
+def submit(battery: Battery, trials: int | None = None,
+           workers: int | None = None, base_seed: int | None = None,
+           cells: Sequence[tuple] | None = None, **params) -> Pending:
+    """Start every cell of ``battery`` on the shared pool.
+
+    ``trials`` / ``base_seed`` / ``cells`` default to the declaration
+    (paper scale); ``params`` reach both the trial and ``assemble``.
+    """
+    trials = battery.trials if trials is None else trials
+    base = battery.base_seed if base_seed is None else base_seed
+    if battery.configure is not None:
+        params = battery.configure(**params)
+    seeds = range(base, base + trials)
+    # functools.partial keeps the trial picklable for worker processes.
+    in_flight = [(cell, submit_samples(
+        functools.partial(battery.trial, *cell, **params), seeds,
+        workers=workers))
+        for cell in (battery.cells if cells is None else cells)]
+    return Pending(battery, trials, in_flight, params)
+
+
+def serial(compute: Callable[..., Any]) -> Callable[..., Any]:
+    """The ``assemble`` of a battery without pooled trials: all of its
+    work happens in ``compute(**params)`` when the result is collected."""
+    return lambda _trials, _rows_by_cell, **params: compute(**params)
+
+
+def run(battery: Battery, **kwargs) -> Any:
+    """``submit(battery, **kwargs).collect()``."""
+    return submit(battery, **kwargs).collect()
+
+
+def run_checklist(battery: Battery) -> bool:
+    """Run a checklist ``selftest``: one printed line per check, then
+    the verdict."""
+    started = time.perf_counter()
+    failed = []
+
+    def check(label: str, passed: bool) -> None:
+        print(f"{battery.name} {label}: {'ok' if passed else 'FAIL'}")
+        if not passed:
+            failed.append(label)
+
+    battery.selftest(check)
+    print(f"{battery.name} selftest: {'FAIL' if failed else 'PASS'} in "
+          f"{time.perf_counter() - started:.1f}s")
+    return not failed
+
+
+def to_json(value: Any) -> Any:
+    """A result as JSON-ready data; an object's own ``to_json`` wins."""
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if dataclasses.is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, Mapping):
+        return {key if isinstance(key, str) else " / ".join(map(str, key)):
+                to_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json(item) for item in value]
+    return value
+
+
+def write_json(path: "str | os.PathLike", result: Any) -> str:
+    """Persist a result's machine-readable form (the stable JSON the
+    obs artifacts use); returns the path."""
+    from repro.obs.export import write_artifact
+
+    return str(write_artifact(path, to_json(result)))
+
+
+# ---------------------------------------------------------------------------
+# World records
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class World:
+    """One freshly-built single-browser world."""
+
+    internet: Any
+    browser: Any
+    page: Any
+    #: Observability tracer, present when built with ``obs=True``.
+    tracer: Any = None
+    #: The origin server and the testbed's AS record, where a scenario
+    #: needs to reach them (fault worlds).
+    server: Any = None
+    ases: Any = None
+
+
+@dataclass
+class Crowd:
+    """One freshly-built world with a population of browsers."""
+
+    internet: Any
+    catalog: Any
+    #: ``(user_id, browser, plan-or-page, arrival_ms)`` per user.
+    users: list
+    tracer: Any = None
+    #: The scenario's sizing record, where it has one (overload).
+    config: Any = None
+
+
+def attach_tracer(internet, *browsers):
+    """One tracer across every browser stack, the revocation service
+    and the fast path of a world; returns it. Tracing is inert, so the
+    measured PLTs are bit-identical with and without it."""
+    from repro.obs.spans import Tracer
+
+    tracer = Tracer(internet.loop)
+    for browser in browsers:
+        browser.attach_tracer(tracer)
+    internet.revocations.tracer = tracer
+    if internet.fastpath is not None:
+        internet.fastpath.attach_tracer(tracer)
+    return tracer
+
+
+def load_page(world: World):
+    """Run the world's page load to completion; returns its result."""
+    return world.internet.loop.run_process(world.browser.load(world.page))

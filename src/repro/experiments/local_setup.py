@@ -27,11 +27,10 @@ from dataclasses import dataclass
 from repro.core.browser.brave import BraveBrowser
 from repro.core.browser.page import WebPage, content_for_origin, synthetic_page
 from repro.dns.resolver import Resolver
-from repro.experiments.harness import (ExperimentResult, PendingExperiment,
-                                       submit_samples)
+from repro.experiments.harness import (Battery, World, attach_tracer,
+                                       load_page, mean, plt_result)
 from repro.http.server import HttpServer
 from repro.internet.build import Internet
-from repro.obs.spans import Tracer
 from repro.topology.defaults import LOCAL_AS, local_testbed
 
 #: Origin names of the two file servers (Figure 2).
@@ -41,6 +40,9 @@ IP_ORIGIN = "tcpip-fs.local"
 #: The four Figure 3 conditions, in the paper's order.
 FIGURE3_CONDITIONS = ("SCION-only", "mixed SCION-IP", "strict-SCION",
                       "BGP/IP-only")
+
+#: Subresources of the local static site.
+N_RESOURCES = 12
 
 
 @dataclass(frozen=True)
@@ -64,17 +66,6 @@ class LocalCalibration:
 DEFAULT_CALIBRATION = LocalCalibration()
 
 
-@dataclass
-class LocalWorld:
-    """One freshly-built local testbed."""
-
-    internet: Internet
-    browser: BraveBrowser
-    page: WebPage
-    #: Observability tracer, present when built with ``obs=True``.
-    tracer: Tracer | None = None
-
-
 def make_page(condition: str, n_resources: int, seed: int) -> WebPage:
     """The static site for one Figure 3 condition."""
     if condition == "SCION-only":
@@ -96,12 +87,11 @@ def build_local_world(page: WebPage, seed: int,
                       calibration: LocalCalibration = DEFAULT_CALIBRATION,
                       extension_enabled: bool = True,
                       strict: bool = False,
-                      obs: bool = False) -> LocalWorld:
+                      obs: bool = False) -> World:
     """Assemble a fresh laptop world serving ``page``.
 
     ``obs=True`` attaches a :class:`~repro.obs.spans.Tracer` across the
-    whole browser stack (``world.tracer``); tracing is inert, so the
-    measured PLTs are bit-identical either way.
+    whole browser stack (``world.tracer``).
     """
     internet = Internet(local_testbed(), seed=seed,
                         host_jitter_ms=calibration.host_jitter_ms)
@@ -130,96 +120,82 @@ def build_local_world(page: WebPage, seed: int,
     )
     if strict:
         browser.extension.enable_strict_mode()
-    tracer = None
-    if obs:
-        tracer = Tracer(internet.loop)
-        browser.attach_tracer(tracer)
-        if internet.fastpath is not None:
-            internet.fastpath.attach_tracer(tracer)
-    return LocalWorld(internet=internet, browser=browser, page=page,
-                      tracer=tracer)
+    return World(internet, browser, page,
+                 tracer=attach_tracer(internet, browser) if obs else None)
 
 
-def load_once(world: LocalWorld) -> float:
+def load_once(world: World) -> float:
     """Run the page load to completion; returns the PLT in ms."""
-    result = world.internet.loop.run_process(world.browser.load(world.page))
-    return result.plt_ms
+    return load_page(world).plt_ms
 
 
-def figure3_trial(condition: str, seed: int, n_resources: int = 12,
-                  calibration: LocalCalibration = DEFAULT_CALIBRATION,
-                  obs: bool = False) -> float:
-    """One Figure 3 trial: fresh world, one page load, PLT out."""
-    return figure3_trial_events(condition, seed, n_resources=n_resources,
-                                calibration=calibration, obs=obs)[0]
+def figure3_load(condition: str, seed: int, n_resources: int = N_RESOURCES,
+                 calibration: LocalCalibration = DEFAULT_CALIBRATION,
+                 obs: bool = False):
+    """One Figure 3 load in a fresh world; returns ``(world, result)``.
 
-
-def figure3_trial_events(condition: str, seed: int, n_resources: int = 12,
-                         calibration: LocalCalibration = DEFAULT_CALIBRATION,
-                         obs: bool = False) -> tuple[float, float]:
-    """One Figure 3 trial returning ``(plt_ms, loop events processed)``."""
-    page = make_page(condition, n_resources, seed)
+    With ``obs=True`` ``world.tracer`` holds the span tree and metrics
+    of the load — artifact export and the waterfall acceptance tests
+    start here.
+    """
     world = build_local_world(
-        page, seed,
+        make_page(condition, n_resources, seed), seed,
         calibration=calibration,
         extension_enabled=condition != "BGP/IP-only",
         strict=condition == "strict-SCION",
         obs=obs,
     )
-    plt = load_once(world)
-    return plt, float(world.internet.loop.events_processed)
+    return world, load_page(world)
 
 
-def traced_figure3_load(condition: str = "mixed SCION-IP", seed: int = 100,
-                        n_resources: int = 12,
-                        calibration: LocalCalibration = DEFAULT_CALIBRATION
-                        ) -> tuple[LocalWorld, float]:
-    """One traced Figure 3 load; returns ``(world, plt_ms)``.
-
-    ``world.tracer`` holds the span tree and metrics of the load —
-    artifact export and the waterfall acceptance tests start here.
-    """
-    page = make_page(condition, n_resources, seed)
-    world = build_local_world(
-        page, seed,
-        calibration=calibration,
-        extension_enabled=condition != "BGP/IP-only",
-        strict=condition == "strict-SCION",
-        obs=True,
-    )
-    return world, load_once(world)
+def figure3_trial(condition: str, seed: int, **params) -> float:
+    """One Figure 3 trial: fresh world, one page load, PLT out."""
+    return figure3_load(condition, seed, **params)[1].plt_ms
 
 
-def submit_figure3(trials: int = 30, n_resources: int = 12,
-                   calibration: LocalCalibration = DEFAULT_CALIBRATION,
-                   base_seed: int = 100,
-                   workers: int | None = None) -> PendingExperiment:
-    """Submit every Figure 3 condition battery to the shared pool."""
-    pending = PendingExperiment(ExperimentResult(
-        name="Figure 3 — local setup Page Load Time",
-        description=(f"{trials} trials/condition, {n_resources} resources, "
-                     "loopback-grade links; PLT in ms"),
-    ))
-    seeds = range(base_seed, base_seed + trials)
-    for condition in FIGURE3_CONDITIONS:
-        # functools.partial keeps the trial picklable for worker processes.
-        pending.add_pending(condition, submit_samples(
-            functools.partial(figure3_trial, condition,
-                              n_resources=n_resources,
-                              calibration=calibration),
-            seeds, workers=workers))
-    pending.result.notes.append(
+def figure3_trial_events(condition: str, seed: int,
+                         **params) -> tuple[float, float]:
+    """One Figure 3 trial returning ``(plt_ms, loop events processed)``."""
+    world, result = figure3_load(condition, seed, **params)
+    return result.plt_ms, float(world.internet.loop.events_processed)
+
+
+def _assemble(trials: int, rows_by_cell, n_resources: int = N_RESOURCES,
+              **_params):
+    return plt_result(
+        "Figure 3 — local setup Page Load Time",
+        f"{trials} trials/condition, {n_resources} resources, "
+        "loopback-grade links; PLT in ms", rows_by_cell,
         "expected shape: SCION-only ≈ mixed > strict-SCION and "
         "BGP/IP-only (proxied loads pay the extension+proxy detour; "
         "strict blocks most resources)")
-    return pending
 
 
-def run_figure3(trials: int = 30, n_resources: int = 12,
-                calibration: LocalCalibration = DEFAULT_CALIBRATION,
-                base_seed: int = 100,
-                workers: int | None = None) -> ExperimentResult:
-    """Reproduce Figure 3: PLT per condition on the local testbed."""
-    return submit_figure3(trials=trials, n_resources=n_resources,
-                          calibration=calibration, base_seed=base_seed,
-                          workers=workers).collect()
+def _overhead_ms(figure3) -> float:
+    return figure3.median("SCION-only") - figure3.median("BGP/IP-only")
+
+
+def figure3_holds(figure3) -> bool:
+    """Whether the detour costs "approximately 100 ms" (the 50–200 ms
+    band) and strict mode, blocking most resources, loads faster than
+    SCION-only."""
+    return (50 <= _overhead_ms(figure3) <= 200
+            and figure3.median("strict-SCION") < figure3.median("SCION-only"))
+
+
+FIGURE3 = Battery(
+    name="figure3", label="Figure 3", title="Figure 3 — local setup PLT",
+    claim="SCION-only ≈ mixed ≈ baseline + ~100 ms; strict shorter "
+          "(blocks skip the proxy)",
+    measured=lambda figure3: (
+        f"overhead {_overhead_ms(figure3):.0f} ms; strict "
+        f"{figure3.median('strict-SCION'):.0f} ms vs SCION-only "
+        f"{figure3.median('SCION-only'):.0f} ms"),
+    holds=figure3_holds, assemble=_assemble,
+    cells=tuple((condition,) for condition in FIGURE3_CONDITIONS),
+    trial=figure3_trial, base_seed=100, trials=30,
+    traced=functools.partial(figure3_load, obs=True),
+    traced_cell=("mixed SCION-IP",),
+    score_trial=figure3_trial_events,
+    reducers=(("plt_ms", mean), ("events_total", sum)),
+)

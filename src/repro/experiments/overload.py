@@ -31,22 +31,17 @@ Reported per arm: goodput before/during the burst, p99 PLT per phase
 (wire attempts per fetch), and time-to-drain after the spike ends.
 Every trial is a pure function of ``(arm, seed, config)``, so serial
 and ``REPRO_WORKERS=4`` batteries are bit-identical (test-enforced);
-``python -m repro.experiments.overload --selftest`` is a ``make
-verify`` gate.
+``python -m repro.experiments overload --selftest`` is run by tier 1.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
-import json
 import random
-import sys
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
-from repro.experiments.harness import PendingSamples, submit_samples
-from repro.experiments.population import percentile
+from repro.experiments.harness import Battery, Crowd, mean
+# ``harvest_rows`` is re-exported: the benchmark calls it on this module.
+from repro.experiments.population import harvest_rows, percentile
 from repro.experiments.remote_setup import FAR_ORIGIN
 from repro.scion.admission import ADMISSION_ENV
 from repro.core.skip.breaker import BREAKER_ENV
@@ -156,17 +151,6 @@ class OverloadSample:
     events: int
 
 
-@dataclass
-class OverloadWorld:
-    """One built overload world, ready to run."""
-
-    internet: object
-    catalog: SiteCatalog
-    #: ``(user_id, browser, page, arrival_ms)`` per user.
-    users: list
-    config: OverloadConfig
-
-
 def overload_testbed(detour_mbps: float, direct_mbps: float):
     """The distributed testbed with *constrained*, disjoint core routes.
 
@@ -231,7 +215,7 @@ def overload_catalog(config: OverloadConfig) -> SiteCatalog:
 
 def build_overload_world(seed: int,
                          config: OverloadConfig = DEFAULT_CONFIG
-                         ) -> OverloadWorld:
+                         ) -> Crowd:
     """Assemble the constrained testbed with a flash-crowd population.
 
     The arm is *not* a parameter: protections are toggled through the
@@ -290,11 +274,10 @@ def build_overload_world(seed: int,
             site = 0
         users.append((user_id, browser, catalog.page_for(site),
                       arrivals[user_id]))
-    return OverloadWorld(internet=internet, catalog=catalog, users=users,
-                         config=config)
+    return Crowd(internet, catalog, users, config=config)
 
 
-def _user_load(world: OverloadWorld, browser, page, arrival_ms: float):
+def _user_load(world: Crowd, browser, page, arrival_ms: float):
     """One user's driver: arrive with the crowd, load the page once."""
     loop = world.internet.loop
     if loop.now < arrival_ms:
@@ -306,7 +289,7 @@ def _user_load(world: OverloadWorld, browser, page, arrival_ms: float):
              result.retry_budget_exhausted_count)]
 
 
-def start_crowd(world: OverloadWorld) -> list:
+def start_crowd(world: Crowd) -> list:
     """Spawn every user's page load as a loop process."""
     loop = world.internet.loop
     return [loop.process(_user_load(world, browser, page, arrival_ms),
@@ -314,17 +297,7 @@ def start_crowd(world: OverloadWorld) -> list:
             for user_id, browser, page, arrival_ms in world.users]
 
 
-def harvest_rows(processes) -> list:
-    """Load rows in user order; raises the first session error."""
-    rows = []
-    for process in processes:
-        if process.exception is not None:
-            raise process.exception
-        rows.extend(process.value)
-    return rows
-
-
-def collect_sample(world: OverloadWorld, arm: str, rows) -> OverloadSample:
+def collect_sample(world: Crowd, arm: str, rows) -> OverloadSample:
     """Aggregate a drained world into phase-partitioned overload stats."""
     internet = world.internet
     config = world.config
@@ -393,7 +366,7 @@ def collect_sample(world: OverloadWorld, arm: str, rows) -> OverloadSample:
 
 
 def drain_arm(arm: str, seed: int, config: OverloadConfig = DEFAULT_CONFIG
-              ) -> tuple[OverloadWorld, list]:
+              ) -> tuple[Crowd, list]:
     """Build one arm's world and run its crowd to quiescence; returns
     the drained world and its load rows (see :func:`harvest_rows`)."""
     from repro.internet.knobs import forced_many
@@ -497,23 +470,26 @@ class OverloadResult:
         }
 
 
-@dataclass
-class PendingOverload:
-    """A submitted overload battery; ``collect()`` blocks for it."""
-
-    result: OverloadResult
-    pending: list[tuple[str, PendingSamples]]
-
-    def collect(self) -> OverloadResult:
-        for arm, samples in self.pending:
-            self.result.samples[arm] = tuple(samples.collect())
-        return self.result
+def overload_scores(arm: str, seed: int,
+                    config: OverloadConfig = DEFAULT_CONFIG
+                    ) -> tuple[float, float, float, float]:
+    """One trial as the row the component harness scores:
+    ``(goodput_ratio, retry_amplification, shed_fraction, drain_ms)``."""
+    sample = overload_trial(arm, seed, config)
+    return (sample.goodput_ratio, sample.retry_amplification,
+            sample.shed_fraction, sample.time_to_drain_ms)
 
 
-def submit_overload(config: OverloadConfig = DEFAULT_CONFIG,
-                    trials: int = 2, base_seed: int = 1200, arms=ARMS,
-                    workers: int | None = None) -> PendingOverload:
-    """Submit every arm's trials to the shared pool."""
+def _configure(users: int | None = None,
+               config: OverloadConfig = DEFAULT_CONFIG) -> dict:
+    """``users=N`` is shorthand for the default scenario at another
+    crowd size."""
+    return {"config": config if users is None
+            else replace(config, users=users)}
+
+
+def _assemble(trials: int, rows_by_cell,
+              config: OverloadConfig) -> OverloadResult:
     result = OverloadResult(
         name="Overload battery — flash crowd vs. graceful degradation",
         description=(f"{config.users} users, "
@@ -528,41 +504,51 @@ def submit_overload(config: OverloadConfig = DEFAULT_CONFIG,
         "and a drain tail outliving the spike (metastable retry storm); "
         "protections-on sheds lookups onto the IP route, bounds "
         "amplification, and keeps burst goodput near the pre-spike rate")
-    seeds = range(base_seed, base_seed + trials)
-    pending = [
-        (arm, submit_samples(
-            functools.partial(overload_trial, arm, config=config),
-            seeds, workers=workers))
-        for arm in arms
-    ]
-    return PendingOverload(result=result, pending=pending)
+    for (arm,), samples in rows_by_cell.items():
+        result.samples[arm] = tuple(samples)
+    return result
 
 
-def run_overload(config: OverloadConfig = DEFAULT_CONFIG, trials: int = 2,
-                 base_seed: int = 1200, arms=ARMS,
-                 workers: int | None = None) -> OverloadResult:
-    """Run the full overload battery and collect the report."""
-    return submit_overload(config=config, trials=trials,
-                           base_seed=base_seed, arms=arms,
-                           workers=workers).collect()
+def overload_holds(result: OverloadResult) -> bool:
+    """Whether the overload battery matched §4.2's graceful-degradation
+    shape: protections off, the retry storm amplifies load and outlives
+    the spike; protections on, queues stay bounded, shedding is explicit,
+    and burst goodput beats the naive arm."""
+    spike_start, spike_end = burst_window_ms(DEFAULT_CONFIG.arrival)
+    spike_ms = spike_end - spike_start
+    on_samples = result.samples["protections-on"]
+    off_samples = result.samples["protections-off"]
+    for off in off_samples:
+        if off.retry_amplification <= 2.0 or off.time_to_drain_ms <= spike_ms:
+            return False
+        if off.requests_shed != 0:
+            return False
+    for on in on_samples:
+        if on.requests_shed == 0 or on.time_to_drain_ms > spike_ms:
+            return False
+    return (mean(s.goodput_ratio for s in on_samples)
+            > mean(s.goodput_ratio for s in off_samples))
+
+
+def _measured(result: OverloadResult) -> str:
+    on_samples = result.samples["protections-on"]
+    off_ampl = mean(s.retry_amplification
+                    for s in result.samples["protections-off"])
+    return (f"protections off: {off_ampl:.1f}× retry amplification, "
+            f"overload outlives the spike; on: "
+            f"{mean(s.shed_fraction for s in on_samples):.0%} shed "
+            f"explicitly, burst goodput "
+            f"{mean(s.goodput_ratio for s in on_samples):.1f}× pre-spike, "
+            "drains within the spike window")
 
 
 # ---------------------------------------------------------------------------
-# Selftest (the make-verify gate)
+# Selftest (``python -m repro.experiments overload --selftest``)
 # ---------------------------------------------------------------------------
 
 
-def selftest(verbose: bool = True) -> bool:
+def selftest(check) -> None:
     """Determinism + the on/off contrast, in seconds."""
-    started = time.perf_counter()
-    ok = True
-
-    def check(label: str, passed: bool) -> None:
-        nonlocal ok
-        ok = ok and passed
-        if verbose:
-            print(f"overload {label}: {'ok' if passed else 'FAIL'}")
-
     config = DEFAULT_CONFIG
     on = overload_trial("protections-on", 1210, config)
     again = overload_trial("protections-on", 1210, config)
@@ -599,39 +585,20 @@ def selftest(verbose: bool = True) -> bool:
           on.plt_p99_post_ms <= max(2.0 * on.plt_p99_pre_ms,
                                     1.25 * on.plt_p99_burst_ms))
 
-    if verbose:
-        elapsed = time.perf_counter() - started
-        print(f"overload selftest: {'PASS' if ok else 'FAIL'} "
-              f"in {elapsed:.1f}s")
-    return ok
 
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI: the selftest gate or a one-off battery run."""
-    parser = argparse.ArgumentParser(
-        description="flash-crowd overload battery")
-    parser.add_argument("--selftest", action="store_true",
-                        help="determinism + contrast gate (<10 s)")
-    parser.add_argument("--users", type=int, default=None,
-                        help=f"crowd size (default {DEFAULT_CONFIG.users})")
-    parser.add_argument("--trials", type=int, default=2)
-    parser.add_argument("--json", type=str, default=None,
-                        help="also write the report as JSON to this path")
-    args = parser.parse_args(argv)
-    if args.selftest:
-        return 0 if selftest() else 1
-    config = DEFAULT_CONFIG
-    if args.users is not None:
-        from dataclasses import replace
-        config = replace(config, users=args.users)
-    result = run_overload(config=config, trials=args.trials)
-    print(result.render())
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(result.to_json(), handle, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+# Two seeds per arm of the flash-crowd contrast.
+OVERLOAD = Battery(
+    name="overload", label="Overload battery",
+    title="Overload battery — flash crowd vs. graceful degradation",
+    claim="§4.2: shared network infrastructure must degrade gracefully "
+          "under a flash crowd — admission control and retry budgets "
+          "prevent metastable retry storms",
+    measured=_measured, holds=overload_holds, assemble=_assemble,
+    cells=tuple((arm,) for arm in ARMS), trial=overload_trial,
+    base_seed=1200, trials=2, opt_in=True, artifact="overload.json",
+    configure=_configure,
+    options=(("users", int, f"crowd size (default {DEFAULT_CONFIG.users})"),),
+    selftest=selftest, score_trial=overload_scores,
+    reducers=(("goodput_ratio", mean), ("retry_amplification", mean),
+              ("shed_fraction", mean), ("drain_ms", mean)),
+)

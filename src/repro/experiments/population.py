@@ -22,27 +22,28 @@ Determinism: the workload is materialized from dedicated string-seeded
 RNG streams before the world runs, every trial is a pure function of
 its arguments, and samples are frozen dataclasses — so serial and
 ``REPRO_WORKERS=4`` batteries are bit-identical, and
-``python -m repro.experiments.population --selftest`` (a
-``make verify`` gate) checks exactly that plus leak-free interrupted
-runs. ``REPRO_FASTPATH`` applies unchanged because the battery builds
+``python -m repro.experiments population --selftest`` (run by tier 1)
+checks exactly that plus leak-free interrupted runs. ``REPRO_FASTPATH`` applies unchanged because the battery builds
 worlds through the ordinary :class:`~repro.internet.build.Internet`
 facade.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
-import json
-import sys
-import time
 from dataclasses import asdict, dataclass, field
 
-from repro.experiments.harness import PendingSamples, submit_samples
+from repro.core.browser.brave import BraveBrowser
+from repro.core.ppl.policies import latency_optimized
+from repro.dns.resolver import Resolver
+from repro.experiments.harness import Battery, Crowd, attach_tracer
 from repro.experiments.remote_setup import (CDN_ORIGIN, FAR_ORIGIN,
-                                            NEAR2_ORIGIN, NEAR_ORIGIN)
+                                            NEAR2_ORIGIN, NEAR_ORIGIN,
+                                            place_origins)
+from repro.internet.build import Internet
+from repro.internet.knobs import resolve_int_knob
+from repro.topology.defaults import remote_testbed
 from repro.workload.arrivals import ArrivalCurve, arrival_times
-from repro.workload.catalog import SiteCatalog, default_catalog
+from repro.workload.catalog import default_catalog
 from repro.workload.session import DEFAULT_SESSION, SessionConfig, plan_session
 
 #: Default population size for the full battery (``run_all
@@ -87,17 +88,6 @@ class PopulationSample:
     as_link_bytes: tuple[tuple[str, int], ...]
 
 
-@dataclass
-class PopulationWorld:
-    """One built population world."""
-
-    internet: object
-    catalog: SiteCatalog
-    #: ``(user_id, browser, plan, arrival_ms)`` per user.
-    users: list
-    tracer: object | None = None
-
-
 def percentile(sorted_values, q: float) -> float:
     """Linear-interpolation percentile of an ascending sequence."""
     if not sorted_values:
@@ -113,8 +103,6 @@ def percentile(sorted_values, q: float) -> float:
 
 def resolve_users(override: int | None = None) -> int:
     """Population size: explicit override beats ``REPRO_POPULATION_USERS``."""
-    from repro.internet.knobs import resolve_int_knob
-
     return resolve_int_knob(USERS_ENV, override, DEFAULT_USERS, minimum=1)
 
 
@@ -122,7 +110,7 @@ def build_population_world(mode: str, seed: int, users: int,
                            sites: int = DEFAULT_SITES,
                            arrival: ArrivalCurve = DEFAULT_ARRIVAL,
                            session: SessionConfig = DEFAULT_SESSION,
-                           obs: bool = False) -> PopulationWorld:
+                           obs: bool = False) -> Crowd:
     """Assemble the distributed testbed with a browsing population.
 
     Origins mirror :mod:`repro.experiments.remote_setup` (legacy TCP
@@ -131,15 +119,6 @@ def build_population_world(mode: str, seed: int, users: int,
     world is jitter-free: population tails should come from load, not
     injected noise.
     """
-    from repro.core.browser.brave import BraveBrowser
-    from repro.core.ppl.policies import latency_optimized
-    from repro.dns.resolver import Resolver
-    from repro.http.reverse_proxy import ScionReverseProxy
-    from repro.http.server import HttpServer
-    from repro.internet.build import Internet
-    from repro.obs.spans import Tracer
-    from repro.topology.defaults import remote_testbed
-
     topology, ases = remote_testbed()
     internet = Internet(topology, seed=seed)
     resolver = Resolver(internet.loop, lookup_latency_ms=4.0)
@@ -148,28 +127,9 @@ def build_population_world(mode: str, seed: int, users: int,
         sites,
         origins=(FAR_ORIGIN, NEAR_ORIGIN, NEAR2_ORIGIN, CDN_ORIGIN),
         seed=seed)
-    placements = {
-        FAR_ORIGIN: ases.remote_server,
-        NEAR_ORIGIN: ases.nearby_server,
-        NEAR2_ORIGIN: ases.nearby_server,
-        CDN_ORIGIN: ases.third_server,
-    }
-    for origin, isd_as in placements.items():
-        label = origin.split(".")[0]
-        server_host = internet.add_host(f"origin-{label}", isd_as)
-        rp_host = internet.add_host(f"rp-{label}", isd_as)
-        HttpServer(server_host, catalog.origin_content(origin),
-                   serve_tcp=True, serve_quic=False)
-        ScionReverseProxy(rp_host, server_host.addr,
-                          advertise_strict_scion_max_age=3600)
-        resolver.register_host(origin, ip_address=server_host.addr,
-                               scion_address=rp_host.addr)
+    place_origins(internet, resolver, ases, catalog.origin_content)
 
     hosts = internet.add_population("user", ases.client, users)
-    tracer = Tracer(internet.loop) if obs else None
-    if tracer is not None and internet.fastpath is not None:
-        internet.fastpath.attach_tracer(tracer)
-
     population = []
     arrivals = arrival_times(users, arrival, seed)
     for user_id, host in enumerate(hosts):
@@ -182,15 +142,14 @@ def build_population_world(mode: str, seed: int, users: int,
         if mode == "strict-SCION":
             browser.extension.enable_strict_mode()
         browser.extension.apply_settings()
-        if tracer is not None:
-            browser.attach_tracer(tracer)
         plan = plan_session(catalog, user_id, seed, session)
         population.append((user_id, browser, plan, arrivals[user_id]))
-    return PopulationWorld(internet=internet, catalog=catalog,
-                           users=population, tracer=tracer)
+    tracer = attach_tracer(internet, *(user[1] for user in population)) \
+        if obs else None
+    return Crowd(internet, catalog, population, tracer=tracer)
 
 
-def _user_session(world: PopulationWorld, browser, plan, arrival_ms: float):
+def _user_session(world: Crowd, browser, plan, arrival_ms: float):
     """One user's driver process: arrive, browse the plan, think."""
     loop = world.internet.loop
     if loop.now < arrival_ms:
@@ -215,7 +174,7 @@ def _user_session(world: PopulationWorld, browser, plan, arrival_ms: float):
     return rows
 
 
-def start_sessions(world: PopulationWorld) -> list:
+def start_sessions(world: Crowd) -> list:
     """Spawn every user's session as a loop process."""
     loop = world.internet.loop
     return [loop.process(_user_session(world, browser, plan, arrival_ms),
@@ -246,14 +205,14 @@ def as_link_bytes(named_bytes) -> tuple[tuple[str, int], ...]:
     return tuple(sorted(per_as.items()))
 
 
-def _pool_client_stats(world: PopulationWorld):
+def _pool_client_stats(world: Crowd):
     """Both HTTP clients (proxy + direct) of every browser."""
     for _user_id, browser, _plan, _arrival in world.users:
         yield browser.proxy.client.stats
         yield browser._direct_engine.fetcher.client.stats
 
 
-def collect_sample(world: PopulationWorld, mode: str, users: int,
+def collect_sample(world: Crowd, mode: str, users: int,
                    rows) -> PopulationSample:
     """Aggregate a drained world + harvested session rows into a sample."""
     internet = world.internet
@@ -309,7 +268,7 @@ def harvest_rows(processes) -> list:
     return rows
 
 
-def population_leak_report(world: PopulationWorld) -> list[str]:
+def population_leak_report(world: Crowd) -> list[str]:
     """Resource-leak audit of a drained (or interrupted) world.
 
     Returns human-readable violations; empty means quiescent. Covers
@@ -454,27 +413,13 @@ class PopulationResult:
         }
 
 
-@dataclass
-class PendingPopulation:
-    """A submitted population battery; ``collect()`` blocks for it."""
-
-    result: PopulationResult
-    pending: list[tuple[str, PendingSamples]]
-
-    def collect(self) -> PopulationResult:
-        for mode, samples in self.pending:
-            self.result.samples[mode] = tuple(samples.collect())
-        return self.result
+def _configure(users: int | None = None, **params) -> dict:
+    """The city size is resolved once, in the submitting process."""
+    return {"users": resolve_users(users), **params}
 
 
-def submit_population(users: int | None = None, sites: int = DEFAULT_SITES,
-                      trials: int = 2, base_seed: int = 900,
-                      modes=MODES,
-                      arrival: ArrivalCurve = DEFAULT_ARRIVAL,
-                      session: SessionConfig = DEFAULT_SESSION,
-                      workers: int | None = None) -> PendingPopulation:
-    """Submit every mode's trials to the shared pool."""
-    users = resolve_users(users)
+def _assemble(trials: int, rows_by_cell, users: int,
+              sites: int = DEFAULT_SITES, **_params) -> PopulationResult:
     result = PopulationResult(
         name="Population battery — a city browses",
         description=(f"{users} users, {sites} Zipf sites, {trials} "
@@ -486,45 +431,41 @@ def submit_population(users: int | None = None, sites: int = DEFAULT_SITES,
         "expected shape: opportunistic ≈ strict < BGP/IP-only on p99 for "
         "far-origin sites (SCION detour beats the slow direct core link); "
         "daemon hit rate ≫ 0 from revisit locality")
-    seeds = range(base_seed, base_seed + trials)
-    pending = [
-        (mode, submit_samples(
-            functools.partial(population_trial, mode, users=users,
-                              sites=sites, arrival=arrival, session=session),
-            seeds, workers=workers))
-        for mode in modes
-    ]
-    return PendingPopulation(result=result, pending=pending)
+    for (mode,), samples in rows_by_cell.items():
+        result.samples[mode] = tuple(samples)
+    return result
 
 
-def run_population(users: int | None = None, sites: int = DEFAULT_SITES,
-                   trials: int = 2, base_seed: int = 900, modes=MODES,
-                   arrival: ArrivalCurve = DEFAULT_ARRIVAL,
-                   session: SessionConfig = DEFAULT_SESSION,
-                   workers: int | None = None) -> PopulationResult:
-    """Run the full population battery and collect the report."""
-    return submit_population(users=users, sites=sites, trials=trials,
-                             base_seed=base_seed, modes=modes,
-                             arrival=arrival, session=session,
-                             workers=workers).collect()
+def population_holds(result: PopulationResult) -> bool:
+    """Whether the population battery matched its expected shape: every
+    mode completed loads without failures (the world is fault-free),
+    and revisit locality kept the SCION modes' daemon caches warm."""
+    for mode, samples in result.samples.items():
+        if any(s.loads == 0 or s.failed_loads > 0 for s in samples):
+            return False
+        if mode != "BGP/IP-only" and \
+                any(s.daemon_cache_hit_rate <= 0.0 for s in samples):
+            return False
+    return True
+
+
+def _measured(result: PopulationResult) -> str:
+    opportunistic = result.samples["opportunistic-SCION"][0]
+    baseline = result.samples["BGP/IP-only"][0]
+    return (f"{result.users} users: p99 "
+            f"{opportunistic.plt_p99_ms:.0f} ms opportunistic vs "
+            f"{baseline.plt_p99_ms:.0f} ms BGP/IP-only; daemon hit rate "
+            f"{opportunistic.daemon_cache_hit_rate:.0%}, path-server "
+            f"{opportunistic.path_server_qps:.0f} qps")
 
 
 # ---------------------------------------------------------------------------
-# Selftest (the make-verify gate)
+# Selftest (``python -m repro.experiments population --selftest``)
 # ---------------------------------------------------------------------------
 
 
-def selftest(verbose: bool = True) -> bool:
+def selftest(check) -> None:
     """Determinism + sanity + interrupted-run leak audit, in seconds."""
-    started = time.perf_counter()
-    ok = True
-
-    def check(label: str, passed: bool) -> None:
-        nonlocal ok
-        ok = ok and passed
-        if verbose:
-            print(f"population {label}: {'ok' if passed else 'FAIL'}")
-
     small = dict(users=14, sites=10,
                  arrival=ArrivalCurve(window_ms=3_000.0))
     first = population_trial("opportunistic-SCION", 910, **small)
@@ -553,42 +494,24 @@ def selftest(verbose: bool = True) -> bool:
     world.internet.run()
     leaks = population_leak_report(world)
     check("interrupted run leaks nothing", not leaks)
-    if leaks and verbose:
-        for leak in leaks[:8]:
-            print(f"  leak: {leak}")
-
-    if verbose:
-        elapsed = time.perf_counter() - started
-        print(f"population selftest: {'PASS' if ok else 'FAIL'} "
-              f"in {elapsed:.1f}s")
-    return ok
+    for leak in leaks[:8]:
+        print(f"  leak: {leak}")
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI: the selftest gate or a one-off battery run."""
-    parser = argparse.ArgumentParser(
-        description="population-scale workload battery")
-    parser.add_argument("--selftest", action="store_true",
-                        help="determinism + leak gate (<10 s)")
-    parser.add_argument("--users", type=int, default=None,
-                        help=f"population size (default: {USERS_ENV}, "
-                             f"else {DEFAULT_USERS})")
-    parser.add_argument("--sites", type=int, default=DEFAULT_SITES)
-    parser.add_argument("--trials", type=int, default=2)
-    parser.add_argument("--json", type=str, default=None,
-                        help="also write the report as JSON to this path")
-    args = parser.parse_args(argv)
-    if args.selftest:
-        return 0 if selftest() else 1
-    result = run_population(users=args.users, sites=args.sites,
-                            trials=args.trials)
-    print(result.render())
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(result.to_json(), handle, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+# One city-scale trial per transport mode is the report's size; the
+# three modes overlap on the shared pool with every other battery.
+POPULATION = Battery(
+    name="population", label="Population battery",
+    title="Population battery — a city browses",
+    claim="§4/§5: daemon caches, pooled proxy connections, and "
+          "path-aware transports keep tail latency bounded when a whole "
+          "city browses at once",
+    measured=_measured, holds=population_holds, assemble=_assemble,
+    cells=tuple((mode,) for mode in MODES), trial=population_trial,
+    base_seed=900, trials=1, opt_in=True, artifact="population.json",
+    configure=_configure,
+    options=(("users", int, f"population size (default: ${USERS_ENV}, "
+                            f"else {DEFAULT_USERS})"),
+             ("sites", int, f"catalog size (default {DEFAULT_SITES})")),
+    selftest=selftest,
+)

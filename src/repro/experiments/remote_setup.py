@@ -29,12 +29,11 @@ from repro.core.browser.brave import BraveBrowser
 from repro.core.browser.page import WebPage, content_for_origin, synthetic_page
 from repro.core.ppl.policies import latency_optimized
 from repro.dns.resolver import Resolver
-from repro.experiments.harness import (ExperimentResult, PendingExperiment,
-                                       submit_samples)
+from repro.experiments.harness import (Battery, World, attach_tracer,
+                                       load_page, plt_result)
 from repro.http.reverse_proxy import ScionReverseProxy
 from repro.http.server import HttpServer
 from repro.internet.build import Internet
-from repro.obs.spans import Tracer
 from repro.topology.defaults import remote_testbed
 
 #: Origin host names.
@@ -46,6 +45,9 @@ CDN_ORIGIN = "cdn.example"
 #: Conditions of Figures 5 and 6, in presentation order.
 REMOTE_CONDITIONS = ("single origin / SCION", "single origin / IPv4-6",
                      "multiple origins / SCION", "multiple origins / IPv4-6")
+
+#: Subresources of the remote pages.
+N_RESOURCES = 9
 
 
 @dataclass(frozen=True)
@@ -62,17 +64,6 @@ class RemoteCalibration:
 DEFAULT_REMOTE_CALIBRATION = RemoteCalibration()
 
 
-@dataclass
-class RemoteWorld:
-    """One freshly-built distributed testbed."""
-
-    internet: Internet
-    browser: BraveBrowser
-    page: WebPage
-    #: Observability tracer, present when built with ``obs=True``.
-    tracer: Tracer | None = None
-
-
 def make_remote_page(primary: str, multi_origin: bool, n_resources: int,
                      seed: int) -> WebPage:
     """A page on ``primary``, optionally pulling from other origins."""
@@ -86,18 +77,11 @@ def make_remote_page(primary: str, multi_origin: bool, n_resources: int,
                           seed=seed)
 
 
-def build_remote_world(page: WebPage, seed: int,
-                       calibration: RemoteCalibration = DEFAULT_REMOTE_CALIBRATION,
-                       extension_enabled: bool = True,
-                       obs: bool = False) -> RemoteWorld:
-    """Assemble a fresh distributed testbed serving ``page``."""
-    topology, ases = remote_testbed()
-    internet = Internet(topology, seed=seed,
-                        host_jitter_ms=calibration.host_jitter_ms)
-    client = internet.add_host("client", ases.client)
-    resolver = Resolver(internet.loop,
-                        lookup_latency_ms=calibration.dns_latency_ms)
-
+def place_origins(internet: Internet, resolver: Resolver, ases,
+                  content_for) -> None:
+    """The four origins of Figure 4: each a legacy TCP/IP server fronted
+    by a SCION reverse proxy in its own AS, serving
+    ``content_for(origin)``."""
     placements = {
         FAR_ORIGIN: ases.remote_server,
         NEAR_ORIGIN: ases.nearby_server,
@@ -108,12 +92,27 @@ def build_remote_world(page: WebPage, seed: int,
         label = origin.split(".")[0]
         server_host = internet.add_host(f"origin-{label}", isd_as)
         rp_host = internet.add_host(f"rp-{label}", isd_as)
-        HttpServer(server_host, content_for_origin(page, origin),
+        HttpServer(server_host, content_for(origin),
                    serve_tcp=True, serve_quic=False)
         ScionReverseProxy(rp_host, server_host.addr,
                           advertise_strict_scion_max_age=3600)
         resolver.register_host(origin, ip_address=server_host.addr,
                                scion_address=rp_host.addr)
+
+
+def build_remote_world(page: WebPage, seed: int,
+                       calibration: RemoteCalibration = DEFAULT_REMOTE_CALIBRATION,
+                       extension_enabled: bool = True,
+                       obs: bool = False) -> World:
+    """Assemble a fresh distributed testbed serving ``page``."""
+    topology, ases = remote_testbed()
+    internet = Internet(topology, seed=seed,
+                        host_jitter_ms=calibration.host_jitter_ms)
+    client = internet.add_host("client", ases.client)
+    resolver = Resolver(internet.loop,
+                        lookup_latency_ms=calibration.dns_latency_ms)
+    place_origins(internet, resolver, ases,
+                  functools.partial(content_for_origin, page))
 
     browser = BraveBrowser(
         client, resolver,
@@ -127,112 +126,80 @@ def build_remote_world(page: WebPage, seed: int,
     # (this is what lets SCION pick the detour in Figure 5).
     browser.settings.extra_policies.append(latency_optimized())
     browser.extension.apply_settings()
-    tracer = None
-    if obs:
-        tracer = Tracer(internet.loop)
-        browser.attach_tracer(tracer)
-        if internet.fastpath is not None:
-            internet.fastpath.attach_tracer(tracer)
-    return RemoteWorld(internet=internet, browser=browser, page=page,
-                       tracer=tracer)
+    return World(internet, browser, page,
+                 tracer=attach_tracer(internet, browser) if obs else None)
 
 
-def remote_trial(primary: str, condition: str, seed: int,
-                 n_resources: int = 9,
-                 calibration: RemoteCalibration = DEFAULT_REMOTE_CALIBRATION,
-                 obs: bool = False) -> float:
-    """One trial of Figure 5 (``primary=FAR_ORIGIN``) or Figure 6
-    (``primary=NEAR_ORIGIN``); returns the PLT in ms."""
-    multi = condition.startswith("multiple")
-    over_scion = condition.endswith("SCION")
-    page = make_remote_page(primary, multi_origin=multi,
+def remote_load(primary: str, condition: str, seed: int,
+                n_resources: int = N_RESOURCES,
+                calibration: RemoteCalibration = DEFAULT_REMOTE_CALIBRATION,
+                obs: bool = False):
+    """One load of Figure 5 (``primary=FAR_ORIGIN``) or Figure 6
+    (``primary=NEAR_ORIGIN``) in a fresh world; returns ``(world,
+    result)``."""
+    page = make_remote_page(primary,
+                            multi_origin=condition.startswith("multiple"),
                             n_resources=n_resources, seed=seed)
     world = build_remote_world(page, seed, calibration=calibration,
-                               extension_enabled=over_scion, obs=obs)
-    result = world.internet.loop.run_process(world.browser.load(world.page))
-    return result.plt_ms
+                               extension_enabled=condition.endswith("SCION"),
+                               obs=obs)
+    return world, load_page(world)
 
 
-def traced_remote_load(condition: str = "single origin / SCION",
-                       seed: int = 500, n_resources: int = 9,
-                       primary: str = FAR_ORIGIN,
-                       calibration: RemoteCalibration = DEFAULT_REMOTE_CALIBRATION
-                       ) -> tuple[RemoteWorld, float]:
-    """One traced remote load; returns ``(world, plt_ms)``."""
-    multi = condition.startswith("multiple")
-    over_scion = condition.endswith("SCION")
-    page = make_remote_page(primary, multi_origin=multi,
-                            n_resources=n_resources, seed=seed)
-    world = build_remote_world(page, seed, calibration=calibration,
-                               extension_enabled=over_scion, obs=True)
-    result = world.internet.loop.run_process(world.browser.load(world.page))
-    return world, result.plt_ms
+def remote_trial(primary: str, condition: str, seed: int, **params) -> float:
+    """One Figure 5 / Figure 6 trial; returns the PLT in ms."""
+    return remote_load(primary, condition, seed, **params)[1].plt_ms
 
 
-def _submit_remote(primary: str, result: ExperimentResult, trials: int,
-                   n_resources: int, calibration: RemoteCalibration,
-                   base_seed: int, workers: int | None) -> PendingExperiment:
-    pending = PendingExperiment(result)
-    seeds = range(base_seed, base_seed + trials)
-    for condition in REMOTE_CONDITIONS:
-        pending.add_pending(condition, submit_samples(
-            functools.partial(remote_trial, primary, condition,
-                              n_resources=n_resources,
-                              calibration=calibration),
-            seeds, workers=workers))
-    return pending
+def _gain_ms(result) -> float:
+    """Single-origin median PLT saved by loading over SCION (negative:
+    SCION costs an overhead)."""
+    return (result.median("single origin / IPv4-6")
+            - result.median("single origin / SCION"))
 
 
-def submit_figure5(trials: int = 20, n_resources: int = 9,
-                   calibration: RemoteCalibration = DEFAULT_REMOTE_CALIBRATION,
-                   base_seed: int = 500,
-                   workers: int | None = None) -> PendingExperiment:
-    """Submit every Figure 5 condition battery to the shared pool."""
-    result = ExperimentResult(
-        name="Figure 5 — remote page PLT (SCION vs IPv4/6)",
-        description=(f"{trials} trials/condition, {n_resources} resources; "
-                     "BGP routes over a 75 ms direct link, SCION detours "
-                     "via ISD 3 (46 ms)"),
-    )
-    result.notes.append(
-        "expected shape: SCION significantly faster than IPv4/6 for both "
-        "page variants (path-aware low-latency path selection)")
-    return _submit_remote(FAR_ORIGIN, result, trials, n_resources,
-                          calibration, base_seed, workers)
+def _measured(result, word: str, delta_ms: float) -> str:
+    return (f"SCION {result.median('single origin / SCION'):.0f} ms vs "
+            f"IPv4/6 {result.median('single origin / IPv4-6'):.0f} ms "
+            f"({word} {delta_ms:.0f} ms)")
 
 
-def run_figure5(trials: int = 20, n_resources: int = 9,
-                calibration: RemoteCalibration = DEFAULT_REMOTE_CALIBRATION,
-                base_seed: int = 500,
-                workers: int | None = None) -> ExperimentResult:
-    """Reproduce Figure 5: remote pages over SCION vs IPv4/6."""
-    return submit_figure5(trials=trials, n_resources=n_resources,
-                          calibration=calibration, base_seed=base_seed,
-                          workers=workers).collect()
+def _remote_battery(primary: str, base_seed: int, result_name: str,
+                    setting: str, note: str, **declared) -> Battery:
+    """What Figures 5 and 6 share — conditions, trial count, the traced
+    cell; they differ in primary origin, base seed and prose."""
+
+    def assemble(trials, rows_by_cell, n_resources=N_RESOURCES, **_params):
+        return plt_result(
+            result_name, f"{trials} trials/condition, {n_resources} "
+            f"resources; {setting}", rows_by_cell, note)
+
+    return Battery(
+        assemble=assemble,
+        cells=tuple((condition,) for condition in REMOTE_CONDITIONS),
+        trial=functools.partial(remote_trial, primary),
+        base_seed=base_seed, trials=20,
+        traced=functools.partial(remote_load, primary, obs=True),
+        traced_cell=("single origin / SCION",), **declared)
 
 
-def submit_figure6(trials: int = 20, n_resources: int = 9,
-                   calibration: RemoteCalibration = DEFAULT_REMOTE_CALIBRATION,
-                   base_seed: int = 600,
-                   workers: int | None = None) -> PendingExperiment:
-    """Submit every Figure 6 condition battery to the shared pool."""
-    result = ExperimentResult(
-        name="Figure 6 — AS-local page PLT (SCION vs IPv4/6)",
-        description=(f"{trials} trials/condition, {n_resources} resources; "
-                     "SCION and BGP paths coincide (≈5.6 ms one-way)"),
-    )
-    result.notes.append(
-        "expected shape: SCION slightly slower than IPv4/6 (similar paths, "
-        "small extension+proxy overhead)")
-    return _submit_remote(NEAR_ORIGIN, result, trials, n_resources,
-                          calibration, base_seed, workers)
+FIGURE5 = _remote_battery(
+    FAR_ORIGIN, 500, "Figure 5 — remote page PLT (SCION vs IPv4/6)",
+    "BGP routes over a 75 ms direct link, SCION detours via ISD 3 (46 ms)",
+    "expected shape: SCION significantly faster than IPv4/6 for both "
+    "page variants (path-aware low-latency path selection)",
+    name="figure5", label="Figure 5", title="Figure 5 — remote pages",
+    claim="remote page loads significantly faster over SCION "
+          "(path-aware low-latency path)",
+    measured=lambda result: _measured(result, "gain", _gain_ms(result)),
+    holds=lambda result: _gain_ms(result) > 0)
 
-
-def run_figure6(trials: int = 20, n_resources: int = 9,
-                calibration: RemoteCalibration = DEFAULT_REMOTE_CALIBRATION,
-                base_seed: int = 600,
-                workers: int | None = None) -> ExperimentResult:
-    """Reproduce Figure 6: AS-local pages over SCION vs IPv4/6."""
-    return submit_figure6(trials=trials, n_resources=n_resources,
-                          calibration=calibration, base_seed=base_seed,
-                          workers=workers).collect()
+FIGURE6 = _remote_battery(
+    NEAR_ORIGIN, 600, "Figure 6 — AS-local page PLT (SCION vs IPv4/6)",
+    "SCION and BGP paths coincide (≈5.6 ms one-way)",
+    "expected shape: SCION slightly slower than IPv4/6 (similar paths, "
+    "small extension+proxy overhead)",
+    name="figure6", label="Figure 6", title="Figure 6 — AS-local pages",
+    claim="AS-local page: SCION adds a small overhead, paths similar",
+    measured=lambda result: _measured(result, "overhead", -_gain_ms(result)),
+    holds=lambda result: _gain_ms(result) < 0)

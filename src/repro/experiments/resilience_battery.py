@@ -27,30 +27,14 @@ worker-pool runs are bit-identical, like every other battery.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
-from repro.core.browser.brave import BraveBrowser
-from repro.core.browser.page import content_for_origin, synthetic_page
-from repro.core.ppl.policies import latency_optimized
-from repro.dns.resolver import Resolver
-from repro.experiments.fault_battery import (
-    CHAOS_REQUEST_TIMEOUT_MS,
-    ORIGIN,
-    FaultWorld,
-)
-from repro.experiments.harness import BoxStats, PendingSamples, submit_samples
-from repro.http.server import HttpServer
-from repro.internet.build import Internet
-from repro.obs.spans import Tracer
+from repro.experiments.fault_battery import MODES, build_fault_world
+from repro.experiments.harness import Battery, BoxStats, World, mean
 from repro.simnet.faults import FaultSchedule, inject
-from repro.topology.defaults import remote_testbed
 
 #: The battery's two control-plane conditions, in presentation order.
 REVOCATION_CONDITIONS = (True, False)
-
-#: Proxy modes, in presentation order.
-MODES = ("opportunistic", "strict")
 
 #: Page loads per trial session and their cadence.
 SESSION_LOADS = 6
@@ -61,50 +45,8 @@ LOAD_PERIOD_MS = 15_000.0
 #: zero point.
 FLAPS = ((10_000.0, 15_000.0), (32_000.0, 8_000.0), (55_000.0, 10_000.0))
 
-#: When a session never produces a clean load after the first fault,
-#: TTR saturates at the session window's end.
-SESSION_WINDOW_MS = SESSION_LOADS * LOAD_PERIOD_MS
-
 #: Subresources per page (5 fetches per load with the main document).
 N_RESOURCES = 4
-
-
-def build_resilience_world(seed: int, strict: bool = False,
-                           revocation: bool | None = True,
-                           obs: bool = False) -> FaultWorld:
-    """A remote-testbed world for one churn session.
-
-    Identical to the chaos battery's world except that revocation
-    dissemination is explicitly switched per cell (``None`` defers to
-    the ``REPRO_REVOCATION`` environment knob — the ablation harness
-    drives the battery that way).
-    """
-    topology, ases = remote_testbed()
-    internet = Internet(topology, seed=seed, revocation=revocation,
-                        trace=obs)
-    client = internet.add_host("client", ases.client)
-    origin = internet.add_host("origin", ases.remote_server)
-    page = synthetic_page(ORIGIN, n_resources=N_RESOURCES, seed=seed)
-    server = HttpServer(origin, content_for_origin(page, ORIGIN),
-                        serve_tcp=True, serve_quic=True)
-    resolver = Resolver(internet.loop, lookup_latency_ms=2.0)
-    resolver.register_host(ORIGIN, ip_address=origin.addr,
-                           scion_address=origin.addr)
-    browser = BraveBrowser(client, resolver, rng=internet.network.rng)
-    browser.settings.extra_policies.append(latency_optimized())
-    browser.extension.apply_settings()
-    browser.proxy.request_timeout_ms = CHAOS_REQUEST_TIMEOUT_MS
-    if strict:
-        browser.extension.enable_strict_mode()
-    tracer = None
-    if obs:
-        tracer = Tracer(internet.loop)
-        browser.attach_tracer(tracer)
-        internet.revocations.tracer = tracer
-        if internet.fastpath is not None:
-            internet.fastpath.attach_tracer(tracer)
-    return FaultWorld(internet=internet, browser=browser, page=page,
-                      server=server, ases=ases, tracer=tracer)
 
 
 def churn_schedule(ases) -> FaultSchedule:
@@ -116,7 +58,7 @@ def churn_schedule(ases) -> FaultSchedule:
     return schedule
 
 
-def _session(world: FaultWorld, loads: int):
+def _session(world: World, loads: int):
     """Driver process: paced loads, one session, result rows.
 
     Yields loop events; returns ``[(start_ms, done_ms, result), …]``.
@@ -140,17 +82,22 @@ def resilience_trial(revocation: bool | None, mode: str, seed: int,
     failed_requests, lost_requests)``.
 
     * ``ttr_ms`` — completion of the first clean load at/after the first
-      flap, minus the flap time (saturated at the session window).
+      flap, minus the flap time (saturated at the session window's end
+      when no load after the first fault is clean).
     * ``mean_plt_ms`` — mean PLT over every load in the session.
     * ``failed_requests`` — fetches that failed on their initially
       chosen path (failover + fallback rescues plus outright losses).
     * ``lost_requests`` — fetches that never arrived at all.
 
-    Pure function of its arguments — the parallel trial pool relies on
-    that.
+    The world is the chaos battery's, with revocation dissemination
+    switched per cell; ``revocation=None`` defers to the
+    ``REPRO_REVOCATION`` knob (the ablation harness drives the battery
+    that way). Pure function of its arguments — the parallel trial pool
+    relies on that.
     """
-    world = build_resilience_world(seed, strict=(mode == "strict"),
-                                   revocation=revocation)
+    world = build_fault_world(seed, n_resources=N_RESOURCES,
+                              strict=(mode == "strict"),
+                              revocation=revocation)
     inject(world.internet, churn_schedule(world.ases))
     rows = world.internet.loop.run_process(_session(world, loads))
     total_per_load = 1 + len(world.page.resources)
@@ -226,6 +173,21 @@ class ResilienceBatteryResult:
         return "\n".join(lines)
 
 
+def _assemble(trials: int, rows_by_cell,
+              loads: int = SESSION_LOADS) -> ResilienceBatteryResult:
+    battery = ResilienceBatteryResult(trials=trials)
+    per_session = loads * (1 + N_RESOURCES)
+    for key, rows in rows_by_cell.items():
+        battery.cells[key] = ResilienceCell(
+            ttr=BoxStats.from_samples([row[0] for row in rows]),
+            plt=BoxStats.from_samples([row[1] for row in rows]),
+            failed_requests=int(sum(row[2] for row in rows)),
+            lost_requests=int(sum(row[3] for row in rows)),
+            total_requests=trials * per_session,
+        )
+    return battery
+
+
 def resilience_holds(battery: ResilienceBatteryResult) -> bool:
     """The acceptance shape: revocation-on recovers strictly faster and
     fails strictly fewer requests than revocation-off, per mode."""
@@ -239,51 +201,25 @@ def resilience_holds(battery: ResilienceBatteryResult) -> bool:
     return True
 
 
-class PendingResilienceBattery:
-    """The resilience battery with every cell's trials in flight."""
-
-    def __init__(self, trials: int,
-                 cells: list[tuple[tuple[bool, str],
-                                   PendingSamples]]) -> None:
-        self._trials = trials
-        self._cells = cells
-
-    def collect(self) -> ResilienceBatteryResult:
-        """Wait for every cell; assemble rows in submission order."""
-        battery = ResilienceBatteryResult(trials=self._trials)
-        per_session = SESSION_LOADS * (1 + N_RESOURCES)
-        for key, pending in self._cells:
-            rows = pending.collect()
-            battery.cells[key] = ResilienceCell(
-                ttr=BoxStats.from_samples([row[0] for row in rows]),
-                plt=BoxStats.from_samples([row[1] for row in rows]),
-                failed_requests=int(sum(row[2] for row in rows)),
-                lost_requests=int(sum(row[3] for row in rows)),
-                total_requests=self._trials * per_session,
-            )
-        return battery
+def _measured(battery: ResilienceBatteryResult) -> str:
+    on = battery.cell(True, "opportunistic")
+    off = battery.cell(False, "opportunistic")
+    return (f"TTR {on.ttr.mean / 1000:.1f} s (revocation on) vs "
+            f"{off.ttr.mean / 1000:.1f} s (off); failed fetches "
+            f"{on.failed_requests} vs {off.failed_requests} "
+            "(opportunistic; strict matches)")
 
 
-def submit_resilience_battery(trials: int = 6, base_seed: int = 4200,
-                              modes: tuple[str, ...] = MODES,
-                              workers: int | None = None,
-                              ) -> PendingResilienceBattery:
-    """Submit every (revocation, mode) cell's trials to the shared pool."""
-    cells: list[tuple[tuple[bool, str], PendingSamples]] = []
-    seeds = range(base_seed, base_seed + trials)
-    for revocation in REVOCATION_CONDITIONS:
-        for mode in modes:
-            trial = functools.partial(resilience_trial, revocation, mode)
-            cells.append(((revocation, mode),
-                          submit_samples(trial, seeds, workers=workers)))
-    return PendingResilienceBattery(trials, cells)
-
-
-def run_resilience_battery(trials: int = 6, base_seed: int = 4200,
-                           modes: tuple[str, ...] = MODES,
-                           workers: int | None = None,
-                           ) -> ResilienceBatteryResult:
-    """Run the resilience battery; deterministic per ``base_seed``."""
-    return submit_resilience_battery(trials=trials, base_seed=base_seed,
-                                     modes=modes,
-                                     workers=workers).collect()
+RESILIENCE = Battery(
+    name="resilience", label="Resilience battery",
+    title="Resilience battery — self-healing paths under churn",
+    claim="§4.2: path awareness lets hosts heal around failures without "
+          "waiting for them locally — revocation dissemination recovers "
+          "sessions faster than timeout-driven discovery",
+    measured=_measured, holds=resilience_holds, assemble=_assemble,
+    cells=tuple((revocation, mode) for revocation in REVOCATION_CONDITIONS
+                for mode in MODES),
+    trial=resilience_trial, base_seed=4200, trials=6, opt_in=True,
+    reducers=(("ttr_ms", mean), ("plt_ms", mean),
+              ("failed_requests", sum), ("lost_requests", sum)),
+)

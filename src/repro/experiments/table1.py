@@ -21,6 +21,7 @@ from repro.core.properties import (
     render_table,
     suitability,
 )
+from repro.experiments.harness import Battery, serial
 
 
 @dataclass
@@ -106,3 +107,15 @@ def run_table1() -> Table1Result:
         ),
     ]
     return Table1Result(table_text=render_table(), checks=checks)
+
+
+TABLE1 = Battery(
+    name="table1", label="Table 1",
+    title="Table 1 (reconstructed; see repro/core/properties.py)",
+    claim="OS suits performance/quality; app suits everything; user "
+          "decisive for privacy/ESG/economics; loss+MTU abstracted from "
+          "user",
+    measured=lambda _table1: (
+        "decision model derives the same matrix from §2's prose rules"),
+    holds=lambda table1: table1.all_hold, assemble=serial(run_table1),
+)

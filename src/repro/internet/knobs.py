@@ -24,8 +24,9 @@ One contract, everywhere:
   trial function, so toggles behave identically in-process and on
   spawned pool workers.
 
-This module is deliberately dependency-free (``os`` only) so every
-layer — ``simnet`` included — can import it without cycles.
+This module is deliberately dependency-free (``os`` and the
+import-free ``repro.errors`` only) so every layer — ``simnet``
+included — can import it without cycles.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from __future__ import annotations
 import os
 from collections.abc import Iterator, Mapping
 from contextlib import AbstractContextManager, contextmanager
+
+from repro.errors import ReproError
 
 #: Spellings that turn a knob off (case-insensitive, whitespace-trimmed).
 FALSE_SPELLINGS = ("0", "false", "no", "off")
@@ -70,23 +73,21 @@ def resolve_int_knob(name: str, override: int | None = None,
                      default: int = 1, minimum: int = 1) -> int:
     """Resolve an integer knob: explicit override, then environment.
 
-    The count twin of :func:`resolve_knob`. Unset, empty, or any of
-    :data:`FALSE_SPELLINGS` means ``default``; a non-integer value
-    raises ``ValueError`` (a typo'd count must fail loudly). Values are
-    clamped to ``minimum``.
+    The count twin of :func:`resolve_knob`, and the one rule both
+    integer knobs (``REPRO_WORKERS``, ``REPRO_POPULATION_USERS``) parse
+    through: unset or empty means ``default``, an integer is clamped to
+    ``minimum``, and anything else raises :class:`ReproError` — a
+    typo'd count must fail loudly, not fall back.
     """
     if override is not None:
         return max(minimum, int(override))
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    value = raw.strip().lower()
-    if not value or value in FALSE_SPELLINGS:
+    raw = os.environ.get(name, "").strip()
+    if not raw:
         return default
     try:
-        return max(minimum, int(value))
+        return max(minimum, int(raw))
     except ValueError:
-        raise ValueError(f"{name}={raw!r} is not an integer") from None
+        raise ReproError(f"{name}={raw!r} is not an integer") from None
 
 
 def forced(name: str, enabled: bool) -> AbstractContextManager[None]:

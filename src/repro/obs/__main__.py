@@ -9,17 +9,19 @@ Usage::
     python -m repro.obs export ARTIFACT [--otlp] [--out FILE]
     python -m repro.obs diff A B
 
-``--selftest`` is the ``make verify`` smoke step: it round-trips a
+``--selftest`` is the smoke step tier 1 runs: it round-trips a
 synthetic span/metric/waterfall artifact through export and load, then
 runs one *real* traced figure-3 page load and checks the acceptance
 invariant — the waterfall's PLT breakdown sums to the measured PLT.
-``trace`` runs one traced page load of the chosen experiment setup and
-writes (and renders) its artifact.
+``trace`` asks the chosen setup's battery for one traced page load
+(``--condition``, ``--seed`` and ``--n-resources`` default to the
+battery's own) and writes (and renders) its artifact.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import pathlib
 import sys
@@ -31,6 +33,13 @@ from repro.obs.export import (build_artifact, diff_report, load_artifact,
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import STATUS_ERROR, Tracer
 from repro.obs.waterfall import assemble_waterfall, waterfall_from_dict
+
+
+#: ``trace --setup``: the module and name of the battery that owns the
+#: setup's traced load, and the artifact label's prefix.
+SETUPS = {"local": ("local_setup", "FIGURE3", "figure3"),
+          "remote": ("remote_setup", "FIGURE5", "remote"),
+          "fault": ("fault_battery", "CHAOS", "fault")}
 
 
 def _synthetic_roundtrip() -> None:
@@ -89,10 +98,11 @@ def _synthetic_roundtrip() -> None:
 def _traced_load_check() -> float:
     """One real traced figure-3 load; returns the tracing overhead-free
     PLT after checking the breakdown invariant against it."""
-    from repro.experiments.local_setup import traced_figure3_load
+    from repro.experiments.local_setup import FIGURE3
 
-    world, plt_ms = traced_figure3_load()
-    assert world.tracer is not None
+    world, result = FIGURE3.traced(*FIGURE3.traced_cell,
+                                   seed=FIGURE3.base_seed)
+    plt_ms = result.plt_ms
     waterfall = assemble_waterfall(world.tracer)
     waterfall.breakdown.check(plt_ms)
     leaked = world.tracer.open_spans()
@@ -118,28 +128,18 @@ def _selftest() -> int:
 
 
 def _trace(args: argparse.Namespace) -> int:
-    if args.setup == "local":
-        from repro.experiments.local_setup import traced_figure3_load
-        world, plt_ms = traced_figure3_load(condition=args.condition,
-                                            seed=args.seed,
-                                            n_resources=args.n_resources)
-        label = f"figure3/{args.condition}/seed{args.seed}"
-    elif args.setup == "remote":
-        from repro.experiments.remote_setup import traced_remote_load
-        world, plt_ms = traced_remote_load(condition=args.condition,
-                                           seed=args.seed,
-                                           n_resources=args.n_resources)
-        label = f"remote/{args.condition}/seed{args.seed}"
-    else:
-        from repro.experiments.fault_battery import traced_fault_load
-        world, _result = traced_fault_load(scenario=args.condition,
-                                           seed=args.seed,
-                                           n_resources=args.n_resources)
-        plt_ms = _result.plt_ms
-        label = f"fault/{args.condition}/seed{args.seed}"
-    assert world.tracer is not None
-    artifact = build_artifact(world.tracer, label=label,
-                              extra={"plt_ms": plt_ms, "seed": args.seed})
+    module, name, prefix = SETUPS[args.setup]
+    entry = getattr(importlib.import_module(f"repro.experiments.{module}"),
+                    name)
+    cell = entry.traced_cell if args.condition is None \
+        else (args.condition, *entry.traced_cell[1:])
+    seed = entry.base_seed if args.seed is None else args.seed
+    params = {} if args.n_resources is None \
+        else {"n_resources": args.n_resources}
+    world, result = entry.traced(*cell, seed=seed, **params)
+    artifact = build_artifact(
+        world.tracer, label=f"{prefix}/{cell[0]}/seed{seed}",
+        extra={"plt_ms": result.plt_ms, "seed": seed})
     print(render_report(artifact))
     if args.out:
         path = write_artifact(args.out, artifact)
@@ -157,13 +157,12 @@ def main(argv: list[str] | None = None) -> int:
 
     trace_parser = sub.add_parser(
         "trace", help="run one traced page load and render its waterfall")
-    trace_parser.add_argument("--setup",
-                              choices=("local", "remote", "fault"),
+    trace_parser.add_argument("--setup", choices=tuple(SETUPS),
                               default="local")
     trace_parser.add_argument("--condition", default=None,
                               help="figure condition or fault scenario "
                                    "(setup-specific default)")
-    trace_parser.add_argument("--seed", type=int, default=100)
+    trace_parser.add_argument("--seed", type=int, default=None)
     trace_parser.add_argument("--n-resources", type=int, default=None)
     trace_parser.add_argument("--out", default=None,
                               help="write the JSON artifact here")
@@ -189,14 +188,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.selftest:
         return _selftest()
     if args.command == "trace":
-        defaults = {"local": ("mixed SCION-IP", 12),
-                    "remote": ("single origin / SCION", 9),
-                    "fault": ("link-flap", 6)}
-        condition, n_resources = defaults[args.setup]
-        if args.condition is None:
-            args.condition = condition
-        if args.n_resources is None:
-            args.n_resources = n_resources
         return _trace(args)
     if args.command == "report":
         print(render_report(load_artifact(args.artifact)))

@@ -90,10 +90,10 @@ class TestErrorRows:
 class TestImportanceMath:
     def test_percentile_interpolates(self):
         values = [0.0, 10.0, 20.0, 30.0]
-        assert ab.percentile(values, 50.0) == pytest.approx(15.0)
-        assert ab.percentile(values, 95.0) == pytest.approx(28.5)
-        assert ab.percentile([7.0], 95.0) == 7.0
-        assert ab.percentile([], 50.0) == 0.0
+        assert ab.percentile(values, 0.50) == pytest.approx(15.0)
+        assert ab.percentile(values, 0.95) == pytest.approx(28.5)
+        assert ab.percentile([7.0], 0.95) == 7.0
+        assert ab.percentile([], 0.50) == 0.0
 
     def test_metric_deltas_percent_and_absolute(self):
         deltas = ab.metric_deltas({"plt_ms": 100.0, "failed": 0.0},
@@ -163,4 +163,5 @@ class TestReportShape:
 
     def test_unknown_battery_raises(self):
         with pytest.raises(ValueError):
-            ab.run_battery("nope", {}, TINY)
+            ab.run_battery(dataclasses.replace(ab.FIGURE3, name="nope"),
+                           {}, TINY)

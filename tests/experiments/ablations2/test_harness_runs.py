@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.experiments import ablations2 as ab
+from repro.experiments.__main__ import main
 
 SMALL = ab.AblationConfig(conditions=("SCION-only",), trials=2,
                           n_resources=4, resilience_trials=1,
@@ -87,7 +88,8 @@ class TestJsonShape:
 class TestCli:
     def test_selftest_gate_passes_and_writes_json(self, tmp_path, capsys):
         target = tmp_path / "ablations2.json"
-        assert ab.main(["--selftest", "--json", str(target)]) == 0
+        assert main(["components", "--selftest", "--json",
+                     str(target)]) == 0
         out = capsys.readouterr().out
         assert "leave-one-out importance" in out
         payload = json.loads(target.read_text())

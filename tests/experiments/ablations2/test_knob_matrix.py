@@ -8,12 +8,16 @@ environment a serial run does). The fast path promises only the
 documented jitter-free PLT error bound, checked per seed.
 """
 
+import dataclasses
 import functools
 
 import pytest
 
 from repro.experiments import ablations2 as ab
 from repro.experiments.harness import run_samples
+from repro.experiments.local_setup import (DEFAULT_CALIBRATION,
+                                           figure3_trial_events)
+from repro.experiments.resilience_battery import resilience_trial
 from repro.simnet.fastpath import FASTPATH_ENV, PLT_ERROR_BOUND
 
 SEEDS = range(100, 102)
@@ -28,9 +32,13 @@ BIT_IDENTICAL_KNOBS = [comp for comp in ab.COMPONENTS
 
 
 def figure3_samples(overrides, obs=False, jitter=True, workers=1):
-    trial = functools.partial(ab.figure3_ablation_trial,
+    calibration = DEFAULT_CALIBRATION if jitter else dataclasses.replace(
+        DEFAULT_CALIBRATION, host_jitter_ms=0.0)
+    trial = functools.partial(ab.pinned_trial,
                               tuple(sorted(overrides.items())),
-                              CONDITION, N_RESOURCES, obs, jitter)
+                              figure3_trial_events, CONDITION,
+                              n_resources=N_RESOURCES, obs=obs,
+                              calibration=calibration)
     return run_samples(trial, SEEDS, workers=workers)
 
 
@@ -96,8 +104,10 @@ class TestResilienceOffSwitchDeterminism:
     def test_serial_matches_pool(self):
         overrides = dict(ab.default_knob_states())
         overrides["REPRO_REVOCATION"] = False
-        trial = functools.partial(ab.resilience_ablation_trial,
-                                  tuple(sorted(overrides.items())), 2)
+        trial = functools.partial(ab.pinned_trial,
+                                  tuple(sorted(overrides.items())),
+                                  resilience_trial, None, "opportunistic",
+                                  loads=2)
         seeds = range(4200, 4202)
         serial = run_samples(trial, seeds, workers=1)
         pooled = run_samples(trial, seeds, workers=4)

@@ -7,16 +7,20 @@ everything the ablation toggles touch must be quiescent when the loop
 drains.
 """
 
+import dataclasses
 import functools
 
 import pytest
 
 from repro.experiments import ablations2 as ab
+from repro.experiments.fault_battery import build_fault_world
 from repro.experiments.harness import run_samples
+from repro.experiments.local_setup import (DEFAULT_CALIBRATION,
+                                           figure3_trial_events)
 from repro.experiments.resilience_battery import (
+    N_RESOURCES,
     SESSION_LOADS,
     _session,
-    build_resilience_world,
     churn_schedule,
 )
 from repro.simnet.fastpath import FASTPATH_ENV, PLT_ERROR_BOUND
@@ -36,9 +40,10 @@ class TestFastpathBoundWiderSeeds:
 
         def samples(overrides):
             trial = functools.partial(
-                ab.figure3_ablation_trial,
-                tuple(sorted(overrides.items())), condition, 8, False,
-                False)
+                ab.pinned_trial, tuple(sorted(overrides.items())),
+                figure3_trial_events, condition, n_resources=8,
+                calibration=dataclasses.replace(DEFAULT_CALIBRATION,
+                                                host_jitter_ms=0.0))
             return run_samples(trial, EXTRA_SEEDS, workers=1)
 
         for (plt_on, _), (plt_off, _) in zip(samples(defaults),
@@ -51,7 +56,8 @@ class TestNothingLeaks:
     def test_traced_churn_session_leaves_no_residue(self):
         """After a full churn session: no half-open breaker probes, no
         in-flight revocation timers, no open spans."""
-        world = build_resilience_world(4300, revocation=True, obs=True)
+        world = build_fault_world(4300, n_resources=N_RESOURCES,
+                                  revocation=True, obs=True)
         inject(world.internet, churn_schedule(world.ases))
         loop = world.internet.loop
         loop.run_process(_session(world, SESSION_LOADS))

@@ -16,6 +16,7 @@ path must not break.
 import pytest
 
 from repro.experiments import fastpath_ab
+from repro.experiments.__main__ import main
 
 
 class TestConditionReport:
@@ -127,7 +128,7 @@ class TestRunAb:
         assert report.within_bound, report.render()
 
     def test_selftest_cli_passes(self, capsys):
-        assert fastpath_ab.main(["--selftest"]) == 0
+        assert main(["fastpath-ab", "--selftest"]) == 0
         assert "PASS" in capsys.readouterr().out
 
 
@@ -159,9 +160,10 @@ class TestBatteriesUnchangedByFastpath:
 
 class TestSerialMatchesWorkers:
     def test_figure3_battery_identical_with_fastpath_on(self, monkeypatch):
-        from repro.experiments.local_setup import run_figure3
+        from repro.experiments.harness import run
+        from repro.experiments.local_setup import FIGURE3
 
         monkeypatch.setenv("REPRO_FASTPATH", "1")
-        serial = run_figure3(trials=3, n_resources=4, workers=1)
-        pooled = run_figure3(trials=3, n_resources=4, workers=4)
+        serial = run(FIGURE3, trials=3, n_resources=4, workers=1)
+        pooled = run(FIGURE3, trials=3, n_resources=4, workers=4)
         assert serial == pooled

@@ -5,20 +5,23 @@ real trial counts) is marked ``chaos`` and excluded from the default
 run — invoke it with ``pytest -m chaos``.
 """
 
+import itertools
+
 import pytest
 
 from repro.core.extension.ui import IndicatorState
 from repro.errors import ReproError
 from repro.experiments.ablations import ablation_c_point
 from repro.experiments.fault_battery import (
+    CHAOS,
     FALLBACK_SCENARIOS,
     MODES,
     SCENARIOS,
     build_fault_world,
     fault_trial,
-    run_fault_battery,
     scenario_schedule,
 )
+from repro.experiments.harness import run
 from repro.simnet.faults import FaultKind
 from repro.topology.defaults import remote_testbed
 
@@ -94,9 +97,8 @@ class TestFaultTrial:
 
 class TestSmallBattery:
     def test_cells_aggregate_trials(self):
-        battery = run_fault_battery(trials=2, n_resources=2,
-                                    scenarios=("baseline",),
-                                    modes=("opportunistic",), workers=1)
+        battery = run(CHAOS, trials=2, n_resources=2,
+                      cells=[("baseline", "opportunistic")], workers=1)
         cell = battery.cell("baseline", "opportunistic")
         assert cell.total == 2 * 3
         assert cell.ok == cell.total
@@ -104,9 +106,9 @@ class TestSmallBattery:
         assert cell.plt.n == 2
 
     def test_render_names_every_cell(self):
-        battery = run_fault_battery(trials=2, n_resources=2,
-                                    scenarios=("baseline", "quic-outage"),
-                                    modes=MODES, workers=1)
+        battery = run(CHAOS, trials=2, n_resources=2, workers=1,
+                      cells=list(itertools.product(
+                          ("baseline", "quic-outage"), MODES)))
         text = battery.render()
         for scenario in ("baseline", "quic-outage"):
             for mode in MODES:
@@ -164,7 +166,7 @@ class TestFullBattery:
 
     @pytest.fixture(scope="class")
     def battery(self):
-        return run_fault_battery(trials=5)
+        return run(CHAOS, trials=5)
 
     def test_every_cell_present(self, battery):
         assert set(battery.cells) == {(s, m) for s in SCENARIOS

@@ -7,13 +7,13 @@ absolute numbers (see EXPERIMENTS.md).
 
 import pytest
 
-from repro.experiments.local_setup import figure3_trial, run_figure3
+from repro.experiments.harness import run
+from repro.experiments.local_setup import FIGURE3, figure3_trial
 from repro.experiments.remote_setup import (
     FAR_ORIGIN,
-    NEAR_ORIGIN,
+    FIGURE5,
+    FIGURE6,
     remote_trial,
-    run_figure5,
-    run_figure6,
 )
 
 TRIALS = 5
@@ -21,17 +21,17 @@ TRIALS = 5
 
 @pytest.fixture(scope="module")
 def figure3():
-    return run_figure3(trials=TRIALS)
+    return run(FIGURE3, trials=TRIALS)
 
 
 @pytest.fixture(scope="module")
 def figure5():
-    return run_figure5(trials=TRIALS)
+    return run(FIGURE5, trials=TRIALS)
 
 
 @pytest.fixture(scope="module")
 def figure6():
-    return run_figure6(trials=TRIALS)
+    return run(FIGURE6, trials=TRIALS)
 
 
 class TestFigure3Shape:

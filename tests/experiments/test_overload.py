@@ -1,7 +1,7 @@
 """The overload battery: determinism, knob identity, the storm contrast.
 
 The expensive claims (metastable collapse off, graceful degradation on,
-drain bounds) are ``python -m repro.experiments.overload --selftest``,
+drain bounds) are ``python -m repro.experiments overload --selftest``,
 which ``TestSelftest`` runs at the CLI's own size. The rest pins the
 *contracts*: trials are pure functions of ``(arm, seed, config)``,
 serial and worker-pool batteries are bit-identical, and fault-free runs
@@ -12,13 +12,14 @@ import dataclasses
 
 import pytest
 
+from repro.experiments.__main__ import main
+from repro.experiments.harness import run
 from repro.experiments.overload import (
     ARMS,
     DEFAULT_CONFIG,
+    OVERLOAD,
     OverloadConfig,
     overload_trial,
-    run_overload,
-    selftest,
 )
 from repro.internet.knobs import forced_many
 from repro.scion.admission import ADMISSION_ENV
@@ -41,8 +42,8 @@ class TestDeterminism:
             overload_trial("protections-on", 1202, SMALL)
 
     def test_serial_matches_worker_pool(self):
-        serial = run_overload(config=SMALL, trials=2, workers=1)
-        pooled = run_overload(config=SMALL, trials=2, workers=4)
+        serial = run(OVERLOAD, config=SMALL, trials=2, workers=1)
+        pooled = run(OVERLOAD, config=SMALL, trials=2, workers=4)
         assert serial.samples == pooled.samples
 
 
@@ -105,7 +106,7 @@ class TestContrast:
 
 class TestSelftest:
     def test_selftest_passes(self):
-        assert selftest(verbose=False)
+        assert main(["overload", "--selftest"]) == 0
 
 
 class TestConfig:

@@ -12,22 +12,28 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
+import pickle
 
 import pytest
 
 from repro.errors import ReproError
 from repro.experiments import harness
+from repro.experiments.__main__ import EXPERIMENTS, REGISTRY
 from repro.experiments.harness import (
     WORKERS_ENV,
     battery_chunksize,
     resolve_workers,
+    run,
     run_condition,
     run_samples,
+    submit,
     submit_samples,
 )
-from repro.experiments.fault_battery import fault_trial, run_fault_battery
+from repro.experiments.fault_battery import CHAOS, MODES, fault_trial
 from repro.experiments.local_setup import figure3_trial
 from repro.internet.snapshot import SNAPSHOT_CACHE_ENV
+from repro.workload.arrivals import ArrivalCurve
 
 
 def _identity_trial(seed: int) -> float:
@@ -88,6 +94,37 @@ class TestBatteryChunksize:
         assert pending.collect() == [float(seed) for seed in range(10)]
 
 
+class TestRegistry:
+    """Every declared battery runs through the one ``submit`` / ``run``,
+    and the pool replays the serial run sample for sample."""
+
+    #: What keeps two trials of every cell in the low seconds.
+    SMALL = {
+        "chaos": dict(n_resources=3),
+        "resilience": dict(loads=2),
+        "population": dict(users=4, sites=4,
+                           arrival=ArrivalCurve(window_ms=2_000.0)),
+        "overload": dict(users=8),
+    }
+
+    def test_names_are_unique(self):
+        assert len(REGISTRY) == len(EXPERIMENTS) + 2
+        assert len({entry.label for entry in EXPERIMENTS}) \
+            == len({entry.title for entry in EXPERIMENTS}) \
+            == len(EXPERIMENTS)
+
+    @pytest.mark.parametrize(
+        "battery", [entry for entry in EXPERIMENTS if entry.cells],
+        ids=lambda battery: battery.name)
+    def test_pool_replays_the_serial_run(self, battery):
+        pickle.dumps(battery.trial)
+        small = self.SMALL.get(battery.name, {})
+        serial = submit(battery, trials=2, workers=1, **small).collect()
+        pooled = run(battery, trials=2, workers=2, **small)
+        assert serial == pooled
+        assert battery.render(serial) == battery.render(pooled)
+
+
 class TestParallelDeterminism:
     def test_samples_preserve_seed_order(self):
         samples = run_samples(_identity_trial, range(20, 28), workers=4)
@@ -121,10 +158,10 @@ class TestParallelDeterminism:
         recovery counts) whether the battery ran serially or on four
         workers."""
         kwargs = dict(trials=4, n_resources=3,
-                      scenarios=("link-flap", "quic-outage"),
-                      modes=("opportunistic", "strict"))
-        serial = run_fault_battery(workers=1, **kwargs)
-        parallel = run_fault_battery(workers=4, **kwargs)
+                      cells=list(itertools.product(
+                          ("link-flap", "quic-outage"), MODES)))
+        serial = run(CHAOS, workers=1, **kwargs)
+        parallel = run(CHAOS, workers=4, **kwargs)
         assert serial.cells == parallel.cells
         for cell_key, cell in serial.cells.items():
             for field in dataclasses.fields(cell.plt):
@@ -153,13 +190,13 @@ class TestParallelDeterminism:
         flips per-world mutable state) must not observe the shared
         snapshot: cached and uncached batteries agree cell for cell."""
         kwargs = dict(trials=3, n_resources=3,
-                      scenarios=("baseline", "infra-outage",
-                                 "segment-expiry"),
-                      modes=("opportunistic", "strict"))
-        cached = run_fault_battery(workers=1, **kwargs)
-        rerun = run_fault_battery(workers=1, **kwargs)
+                      cells=list(itertools.product(
+                          ("baseline", "infra-outage", "segment-expiry"),
+                          MODES)))
+        cached = run(CHAOS, workers=1, **kwargs)
+        rerun = run(CHAOS, workers=1, **kwargs)
         monkeypatch.setenv(SNAPSHOT_CACHE_ENV, "0")
-        uncached = run_fault_battery(workers=1, **kwargs)
+        uncached = run(CHAOS, workers=1, **kwargs)
         assert cached.cells == rerun.cells == uncached.cells
 
     def test_non_picklable_trial_falls_back_to_serial(self):

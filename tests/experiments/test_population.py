@@ -12,6 +12,8 @@ import hashlib
 import pytest
 
 from repro.experiments import population as pop
+from repro.experiments.__main__ import main
+from repro.experiments.harness import run
 from repro.workload import ArrivalCurve
 
 FAST = ArrivalCurve(window_ms=2_000.0)
@@ -37,8 +39,8 @@ class TestDeterminism:
         between workers=1 and workers=4."""
         kwargs = dict(users=8, sites=8, trials=1, base_seed=952,
                       arrival=FAST)
-        serial = pop.run_population(workers=1, **kwargs)
-        parallel = pop.run_population(workers=4, **kwargs)
+        serial = run(pop.POPULATION, workers=1, **kwargs)
+        parallel = run(pop.POPULATION, workers=4, **kwargs)
         assert serial.samples == parallel.samples
 
 
@@ -129,9 +131,8 @@ class TestPercentileHelper:
 
 class TestReport:
     def test_render_and_json_round_trip(self):
-        result = pop.run_population(users=8, sites=8, trials=1,
-                                    base_seed=955, arrival=FAST,
-                                    workers=1)
+        result = run(pop.POPULATION, users=8, sites=8, trials=1,
+                     base_seed=955, arrival=FAST, workers=1)
         text = result.render()
         for mode in pop.MODES:
             assert mode in text
@@ -143,9 +144,9 @@ class TestReport:
 
 class TestSelftest:
     def test_selftest_passes(self):
-        """``python -m repro.experiments.population --selftest``, at
+        """``python -m repro.experiments population --selftest``, at
         the size the CLI runs it."""
-        assert pop.selftest(verbose=False)
+        assert main(["population", "--selftest"]) == 0
 
 
 class TestLeakAudit:

@@ -10,9 +10,10 @@ these digests moves, a simulated result moved.
 import dataclasses
 import hashlib
 
-from repro.experiments.fault_battery import run_fault_battery
+from repro.experiments.fault_battery import CHAOS
+from repro.experiments.harness import run
 from repro.experiments.overload import ARMS, overload_trial
-from repro.experiments.resilience_battery import run_resilience_battery
+from repro.experiments.resilience_battery import RESILIENCE
 
 
 def _canonical(value) -> str:
@@ -35,13 +36,13 @@ def _digest(cells) -> str:
 
 class TestRecordedRun:
     def test_fault_battery_replays_the_recorded_run(self):
-        battery = run_fault_battery(trials=3, workers=1)
+        battery = run(CHAOS, trials=3, workers=1)
         assert len(battery.cells) == 14
         assert _digest(battery.cells.items()) == (
             "b8c2fbacd9f48013bee26d9fae59668e3e68b4a6f2e9912cd57a9f17c08a857e")
 
     def test_resilience_battery_replays_the_recorded_run(self):
-        battery = run_resilience_battery(trials=2, workers=1)
+        battery = run(RESILIENCE, trials=2, workers=1)
         assert len(battery.cells) == 4
         assert _digest(battery.cells.items()) == (
             "2c9b80590e07fd5fa756904bdc0fd1a7ccdd0a937c686576eec9e20c7db76fad")

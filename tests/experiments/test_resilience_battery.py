@@ -7,22 +7,23 @@ acceptance criteria demand — is marked ``chaos``.
 
 import pytest
 
+from repro.experiments.fault_battery import build_fault_world
+from repro.experiments.harness import run
 from repro.experiments.resilience_battery import (
     FLAPS,
     MODES,
+    RESILIENCE,
     SESSION_LOADS,
-    build_resilience_world,
     churn_schedule,
     resilience_holds,
     resilience_trial,
-    run_resilience_battery,
 )
 from repro.simnet.faults import FaultKind
 
 
 class TestChurnSchedule:
     def test_flaps_target_the_detour_core_link(self):
-        world = build_resilience_world(seed=1)
+        world = build_fault_world(seed=1)
         schedule = churn_schedule(world.ases)
         assert len(schedule) == len(FLAPS)
         for spec, (at_ms, duration_ms) in zip(schedule.specs, FLAPS):
@@ -32,9 +33,9 @@ class TestChurnSchedule:
             assert spec.duration_ms == duration_ms
 
     def test_world_threads_the_revocation_switch(self):
-        assert build_resilience_world(seed=1, revocation=True) \
+        assert build_fault_world(seed=1, revocation=True) \
             .internet.revocations.enabled
-        assert not build_resilience_world(seed=1, revocation=False) \
+        assert not build_fault_world(seed=1, revocation=False) \
             .internet.revocations.enabled
 
 
@@ -66,8 +67,8 @@ class TestFullResilienceBattery:
 
     @pytest.fixture(scope="class")
     def batteries(self):
-        serial = run_resilience_battery(trials=4, workers=1)
-        pooled = run_resilience_battery(trials=4, workers=4)
+        serial = run(RESILIENCE, trials=4, workers=1)
+        pooled = run(RESILIENCE, trials=4, workers=4)
         return serial, pooled
 
     def test_serial_and_pooled_runs_are_bit_identical(self, batteries):

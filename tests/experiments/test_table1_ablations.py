@@ -3,12 +3,13 @@
 import pytest
 
 from repro.experiments.ablations import (
+    ABLATION_A,
     ablation_c_point,
     run_ablation_diversity,
     run_ablation_modes,
-    run_ablation_overhead,
     run_ablation_policy,
 )
+from repro.experiments.harness import run
 from repro.experiments.table1 import run_table1
 
 
@@ -26,7 +27,7 @@ class TestTable1:
 class TestAblationOverhead:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_ablation_overhead(trials=4)
+        return run(ABLATION_A, trials=4)
 
     def test_each_component_contributes(self, result):
         full = result.median("full detour")

@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+from repro.errors import ReproError
 from repro.internet import knobs
 
 KNOB = "REPRO_TEST_KNOB"
@@ -63,6 +64,55 @@ class TestResolveKnob:
         monkeypatch.delenv(KNOB, raising=False)
         assert knobs.resolve_knob(KNOB, None, default=True) is True
         assert knobs.resolve_knob(KNOB, None, default=False) is False
+
+
+def _workers(override=None):
+    from repro.experiments.harness import resolve_workers
+    return resolve_workers(override)
+
+
+def _users(override=None):
+    from repro.experiments.population import resolve_users
+    return resolve_users(override)
+
+
+@pytest.mark.parametrize("name,resolve,default", [
+    ("REPRO_WORKERS", _workers, os.cpu_count() or 1),
+    ("REPRO_POPULATION_USERS", _users, 1000),
+])
+class TestResolveIntKnob:
+    """Both integer knobs resolve through ``resolve_int_knob``: one
+    parser, one exception type, one meaning of ``0``."""
+
+    @pytest.mark.parametrize("raw", [None, "", "  "])
+    def test_unset_or_empty_means_default(self, monkeypatch, name, resolve,
+                                          default, raw):
+        if raw is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, raw)
+        assert resolve() == default
+
+    @pytest.mark.parametrize("raw,value", [("7", 7), (" 12 ", 12),
+                                           ("0", 1), ("-3", 1)])
+    def test_an_integer_is_clamped_to_the_minimum(self, monkeypatch, name,
+                                                  resolve, default, raw,
+                                                  value):
+        monkeypatch.setenv(name, raw)
+        assert resolve() == value
+
+    @pytest.mark.parametrize("raw", ["off", "many", "1.5"])
+    def test_anything_else_raises_repro_error(self, monkeypatch, name,
+                                              resolve, default, raw):
+        monkeypatch.setenv(name, raw)
+        with pytest.raises(ReproError, match=name):
+            resolve()
+
+    def test_explicit_override_beats_environment(self, monkeypatch, name,
+                                                 resolve, default):
+        monkeypatch.setenv(name, "many")
+        assert resolve(5) == 5
+        assert resolve(0) == 1
 
 
 class TestForced:

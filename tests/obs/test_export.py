@@ -5,15 +5,16 @@ import json
 import pytest
 
 from repro.errors import ReproError
-from repro.experiments.local_setup import traced_figure3_load
+from repro.experiments.local_setup import FIGURE3
 from repro.obs.export import (ARTIFACT_VERSION, build_artifact, diff_report,
                               load_artifact, render_report, write_artifact)
 
 
 @pytest.fixture(scope="module")
 def traced_world():
-    world, plt_ms = traced_figure3_load(seed=131, n_resources=4)
-    return world, plt_ms
+    world, result = FIGURE3.traced("mixed SCION-IP", seed=131,
+                                   n_resources=4)
+    return world, result.plt_ms
 
 
 class TestArtifacts:

@@ -117,10 +117,10 @@ class TestLinkUtilization:
         assert per_as == {"1-ff00:0:110": 1_300.0, "1-ff00:0:111": 1_000.0}
 
     def test_export_from_a_traced_fault_world(self):
-        from repro.experiments.fault_battery import traced_fault_load
+        from repro.experiments.fault_battery import CHAOS
 
-        world, result = traced_fault_load("baseline", seed=500,
-                                          n_resources=2)
+        world, result = CHAOS.traced("baseline", "opportunistic", seed=500,
+                                     n_resources=2)
         assert result.ok_count == 3
         per_as = world.tracer.metrics.gauges_named("as_link_bytes")
         assert per_as, "traced load exported no utilization gauges"

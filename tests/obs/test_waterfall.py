@@ -8,10 +8,9 @@ into phases that sum back to it exactly (±1 event-loop tick).
 import pytest
 
 from repro.errors import ReproError
-from repro.experiments.fault_battery import traced_fault_load
-from repro.experiments.local_setup import (FIGURE3_CONDITIONS,
-                                           traced_figure3_load)
-from repro.experiments.remote_setup import traced_remote_load
+from repro.experiments.fault_battery import CHAOS
+from repro.experiments.local_setup import FIGURE3, FIGURE3_CONDITIONS
+from repro.experiments.remote_setup import FIGURE5
 from repro.obs.spans import Tracer
 from repro.obs.waterfall import (PltBreakdown, assemble_waterfall,
                                  waterfall_from_dict)
@@ -21,17 +20,18 @@ from repro.simnet.events import EventLoop
 class TestAcceptanceInvariant:
     @pytest.mark.parametrize("condition", FIGURE3_CONDITIONS)
     def test_breakdown_sums_to_measured_plt(self, condition):
-        world, plt_ms = traced_figure3_load(condition=condition, seed=107)
+        world, result = FIGURE3.traced(condition, seed=107)
+        plt_ms = result.plt_ms
         waterfall = assemble_waterfall(world.tracer)
         waterfall.breakdown.check(plt_ms)  # raises on mismatch
         assert waterfall.plt_ms == pytest.approx(plt_ms)
 
     def test_remote_load_breakdown_sums(self):
-        world, plt_ms = traced_remote_load(seed=503)
-        assemble_waterfall(world.tracer).breakdown.check(plt_ms)
+        world, result = FIGURE5.traced("single origin / SCION", seed=503)
+        assemble_waterfall(world.tracer).breakdown.check(result.plt_ms)
 
     def test_fault_load_breakdown_sums(self):
-        world, result = traced_fault_load("link-flap", seed=501)
+        world, result = CHAOS.traced("link-flap", "opportunistic", seed=501)
         assemble_waterfall(world.tracer).breakdown.check(result.plt_ms)
 
     def test_failed_load_attributes_everything_to_main(self):
@@ -61,7 +61,8 @@ class TestAcceptanceInvariant:
 
 class TestAssembly:
     def test_rows_cover_every_fetch_with_segments(self):
-        world, _plt = traced_figure3_load(seed=111, n_resources=6)
+        world, _result = FIGURE3.traced("mixed SCION-IP", seed=111,
+                                        n_resources=6)
         waterfall = assemble_waterfall(world.tracer)
         assert len(waterfall.rows) == 1 + 6
         assert waterfall.rows[0].main  # main document sorts first
@@ -77,7 +78,8 @@ class TestAssembly:
             assemble_waterfall(tracer)
 
     def test_page_index_selects_among_loads(self):
-        world, _plt = traced_figure3_load(seed=115, n_resources=2)
+        world, _result = FIGURE3.traced("mixed SCION-IP", seed=115,
+                                        n_resources=2)
         result = world.internet.loop.run_process(
             world.browser.load(world.page))  # second load, cache-warm
         second = assemble_waterfall(world.tracer, page_index=1)
@@ -88,12 +90,14 @@ class TestAssembly:
             assemble_waterfall(world.tracer, page_index=2)
 
     def test_dict_round_trip(self):
-        world, _plt = traced_figure3_load(seed=119, n_resources=3)
+        world, _result = FIGURE3.traced("mixed SCION-IP", seed=119,
+                                        n_resources=3)
         waterfall = assemble_waterfall(world.tracer)
         rebuilt = waterfall_from_dict(waterfall.to_dict())
         assert rebuilt.to_dict() == waterfall.to_dict()
 
     def test_render_mentions_page_and_phases(self):
-        world, _plt = traced_figure3_load(seed=123, n_resources=2)
+        world, _result = FIGURE3.traced("mixed SCION-IP", seed=123,
+                                        n_resources=2)
         text = assemble_waterfall(world.tracer).render()
         assert "PLT" in text and "parse" in text and "subresources" in text

@@ -182,10 +182,13 @@ class TestJitterModelCaches:
         (((0.3,), (0.3,), 5.0, 128, 400, 2), 6.220962361960435),
     ])
     def test_round_model_stops_at_the_last_release_with_the_same_values(
-            self, args, value):
+            self, args, value, monkeypatch):
         """Recorded when each sample still replayed every ACK to the
         end: stopping once the last segment is released draws the same
         stream and reads the same slowest arrival."""
+        # A fresh cache: the key rounds the RTT, so a world run earlier
+        # in this process (161.68700000000001 ms) would answer for it.
+        monkeypatch.setattr(fastpath, "_ROUND_JITTER_CACHE", OrderedDict())
         assert expected_round_jitter(*args) == value
 
     def test_caches_evict_least_recently_used_without_changing_values(
