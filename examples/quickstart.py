@@ -17,6 +17,7 @@ from repro import (
     content_for_origin,
     synthetic_page,
 )
+from repro.obs.metrics import observe
 from repro.topology.defaults import LOCAL_AS, local_testbed
 
 
@@ -54,7 +55,7 @@ def main() -> None:
 
     internet.loop.run_process(session())
     print("\npath usage feedback (the proxy's stats panel):")
-    print(browser.path_usage_report())
+    print(browser.path_usage_report(observe(internet, [browser])))
 
 
 if __name__ == "__main__":

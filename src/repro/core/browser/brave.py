@@ -84,16 +84,7 @@ class BraveBrowser:
         self.extension.tracer = tracer
         self.proxy.tracer = tracer
         self.proxy.client.tracer = tracer
-        self.proxy.selector.tracer = tracer
-        self.proxy.stats.metrics = tracer.metrics
         self.resolver.tracer = tracer
-        self.host.daemon.tracer = tracer
-        daemon = self.host.daemon
-        if daemon.admission is not None:
-            daemon.admission.tracer = tracer
-        server_admission = getattr(daemon.path_server, "admission", None)
-        if server_admission is not None:
-            server_admission.tracer = tracer
 
     @property
     def settings(self) -> ExtensionSettings:
@@ -116,6 +107,8 @@ class BraveBrowser:
         result = yield from engine.load_page(page)
         return result
 
-    def path_usage_report(self) -> str:
-        """The proxy's user-facing statistics panel (§4)."""
-        return self.proxy.stats.report()
+    def path_usage_report(self, metrics=None) -> str:
+        """The proxy's user-facing statistics panel (§4); ``metrics``
+        (an :func:`~repro.obs.metrics.observe` snapshot of the world)
+        adds what the network did."""
+        return self.proxy.stats.report(metrics)

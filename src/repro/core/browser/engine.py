@@ -176,7 +176,6 @@ class Browser:
             raise
         span.set(plt_ms=result.plt_ms, failed=result.failed)
         span.end("error" if result.failed else "ok")
-        tracer.metrics.histogram("plt_ms").observe(result.plt_ms)
         return result
 
     def _load_page(self, page: WebPage, span) -> Generator:

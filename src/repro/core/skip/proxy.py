@@ -189,7 +189,6 @@ class SkipProxy:
                 break
             if breaker.try_acquire_probe():
                 span.event("breaker.half_open", fingerprint=fingerprint)
-                self.tracer.metrics.counter("breaker_probes_total").inc()
                 break
             avoid = (avoid if avoid is not None
                      else self._avoided_paths()) | {fingerprint}
@@ -273,7 +272,6 @@ class SkipProxy:
         loop = self.host.loop
         started = loop.now
         tracer = self.tracer
-        metrics = tracer.metrics
         self.fetches += 1
         yield from self.cpu.use(self._cost(self.processing_ms))
 
@@ -298,12 +296,10 @@ class SkipProxy:
                 choice, detection.scion_address.isd_as, effective, span)
         lookup_span.set(source=detection.source,
                         kind=choice.kind.value).end()
-        metrics.histogram("path_lookup_ms").observe(lookup_span.duration_ms)
         shed = choice.kind is ChoiceKind.OVERLOADED
 
         if strict and not choice.compliant:
             self.stats.record_blocked(request.host)
-            metrics.counter("requests_total", transport="blocked").inc()
             span.set(blocked=True, reason=choice.kind.value)
             violation = StrictModeViolation(
                 f"strict mode: no policy-compliant SCION path for "
@@ -318,13 +314,11 @@ class SkipProxy:
                 if not self.retry_budget.try_spend(loop.now):
                     # Out of tokens: stop amplifying, fall back to IP.
                     span.event("retry-budget-exhausted", transport="scion")
-                    metrics.counter("retry_budget_exhausted_total").inc()
                     budget_exhausted = True
                     break
                 # Exponential backoff (seed-jittered when the budget is
                 # enabled) between retry attempts.
                 span.event("retry", transport="scion", attempt=attempts)
-                metrics.counter("retry_count").inc()
                 yield loop.timeout(self.retry_budget.jittered_backoff(
                     self.retry_backoff_ms * (2 ** (attempts - 1))))
             try:
@@ -351,7 +345,6 @@ class SkipProxy:
                 if transition is not None:
                     span.event("breaker.open", fingerprint=fingerprint,
                                reopen=(transition == "reopen"))
-                    metrics.counter("breaker_opens_total").inc()
                 self.failovers += 1
                 span.event("report-path-failure", fingerprint=fingerprint)
                 self.host.daemon.report_path_failure(
@@ -371,7 +364,6 @@ class SkipProxy:
                 if self.breakers.record_success(
                         fingerprint, loop.now) == "close":
                     span.event("breaker.close", fingerprint=fingerprint)
-                    metrics.counter("breaker_closes_total").inc()
             self.stats.record_scion(
                 request.host,
                 fingerprint=(choice.path.fingerprint() if choice.path
@@ -381,7 +373,6 @@ class SkipProxy:
                 latency_ms=elapsed,
                 compliant=choice.compliant,
             )
-            metrics.counter("requests_total", transport="scion").inc()
             return ProxyResult(
                 response=response,
                 used_scion=True,
@@ -397,7 +388,6 @@ class SkipProxy:
         if strict:
             # All SCION attempts failed; strict mode never falls back.
             self.stats.record_blocked(request.host)
-            metrics.counter("requests_total", transport="blocked").inc()
             span.set(blocked=True, reason="scion-exhausted")
             violation = StrictModeViolation(
                 f"strict mode: SCION fetch for {request.host} failed on "
@@ -415,7 +405,6 @@ class SkipProxy:
         while True:
             if ip_attempts:
                 span.event("retry", transport="ip", attempt=ip_attempts)
-                metrics.counter("retry_count").inc()
                 yield loop.timeout(self.retry_budget.jittered_backoff(
                     self.retry_backoff_ms * (2 ** (ip_attempts - 1))))
             try:
@@ -434,7 +423,6 @@ class SkipProxy:
                     raise
                 if not self.retry_budget.try_spend(loop.now):
                     span.event("retry-budget-exhausted", transport="ip")
-                    metrics.counter("retry_budget_exhausted_total").inc()
                     budget_exhausted = True
                     error.shed = shed
                     error.retry_budget_exhausted = True
@@ -442,7 +430,6 @@ class SkipProxy:
         elapsed = loop.now - started
         self.stats.record_ip(request.host, elapsed,
                              scion_was_available=detection.scion_available)
-        metrics.counter("requests_total", transport="ip").inc()
         return ProxyResult(
             response=response,
             used_scion=False,

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from repro.core.ppl.evaluator import PathPolicy, order_paths
 from repro.errors import OverloadError
-from repro.obs.spans import NULL_TRACER
 from repro.scion.daemon import PathDaemon
 from repro.scion.path import ScionPath
 from repro.topology.isd_as import IsdAs
@@ -69,7 +68,8 @@ class PathSelector:
         self.daemon = daemon
         self.use_noncompliant = use_noncompliant
         self.selections = 0
-        self.tracer = NULL_TRACER
+        #: The same selections by outcome (``ChoiceKind`` value).
+        self.selected: dict[str, int] = {}
 
     def choose(self, dst: IsdAs, policy: PathPolicy | None,
                avoid: frozenset[str] = frozenset()) -> PathChoice:
@@ -80,8 +80,8 @@ class PathSelector:
         """
         self.selections += 1
         choice = self._choose(dst, policy, avoid)
-        self.tracer.metrics.counter("path_selections_total",
-                                    kind=choice.kind.value).inc()
+        kind = choice.kind.value
+        self.selected[kind] = self.selected.get(kind, 0) + 1
         return choice
 
     def _choose(self, dst: IsdAs, policy: PathPolicy | None,

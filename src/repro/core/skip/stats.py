@@ -9,16 +9,17 @@ experiments to assert on transport mix.
 
 Latency is kept as per-host, per-transport histograms (fixed buckets,
 deterministic) so the feedback panel can show tails, not just means.
-When a :class:`~repro.obs.metrics.MetricsRegistry` is attached (see
-``BraveBrowser.attach_tracer``), the same observations are mirrored into
-the registry's ``request_ms{transport=...}`` histograms for export.
+These records are the store: :func:`repro.obs.metrics.observe` sums
+them over hosts into ``proxy_*`` when somebody asks, and
+:meth:`PathUsageStats.report` renders the network-side sections from
+the snapshot it is handed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs.metrics import NULL_REGISTRY, Histogram
+from repro.obs.metrics import Histogram
 
 
 def _latency_histogram() -> Histogram:
@@ -61,9 +62,6 @@ class PathUsageStats:
     """Proxy-wide statistics, grouped per destination host."""
 
     hosts: dict[str, HostStats] = field(default_factory=dict)
-    #: Optional shared registry the latency observations are mirrored
-    #: into (``request_ms{transport=...}``); the default records nothing.
-    metrics: object = NULL_REGISTRY
 
     def _host(self, host: str) -> HostStats:
         if host not in self.hosts:
@@ -82,8 +80,6 @@ class PathUsageStats:
         record.uses += 1
         record.total_latency_ms += latency_ms
         stats.scion_latency.observe(latency_ms)
-        self.metrics.histogram("request_ms", transport="scion").observe(
-            latency_ms)
 
     def record_ip(self, host: str, latency_ms: float,
                   scion_was_available: bool) -> None:
@@ -93,8 +89,6 @@ class PathUsageStats:
         if scion_was_available:
             stats.fallbacks += 1
         stats.ip_latency.observe(latency_ms)
-        self.metrics.histogram("request_ms", transport="ip").observe(
-            latency_ms)
 
     def record_blocked(self, host: str) -> None:
         """One request blocked by strict mode."""
@@ -113,8 +107,10 @@ class PathUsageStats:
         served = scion + sum(stats.ip_requests for stats in self.hosts.values())
         return scion / served if served else 0.0
 
-    def report(self) -> str:
-        """Human-readable feedback panel."""
+    def report(self, metrics=None) -> str:
+        """Human-readable feedback panel; handed a world's
+        :func:`~repro.obs.metrics.observe` snapshot it adds the per-AS
+        link utilization and what the fast path did."""
         lines = []
         for host in sorted(self.hosts):
             stats = self.hosts[host]
@@ -134,26 +130,24 @@ class PathUsageStats:
             for record in stats.paths.values():
                 lines.append(f"  {record.summary} -> {record.uses} uses, "
                              f"mean {record.mean_latency_ms:.1f} ms")
-        utilization = self.metrics.gauges_named("as_link_bytes")
+        if metrics is None:
+            return "\n".join(lines) if lines else "(no traffic yet)"
+        utilization = metrics.gauges_named("as_link_bytes")
         if utilization:
-            lines.append("per-AS link utilization (bytes on attached "
-                         "links, from the packet trace):")
+            lines.append("per-AS link utilization (bytes sent on attached "
+                         "links):")
             for labels, sent in utilization.items():
-                isd_as = dict(labels).get("isd_as", "?")
-                lines.append(f"  {isd_as}: {sent:,.0f} B")
-        transfers = self.metrics.counters_named("fastpath_transfers_total")
-        fallbacks = self.metrics.counters_named("fastpath_fallbacks_total")
+                lines.append(f"  {dict(labels)['isd_as']}: {sent:,.0f} B")
+        transfers = metrics.total("fastpath_transfers")
+        fallbacks = metrics.counters_named("fastpath_fallbacks")
         if transfers or fallbacks:
-            analytic = sum(transfers.values())
             lines.append(f"hybrid-fidelity fast path: "
-                         f"{analytic:,.0f} analytic transfers")
-            waits = sum(self.metrics.counters_named(
-                "fastpath_burst_waits_total").values())
-            wait_ms = sum(self.metrics.counters_named(
-                "fastpath_wait_ms_total").values())
+                         f"{transfers:,.0f} analytic transfers")
+            waits = metrics.total("fastpath_burst_waits")
+            wait_ms = metrics.total("fastpath_wait_ms")
             lines.append(f"  bursts that queued at a transmitter: "
                          f"{waits:,.0f} ({wait_ms:,.3f} ms modelled wait)")
             for labels, count in fallbacks.items():
-                reason = dict(labels).get("reason", "?")
-                lines.append(f"  fallback[{reason}]: {count:,.0f}")
+                lines.append(f"  fallback[{dict(labels)['reason']}]: "
+                             f"{count:,.0f}")
         return "\n".join(lines) if lines else "(no traffic yet)"

@@ -87,11 +87,9 @@ class Resolver:
         cached = self._cache.get(name)
         if cached is not None and cached.expires_at_ms > self.loop.now:
             self.cache_hits += 1
-            tracer.metrics.counter("dns_cache_hits_total").inc()
             span.set(cache_hit=True).end()
             return cached
         yield self.loop.timeout(self.lookup_latency_ms)
-        tracer.metrics.counter("dns_queries_total").inc()
         records = self._zone.get(name)
         if not records:
             span.set(error="NXDOMAIN").end("error")

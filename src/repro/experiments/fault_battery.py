@@ -44,8 +44,6 @@ from repro.experiments.harness import (Battery, BoxStats, World,
                                        attach_tracer, load_page)
 from repro.http.server import HttpServer
 from repro.internet.build import Internet
-from repro.obs.metrics import (export_link_contention,
-                               export_link_utilization)
 from repro.simnet.faults import FaultSchedule, inject
 from repro.topology.defaults import remote_testbed
 
@@ -86,14 +84,12 @@ def build_fault_world(seed: int, n_resources: int = N_RESOURCES,
     ``None`` defers to the ``REPRO_REVOCATION`` knob.
     """
     topology, ases = remote_testbed()
-    # Packet tracing rides along with observability so traced loads can
-    # sample per-AS link-utilization gauges from the ring buffer.
     # Fault worlds run pure packet-level: most scenarios arm the fault
     # injector (which disables the fast path anyway), and the ones that
     # don't — baseline, quic-outage, segment-expiry — must produce rows
     # bit-identical to them and to pre-fast-path behavior.
-    internet = Internet(topology, seed=seed, trace=obs,
-                        revocation=revocation, fastpath=False)
+    internet = Internet(topology, seed=seed, revocation=revocation,
+                        fastpath=False)
     client = internet.add_host("client", ases.client)
     origin = internet.add_host("origin", ases.remote_server)
     page = synthetic_page(ORIGIN, n_resources=n_resources, seed=seed)
@@ -157,17 +153,12 @@ def fault_load(scenario: str, mode: str, seed: int,
 
     With ``obs=True`` ``world.tracer`` carries the retry / path-failure
     / fallback span events of the load — what the fault post-mortems
-    read — plus the per-AS link gauges.
+    read.
     """
     world = build_fault_world(seed, n_resources=n_resources,
                               strict=(mode == "strict"), obs=obs)
     _prepare_scenario(world, scenario)
-    result = load_page(world)
-    if obs:
-        export_link_utilization(world.tracer.metrics,
-                                world.internet.network.trace)
-        export_link_contention(world.tracer.metrics, world.internet.network)
-    return world, result
+    return world, load_page(world)
 
 
 def fault_trial(scenario: str, mode: str, seed: int,

@@ -490,8 +490,37 @@ def attach_tracer(internet, *browsers):
         browser.attach_tracer(tracer)
     internet.revocations.tracer = tracer
     if internet.fastpath is not None:
-        internet.fastpath.attach_tracer(tracer)
+        internet.fastpath.tracer = tracer
     return tracer
+
+
+def observe_world(world: "World | Crowd"):
+    """What ``world`` did so far, as one metrics registry: every
+    component's counts, its links, and (when traced) its spans — the
+    snapshot the batteries' samples, the obs artifacts and the feedback
+    panel all read (:func:`repro.obs.metrics.observe`)."""
+    from repro.obs.metrics import observe
+
+    browsers = [world.browser] if isinstance(world, World) \
+        else [user[1] for user in world.users]
+    return observe(world.internet, browsers,
+                   world.tracer.spans if world.tracer is not None else ())
+
+
+def traced_artifact(entry: Battery, cell: tuple | None = None,
+                    seed: int | None = None, **params) -> dict:
+    """The obs artifact of one traced load of ``entry`` (its declared
+    ``traced_cell`` and base seed unless told otherwise) — what both
+    ``run_all --obs`` and ``python -m repro.obs trace`` write."""
+    from repro.obs.export import build_artifact
+
+    cell = entry.traced_cell if cell is None else cell
+    seed = entry.base_seed if seed is None else seed
+    world, result = entry.traced(*cell, seed=seed, **params)
+    return build_artifact(
+        world.tracer, observe_world(world),
+        label="/".join((entry.name, *cell, f"seed{seed}")),
+        extra={"plt_ms": result.plt_ms, "seed": seed})
 
 
 def load_page(world: World):

@@ -39,7 +39,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field, replace
 
-from repro.experiments.harness import Battery, Crowd, mean
+from repro.experiments.harness import Battery, Crowd, mean, observe_world
 # ``harvest_rows`` is re-exported: the benchmark calls it on this module.
 from repro.experiments.population import harvest_rows, percentile
 from repro.experiments.remote_setup import FAR_ORIGIN
@@ -325,19 +325,12 @@ def collect_sample(world: Crowd, arm: str, rows) -> OverloadSample:
     goodput_pre = max(done_pre, 1) / (spike_start / 1_000.0)
     goodput_burst = done_burst / ((spike_end - spike_start) / 1_000.0)
 
-    fetches = attempts = spent = exhausted = 0
-    admissions = [internet.path_server.admission]
-    for _user_id, browser, _page, _arrival in world.users:
-        proxy = browser.proxy
-        fetches += proxy.fetches
-        attempts += proxy.attempts
-        spent += proxy.retry_budget.spent_total
-        exhausted += proxy.retry_budget.exhausted_total
-        if browser.host.daemon.admission is not None:
-            admissions.append(browser.host.daemon.admission)
-    shed = sum(adm.stats.shed_total() for adm in admissions)
-    stale = sum(adm.stats.shed_stale for adm in admissions)
-    admitted = sum(adm.stats.admitted for adm in admissions)
+    metrics = observe_world(world)
+    fetches = metrics.total("proxy_fetches")
+    attempts = metrics.total("proxy_attempts")
+    stale = int(metrics.total("admission_shed_stale"))
+    shed = stale + int(metrics.total("admission_shed_rejected"))
+    admitted = metrics.total("admission_admitted")
     ended = max((row[1] for row in rows), default=spike_end)
     return OverloadSample(
         arm=arm,
@@ -356,9 +349,11 @@ def collect_sample(world: Crowd, arm: str, rows) -> OverloadSample:
         requests_shed=shed,
         shed_served_stale=stale,
         shed_resources=sum(row[5] for row in rows),
-        budget_retries_spent=spent,
-        retry_budget_exhausted=exhausted,
-        peak_queue_depth=max(adm.stats.peak_backlog for adm in admissions),
+        budget_retries_spent=int(metrics.total("retry_budget_spent_total")),
+        retry_budget_exhausted=int(
+            metrics.total("retry_budget_exhausted_total")),
+        peak_queue_depth=int(max(
+            metrics.gauges_named("admission_peak_backlog").values())),
         time_to_drain_ms=max(0.0, ended - spike_end),
         duration_ms=internet.loop.now,
         events=internet.loop.events_processed,

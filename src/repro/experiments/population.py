@@ -35,7 +35,8 @@ from dataclasses import asdict, dataclass, field
 from repro.core.browser.brave import BraveBrowser
 from repro.core.ppl.policies import latency_optimized
 from repro.dns.resolver import Resolver
-from repro.experiments.harness import Battery, Crowd, attach_tracer
+from repro.experiments.harness import (Battery, Crowd, attach_tracer,
+                                       observe_world)
 from repro.experiments.remote_setup import (CDN_ORIGIN, FAR_ORIGIN,
                                             NEAR2_ORIGIN, NEAR_ORIGIN,
                                             place_origins)
@@ -182,53 +183,15 @@ def start_sessions(world: Crowd) -> list:
             for user_id, browser, plan, arrival_ms in world.users]
 
 
-def as_link_bytes(named_bytes) -> tuple[tuple[str, int], ...]:
-    """Aggregate ``(link_name, bytes)`` pairs per AS endpoint.
-
-    Same attribution rule as the PR 5
-    :func:`repro.obs.metrics.export_link_utilization` gauges: inter-AS
-    links count for both sides, a host access link for its AS.
-    """
-    from repro.errors import AddressError
-    from repro.topology.isd_as import IsdAs
-
-    per_as: dict[str, int] = {}
-    for name, sent in named_bytes:
-        for endpoint in name.split("<->"):
-            as_text = endpoint.split("#", 1)[0]
-            try:
-                isd_as = IsdAs.parse(as_text)
-            except AddressError:
-                continue  # the host side of an access link
-            key = str(isd_as)
-            per_as[key] = per_as.get(key, 0) + int(sent)
-    return tuple(sorted(per_as.items()))
-
-
-def _pool_client_stats(world: Crowd):
-    """Both HTTP clients (proxy + direct) of every browser."""
-    for _user_id, browser, _plan, _arrival in world.users:
-        yield browser.proxy.client.stats
-        yield browser._direct_engine.fetcher.client.stats
-
-
 def collect_sample(world: Crowd, mode: str, users: int,
                    rows) -> PopulationSample:
     """Aggregate a drained world + harvested session rows into a sample."""
     internet = world.internet
     plts = sorted(row[2] for row in rows if not row[3])
     failed = sum(1 for row in rows if row[3])
-    daemon_queries = daemon_hits = 0
-    for _user_id, browser, _plan, _arrival in world.users:
-        stats = browser.host.daemon.stats
-        daemon_queries += stats.queries
-        daemon_hits += stats.cache_hits
-    pool_waits = connections = 0
-    pool_wait_ms = 0.0
-    for stats in _pool_client_stats(world):
-        pool_waits += stats.pool_waits
-        pool_wait_ms += stats.pool_wait_ms
-        connections += stats.connections_opened
+    metrics = observe_world(world)
+    daemon_queries = int(metrics.total("daemon_queries"))
+    daemon_hits = int(metrics.total("daemon_cache_hits"))
     duration_ms = internet.loop.now
     lookups = internet.path_server.stats.total()
     return PopulationSample(
@@ -248,13 +211,14 @@ def collect_sample(world: Crowd, mode: str, users: int,
         daemon_cache_hits=daemon_hits,
         daemon_cache_hit_rate=(daemon_hits / daemon_queries
                                if daemon_queries else 0.0),
-        pool_waits=pool_waits,
-        pool_wait_ms=pool_wait_ms,
-        connections_opened=connections,
+        pool_waits=int(metrics.total("http_pool_waits")),
+        pool_wait_ms=metrics.total("http_pool_wait_ms"),
+        connections_opened=int(metrics.total("http_connections_opened")),
         scion_fetches=sum(row[4] for row in rows),
         events=internet.loop.events_processed,
-        as_link_bytes=as_link_bytes((link.name, link.bytes_sent)
-                                    for link in internet.network.links),
+        as_link_bytes=tuple(
+            (dict(labels)["isd_as"], int(sent)) for labels, sent
+            in metrics.gauges_named("as_link_bytes").items()),
     )
 
 

@@ -44,8 +44,8 @@ from collections.abc import Collection
 
 from repro.experiments.__main__ import EXPERIMENTS, REGISTRY, verdict
 from repro.experiments.harness import (resolve_workers, run, submit,
-                                       write_json)
-from repro.obs.export import build_artifact, write_artifact
+                                       traced_artifact, write_json)
+from repro.obs.export import write_artifact
 
 HEADER = """# EXPERIMENTS — paper vs. measured
 
@@ -261,14 +261,8 @@ def write_obs_artifacts(entries, directory: pathlib.Path) -> list[str]:
     for entry in entries:
         if entry.traced is None:
             continue
-        world, result = entry.traced(*entry.traced_cell,
-                                     seed=entry.base_seed)
-        label = "/".join((entry.name, *entry.traced_cell,
-                          f"seed{entry.base_seed}"))
         written.append(str(write_artifact(
-            directory / f"{entry.name}.json",
-            build_artifact(world.tracer, label=label,
-                           extra={"plt_ms": result.plt_ms}))))
+            directory / f"{entry.name}.json", traced_artifact(entry))))
     return written
 
 

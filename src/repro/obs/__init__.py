@@ -5,8 +5,10 @@ particular paths are provided as feedback to users" (§4); this package
 is that feedback layer for the simulated stack. One :class:`Tracer` per
 world records what each browser request *did* — extension interception,
 SKIP proxy decisions, DNS, path lookup, QUIC handshakes, HTTP exchanges
-— as simulated-clock span trees, while its :class:`MetricsRegistry`
-aggregates counters and latency histograms. :mod:`repro.obs.waterfall`
+— as simulated-clock span trees. Counts are not recorded a second time:
+every component keeps its own (the ``*Stats`` records), and
+:func:`observe` reads a world — records, spans, links — into one
+:class:`MetricsRegistry` when somebody asks. :mod:`repro.obs.waterfall`
 turns one page load's spans into a devtools-style waterfall whose
 :class:`PltBreakdown` sums exactly to the measured PLT, and
 :mod:`repro.obs.export` writes/diffs the JSON artifacts.
@@ -25,6 +27,7 @@ or via ``python -m repro.experiments.run_all --obs`` /
 
 from repro.obs.export import (
     ARTIFACT_VERSION,
+    artifact_digest,
     build_artifact,
     diff_report,
     load_artifact,
@@ -33,14 +36,11 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_MS,
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
-    export_link_contention,
-    export_snapshot_cache_metrics,
+    observe,
 )
 from repro.obs.spans import (
     NULL_SPAN,
@@ -65,20 +65,18 @@ from repro.obs.waterfall import (
 
 __all__ = [
     "ARTIFACT_VERSION",
+    "artifact_digest",
     "build_artifact",
     "diff_report",
     "load_artifact",
     "render_report",
     "write_artifact",
     "DEFAULT_LATENCY_BUCKETS_MS",
-    "NULL_REGISTRY",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "export_link_contention",
-    "export_snapshot_cache_metrics",
+    "observe",
     "NULL_SPAN",
     "NULL_TRACER",
     "STATUS_ERROR",

@@ -3,8 +3,9 @@
 Usage::
 
     python -m repro.obs --selftest
-    python -m repro.obs trace [--setup local|remote|fault] [--condition C]
-                              [--seed N] [--n-resources N] [--out FILE]
+    python -m repro.obs trace [--setup local|remote|fault|ENTRY]
+                              [--condition C] [--seed N]
+                              [--n-resources N] [--out FILE]
     python -m repro.obs report ARTIFACT
     python -m repro.obs export ARTIFACT [--otlp] [--out FILE]
     python -m repro.obs diff A B
@@ -15,31 +16,32 @@ runs one *real* traced figure-3 page load and checks the acceptance
 invariant — the waterfall's PLT breakdown sums to the measured PLT.
 ``trace`` asks the chosen setup's battery for one traced page load
 (``--condition``, ``--seed`` and ``--n-resources`` default to the
-battery's own) and writes (and renders) its artifact.
+battery's own) and writes (and renders) its artifact; ``--setup`` also
+takes the registry name of any entry that declares a traced load
+(``figure3``, ``figure5``, ``figure6``, ``chaos``), and with nothing
+else given the file is the one ``run_all --obs`` writes for that entry.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import pathlib
 import sys
 import tempfile
 
 from repro.errors import ReproError
-from repro.obs.export import (build_artifact, diff_report, load_artifact,
-                              render_report, to_otlp, write_artifact)
+from repro.obs.export import (artifact_digest, build_artifact, diff_report,
+                              load_artifact, render_report, to_otlp,
+                              write_artifact)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import STATUS_ERROR, Tracer
 from repro.obs.waterfall import assemble_waterfall, waterfall_from_dict
 
 
-#: ``trace --setup``: the module and name of the battery that owns the
-#: setup's traced load, and the artifact label's prefix.
-SETUPS = {"local": ("local_setup", "FIGURE3", "figure3"),
-          "remote": ("remote_setup", "FIGURE5", "remote"),
-          "fault": ("fault_battery", "CHAOS", "fault")}
+#: ``trace --setup`` shorthands for the registry entry that owns the
+#: setup's traced load.
+SETUPS = {"local": "figure3", "remote": "figure5", "fault": "chaos"}
 
 
 def _synthetic_roundtrip() -> None:
@@ -47,7 +49,7 @@ def _synthetic_roundtrip() -> None:
     from repro.simnet.events import EventLoop
 
     loop = EventLoop()
-    tracer = Tracer(loop, metrics=MetricsRegistry())
+    tracer = Tracer(loop)
     page = tracer.span("page.load", host="selftest.local", n_resources=1)
 
     main = tracer.span("browser.fetch", parent=page,
@@ -67,8 +69,9 @@ def _synthetic_roundtrip() -> None:
     loop.run(until=20.0)
     page.end()
 
-    tracer.metrics.counter("requests_total", transport="scion").inc(2)
-    tracer.metrics.histogram("request_ms", transport="scion").observe(7.0)
+    metrics = MetricsRegistry()
+    metrics.counter("proxy_scion_requests").inc(2)
+    metrics.histogram("proxy_scion_latency").observe(7.0)
 
     waterfall = assemble_waterfall(tracer)
     waterfall.breakdown.check(20.0)
@@ -76,7 +79,7 @@ def _synthetic_roundtrip() -> None:
         raise ReproError(f"expected 2 waterfall rows, got "
                          f"{len(waterfall.rows)}")
 
-    artifact = build_artifact(tracer, label="selftest")
+    artifact = build_artifact(tracer, metrics, label="selftest")
     with tempfile.TemporaryDirectory() as tmp:
         loaded = load_artifact(write_artifact(f"{tmp}/selftest.json",
                                               artifact))
@@ -128,22 +131,22 @@ def _selftest() -> int:
 
 
 def _trace(args: argparse.Namespace) -> int:
-    module, name, prefix = SETUPS[args.setup]
-    entry = getattr(importlib.import_module(f"repro.experiments.{module}"),
-                    name)
-    cell = entry.traced_cell if args.condition is None \
+    from repro.experiments.__main__ import REGISTRY
+    from repro.experiments.harness import traced_artifact
+
+    entry = REGISTRY.get(SETUPS.get(args.setup, args.setup))
+    if entry is None or entry.traced is None:
+        sys.exit(f"python -m repro.obs trace: --setup {args.setup!r} names "
+                 f"no registry entry with a traced load")
+    cell = None if args.condition is None \
         else (args.condition, *entry.traced_cell[1:])
-    seed = entry.base_seed if args.seed is None else args.seed
     params = {} if args.n_resources is None \
         else {"n_resources": args.n_resources}
-    world, result = entry.traced(*cell, seed=seed, **params)
-    artifact = build_artifact(
-        world.tracer, label=f"{prefix}/{cell[0]}/seed{seed}",
-        extra={"plt_ms": result.plt_ms, "seed": seed})
+    artifact = traced_artifact(entry, cell, args.seed, **params)
     print(render_report(artifact))
     if args.out:
         path = write_artifact(args.out, artifact)
-        print(f"\nwrote {path}")
+        print(f"\nwrote {path} (digest {artifact_digest(artifact)})")
     return 0
 
 
@@ -157,8 +160,9 @@ def main(argv: list[str] | None = None) -> int:
 
     trace_parser = sub.add_parser(
         "trace", help="run one traced page load and render its waterfall")
-    trace_parser.add_argument("--setup", choices=tuple(SETUPS),
-                              default="local")
+    trace_parser.add_argument("--setup", default="local",
+                              help="local | remote | fault, or the name "
+                                   "of a registry entry with a traced load")
     trace_parser.add_argument("--condition", default=None,
                               help="figure condition or fault scenario "
                                    "(setup-specific default)")

@@ -6,8 +6,11 @@ waterfall of every completed page load. ``run_all --obs`` writes one per
 figure under ``results/obs/``; ``python -m repro.obs diff`` turns two of
 them into a text report of what moved.
 
-Artifacts are deterministic for a given seed (sorted keys, no
-timestamps), so two runs of the same world diff byte-for-byte empty.
+Artifacts are a pure function of (entry, cell, seed) — sorted keys, no
+timestamps — except for the ``process`` block: what this *process* had
+cached when it built the world, which depends on what it ran before.
+:func:`artifact_digest` and :func:`diff_report` skip that block, so two
+runs of the same world digest and diff the same from any process.
 """
 
 from __future__ import annotations
@@ -18,29 +21,27 @@ import pathlib
 from typing import Any
 
 from repro.errors import ReproError
-from repro.obs.metrics import export_snapshot_cache_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.waterfall import assemble_waterfall, waterfall_from_dict
 
 #: Current artifact schema version.
 ARTIFACT_VERSION = 1
 
-#: Where ``run_all --obs`` puts its artifacts, relative to the results
-#: directory.
-DEFAULT_OBS_DIR = "obs"
 
-
-def build_artifact(tracer: Any, label: str = "trace",
+def build_artifact(tracer: Any, metrics: MetricsRegistry,
+                   label: str = "trace",
                    extra: dict[str, Any] | None = None) -> dict[str, Any]:
     """Everything one traced run recorded, as a JSON-ready dict.
 
-    Every completed ``page.load`` in the trace contributes a waterfall;
-    loads still open when the artifact is built are skipped (their spans
-    are present regardless). The control-plane snapshot-cache counters
-    (process-local, cumulative) are re-exported as gauges at build time,
-    so the artifact records how much control-plane work this process
-    skipped so far.
+    ``metrics`` is the world's :func:`~repro.obs.metrics.observe`
+    snapshot. Every completed ``page.load`` in the trace contributes a
+    waterfall; loads still open when the artifact is built are skipped
+    (their spans are present regardless). The control-plane
+    snapshot-cache counters are cumulative over the process, not the
+    world, so they go under ``process`` (see the module docstring).
     """
-    export_snapshot_cache_metrics(tracer.metrics)
+    from repro.internet import snapshot
+
     spans = [span.to_dict() for span in tracer.spans]
     waterfalls = []
     n_pages = sum(1 for span in spans if span["name"] == "page.load")
@@ -53,10 +54,21 @@ def build_artifact(tracer: Any, label: str = "trace",
         "version": ARTIFACT_VERSION,
         "label": label,
         "spans": spans,
-        "metrics": tracer.metrics.snapshot(),
+        "metrics": metrics.snapshot(),
         "waterfalls": waterfalls,
         "extra": dict(extra or {}),
+        "process": {"snapshot_cache": {**snapshot.stats.as_dict(),
+                                       "size": snapshot.cache_size()}},
     }
+
+
+def artifact_digest(artifact: dict[str, Any]) -> str:
+    """sha256 of everything in an artifact that replays (all of it but
+    the ``process`` block)."""
+    replayed = {key: value for key, value in artifact.items()
+                if key != "process"}
+    return hashlib.sha256(
+        json.dumps(replayed, sort_keys=True).encode()).hexdigest()
 
 
 def write_artifact(path: str | pathlib.Path,
@@ -96,6 +108,9 @@ def render_report(artifact: dict[str, Any]) -> str:
         count = hist.get("count", 0)
         mean = hist.get("sum", 0.0) / count if count else 0.0
         lines.append(f"{key} n={count} mean={mean:.2f}")
+    for name, numbers in artifact.get("process", {}).items():
+        lines.append(f"-- process: {name} (outside the digest) --")
+        lines.extend(f"{key} {value:g}" for key, value in numbers.items())
     return "\n".join(lines)
 
 

@@ -1,18 +1,28 @@
-"""Process-local counters, gauges, and fixed-bucket histograms.
+"""Counters, gauges, fixed-bucket histograms — and the one way a
+world's counts reach them.
 
-The quantitative half of ``repro.obs``: where spans answer "what did
-this request do", metrics answer "how often and how long, overall" —
-``requests_total{transport=scion}``, ``path_lookup_ms``,
-``retry_count``, the snapshot-cache hit ratio. Everything is plain
-in-process arithmetic: no sampling, no wall-clock, no RNG, so a metered
-run stays bit-identical to an unmetered one.
+Where spans answer "what did this request do", metrics answer "how
+often and how long, overall". Instrumented code never writes a metric:
+components keep their counts where they always did (the ``*Stats``
+records, a few plain attributes) and :func:`observe` reads a world into
+a fresh :class:`MetricsRegistry` by three rules:
 
-Instruments are interned per ``(name, labels)`` in a
-:class:`MetricsRegistry`; histograms use *fixed* bucket bounds so two
-runs' snapshots diff cell-by-cell (see :mod:`repro.obs.export`).
-:data:`NULL_REGISTRY` is the disabled twin — its instruments are shared
-no-ops — which is what :data:`repro.obs.spans.NULL_TRACER` exposes so
-uninstrumented worlds never pay for aggregation.
+1. every numeric field of every component record is
+   ``<component>_<field>``, summed over the world's daemons / clients /
+   admission services (``daemon_queries``, ``http_pool_waits``,
+   ``admission_shed_stale{service=daemon}``, ``fastpath_fallbacks{reason=}``;
+   a ``peak_*`` high-water mark becomes a gauge holding the largest);
+2. every ended span's duration lands in ``span_ms{span=,status=}`` and
+   every span event in ``span_events{event=}``;
+3. every link is sampled from its own bookkeeping
+   (``link_bytes_sent{link=}``, ``link_inflight``, ``link_busy_ms``) and
+   attributed to the ASes it touches (``as_link_bytes{isd_as=}``,
+   ``as_link_inflight``) by :func:`link_ases`.
+
+Reading is plain arithmetic over finished state — no sampling, no
+wall-clock, no RNG, nothing scheduled — so a world reads the same
+whether or not anybody looks. Histograms use *fixed* bucket bounds so
+two runs' snapshots diff cell-by-cell (see :mod:`repro.obs.export`).
 """
 
 from __future__ import annotations
@@ -123,6 +133,15 @@ class Histogram:
                 return bound
         return self.bounds[-1]
 
+    def absorb(self, other: "Histogram") -> None:
+        """Add every observation of ``other`` (same bounds)."""
+        if other.bounds != self.bounds:
+            raise ValueError("cannot absorb a histogram with other bounds")
+        for index, bucket in enumerate(other.bucket_counts):
+            self.bucket_counts[index] += bucket
+        self.count += other.count
+        self.total += other.total
+
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready representation."""
         return {
@@ -133,33 +152,8 @@ class Histogram:
         }
 
 
-class _NullInstrument:
-    """Shared no-op counter/gauge/histogram for disabled worlds."""
-
-    __slots__ = ()
-
-    value = 0.0
-    count = 0
-    total = 0.0
-    mean = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        return None
-
-    def set(self, value: float) -> None:
-        return None
-
-    def observe(self, value: float) -> None:
-        return None
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
 class MetricsRegistry:
     """Interns instruments per ``(name, labels)`` and snapshots them."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self._counters: dict[tuple[str, LabelItems], Counter] = {}
@@ -220,6 +214,12 @@ class MetricsRegistry:
                     self._counters.items())
                 if counter_name == name}
 
+    def total(self, name: str) -> float:
+        """The counters named ``name`` summed over their labels (0 when
+        there are none) — how a reader takes one count of a world."""
+        return sum(counter.value for (counter_name, _labels), counter
+                   in self._counters.items() if counter_name == name)
+
     # -- output -------------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
@@ -236,143 +236,123 @@ class MetricsRegistry:
                            in sorted(self._histograms.items())},
         }
 
-    def render(self) -> str:
-        """Human-readable dump of every instrument."""
-        lines = []
-        for (name, labels), counter in sorted(self._counters.items()):
-            lines.append(f"{render_key(name, labels)} {counter.value:g}")
-        for (name, labels), gauge in sorted(self._gauges.items()):
-            lines.append(f"{render_key(name, labels)} {gauge.value:g}")
-        for (name, labels), histogram in sorted(self._histograms.items()):
-            lines.append(
-                f"{render_key(name, labels)} n={histogram.count} "
-                f"mean={histogram.mean:.2f} p50={histogram.quantile(0.5):g} "
-                f"p95={histogram.quantile(0.95):g}")
-        return "\n".join(lines) if lines else "(no metrics recorded)"
+
+# -- reading a world ----------------------------------------------------------
+
+#: The label the keys of a dict-valued count become.
+_KEY_LABELS = {"fallbacks": "reason", "selected": "kind"}
 
 
-class NullRegistry:
-    """The disabled registry: every instrument is the shared no-op."""
+def _records(internet, browsers):
+    """Every ``(component, labels, record, fields)`` of a world.
 
-    __slots__ = ()
-
-    enabled = False
-
-    def counter(self, name: str, **labels: Any) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, **labels: Any) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauges_named(self, name: str) -> dict[tuple, float]:
-        return {}
-
-    def counters_named(self, name: str) -> dict[tuple, float]:
-        return {}
-
-    def histogram(self, name: str, bounds: tuple[float, ...] = (),
-                  **labels: Any) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def snapshot(self) -> dict[str, Any]:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def render(self) -> str:
-        return "(metrics disabled)"
-
-
-#: The shared disabled registry (what ``NULL_TRACER.metrics`` is).
-NULL_REGISTRY = NullRegistry()
-
-
-def export_snapshot_cache_metrics(registry: MetricsRegistry) -> None:
-    """Re-export the control-plane snapshot-cache counters as gauges.
-
-    Reads :data:`repro.internet.snapshot.stats` (process-local) so a
-    trace artifact records how much control-plane work the trial's
-    worlds actually skipped.
+    ``fields`` is ``None`` for a ``*Stats`` record (all of its public
+    fields are counts) and names the counts of a component that keeps
+    them as plain attributes beside its configuration.
     """
-    from repro.internet import snapshot
+    yield "revocation", {}, internet.revocations.stats, None
+    yield "path_server", {}, internet.path_server.stats, None
+    if internet.fastpath is not None:
+        yield "fastpath", {}, internet.fastpath.stats, None
+    admissions = [internet.path_server.admission]
+    for host in internet.hosts.values():
+        if host.daemon is not None:
+            yield "daemon", {}, host.daemon.stats, None
+            admissions.append(host.daemon.admission)
+    for admission in admissions:
+        if admission is not None:
+            yield ("admission", {"service": admission.service},
+                   admission.stats, None)
+    for browser in browsers:
+        proxy = browser.proxy
+        yield "dns", {}, browser.resolver, ("queries", "cache_hits")
+        yield "proxy", {}, proxy, ("fetches", "attempts", "failovers")
+        yield ("retry_budget", {}, proxy.retry_budget,
+               ("spent_total", "exhausted_total"))
+        yield "selector", {}, proxy.selector, ("selections", "selected")
+        for host_stats in proxy.stats.hosts.values():
+            yield "proxy", {}, host_stats, None
+        for client in (proxy.client, browser._direct_engine.fetcher.client):
+            yield "http", {}, client.stats, None
 
-    stats = snapshot.stats
-    registry.gauge("snapshot_cache_hits").set(stats.hits)
-    registry.gauge("snapshot_cache_misses").set(stats.misses)
-    registry.gauge("snapshot_cache_bypasses").set(stats.bypasses)
-    registry.gauge("snapshot_cache_evictions").set(stats.evictions)
-    lookups = stats.hits + stats.misses
-    registry.gauge("snapshot_cache_hit_ratio").set(
-        stats.hits / lookups if lookups else 0.0)
-    registry.gauge("snapshot_cache_size").set(snapshot.cache_size())
+
+def _observe_record(registry: MetricsRegistry, component: str,
+                    labels: dict[str, Any], record: Any, fields) -> None:
+    """Rule 1: one record's counts, added to ``<component>_<field>``."""
+    if fields is None:
+        fields = getattr(record, "__slots__", None) or vars(record)
+    for field in fields:
+        value = getattr(record, field)
+        name = f"{component}_{field}"
+        if isinstance(value, bool):
+            continue
+        if isinstance(value, (int, float)):
+            if field.startswith("peak_"):
+                # A high-water mark: the world's is the largest.
+                gauge = registry.gauge(name, **labels)
+                gauge.set(max(gauge.value, value))
+            else:
+                registry.counter(name, **labels).inc(value)
+        elif isinstance(value, Histogram):
+            registry.histogram(name, value.bounds, **labels).absorb(value)
+        elif field in _KEY_LABELS:
+            for key, count in value.items():
+                registry.counter(name, **labels,
+                                 **{_KEY_LABELS[field]: key}).inc(count)
 
 
-def export_link_utilization(registry: MetricsRegistry, trace) -> None:
-    """Sample per-link and per-AS utilization gauges from a packet trace.
-
-    Reads the :class:`~repro.simnet.trace.PacketTrace` ring buffer's
-    send accounting and publishes two gauge families:
-
-    * ``link_bytes_sent{link=…}`` — bytes sent on each named link;
-    * ``as_link_bytes{isd_as=…}`` — the same bytes attributed to every
-      AS endpoint parsed out of the link names (inter-AS links count for
-      both sides; a host access link counts for its AS).
-
-    Purely observational: reads the ring, writes gauges, touches no
-    simulation state.
-    """
+def link_ases(link_name: str) -> list[str]:
+    """The ASes a link's traffic is attributed to, parsed from its name:
+    both sides of an inter-AS link (``1-ff00:0:110#1<->1-ff00:0:111#2``),
+    the one AS of a host access link (``1-ff00:0:110<->client``)."""
     from repro.errors import AddressError
     from repro.topology.isd_as import IsdAs
 
-    per_as: dict[str, float] = {}
-    for link_name, sent in sorted(trace.bytes_by_link().items()):
-        registry.gauge("link_bytes_sent", link=link_name).set(sent)
-        for endpoint in link_name.split("<->"):
-            as_text = endpoint.split("#", 1)[0]
-            try:
-                isd_as = IsdAs.parse(as_text)
-            except AddressError:
-                continue  # the host side of an access link
-            key = str(isd_as)
-            per_as[key] = per_as.get(key, 0.0) + sent
-    for isd_as_text, total in sorted(per_as.items()):
-        registry.gauge("as_link_bytes", isd_as=isd_as_text).set(total)
+    ases = []
+    for endpoint in link_name.split("<->"):
+        try:
+            ases.append(str(IsdAs.parse(endpoint.split("#", 1)[0])))
+        except AddressError:
+            continue  # the host side of an access link
+    return ases
 
 
-def export_link_contention(registry: MetricsRegistry, network) -> None:
-    """Sample per-link and per-AS contention gauges from live links.
-
-    Reads each :class:`~repro.simnet.link.Link`'s own bookkeeping —
-    ``inflight`` (packets on the wire right now, propagation included)
-    and ``busy_until(sender)`` (when each direction's transmitter frees
-    up: the clock packets queue on, and the one the fast path judges
-    contention by and stamps its bursts onto) — and publishes:
-
-    * ``link_inflight{link=…}`` — in-flight packets per named link;
-    * ``link_busy_ms{link=…}`` — how far beyond *now* the busier
-      direction's transmitter is committed (0 when idle);
-    * ``as_link_inflight{isd_as=…}`` — in-flight packets attributed to
-      every AS endpoint parsed out of the link names, the contention
-      companion of the per-AS utilization family above.
-
-    Purely observational, like :func:`export_link_utilization`.
-    """
-    from repro.errors import AddressError
-    from repro.topology.isd_as import IsdAs
-
+def sample_links(registry: MetricsRegistry, network) -> None:
+    """Rule 3: gauges from each :class:`~repro.simnet.link.Link`'s own
+    bookkeeping — ``bytes_sent`` (the fast path credits it too, unlike
+    the packet-trace ring), ``inflight`` (packets on the wire now) and
+    ``busy_until`` (how far past *now* the busier direction's
+    transmitter is committed: the clock packets queue on and the fast
+    path stamps its bursts onto)."""
     now = network.loop.now
-    per_as: dict[str, float] = {}
     for link in network.links:
-        registry.gauge("link_inflight", link=link.name).set(link.inflight)
+        registry.gauge("link_bytes_sent", link=link.name).inc(link.bytes_sent)
+        registry.gauge("link_inflight", link=link.name).inc(link.inflight)
         busiest = max((link.busy_until(sender)
                        for sender in link._tx_free_at), default=0.0)
         registry.gauge("link_busy_ms", link=link.name).set(
             max(0.0, busiest - now))
-        for endpoint in link.name.split("<->"):
-            as_text = endpoint.split("#", 1)[0]
-            try:
-                isd_as = IsdAs.parse(as_text)
-            except AddressError:
-                continue  # the host side of an access link
-            key = str(isd_as)
-            per_as[key] = per_as.get(key, 0.0) + link.inflight
-    for isd_as_text, total in sorted(per_as.items()):
-        registry.gauge("as_link_inflight", isd_as=isd_as_text).set(total)
+        for isd_as in link_ases(link.name):
+            registry.gauge("as_link_bytes", isd_as=isd_as).inc(
+                link.bytes_sent)
+            registry.gauge("as_link_inflight", isd_as=isd_as).inc(
+                link.inflight)
+
+
+def observe(internet, browsers=(), spans=()) -> MetricsRegistry:
+    """What this world did, as one fresh registry (the module
+    docstring's three rules); writes nothing but what it returns."""
+    registry = MetricsRegistry()
+    seen: set[int] = set()
+    for component, labels, record, fields in _records(internet, browsers):
+        if id(record) not in seen:  # a resolver shared by every browser
+            seen.add(id(record))
+            _observe_record(registry, component, labels, record, fields)
+    for span in spans:
+        if span.end_ms is not None:
+            registry.histogram("span_ms", span=span.name,
+                               status=span.status).observe(span.duration_ms)
+        for event in span.events:
+            registry.counter("span_events", event=event.name).inc()
+    sample_links(registry, internet.network)
+    return registry

@@ -299,13 +299,11 @@ def quic_connect(host: Host, dst: HostAddr, dst_port: int,
     if not established:
         socket.close()
         span.set(attempts=attempts, error="HandshakeError").end("error")
-        tracer.metrics.counter("quic_handshake_failures_total").inc()
         raise HandshakeError(
             f"QUIC connect {host.name} -> {dst}:{dst_port} failed after "
             f"{retries} attempts")
     rtt = max(0.1, loop.now - start)
     span.set(attempts=attempts, rtt_ms=rtt).end()
-    tracer.metrics.histogram("quic_handshake_ms").observe(loop.now - start)
 
     def send_datagram(frame: Any, size: int) -> None:
         socket.send(dst, dst_port, frame, size, via=via, path=path)

@@ -25,9 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
 
-from repro.obs.spans import NULL_TRACER
 
 #: Environment toggle for admission control in the shared path services.
 ADMISSION_ENV = "REPRO_ADMISSION"
@@ -73,7 +71,6 @@ class AdmissionController:
     window_ms: float = 1_000.0
     max_queue_depth: int = 16
     stats: AdmissionStats = field(default_factory=AdmissionStats)
-    tracer: Any = NULL_TRACER
     #: Arrival timestamps (ms) inside the current window.
     _arrivals: deque = field(default_factory=deque)
 
@@ -118,8 +115,6 @@ class AdmissionController:
         backlog = max(0, round(len(self._arrivals) - self._capacity))
         if backlog > self.stats.peak_backlog:
             self.stats.peak_backlog = backlog
-        self.tracer.metrics.gauge(
-            "admission_queue_depth", service=self.service).set(backlog)
         if backlog <= self.max_queue_depth:
             self.stats.admitted += 1
             return True
@@ -134,5 +129,3 @@ class AdmissionController:
             self.stats.shed_rejected += 1
         else:
             raise ValueError(f"unknown shed reason {reason!r}")
-        self.tracer.metrics.counter(
-            "requests_shed_total", service=self.service, reason=reason).inc()

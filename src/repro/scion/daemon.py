@@ -17,11 +17,9 @@ service, which include metadata added during beaconing"). The daemon
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.errors import (NoPathError, OverloadError,
                           PathServerUnreachableError)
-from repro.obs.spans import NULL_TRACER
 from repro.scion.admission import AdmissionController
 from repro.scion.combinator import combine_segments
 from repro.scion.path import ScionPath
@@ -101,9 +99,6 @@ class PathDaemon:
     #: service; paths traversing any of these are filtered from every
     #: answer until the revocation is lifted or lapses.
     _revoked: dict[tuple[IsdAs, int], float] = field(default_factory=dict)
-    #: Observability hook; lookups are synchronous (zero simulated
-    #: time), so the daemon reports through metrics rather than spans.
-    tracer: Any = NULL_TRACER
 
     def paths(self, dst: IsdAs) -> list[ScionPath]:
         """All candidate paths to ``dst``, lowest latency first.
@@ -114,15 +109,12 @@ class PathDaemon:
         over SCION.
         """
         self.stats.queries += 1
-        metrics = self.tracer.metrics
-        metrics.counter("daemon_queries_total").inc()
         if dst == self.isd_as:
             return []
         stale_candidates: list[ScionPath] = []
         entry = self._cache.get(dst)
         if entry is not None:
             self.stats.cache_hits += 1
-            metrics.counter("daemon_cache_hits_total").inc()
             paths, earliest_expiry, combined_under = entry
             if self.clock is None or self.clock.now < earliest_expiry:  # type: ignore[attr-defined]
                 # Fast path: no cached path can have expired yet.
@@ -166,7 +158,6 @@ class PathDaemon:
             # Infrastructure outage: the cache could not answer and the
             # server cannot be queried — expired segments stay expired.
             self.stats.server_unreachable += 1
-            metrics.counter("daemon_server_unreachable_total").inc()
             raise PathServerUnreachableError(
                 f"path server unreachable, no cached path "
                 f"{self.isd_as} -> {dst}")
@@ -226,7 +217,6 @@ class PathDaemon:
         for ``dst`` afterwards.
         """
         self.stats.path_failures_reported += 1
-        self.tracer.metrics.counter("path_failures_reported_total").inc()
         now = self.clock.now if self.clock is not None else 0.0  # type: ignore[attr-defined]
         ttl = self.dead_path_ttl_ms if ttl_ms is None else ttl_ms
         # Purge expired marks on the report path too — a daemon that
@@ -240,7 +230,6 @@ class PathDaemon:
         if not getattr(self.path_server, "available", True):
             return False
         self.stats.failover_requeries += 1
-        self.tracer.metrics.counter("daemon_failover_requeries_total").inc()
         try:
             return bool(self.paths(dst))
         except NoPathError:
@@ -286,7 +275,6 @@ class PathDaemon:
         if revocation.expires_ms > self._revoked.get(key, 0.0):
             self._revoked[key] = revocation.expires_ms
         self.stats.revocations_applied += 1
-        self.tracer.metrics.counter("daemon_revocations_applied_total").inc()
 
     def lift_revocation(self, key: tuple[IsdAs, int]) -> None:
         """The control plane says the revoked interface recovered.
@@ -298,7 +286,6 @@ class PathDaemon:
         if self._revoked.pop(key, None) is None:
             return
         self.stats.revocations_lifted += 1
-        self.tracer.metrics.counter("daemon_revocations_lifted_total").inc()
         self._evict_combined_under(key)
 
     def _evict_combined_under(self, key: tuple[IsdAs, int]) -> None:

@@ -214,7 +214,6 @@ class RevocationService:
                                     ifid=ifid, action="revoke")
             span.event("revocation.originate", issued_ms=now,
                        ttl_ms=self.ttl_ms)
-            self.tracer.metrics.counter("revocations_originated_total").inc()
             self._schedule(lambda rev=revocation, sp=span:
                            self._propagate(rev, sp))
 
@@ -238,7 +237,6 @@ class RevocationService:
             span = self.tracer.span("revocation", isd_as=str(isd_as),
                                     ifid=ifid, action="lift")
             span.event("revocation.originate", lift=True)
-            self.tracer.metrics.counter("revocations_lifted_total").inc()
             self._schedule(lambda k=key, sp=span: self._lift(k, sp))
 
     # -- dissemination ----------------------------------------------------

@@ -408,7 +408,8 @@ class Transfer:
 
 
 class FastPathStats:
-    """Plain counters, independent of any metrics registry."""
+    """The fast path's counts (``fallbacks`` is keyed by reason);
+    :func:`repro.obs.metrics.observe` reads them as ``fastpath_*``."""
 
     __slots__ = ("transfers", "fallbacks", "demotions", "burst_waits",
                  "wait_ms")
@@ -440,18 +441,10 @@ class FastPath:
         #: cache against it.
         self.epoch = 0
         self.tracer = tracer
-        self.metrics = tracer.metrics
         self.stats = FastPathStats()
         self.disabled_reason: str | None = None
         self._endpoints: dict[tuple[str, int], dict[str, EndpointRecord]] = {}
         self._by_link: dict[int, list[Transfer]] = {}
-
-    # -- observability -------------------------------------------------------
-
-    def attach_tracer(self, tracer) -> None:
-        """Route counters and demote events into an obs tracer."""
-        self.tracer = tracer
-        self.metrics = tracer.metrics
 
     # -- registration --------------------------------------------------------
 
@@ -682,7 +675,6 @@ class FastPath:
             else:
                 self._step(transfer)
         self.stats.transfers += 1
-        self.metrics.counter("fastpath_transfers_total").inc()
         return True
 
     def _step(self, transfer: Transfer) -> None:
@@ -743,8 +735,6 @@ class FastPath:
         channel by a modelled queueing ``wait``."""
         self.stats.burst_waits += 1
         self.stats.wait_ms += wait
-        self.metrics.counter("fastpath_burst_waits_total").inc()
-        self.metrics.counter("fastpath_wait_ms_total").inc(wait)
         channel = transfer.channel
         channel._fp_busy_until += wait
         active = channel._fp_active
@@ -859,7 +849,6 @@ class FastPath:
         channel._fp_active.remove(transfer)
         self.stats.demotions += 1
         self.stats.fallbacks[reason] = self.stats.fallbacks.get(reason, 0) + 1
-        self.metrics.counter("fastpath_fallbacks_total", reason=reason).inc()
         tracer = self.tracer
         if tracer.enabled:
             tracer.span("fastpath.demote", reason=reason,
@@ -915,7 +904,6 @@ class FastPath:
 
     def _fallback(self, reason: str, channel: Any = None) -> bool:
         self.stats.fallbacks[reason] = self.stats.fallbacks.get(reason, 0) + 1
-        self.metrics.counter("fastpath_fallbacks_total", reason=reason).inc()
         if channel is not None:
             active = getattr(channel, "_fp_active", None)
             if active:

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.core.skip.stats import PathUsageStats
+from repro.experiments.harness import observe_world
+from repro.experiments.local_setup import (build_local_world, load_once,
+                                           make_page)
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -85,14 +88,19 @@ class TestLatencyHistograms:
         assert host.ip_latency.mean == pytest.approx(100.0)
 
     def test_metrics_mirror_records_request_ms(self):
-        registry = MetricsRegistry()
-        stats = PathUsageStats(metrics=registry)
-        stats.record_scion("a", "fp", "s", 10.0, compliant=True)
-        stats.record_ip("b", 20.0, scion_was_available=True)
-        scion = registry.histogram("request_ms", transport="scion")
-        ip = registry.histogram("request_ms", transport="ip")
-        assert scion.count == 1 and scion.mean == pytest.approx(10.0)
-        assert ip.count == 1 and ip.mean == pytest.approx(20.0)
+        # No mirror any more: the per-host histograms are the store, and
+        # ``observe`` sums them over hosts into ``proxy_*_latency``.
+        world = build_local_world(make_page("mixed SCION-IP", 4, 0), seed=3)
+        load_once(world)
+        registry = observe_world(world)
+        hosts = world.browser.proxy.stats.hosts.values()
+        for transport in ("scion", "ip"):
+            summed = registry.histogram(f"proxy_{transport}_latency")
+            per_host = [getattr(host, f"{transport}_latency")
+                        for host in hosts]
+            assert summed.count == sum(h.count for h in per_host) > 0
+            assert summed.total == pytest.approx(
+                sum(h.total for h in per_host))
 
     def test_default_stats_need_no_registry(self):
         # The counter API stays backward compatible: no registry wired,
@@ -114,11 +122,11 @@ class TestLatencyHistograms:
 class TestUtilizationSection:
     def test_report_renders_per_as_utilization_when_present(self):
         registry = MetricsRegistry()
-        stats = PathUsageStats(metrics=registry)
+        stats = PathUsageStats()
         stats.record_scion("a.example", "fp", "[1 > 2]", 12.0,
                            compliant=True)
-        assert "utilization" not in stats.report()
+        assert "utilization" not in stats.report(registry)
         registry.gauge("as_link_bytes", isd_as="1-ff00:0:110").set(4_096.0)
-        report = stats.report()
+        report = stats.report(registry)
         assert "per-AS link utilization" in report
         assert "1-ff00:0:110: 4,096 B" in report

@@ -5,9 +5,11 @@ import json
 import pytest
 
 from repro.errors import ReproError
+from repro.experiments.harness import observe_world
 from repro.experiments.local_setup import FIGURE3
-from repro.obs.export import (ARTIFACT_VERSION, build_artifact, diff_report,
-                              load_artifact, render_report, write_artifact)
+from repro.obs.export import (ARTIFACT_VERSION, artifact_digest,
+                              build_artifact, diff_report, load_artifact,
+                              render_report, write_artifact)
 
 
 @pytest.fixture(scope="module")
@@ -17,10 +19,14 @@ def traced_world():
     return world, result.plt_ms
 
 
+def artifact_of(world, **kwargs):
+    return build_artifact(world.tracer, observe_world(world), **kwargs)
+
+
 class TestArtifacts:
     def test_build_has_all_sections(self, traced_world):
         world, _plt = traced_world
-        artifact = build_artifact(world.tracer, label="t")
+        artifact = artifact_of(world, label="t")
         assert artifact["version"] == ARTIFACT_VERSION
         assert artifact["label"] == "t"
         assert artifact["spans"]
@@ -29,16 +35,23 @@ class TestArtifacts:
         json.dumps(artifact)  # JSON-encodable end to end
 
     def test_snapshot_cache_gauges_reexported(self, traced_world):
+        # ... under ``process``, outside the metrics and the digest: the
+        # counters are cumulative over the process, not the world.
         world, _plt = traced_world
-        gauges = build_artifact(world.tracer, label="t")["metrics"]["gauges"]
-        assert "snapshot_cache_hit_ratio" in gauges
-        assert 0.0 <= gauges["snapshot_cache_hit_ratio"] <= 1.0
-        assert "snapshot_cache_size" in gauges
+        artifact = artifact_of(world, label="t")
+        cache = artifact["process"]["snapshot_cache"]
+        assert set(cache) == {"hits", "misses", "bypasses", "evictions",
+                              "size"}
+        assert not any(key.startswith("snapshot_cache")
+                       for key in artifact["metrics"]["gauges"])
+        moved = json.loads(json.dumps(artifact))
+        moved["process"]["snapshot_cache"]["hits"] += 420
+        assert artifact_digest(moved) == artifact_digest(artifact)
+        assert "(no metric differences)" in diff_report(artifact, moved)
 
     def test_write_then_load_round_trips(self, traced_world, tmp_path):
         world, _plt = traced_world
-        artifact = build_artifact(world.tracer, label="t",
-                                  extra={"seed": 131})
+        artifact = artifact_of(world, label="t", extra={"seed": 131})
         path = tmp_path / "nested" / "trace.json"
         write_artifact(path, artifact)
         assert load_artifact(path) == artifact
@@ -52,18 +65,18 @@ class TestArtifacts:
 
     def test_render_report_smoke(self, traced_world):
         world, _plt = traced_world
-        text = render_report(build_artifact(world.tracer, label="t"))
+        text = render_report(artifact_of(world, label="t"))
         assert "t" in text
-        assert "requests_total" in text
+        assert "proxy_scion_requests" in text
 
     def test_diff_of_identical_artifacts_is_quiet(self, traced_world):
         world, _plt = traced_world
-        artifact = build_artifact(world.tracer, label="t")
+        artifact = artifact_of(world, label="t")
         assert "(no metric differences)" in diff_report(artifact, artifact)
 
     def test_diff_surfaces_changed_counters(self, traced_world):
         world, _plt = traced_world
-        a = build_artifact(world.tracer, label="a")
+        a = artifact_of(world, label="a")
         b = json.loads(json.dumps(a))
         key = next(iter(b["metrics"]["counters"]))
         b["metrics"]["counters"][key] += 5

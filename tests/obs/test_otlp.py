@@ -10,7 +10,7 @@ from repro.simnet.events import EventLoop
 
 def small_artifact(label="otlp-test"):
     loop = EventLoop()
-    tracer = Tracer(loop, metrics=MetricsRegistry())
+    tracer = Tracer(loop)
     root = tracer.span("page.load", host="a.example", n_resources=2,
                        warm=True)
     child = tracer.span("http.request", parent=root, via="scion",
@@ -23,7 +23,7 @@ def small_artifact(label="otlp-test"):
     failed.end(STATUS_ERROR)
     loop.run(until=9.0)
     root.end()
-    return build_artifact(tracer, label=label)
+    return build_artifact(tracer, MetricsRegistry(), label=label)
 
 
 class TestOtlpShape:

@@ -87,12 +87,6 @@ class TestNullTracer:
         assert span.end() is span
         assert NULL_TRACER.spans == []
 
-    def test_null_metrics_are_no_ops(self):
-        NULL_TRACER.metrics.counter("c", label="x").inc()
-        NULL_TRACER.metrics.histogram("h").observe(1.0)
-        assert NULL_TRACER.metrics.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {}}
-
     def test_null_span_usable_as_context_manager(self):
         with NULL_SPAN as span:
             assert span is NULL_SPAN

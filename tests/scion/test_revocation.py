@@ -11,6 +11,7 @@ import pytest
 
 from repro.errors import ReproError, VerificationError
 from repro.internet.build import Internet
+from repro.obs.metrics import observe
 from repro.obs.spans import Tracer
 from repro.scion.beaconing import BeaconingService
 from repro.scion.combinator import combine_segments
@@ -331,8 +332,8 @@ class TestEndToEndPropagation:
             assert "revocation.propagate" in names
             assert "revocation.apply" in names
             assert span.ended
-        assert tracer.metrics.counter(
-            "revocations_originated_total").value == 2.0
+        assert observe(internet, spans=tracer.spans).counter(
+            "revocation_originated").value == 2.0
 
     def test_double_link_up_raises(self):
         internet, ases, _client = self.make_world()

@@ -27,6 +27,7 @@ import pytest
 
 from repro.internet.build import Internet
 from repro.ip.tcp import TcpListener, tcp_connect
+from repro.obs.metrics import observe
 from repro.obs.spans import Tracer
 from repro.simnet import fastpath
 from repro.simnet.fastpath import (PLT_ERROR_BOUND, expected_max_jitter,
@@ -287,7 +288,7 @@ class TestLiveDemotion:
         conn_b = _connect(internet, ases, server, "c2")
         fastpath = internet.fastpath
         tracer = Tracer(internet.loop)
-        fastpath.attach_tracer(tracer)
+        fastpath.tracer = tracer
         a = ("first", 480_000)
         b = ("second", 480_000)
         conn_a.send(a, 480_000)
@@ -300,10 +301,10 @@ class TestLiveDemotion:
         assert fastpath.stats.demotions == 0
         assert fastpath.stats.fallbacks == {}
         assert fastpath.stats.burst_waits > 0
-        metrics = tracer.metrics
-        assert metrics.counter("fastpath_burst_waits_total").value \
+        metrics = observe(internet, spans=tracer.spans)
+        assert metrics.counter("fastpath_burst_waits").value \
             == fastpath.stats.burst_waits
-        assert metrics.counter("fastpath_wait_ms_total").value \
+        assert metrics.counter("fastpath_wait_ms").value \
             == pytest.approx(fastpath.stats.wait_ms)
         assert not tracer.spans_named("fastpath.demote")
 
@@ -333,7 +334,7 @@ class TestLiveDemotion:
     def test_demote_span_and_counters(self, remote_world):
         internet, ases = remote_world
         tracer = Tracer(internet.loop)
-        internet.fastpath.attach_tracer(tracer)
+        internet.fastpath.tracer = tracer
         server, received = _far_server(internet, ases)
         conn = _connect(internet, ases, server, "c1")
         payload = ("blob", 480_000)
@@ -343,9 +344,9 @@ class TestLiveDemotion:
                               lambda: setattr(link, "extra_loss_rate", 0.2))
         internet.run()
         assert received == [payload]
-        metrics = tracer.metrics
-        assert metrics.counter("fastpath_transfers_total").value == 1
-        assert metrics.counters_named("fastpath_fallbacks_total")
+        metrics = observe(internet, spans=tracer.spans)
+        assert metrics.counter("fastpath_transfers").value == 1
+        assert metrics.counters_named("fastpath_fallbacks")
         spans = tracer.spans_named("fastpath.demote")
         assert len(spans) == 1
         assert spans[0].attributes["reason"] == "fault"
@@ -471,7 +472,7 @@ class TestContentionAtTheTransmitter:
                 tcp_connect(client, server.addr, 80, via="ip")))
         internet.run()
         tracer = Tracer(internet.loop)
-        internet.fastpath.attach_tracer(tracer)
+        internet.fastpath.tracer = tracer
         began = internet.loop.now
         first, second = ("first", 12_000), ("second", 60_000)
         conns[0].send(first, 12_000)
@@ -490,8 +491,8 @@ class TestContentionAtTheTransmitter:
         assert [span.attributes["reason"]
                 for span in tracer.spans_named("fastpath.demote")] \
             == ["queue"]
-        assert tracer.metrics.counter("fastpath_fallbacks_total",
-                                      reason="queue").value == 1
+        assert observe(internet).counter("fastpath_fallbacks",
+                                         reason="queue").value == 1
         # Conservation: both messages, every segment, counted once.
         assert [conn.channel.stats.segments_sent
                 - conn.channel.stats.retransmissions
@@ -571,12 +572,11 @@ class TestObsSurfacing:
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
-        registry.counter("fastpath_transfers_total").inc(7)
-        registry.counter("fastpath_fallbacks_total",
-                         reason="contention").inc(2)
-        stats = PathUsageStats(metrics=registry)
+        registry.counter("fastpath_transfers").inc(7)
+        registry.counter("fastpath_fallbacks", reason="contention").inc(2)
+        stats = PathUsageStats()
         stats.record_ip("example.org", 12.0, scion_was_available=False)
-        report = stats.report()
+        report = stats.report(registry)
         assert "hybrid-fidelity fast path: 7 analytic transfers" in report
         assert "fallback[contention]: 2" in report
 
@@ -585,19 +585,19 @@ class TestObsSurfacing:
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
-        registry.counter("fastpath_transfers_total").inc(7)
-        registry.counter("fastpath_fallbacks_total", reason="queue").inc(1)
-        registry.counter("fastpath_burst_waits_total").inc(3)
-        registry.counter("fastpath_wait_ms_total").inc(0.4375)
-        stats = PathUsageStats(metrics=registry)
+        registry.counter("fastpath_transfers").inc(7)
+        registry.counter("fastpath_fallbacks", reason="queue").inc(1)
+        registry.counter("fastpath_burst_waits").inc(3)
+        registry.counter("fastpath_wait_ms").inc(0.4375)
+        stats = PathUsageStats()
         stats.record_ip("example.org", 12.0, scion_was_available=False)
-        report = stats.report()
+        report = stats.report(registry)
         assert ("bursts that queued at a transmitter: 3 "
                 "(0.438 ms modelled wait)") in report
         assert "fallback[queue]: 1" in report
 
     def test_contention_gauges_export(self):
-        from repro.obs.metrics import MetricsRegistry, export_link_contention
+        from repro.obs.metrics import MetricsRegistry, sample_links
 
         network = Network(seed=7)
         a, b = _Sink("br"), _Sink("h")
@@ -608,7 +608,7 @@ class TestObsSurfacing:
         link.transmit(Packet(src="br", dst="h", payload=None, size=1000),
                       "br")
         registry = MetricsRegistry()
-        export_link_contention(registry, network)
+        sample_links(registry, network)
         inflight = registry.gauges_named("link_inflight")
         assert list(inflight.values()) == [1.0]
         busy = registry.gauges_named("link_busy_ms")
