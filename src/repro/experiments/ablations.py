@@ -50,10 +50,9 @@ from repro.experiments.local_setup import (
 )
 from repro.http.server import HttpServer
 from repro.internet.build import Internet
+from repro.internet.snapshot import control_plane_snapshot
 from repro.quic.multipath import BulkSink, disjoint_paths, multipath_send
-from repro.scion.beaconing import BeaconingService
 from repro.scion.combinator import combine_segments
-from repro.scion.pki import ControlPlanePki
 from repro.topology.defaults import (LOCAL_AS, dual_homed_testbed,
                                      local_testbed)
 from repro.topology.generator import random_internet
@@ -163,9 +162,8 @@ def run_ablation_policy(metric: str = "co2", seed: int = 42,
     """
     topology = random_internet(n_isds=n_isds, cores_per_isd=2,
                                leaves_per_isd=4, seed=seed)
-    pki = ControlPlanePki(topology, seed=seed)
-    store = BeaconingService(topology, pki).build_store()
-    core_ases = {info.isd_as for info in topology.core_ases()}
+    control_plane = control_plane_snapshot(topology)
+    store, core_ases = control_plane.store, control_plane.core_ases
     all_ases = [info.isd_as for info in topology.ases()]
     rng = random.Random(seed)
     policy = co2_optimized() if metric == "co2" else latency_optimized()
@@ -409,18 +407,17 @@ def run_ablation_diversity(budgets: tuple[int, ...] = (1, 2, 4, 8),
     """
     topology = random_internet(n_isds=n_isds, cores_per_isd=2,
                                leaves_per_isd=4, seed=seed)
-    pki = ControlPlanePki(topology, seed=seed)
-    core_ases = {info.isd_as for info in topology.core_ases()}
     leaves = [info.isd_as for info in topology.ases() if not info.core]
     rng = random.Random(seed)
     sample_pairs = [tuple(rng.sample(leaves, 2)) for _ in range(pairs)]
 
     def evaluate(budget: int) -> tuple[float, dict]:
-        store = BeaconingService(topology, pki,
-                                 beacons_per_target=budget).build_store()
+        control_plane = control_plane_snapshot(
+            topology, beacons_per_target=budget)
         counts, best = [], {}
         for src, dst in sample_pairs:
-            paths = combine_segments(src, dst, store, core_ases=core_ases)
+            paths = combine_segments(src, dst, control_plane.store,
+                                     core_ases=control_plane.core_ases)
             counts.append(len(paths))
             if paths:
                 best[(src, dst)] = paths[0].metadata.latency_ms

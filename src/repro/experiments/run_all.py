@@ -148,14 +148,17 @@ the simulated PLT tail are the benchmark's ``city`` workload
 Where the simulator's own time goes on a city (the roadmap asked
 whether world build dominates — it does not). On the benchmark's
 60-user ``city`` workload (``python -m bench --workload city --trace 1``)
-build is about 1 % of a repetition (0.03 s of 3.2 s) and roughly 400 k
-of the 527 k loop events are per-hop forwarding. Before routers kept a
-table of verified hop fields, about a third of the wall clock was them
-recomputing HMACs: 241,406 ``verify_hop_mac`` calls over 173,434 packets to
-check 12 distinct hop fields. Routers now verify each distinct hop
-field once and check only the AS match and the expiry per packet; the
-router change alone took a repetition from 3.4 s to 2.3 s, the
-flattened link path to 2.1 s, with every simulated number unchanged.
+build is about 4 % of a repetition (0.03 s of ~0.75 s) and the 254
+loads cost 78 k loop events, 306 per load: 7,050 analytic transfers
+carry the 332 k packets, so the router and link layers are under 4 %
+of the wall clock. Before routers kept a table of verified hop fields,
+about a third of it was them recomputing HMACs: 241,406
+``verify_hop_mac`` calls over 173,434 packets to check 12 distinct hop
+fields. Routers now verify each distinct hop field once and check only
+the AS match and the expiry per packet; that took a repetition from
+3.4 s to 2.3 s and the flattened link path to 2.1 s with every
+simulated number unchanged, and judging contention at the transmitter
+took the 527 k loop events of those days to the 78 k above.
 """
 
 

@@ -3,10 +3,10 @@
 Construction performs, in order:
 
 1. resolve the frozen control-plane snapshot — PKI material, the
-   verified segment store from beaconing, the converged BGP RIB — via
-   the cross-trial cache in :mod:`repro.internet.snapshot` (built once
-   per ``(topology, seed, beacons_per_target, verify_beacons)`` per
-   process, reused by every later build),
+   segment store from beaconing, the converged BGP RIB — via the
+   cross-trial cache in :mod:`repro.internet.snapshot` (built once per
+   ``(topology, beacons_per_target, verify_beacons)`` per process,
+   reused by every later build, whatever its seed),
 2. instantiate the cheap mutable layer on top: the simnet (one
    dual-stack router per AS, inter-AS links with the topology's
    latency/bandwidth/loss/jitter/MTU), a fresh path server over the
@@ -80,9 +80,11 @@ class Internet:
 
         # The expensive, immutable control plane comes from the
         # process-local snapshot cache: PKI generation, beaconing, and
-        # BGP convergence run once per configuration, not once per trial.
+        # BGP convergence run once per topology, not once per trial.
+        # ``seed`` drives what a trial varies: the data-plane RNG above,
+        # the path server's degradation stream below, the workload.
         self.snapshot = control_plane_snapshot(
-            topology, seed=seed, beacons_per_target=beacons_per_target,
+            topology, beacons_per_target=beacons_per_target,
             verify_beacons=verify_beacons, cache=snapshot_cache)
         self.pki: ControlPlanePki = self.snapshot.pki
         self.core_ases: set[IsdAs] = set(self.snapshot.core_ases)

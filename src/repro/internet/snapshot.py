@@ -1,31 +1,37 @@
 """Cross-trial control-plane snapshot cache.
 
 Building an :class:`~repro.internet.build.Internet` is dominated by
-control-plane work — PKI generation (RSA signing), beaconing, and BGP
-convergence — yet for a fixed ``(topology, seed, beacons_per_target,
-verify_beacons)`` tuple that state is *identical* on every build: the
-PKI draws from its own seeded RNG, beaconing and BGP are deterministic
-graph algorithms, and none of them touch the data-plane RNG stream. A
-trial battery that rebuilds the same world per seed therefore repeats
-the exact same computation over and over (across the four Figure 3
-conditions, every seed's control plane is built four times).
+control-plane work — PKI generation (RSA key pairs, signing), beaconing,
+and BGP convergence — yet that state is a pure function of
+``(topology, beacons_per_target, verify_beacons)``: beaconing and BGP
+are deterministic graph algorithms, the PKI draws from a private RNG
+seeded from the topology's fingerprint, and none of them touch the
+data-plane RNG stream. The trial seed reaches nothing in it — like the
+standing SCIONLab control plane the paper's page loads run over, TRCs,
+certificates and beacons outlive every load — so a battery that
+rebuilds the same world per seed and per condition would otherwise
+repeat the exact same computation (and its Miller–Rabin) every time.
 
 This module interns that state: :func:`control_plane_snapshot` returns a
-frozen :class:`ControlPlaneSnapshot` (PKI material, the verified
-:class:`~repro.scion.beaconing.SegmentStore`, the converged
+frozen :class:`ControlPlaneSnapshot` (PKI material, the
+:class:`~repro.scion.beaconing.SegmentStore` — verified when
+``verify_beacons`` is set — and the converged
 :class:`~repro.ip.bgp.BgpRib`) from a process-local LRU cache keyed by
-``(topology fingerprint, seed, beacons_per_target, verify_beacons)``.
+``(topology fingerprint, beacons_per_target, verify_beacons)``.
 The :class:`~repro.internet.build.Internet` then instantiates only the
 cheap mutable layer — simnet routers, links, hosts, per-host daemons —
-on top.
+on top, and feeds its ``seed`` to what a trial really varies: the
+data-plane RNG, the path server's degradation stream, the workload.
 
 Correctness properties (test-enforced):
 
 * **Bit-identical results.** The snapshot is a pure function of its key,
   so serial, cached, and worker-pool runs of any battery produce the
-  same samples to the last bit. Per-seed RNG streams are untouched: the
-  PKI RNG is local to :class:`~repro.scion.pki.ControlPlanePki` and the
-  data-plane RNG is seeded independently by the ``Network``.
+  same samples to the last bit, whichever seeds a process ran before.
+  Per-seed RNG streams are untouched: the PKI RNG is local to
+  :class:`~repro.scion.pki.ControlPlanePki`, no simulated number reads
+  key bytes, and the data-plane RNG is seeded independently by the
+  ``Network``.
 * **Spawn-safe.** The cache is a module-level dict, so every spawned
   worker process starts empty and builds each snapshot it needs exactly
   once, then reuses it across all trials the pool hands it.
@@ -42,9 +48,8 @@ Correctness properties (test-enforced):
 
 Debugging escape hatch: set ``REPRO_SNAPSHOT_CACHE=0`` (or ``off`` /
 ``false`` / ``no``) to bypass the cache entirely — every build then
-recomputes its control plane from scratch, exactly as before this cache
-existed. :data:`stats` counts hits/misses/bypasses so tests can assert
-cache behavior.
+recomputes the same control plane from scratch. :data:`stats` counts
+hits/misses/bypasses so tests can assert cache behavior.
 """
 
 from __future__ import annotations
@@ -131,16 +136,16 @@ def cache_enabled(override: bool | None = None) -> bool:
     return resolve_knob(SNAPSHOT_CACHE_ENV, override)
 
 
-def snapshot_key(topology: AsTopology, seed: int, beacons_per_target: int,
+def snapshot_key(topology: AsTopology, beacons_per_target: int,
                  verify_beacons: bool) -> tuple:
     """The cache key: every input the control-plane state depends on."""
-    return (topology.fingerprint(), seed, beacons_per_target,
-            bool(verify_beacons))
+    return (topology.fingerprint(), beacons_per_target, bool(verify_beacons))
 
 
-def _build(topology: AsTopology, seed: int, beacons_per_target: int,
-           verify_beacons: bool, key: tuple) -> ControlPlaneSnapshot:
-    pki = ControlPlanePki(topology, seed=seed)
+def _build(topology: AsTopology, key: tuple) -> ControlPlaneSnapshot:
+    fingerprint, beacons_per_target, verify_beacons = key
+    # Distinct topologies keep distinct secrets; trial seeds share them.
+    pki = ControlPlanePki(topology, seed=int(fingerprint, 16))
     beaconing = BeaconingService(
         topology, pki, beacons_per_target=beacons_per_target,
         verify_on_extend=verify_beacons)
@@ -151,7 +156,7 @@ def _build(topology: AsTopology, seed: int, beacons_per_target: int,
                                 core_ases=core_ases)
 
 
-def control_plane_snapshot(topology: AsTopology, seed: int = 0,
+def control_plane_snapshot(topology: AsTopology,
                            beacons_per_target: int = 8,
                            verify_beacons: bool = False,
                            cache: bool | None = None
@@ -164,17 +169,17 @@ def control_plane_snapshot(topology: AsTopology, seed: int = 0,
     overrides the ``REPRO_SNAPSHOT_CACHE`` knob per call, so single
     worlds can opt out without touching the process environment.
     """
-    key = snapshot_key(topology, seed, beacons_per_target, verify_beacons)
+    key = snapshot_key(topology, beacons_per_target, verify_beacons)
     if not cache_enabled(cache):
         stats.bypasses += 1
-        return _build(topology, seed, beacons_per_target, verify_beacons, key)
+        return _build(topology, key)
     snapshot = _cache.get(key)
     if snapshot is not None:
         stats.hits += 1
         _cache.move_to_end(key)
         return snapshot
     stats.misses += 1
-    snapshot = _build(topology, seed, beacons_per_target, verify_beacons, key)
+    snapshot = _build(topology, key)
     _cache[key] = snapshot
     while len(_cache) > MAX_CACHED_SNAPSHOTS:
         _cache.popitem(last=False)

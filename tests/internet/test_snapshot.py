@@ -1,11 +1,13 @@
 """The control-plane snapshot cache: hits, misses, invalidation.
 
 The cache key must cover every input the control-plane state depends on
-— topology content, control-plane seed, beaconing budget, verify flag —
-and nothing else (data-plane knobs like ``verify_macs`` or host jitter
+— topology content, beaconing budget, verify flag — and nothing else
+(the trial seed and data-plane knobs like ``verify_macs`` or host jitter
 must not fragment it). The conftest's autouse fixture clears the cache
 around every test, so all counters here start from zero.
 """
+
+import inspect
 
 import pytest
 
@@ -32,11 +34,26 @@ class TestCacheHitsAndMisses:
         # The mutable wrapper stays per-world.
         assert second.path_server is not first.path_server
 
-    def test_different_seed_misses(self):
-        Internet(local_testbed(), seed=1)
-        Internet(local_testbed(), seed=2)
+    def test_seeds_share_a_snapshot_topologies_do_not(self):
+        """The trial seed reaches nothing in the control plane; the
+        topology seeds all of it, secrets included."""
+        topology, ases = remote_testbed()
+        first = Internet(topology, seed=1)
+        second = Internet(remote_testbed()[0], seed=2)
+        assert second.snapshot is first.snapshot
+        assert (snapshot.stats.misses, snapshot.stats.hits) == (1, 1)
+        topology.add_link(ases.local_core, ases.remote_core, LinkKind.CORE,
+                          latency_ms=9.0)
+        other = Internet(topology, seed=1)
         assert snapshot.stats.misses == 2
-        assert snapshot.stats.hits == 0
+        assert other.pki.forwarding_key(ases.client) \
+            != first.pki.forwarding_key(ases.client)
+
+    def test_seed_is_not_a_parameter(self):
+        """Guard against quietly re-fragmenting the key per trial."""
+        for function in (snapshot.control_plane_snapshot,
+                         snapshot.snapshot_key):
+            assert "seed" not in inspect.signature(function).parameters
 
     def test_different_topology_misses(self):
         Internet(local_testbed(), seed=1)
@@ -135,10 +152,10 @@ class TestEnvDisable:
 class TestLruBound:
     def test_eviction_past_bound(self, monkeypatch):
         monkeypatch.setattr(snapshot, "MAX_CACHED_SNAPSHOTS", 2)
-        for seed in range(3):
-            Internet(local_testbed(), seed=seed)
+        for budget in (1, 2, 3):
+            Internet(local_testbed(), beacons_per_target=budget)
         assert snapshot.cache_size() == 2
         assert snapshot.stats.evictions == 1
-        # Oldest (seed 0) was evicted: rebuilding it misses again.
-        Internet(local_testbed(), seed=0)
+        # Oldest (budget 1) was evicted: rebuilding it misses again.
+        Internet(local_testbed(), beacons_per_target=1)
         assert snapshot.stats.misses == 4
