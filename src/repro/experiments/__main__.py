@@ -22,15 +22,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.experiments.ablations import (ABLATION_A, ABLATION_B, ABLATION_C,
-                                         ABLATION_D, ABLATION_E)
-from repro.experiments.ablations2 import SWEEP
+from repro.experiments.components import SWEEP
 from repro.experiments.fastpath_ab import FASTPATH_AB
 from repro.experiments.fault_battery import CHAOS
 from repro.experiments.harness import (Battery, run, run_checklist,
                                        write_json)
 from repro.experiments.local_setup import FIGURE3
 from repro.experiments.overload import OVERLOAD
+from repro.experiments.paper_ablations import (ABLATION_A, ABLATION_B,
+                                               ABLATION_C, ABLATION_D,
+                                               ABLATION_E)
 from repro.experiments.population import POPULATION
 from repro.experiments.remote_setup import FIGURE5, FIGURE6
 from repro.experiments.resilience_battery import RESILIENCE

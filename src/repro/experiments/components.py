@@ -740,8 +740,7 @@ def run_ablations(config: AblationConfig | None = None,
     return report
 
 
-def _assemble(trials: int, _rows_by_cell, small: bool = False
-              ) -> AblationReport:
+def _assemble(trials: int, small: bool = False) -> AblationReport:
     return run_ablations(dataclasses.replace(
         SELFTEST_CONFIG if small else FULL_CONFIG, trials=trials))
 
@@ -752,6 +751,6 @@ SWEEP = Battery(
     name="components", label="Component ablations",
     title="Component ablations — leave-one-out importance",
     holds=lambda report: report.all_ok, assemble=_assemble,
-    trials=FULL_CONFIG.trials, artifact="ablations2.json",
+    trials=FULL_CONFIG.trials, artifact="components.json",
     selftest={"trials": SELFTEST_CONFIG.trials, "small": True},
 )

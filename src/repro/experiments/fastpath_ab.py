@@ -368,8 +368,7 @@ def jittered_median_drift(trials: int = 30) -> list[tuple[str, str, float,
     return rows
 
 
-def _assemble(trials: int, _rows_by_cell,
-              jittered: bool = False) -> AbReport:
+def _assemble(trials: int, jittered: bool = False) -> AbReport:
     report = run_ab(trials=trials, contended=True)
     if jittered:
         report.drift = jittered_median_drift(trials=max(trials, 20))

@@ -33,15 +33,15 @@ bit-identical.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 from repro.core.browser.brave import BraveBrowser
 from repro.core.browser.page import content_for_origin, synthetic_page
 from repro.core.ppl.policies import latency_optimized
 from repro.dns.resolver import Resolver
 from repro.errors import ReproError
-from repro.experiments.harness import (Battery, BoxStats, World,
-                                       attach_tracer, load_page)
+from repro.experiments.harness import (Battery, Column, ExperimentResult,
+                                       World, attach_tracer, count,
+                                       load_page)
 from repro.http.server import HttpServer
 from repro.internet.build import Internet
 from repro.simnet.faults import FaultSchedule, inject
@@ -180,76 +180,7 @@ def fault_trial(scenario: str, mode: str, seed: int,
             float(result.fallback_count), float(total - ok))
 
 
-@dataclass(frozen=True)
-class FaultCell:
-    """One (scenario, mode) cell of the battery."""
-
-    plt: BoxStats
-    ok: int
-    failover: int
-    fallback: int
-    failed: int
-    total: int
-
-    @property
-    def recovered_fraction(self) -> float:
-        """Fraction of fetches saved by failover or fallback."""
-        return (self.failover + self.fallback) / self.total if self.total \
-            else 0.0
-
-
-@dataclass
-class FaultBatteryResult:
-    """The whole battery: one :class:`FaultCell` per scenario × mode."""
-
-    trials: int
-    cells: dict[tuple[str, str], FaultCell] = field(default_factory=dict)
-
-    def cell(self, scenario: str, mode: str) -> FaultCell:
-        """Look up one cell."""
-        return self.cells[(scenario, mode)]
-
-    def render(self) -> str:
-        """The battery as a text table."""
-        lines = [
-            "== Chaos battery — PLT and recovery under injected faults ==",
-            (f"{self.trials} trials/cell; counts summed over trials "
-             "(ok / failover / fallback / failed of total fetches)"),
-            "",
-        ]
-        for (scenario, mode), cell in self.cells.items():
-            label = f"{scenario} / {mode}"
-            lines.append(cell.plt.row(label))
-            lines.append(
-                f"{'':<24} ok={cell.ok}/{cell.total} "
-                f"failover={cell.failover} fallback={cell.fallback} "
-                f"failed={cell.failed} "
-                f"recovered={cell.recovered_fraction:.0%}")
-        lines.append(
-            "note: expected shape — link-flap recovers via path failover "
-            "in BOTH modes with zero IP fallback; the SCION-specific "
-            "outages (quic-outage, infra-outage, segment-expiry) are "
-            "recovered over IP by opportunistic mode and blocked by "
-            "strict mode")
-        return "\n".join(lines)
-
-
-def _assemble(trials: int, rows_by_cell,
-              n_resources: int = N_RESOURCES) -> FaultBatteryResult:
-    battery = FaultBatteryResult(trials=trials)
-    for key, rows in rows_by_cell.items():
-        battery.cells[key] = FaultCell(
-            plt=BoxStats.from_samples([row[0] for row in rows]),
-            ok=int(sum(row[1] for row in rows)),
-            failover=int(sum(row[2] for row in rows)),
-            fallback=int(sum(row[3] for row in rows)),
-            failed=int(sum(row[4] for row in rows)),
-            total=trials * (1 + n_resources),
-        )
-    return battery
-
-
-def chaos_holds(chaos: FaultBatteryResult) -> bool:
+def chaos_holds(chaos: ExperimentResult) -> bool:
     """Whether the chaos battery matched §4.2's graceful-degradation
     shape: failover without fallback on link-flap, and opportunistic
     recovering (over IP) everything strict blocks in the SCION-specific
@@ -267,7 +198,7 @@ def chaos_holds(chaos: FaultBatteryResult) -> bool:
     return True
 
 
-def _measured(chaos: FaultBatteryResult) -> str:
+def _measured(chaos: ExperimentResult) -> str:
     recovered = sum(chaos.cell(scenario, "opportunistic").fallback
                     for scenario in FALLBACK_SCENARIOS)
     blocked = sum(chaos.cell(scenario, "strict").failed
@@ -283,10 +214,34 @@ CHAOS = Battery(
     claim="§4.2: failures degrade gracefully — failover when an alternate "
           "path exists, opportunistic falls back to IP, strict blocks "
           "instead",
-    measured=_measured, holds=chaos_holds, assemble=_assemble,
+    measured=_measured, holds=chaos_holds,
     cells=tuple((scenario, mode) for scenario in SCENARIOS
                 for mode in MODES),
     trial=fault_trial, base_seed=500, trials=10,
     traced=functools.partial(fault_load, obs=True),
     traced_cell=("link-flap", "opportunistic"),
+    # One row per trial: (plt_ms, ok, failover, fallback, failed).
+    columns=(
+        Column("plt", 0, fmt="{label}"),
+        Column("ok", 1, count, fmt="ok={ok}/{total}"),
+        Column("failover", 2, count, fmt="failover={failover}"),
+        Column("fallback", 3, count, fmt="fallback={fallback}"),
+        Column("failed", 4, count, fmt="failed={failed}"),
+        Column("total", derive=lambda _cell, trials, n_resources=N_RESOURCES,
+               **_: trials * (1 + n_resources)),
+        # Fraction of fetches saved by failover or fallback.
+        Column("recovered_fraction", kept=False,
+               derive=lambda cell, _trials, **_:
+               (cell.failover + cell.fallback) / cell.total
+               if cell.total else 0.0,
+               fmt="recovered={recovered_fraction:.0%}")),
+    heading="Chaos battery — PLT and recovery under injected faults",
+    description=lambda trials, **_: (
+        f"{trials} trials/cell; counts summed over trials (ok / failover "
+        "/ fallback / failed of total fetches)"),
+    note="expected shape — link-flap recovers via path failover in BOTH "
+         "modes with zero IP fallback; the SCION-specific outages "
+         "(quic-outage, infra-outage, segment-expiry) are recovered over "
+         "IP by opportunistic mode and blocked by strict mode",
+    cells_key="cells",
 )

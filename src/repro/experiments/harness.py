@@ -1,10 +1,10 @@
 """What every experiment shares: trial running, box-plot statistics, the
-:class:`Battery` record and the world records.
+:class:`Battery` record, the one result shape and the world records.
 
 The paper presents PLT distributions as box plots over repeated page
 loads. :class:`BoxStats` captures exactly the quantities a box plot
 shows (quartiles, whiskers as min/max, plus mean/std for the tables in
-EXPERIMENTS.md); :func:`run_condition` runs one scenario callable over a
+EXPERIMENTS.md); :func:`run_samples` runs one trial callable over a
 battery of seeds, each trial in a completely fresh world, so trials are
 independent and the whole battery is reproducible.
 
@@ -13,6 +13,14 @@ one trial per seed per cell, collect in seed order, summarise, judge a
 shape — so each is declared once as a :class:`Battery` at the bottom of
 the module that owns its trial, and :func:`submit` / :func:`run` are the
 only way to execute one. ``python -m repro.experiments`` lists them.
+
+A pooled battery summarises the same way every time, so it declares
+*what* to summarise and nothing else: one :class:`Column` per figure of
+a cell (the row field it reads, a reducer, a display format). Its
+result is an :class:`ExperimentResult` — the raw rows per cell plus one
+:class:`Cell` of figures each — which renders and serialises every
+battery, from a Figure 3 box plot (the one-column case, :data:`PLT`) to
+the overload table.
 """
 
 from __future__ import annotations
@@ -91,11 +99,6 @@ class BoxStats:
                 f"mean={self.mean:8.1f} {unit}")
 
 
-def summarize(samples: list[float]) -> BoxStats:
-    """Shorthand for :meth:`BoxStats.from_samples`."""
-    return BoxStats.from_samples(samples)
-
-
 def mean(values) -> float:
     """Plain ``sum / len`` (the reducers' arithmetic; never reordered)."""
     values = list(values)
@@ -111,8 +114,8 @@ def mean(values) -> float:
 # start method: workers import the trial function by reference instead of
 # inheriting arbitrary forked state, which keeps parallel runs bit-identical
 # to serial ones on every platform. One pool is kept alive per worker count
-# so its startup cost amortizes across the many `run_condition` calls a
-# full `run_all` regeneration makes.
+# so its startup cost amortizes across the many cells a full `run_all`
+# regeneration submits.
 
 _pool: ProcessPoolExecutor | None = None
 _pool_workers = 0
@@ -224,7 +227,9 @@ def run_samples(trial: Callable[[int], float], seeds: Sequence[int],
     """``[trial(seed) for seed in seeds]``, fanned out over ``workers``
     processes when possible.
 
-    The seed→trial mapping is positional and the pool preserves input
+    Each call must build its own world from the seed — nothing may leak
+    between trials (caches, pooled connections, HSTS state). The
+    seed→trial mapping is positional and the pool preserves input
     order, so the returned samples are identical to a serial run no
     matter how trials interleave across workers. Falls back to serial
     execution for non-picklable trials (e.g. lambdas/closures) and when
@@ -233,57 +238,167 @@ def run_samples(trial: Callable[[int], float], seeds: Sequence[int],
     return submit_samples(trial, seeds, workers=workers).collect()
 
 
-def run_condition(trial: Callable[[int], float], trials: int,
-                  base_seed: int = 0, workers: int | None = None) -> BoxStats:
-    """Run ``trial(seed)`` for ``trials`` distinct seeds and summarize.
+def count(values) -> int:
+    """A sum of counts, as an integer."""
+    return int(sum(values))
 
-    Each call must build its own world from the seed — nothing may leak
-    between trials (caches, pooled connections, HSTS state). With
-    ``workers`` > 1 (default: ``os.cpu_count()``, overridable via the
-    ``REPRO_WORKERS`` env var) trials fan out over a spawn-based process
-    pool; results are bit-identical to a serial run because each trial
-    is a pure function of its seed and samples are collected in seed
-    order.
+
+def merge_counts(tallies) -> dict:
+    """Key-wise sum of ``((key, count), …)`` tallies, sorted by key."""
+    merged: dict = {}
+    for tally in tallies:
+        for key, value in tally:
+            merged[key] = merged.get(key, 0) + value
+    return dict(sorted(merged.items()))
+
+
+def key_text(key: tuple) -> str:
+    """A cell key as text: its parts joined by `` / ``."""
+    return " / ".join(map(str, key))
+
+
+@dataclass(frozen=True)
+class Column:
+    """One figure of a pooled battery's per-cell summary: ``reduce``
+    folds what it reads of every trial's row — an index, an attribute
+    name (by default its own), or the row itself when ``None``. A
+    *derived* column computes ``derive(cell, trials, **params)`` from
+    the figures before it instead; ``kept=False`` keeps it out of the
+    cell's record and JSON.
+
+    ``fmt`` shows the figure: a box plot as a row of its own labelled
+    ``fmt.format(label=…)``, anything else as ``fmt.format_map(cell)``
+    on the cell's one line, under ``heading`` in a table.
     """
-    seeds = range(base_seed, base_seed + trials)
-    return BoxStats.from_samples(run_samples(trial, seeds, workers=workers))
+
+    name: str
+    read: int | str | None = ""
+    reduce: Callable[[list], Any] = BoxStats.from_samples
+    derive: Callable[..., Any] | None = None
+    kept: bool = True
+    fmt: str | None = None
+    heading: str | None = None
+
+    def values(self, rows: list) -> list:
+        """What this column reads of every row."""
+        read = self.name if self.read == "" else self.read
+        if read is None:
+            return rows
+        if isinstance(read, int):
+            return [row[read] for row in rows]
+        return [getattr(row, read) for row in rows]
+
+
+#: The one column of a PLT-per-condition battery (Figures 3/5/6,
+#: Ablation A): a box plot of the trials' PLTs, labelled by condition.
+PLT = Column("plt", None, fmt="{label}")
+
+
+class Cell(dict):
+    """One cell's figures by column name, also read as attributes
+    (``cell.plt.median``); a figure its column does not keep reads the
+    same way but is not part of the record."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.shown: dict = {}
+
+    def __missing__(self, name: str) -> Any:
+        return self.__dict__["shown"][name]
+
+    def __getattr__(self, name: str) -> Any:
+        try:
+            return self[name]
+        except KeyError:
+            raise AttributeError(name) from None
 
 
 @dataclass
 class ExperimentResult:
-    """A named experiment with one summary per condition."""
+    """What a pooled battery returns: its raw per-trial rows per cell,
+    and one :class:`Cell` per cell derived from them by the battery's
+    declared columns — the only result shape a pooled battery has."""
 
-    name: str
-    description: str
-    conditions: dict[str, BoxStats] = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
+    battery: "Battery"
+    #: ``cell key → [row, …]``, one row per trial in seed order.
+    samples: dict[tuple, list]
+    #: The trial parameters the battery ran with.
+    params: dict = field(default_factory=dict)
+    cells: dict[tuple, Cell] = field(init=False, repr=False, compare=False)
 
-    def add(self, condition: str, stats: BoxStats) -> None:
-        """Record one condition's summary."""
-        self.conditions[condition] = stats
+    def __post_init__(self) -> None:
+        self.cells = {key: self._summarize(rows)
+                      for key, rows in self.samples.items()}
+
+    def _summarize(self, rows: list) -> Cell:
+        cell = Cell()
+        for column in self.battery.columns:
+            if column.derive is not None:
+                figure = column.derive(cell, len(rows), **self.params)
+            else:
+                figure = column.reduce(column.values(rows))
+            (cell if column.kept else cell.shown)[column.name] = figure
+        return cell
+
+    @property
+    def trials(self) -> int:
+        """Trials per cell."""
+        return next((len(rows) for rows in self.samples.values()), 0)
+
+    @property
+    def description(self) -> str:
+        return self.battery.description(self.trials, **self.params)
+
+    def cell(self, *key) -> Cell:
+        """Look up one cell."""
+        return self.cells[key]
 
     def median(self, condition: str) -> float:
-        """A condition's median (convenience for assertions)."""
-        return self.conditions[condition].median
+        """A PLT battery's median under one condition (verdicts)."""
+        return self.cells[(condition,)].plt.median
 
     def render(self) -> str:
-        """The experiment as a text table."""
-        lines = [f"== {self.name} ==", self.description, ""]
-        for condition, stats in self.conditions.items():
-            lines.append(stats.row(condition))
-        for note in self.notes:
-            lines.append(f"note: {note}")
+        """The battery as text: box plots in rows of their own, the
+        other shown figures on one line per cell (a table when the
+        columns have headings)."""
+        battery = self.battery
+        name = battery.heading
+        shown = [column for column in battery.columns if column.fmt]
+        header = " ".join(column.heading for column in shown
+                          if column.heading)
+        lines = ([name, "=" * len(name), self.description, "", header,
+                  "-" * len(header)] if header
+                 else [f"== {name} ==", self.description, ""])
+        for key, cell in self.cells.items():
+            label = battery.cell_label(key)
+            boxes = [column for column in shown
+                     if isinstance(cell[column.name], BoxStats)]
+            lines += [cell[column.name].row(column.fmt.format(label=label))
+                      for column in boxes]
+            line = [column.fmt.format_map(cell) for column in shown
+                    if column not in boxes]
+            if line:
+                lines.append(" ".join([f"{'':<24}"] * bool(boxes) + line))
+        if battery.footer is not None:
+            lines += battery.footer(self)
+        lines.append(f"note: {battery.note}")
         return "\n".join(lines)
 
-
-def plt_result(name: str, description: str, rows_by_cell: Mapping,
-               note: str) -> ExperimentResult:
-    """The ``assemble`` step of a PLT-per-condition battery: one box
-    plot per cell, labelled by the cell's condition."""
-    result = ExperimentResult(name, description, notes=[note])
-    for cell, samples in rows_by_cell.items():
-        result.add(cell[-1], BoxStats.from_samples(samples))
-    return result
+    def to_json(self) -> dict:
+        """The machine-readable result; a one-column cell is recorded
+        as its figure alone."""
+        battery = self.battery
+        cells = {key: cell if len(cell) > 1 else next(iter(cell.values()))
+                 for key, cell in self.cells.items()}
+        return {
+            "name": battery.heading,
+            "description": self.description,
+            **(battery.header(**self.params) if battery.header else {}),
+            "trials": self.trials,
+            battery.cells_key: to_json(cells),
+            "samples": to_json(self.samples),
+            "notes": [battery.note],
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +414,9 @@ class Battery:
     ``python -m repro.experiments <name>`` CLI, the component-ablation
     harness, the fast-path A/B and ``repro.obs trace`` all read this
     record instead of naming experiments. A *pooled* battery has
-    ``cells`` and a ``trial``; a *serial* one (Table 1, Ablations B–E,
-    the two harness tools) has neither and does its work in
+    ``cells``, a ``trial`` and ``columns``, and its result is an
+    :class:`ExperimentResult`; a *serial* one (Table 1, Ablations B–E,
+    the two harness tools) has none of them and does its work in
     ``assemble``.
     """
 
@@ -312,8 +428,8 @@ class Battery:
     #: The predicate deciding the summary row's "Holds" cell and the
     #: CLI's exit status.
     holds: Callable[[Any], bool]
-    #: ``assemble(trials, rows_by_cell, **params)`` → the result object.
-    assemble: Callable[..., Any]
+    #: A serial battery's ``assemble(trials, **params)`` → its result.
+    assemble: Callable[..., Any] | None = None
     #: The rest of the summary row: the paper's claim and the measured
     #: shape as text (the two harness tools judge no claim).
     claim: str = ""
@@ -351,6 +467,19 @@ class Battery:
     #: column of that row.
     score_trial: Callable[..., tuple] | None = None
     reducers: tuple[tuple[str, Callable], ...] = ()
+    #: A pooled battery's summary: one :class:`Column` per figure of a
+    #: cell, the block's heading, ``description(trials, **params)`` and
+    #: expected-shape note, the JSON key of its cell map, extra
+    #: top-level JSON fields ``header(**params)``, each cell's row label
+    #: and the lines ``footer(result)`` adds under the cells.
+    columns: tuple[Column, ...] = ()
+    heading: str = ""
+    description: Callable[..., str] | None = None
+    note: str = ""
+    cells_key: str = "conditions"
+    header: Callable[..., dict] | None = None
+    cell_label: Callable[[tuple], str] = key_text
+    footer: Callable[[ExperimentResult], list[str]] | None = None
 
 
 class Pending:
@@ -370,8 +499,12 @@ class Pending:
 
     def collect(self) -> Any:
         """Wait for every cell and assemble the battery's result."""
-        rows = {cell: samples.collect() for cell, samples in self._cells}
-        return self.battery.assemble(self._trials, rows, **self._params)
+        if self.battery.trial is None:
+            return self.battery.assemble(self._trials, **self._params)
+        return ExperimentResult(
+            self.battery,
+            {cell: samples.collect() for cell, samples in self._cells},
+            self._params)
 
 
 def submit(battery: Battery, trials: int | None = None,
@@ -380,7 +513,7 @@ def submit(battery: Battery, trials: int | None = None,
     """Start every cell of ``battery`` on the shared pool.
 
     ``trials`` / ``base_seed`` / ``cells`` default to the declaration
-    (paper scale); ``params`` reach both the trial and ``assemble``.
+    (paper scale); ``params`` reach the trial and the result.
     """
     trials = battery.trials if trials is None else trials
     base = battery.base_seed if base_seed is None else base_seed
@@ -396,9 +529,10 @@ def submit(battery: Battery, trials: int | None = None,
 
 
 def serial(compute: Callable[..., Any]) -> Callable[..., Any]:
-    """The ``assemble`` of a battery without pooled trials: all of its
-    work happens in ``compute(**params)`` when the result is collected."""
-    return lambda _trials, _rows_by_cell, **params: compute(**params)
+    """The ``assemble`` of a serial battery that takes no trial count:
+    all of its work happens in ``compute(**params)`` when the result is
+    collected."""
+    return lambda _trials, **params: compute(**params)
 
 
 def run(battery: Battery, **kwargs) -> Any:
@@ -431,7 +565,7 @@ def to_json(value: Any) -> Any:
         return {f.name: to_json(getattr(value, f.name))
                 for f in dataclasses.fields(value)}
     if isinstance(value, Mapping):
-        return {key if isinstance(key, str) else " / ".join(map(str, key)):
+        return {key if isinstance(key, str) else key_text(key):
                 to_json(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [to_json(item) for item in value]

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from repro.core.browser.brave import BraveBrowser
 from repro.core.browser.page import WebPage, content_for_origin, synthetic_page
 from repro.dns.resolver import Resolver
-from repro.experiments.harness import (Battery, World, attach_tracer,
-                                       load_page, mean, plt_result)
+from repro.experiments.harness import (PLT, Battery, World, attach_tracer,
+                                       load_page, mean)
 from repro.http.server import HttpServer
 from repro.internet.build import Internet
 from repro.topology.defaults import LOCAL_AS, local_testbed
@@ -160,17 +160,6 @@ def figure3_trial_events(condition: str, seed: int,
     return result.plt_ms, float(world.internet.loop.events_processed)
 
 
-def _assemble(trials: int, rows_by_cell, n_resources: int = N_RESOURCES,
-              **_params):
-    return plt_result(
-        "Figure 3 — local setup Page Load Time",
-        f"{trials} trials/condition, {n_resources} resources, "
-        "loopback-grade links; PLT in ms", rows_by_cell,
-        "expected shape: SCION-only ≈ mixed > strict-SCION and "
-        "BGP/IP-only (proxied loads pay the extension+proxy detour; "
-        "strict blocks most resources)")
-
-
 def _overhead_ms(figure3) -> float:
     return figure3.median("SCION-only") - figure3.median("BGP/IP-only")
 
@@ -191,11 +180,18 @@ FIGURE3 = Battery(
         f"overhead {_overhead_ms(figure3):.0f} ms; strict "
         f"{figure3.median('strict-SCION'):.0f} ms vs SCION-only "
         f"{figure3.median('SCION-only'):.0f} ms"),
-    holds=figure3_holds, assemble=_assemble,
+    holds=figure3_holds,
     cells=tuple((condition,) for condition in FIGURE3_CONDITIONS),
     trial=figure3_trial, base_seed=100, trials=30,
     traced=functools.partial(figure3_load, obs=True),
     traced_cell=("mixed SCION-IP",),
     score_trial=figure3_trial_events,
     reducers=(("plt_ms", mean), ("events_total", sum)),
+    columns=(PLT,), heading="Figure 3 — local setup Page Load Time",
+    description=lambda trials, n_resources=N_RESOURCES, **_: (
+        f"{trials} trials/condition, {n_resources} resources, "
+        "loopback-grade links; PLT in ms"),
+    note="expected shape: SCION-only ≈ mixed > strict-SCION and "
+         "BGP/IP-only (proxied loads pay the extension+proxy detour; "
+         "strict blocks most resources)",
 )

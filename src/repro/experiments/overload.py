@@ -37,9 +37,11 @@ and ``REPRO_WORKERS=4`` batteries are bit-identical (test-enforced);
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
+from operator import itemgetter
 
-from repro.experiments.harness import Battery, Crowd, mean, observe_world
+from repro.experiments.harness import (Battery, Column, Crowd,
+                                       ExperimentResult, mean, observe_world)
 # ``harvest_rows`` is re-exported: the benchmark calls it on this module.
 from repro.experiments.population import harvest_rows, percentile
 from repro.experiments.remote_setup import FAR_ORIGIN
@@ -395,76 +397,6 @@ def overload_trial(arm: str, seed: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OverloadResult:
-    """The battery report: per-arm samples plus presentation."""
-
-    name: str
-    description: str
-    users: int
-    trials: int
-    samples: dict[str, tuple[OverloadSample, ...]] = field(
-        default_factory=dict)
-    notes: list[str] = field(default_factory=list)
-
-    def _arm_aggregate(self, arm: str) -> dict:
-        samples = self.samples[arm]
-        count = len(samples)
-        return {
-            "arm": arm,
-            "trials": count,
-            "loads": sum(s.loads for s in samples),
-            "failed_loads": sum(s.failed_loads for s in samples),
-            "goodput_ratio": sum(s.goodput_ratio for s in samples) / count,
-            "plt_p99_pre_ms": sum(s.plt_p99_pre_ms for s in samples) / count,
-            "plt_p99_burst_ms": sum(s.plt_p99_burst_ms
-                                    for s in samples) / count,
-            "plt_p99_post_ms": sum(s.plt_p99_post_ms
-                                   for s in samples) / count,
-            "retry_amplification": sum(s.retry_amplification
-                                       for s in samples) / count,
-            "shed_fraction": sum(s.shed_fraction for s in samples) / count,
-            "requests_shed": sum(s.requests_shed for s in samples),
-            "retry_budget_exhausted": sum(s.retry_budget_exhausted
-                                          for s in samples),
-            "peak_queue_depth": max(s.peak_queue_depth for s in samples),
-            "time_to_drain_ms": sum(s.time_to_drain_ms
-                                    for s in samples) / count,
-        }
-
-    def render(self) -> str:
-        lines = [self.name, "=" * len(self.name), self.description, ""]
-        header = (f"{'arm':<17} {'goodput':>8} {'p99 pre':>9} "
-                  f"{'p99 burst':>10} {'p99 post':>9} {'ampl':>6} "
-                  f"{'shed':>6} {'drain':>9}")
-        lines += [header, "-" * len(header)]
-        for arm in self.samples:
-            agg = self._arm_aggregate(arm)
-            lines.append(
-                f"{arm:<17} {agg['goodput_ratio']:>7.2f}x"
-                f" {agg['plt_p99_pre_ms']:>8.0f}ms"
-                f" {agg['plt_p99_burst_ms']:>9.0f}ms"
-                f" {agg['plt_p99_post_ms']:>8.0f}ms"
-                f" {agg['retry_amplification']:>5.2f}x"
-                f" {agg['shed_fraction']:>6.1%}"
-                f" {agg['time_to_drain_ms']:>8.0f}ms")
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        return "\n".join(lines)
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "users": self.users,
-            "trials": self.trials,
-            "arms": {arm: self._arm_aggregate(arm) for arm in self.samples},
-            "samples": {arm: [asdict(sample) for sample in samples]
-                        for arm, samples in self.samples.items()},
-            "notes": list(self.notes),
-        }
-
-
 def overload_scores(arm: str, seed: int,
                     config: OverloadConfig = DEFAULT_CONFIG
                     ) -> tuple[float, float, float, float]:
@@ -483,58 +415,33 @@ def _configure(users: int | None = None,
             else replace(config, users=users)}
 
 
-def _assemble(trials: int, rows_by_cell,
-              config: OverloadConfig) -> OverloadResult:
-    result = OverloadResult(
-        name="Overload battery — flash crowd vs. graceful degradation",
-        description=(f"{config.users} users, "
-                     f"{config.arrival.burst_multiplier:.0f}× "
-                     f"correlated spike on the site of the day, "
-                     f"{config.detour_mbps:g} Mbps detour / "
-                     f"{config.direct_mbps:g} Mbps direct, "
-                     f"{trials} trial(s)/arm"),
-        users=config.users, trials=trials)
-    result.notes.append(
-        "expected shape: protections-off shows retry amplification ≫ 1 "
-        "and a drain tail outliving the spike (metastable retry storm); "
-        "protections-on sheds lookups onto the IP route, bounds "
-        "amplification, and keeps burst goodput near the pre-spike rate")
-    for (arm,), samples in rows_by_cell.items():
-        result.samples[arm] = tuple(samples)
-    return result
-
-
-def overload_holds(result: OverloadResult) -> bool:
+def overload_holds(result: ExperimentResult) -> bool:
     """Whether the overload battery matched §4.2's graceful-degradation
     shape: protections off, the retry storm amplifies load and outlives
     the spike; protections on, queues stay bounded, shedding is explicit,
     and burst goodput beats the naive arm."""
     spike_start, spike_end = burst_window_ms(DEFAULT_CONFIG.arrival)
     spike_ms = spike_end - spike_start
-    on_samples = result.samples["protections-on"]
-    off_samples = result.samples["protections-off"]
-    for off in off_samples:
+    for off in result.samples[("protections-off",)]:
         if off.retry_amplification <= 2.0 or off.time_to_drain_ms <= spike_ms:
             return False
         if off.requests_shed != 0:
             return False
-    for on in on_samples:
+    for on in result.samples[("protections-on",)]:
         if on.requests_shed == 0 or on.time_to_drain_ms > spike_ms:
             return False
-    return (mean(s.goodput_ratio for s in on_samples)
-            > mean(s.goodput_ratio for s in off_samples))
+    return (result.cell("protections-on").goodput_ratio
+            > result.cell("protections-off").goodput_ratio)
 
 
-def _measured(result: OverloadResult) -> str:
-    on_samples = result.samples["protections-on"]
-    off_ampl = mean(s.retry_amplification
-                    for s in result.samples["protections-off"])
-    return (f"protections off: {off_ampl:.1f}× retry amplification, "
-            f"overload outlives the spike; on: "
-            f"{mean(s.shed_fraction for s in on_samples):.0%} shed "
-            f"explicitly, burst goodput "
-            f"{mean(s.goodput_ratio for s in on_samples):.1f}× pre-spike, "
-            "drains within the spike window")
+def _measured(result: ExperimentResult) -> str:
+    on = result.cell("protections-on")
+    return (f"protections off: "
+            f"{result.cell('protections-off').retry_amplification:.1f}× "
+            f"retry amplification, overload outlives the spike; on: "
+            f"{on.shed_fraction:.0%} shed explicitly, burst goodput "
+            f"{on.goodput_ratio:.1f}× pre-spike, drains within the spike "
+            "window")
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +495,7 @@ OVERLOAD = Battery(
     claim="§4.2: shared network infrastructure must degrade gracefully "
           "under a flash crowd — admission control and retry budgets "
           "prevent metastable retry storms",
-    measured=_measured, holds=overload_holds, assemble=_assemble,
+    measured=_measured, holds=overload_holds,
     cells=tuple((arm,) for arm in ARMS), trial=overload_trial,
     base_seed=1200, trials=2, opt_in=True, artifact="overload.json",
     configure=_configure,
@@ -596,4 +503,40 @@ OVERLOAD = Battery(
     selftest=selftest, score_trial=overload_scores,
     reducers=(("goodput_ratio", mean), ("retry_amplification", mean),
               ("shed_fraction", mean), ("drain_ms", mean)),
+    # One row per trial: an OverloadSample, read by field name.
+    columns=(
+        Column("arm", reduce=itemgetter(0), fmt="{arm:<17}",
+               heading=f"{'arm':<17}"),
+        Column("trials", None, len),
+        Column("loads", reduce=sum),
+        Column("failed_loads", reduce=sum),
+        Column("goodput_ratio", reduce=mean, fmt="{goodput_ratio:>7.2f}x",
+               heading=f"{'goodput':>8}"),
+        Column("plt_p99_pre_ms", reduce=mean, fmt="{plt_p99_pre_ms:>8.0f}ms",
+               heading=f"{'p99 pre':>9}"),
+        Column("plt_p99_burst_ms", reduce=mean,
+               fmt="{plt_p99_burst_ms:>9.0f}ms", heading=f"{'p99 burst':>10}"),
+        Column("plt_p99_post_ms", reduce=mean,
+               fmt="{plt_p99_post_ms:>8.0f}ms", heading=f"{'p99 post':>9}"),
+        Column("retry_amplification", reduce=mean,
+               fmt="{retry_amplification:>5.2f}x", heading=f"{'ampl':>6}"),
+        Column("shed_fraction", reduce=mean, fmt="{shed_fraction:>6.1%}",
+               heading=f"{'shed':>6}"),
+        Column("requests_shed", reduce=sum),
+        Column("retry_budget_exhausted", reduce=sum),
+        Column("peak_queue_depth", reduce=max),
+        Column("time_to_drain_ms", reduce=mean,
+               fmt="{time_to_drain_ms:>8.0f}ms", heading=f"{'drain':>9}")),
+    heading="Overload battery — flash crowd vs. graceful degradation",
+    description=lambda trials, config: (
+        f"{config.users} users, {config.arrival.burst_multiplier:.0f}× "
+        f"correlated spike on the site of the day, {config.detour_mbps:g} "
+        f"Mbps detour / {config.direct_mbps:g} Mbps direct, {trials} "
+        "trial(s)/arm"),
+    note="expected shape: protections-off shows retry amplification ≫ 1 "
+         "and a drain tail outliving the spike (metastable retry storm); "
+         "protections-on sheds lookups onto the IP route, bounds "
+         "amplification, and keeps burst goodput near the pre-spike rate",
+    cells_key="arms",
+    header=lambda config: {"users": config.users},
 )

@@ -39,7 +39,7 @@ from repro.core.ppl.evaluator import metric_value, order_paths, permits
 from repro.core.ppl.policies import co2_optimized, latency_optimized
 from repro.dns.resolver import Resolver
 from repro.errors import NoPathError
-from repro.experiments.harness import Battery, BoxStats, plt_result, serial
+from repro.experiments.harness import PLT, Battery, BoxStats, serial
 from repro.experiments.local_setup import (
     DEFAULT_CALIBRATION,
     N_RESOURCES,
@@ -105,14 +105,15 @@ ABLATION_A = Battery(
         f"'free both' {ablation_a.median('free both'):.0f} ms ≈ "
         f"baseline {ablation_a.median('no detour (BGP/IP)'):.0f} ms"),
     holds=ablation_a_holds,
-    assemble=lambda trials, rows_by_cell, n_resources=N_RESOURCES: plt_result(
-        "Ablation A — extension/proxy overhead decomposition",
-        f"mixed local page, {n_resources} resources, {trials} trials; "
-        "PLT in ms", rows_by_cell,
-        "'free both' approximates the paper's predicted tighter browser "
-        "integration: the detour overhead nearly disappears"),
     cells=tuple((condition,) for condition in ABLATION_A_CONDITIONS),
     trial=ablation_a_trial, base_seed=700, trials=15,
+    columns=(PLT,),
+    heading="Ablation A — extension/proxy overhead decomposition",
+    description=lambda trials, n_resources=N_RESOURCES: (
+        f"mixed local page, {n_resources} resources, {trials} trials; "
+        "PLT in ms"),
+    note="'free both' approximates the paper's predicted tighter browser "
+         "integration: the detour overhead nearly disappears",
 )
 
 

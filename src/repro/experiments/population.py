@@ -30,13 +30,15 @@ facade.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.core.browser.brave import BraveBrowser
 from repro.core.ppl.policies import latency_optimized
 from repro.dns.resolver import Resolver
-from repro.experiments.harness import (Battery, Crowd, attach_tracer,
-                                       observe_world)
+from repro.experiments.harness import (Battery, Column, Crowd,
+                                       ExperimentResult, attach_tracer, mean,
+                                       merge_counts, observe_world)
 from repro.experiments.remote_setup import (CDN_ORIGIN, FAR_ORIGIN,
                                             NEAR2_ORIGIN, NEAR_ORIGIN,
                                             place_origins)
@@ -289,122 +291,33 @@ def population_trial(mode: str, seed: int, users: int = 100,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PopulationResult:
-    """The battery report: per-mode samples plus presentation."""
-
-    name: str
-    description: str
-    users: int
-    sites: int
-    trials: int
-    samples: dict[str, tuple[PopulationSample, ...]] = field(
-        default_factory=dict)
-    notes: list[str] = field(default_factory=list)
-
-    def _mode_aggregate(self, mode: str) -> dict:
-        samples = self.samples[mode]
-        count = len(samples)
-        merged_as: dict[str, int] = {}
-        for sample in samples:
-            for isd_as, sent in sample.as_link_bytes:
-                merged_as[isd_as] = merged_as.get(isd_as, 0) + sent
-        return {
-            "mode": mode,
-            "trials": count,
-            "loads": sum(s.loads for s in samples),
-            "failed_loads": sum(s.failed_loads for s in samples),
-            "plt_p50_ms": sum(s.plt_p50_ms for s in samples) / count,
-            "plt_p95_ms": sum(s.plt_p95_ms for s in samples) / count,
-            "plt_p99_ms": sum(s.plt_p99_ms for s in samples) / count,
-            "plt_mean_ms": sum(s.plt_mean_ms for s in samples) / count,
-            "path_server_qps": sum(s.path_server_qps
-                                   for s in samples) / count,
-            "daemon_cache_hit_rate": sum(s.daemon_cache_hit_rate
-                                         for s in samples) / count,
-            "pool_waits": sum(s.pool_waits for s in samples),
-            "pool_wait_ms": sum(s.pool_wait_ms for s in samples),
-            "scion_fetches": sum(s.scion_fetches for s in samples),
-            "as_link_bytes": dict(sorted(merged_as.items())),
-        }
-
-    def render(self) -> str:
-        lines = [self.name, "=" * len(self.name), self.description, ""]
-        header = (f"{'mode':<22} {'p50':>9} {'p95':>9} {'p99':>9} "
-                  f"{'PS qps':>8} {'dmn hit':>8} {'pool q':>7} {'q ms':>9}")
-        lines += [header, "-" * len(header)]
-        for mode in self.samples:
-            agg = self._mode_aggregate(mode)
-            lines.append(
-                f"{mode:<22} {agg['plt_p50_ms']:>8.1f}ms"
-                f" {agg['plt_p95_ms']:>8.1f}ms"
-                f" {agg['plt_p99_ms']:>8.1f}ms"
-                f" {agg['path_server_qps']:>8.1f}"
-                f" {agg['daemon_cache_hit_rate']:>7.1%}"
-                f" {agg['pool_waits']:>7d}"
-                f" {agg['pool_wait_ms']:>8.1f}ms")
-        busiest = self.busiest_ases()
-        if busiest:
-            lines.append("")
-            lines.append("busiest ASes (bytes on adjacent links, all modes): "
-                         + ", ".join(f"{isd_as}={sent:,}"
-                                     for isd_as, sent in busiest))
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        return "\n".join(lines)
-
-    def busiest_ases(self, top: int = 3) -> list[tuple[str, int]]:
-        merged: dict[str, int] = {}
-        for samples in self.samples.values():
-            for sample in samples:
-                for isd_as, sent in sample.as_link_bytes:
-                    merged[isd_as] = merged.get(isd_as, 0) + sent
-        ranked = sorted(merged.items(), key=lambda item: (-item[1], item[0]))
-        return ranked[:top]
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "users": self.users,
-            "sites": self.sites,
-            "trials": self.trials,
-            "modes": {mode: self._mode_aggregate(mode)
-                      for mode in self.samples},
-            "samples": {mode: [asdict(sample) for sample in samples]
-                        for mode, samples in self.samples.items()},
-            "notes": list(self.notes),
-        }
-
-
-def _configure(users: int | None = None, **params) -> dict:
+def _configure(users: int | None = None, sites: int = DEFAULT_SITES,
+               **params) -> dict:
     """The city size is resolved once, in the submitting process."""
-    return {"users": resolve_users(users), **params}
+    return {"users": resolve_users(users), "sites": sites, **params}
 
 
-def _assemble(trials: int, rows_by_cell, users: int,
-              sites: int = DEFAULT_SITES, **_params) -> PopulationResult:
-    result = PopulationResult(
-        name="Population battery — a city browses",
-        description=(f"{users} users, {sites} Zipf sites, {trials} "
-                     f"trial(s)/mode; per-user sessions with think time, "
-                     f"tabs, and revisit locality on the distributed "
-                     f"testbed"),
-        users=users, sites=sites, trials=trials)
-    result.notes.append(
-        "expected shape: opportunistic ≈ strict < BGP/IP-only on p99 for "
-        "far-origin sites (SCION detour beats the slow direct core link); "
-        "daemon hit rate ≫ 0 from revisit locality")
-    for (mode,), samples in rows_by_cell.items():
-        result.samples[mode] = tuple(samples)
-    return result
+def busiest_ases(result: ExperimentResult,
+                 top: int = 3) -> list[tuple[str, int]]:
+    """The ``top`` ASes by bytes on their adjacent links, all modes."""
+    merged = merge_counts(cell.as_link_bytes.items()
+                          for cell in result.cells.values())
+    return sorted(merged.items(), key=lambda item: (-item[1], item[0]))[:top]
 
 
-def population_holds(result: PopulationResult) -> bool:
+def _footer(result: ExperimentResult) -> list[str]:
+    busiest = busiest_ases(result)
+    if not busiest:
+        return []
+    return ["", "busiest ASes (bytes on adjacent links, all modes): "
+            + ", ".join(f"{isd_as}={sent:,}" for isd_as, sent in busiest)]
+
+
+def population_holds(result: ExperimentResult) -> bool:
     """Whether the population battery matched its expected shape: every
     mode completed loads without failures (the world is fault-free),
     and revisit locality kept the SCION modes' daemon caches warm."""
-    for mode, samples in result.samples.items():
+    for (mode,), samples in result.samples.items():
         if any(s.loads == 0 or s.failed_loads > 0 for s in samples):
             return False
         if mode != "BGP/IP-only" and \
@@ -413,10 +326,11 @@ def population_holds(result: PopulationResult) -> bool:
     return True
 
 
-def _measured(result: PopulationResult) -> str:
-    opportunistic = result.samples["opportunistic-SCION"][0]
-    baseline = result.samples["BGP/IP-only"][0]
-    return (f"{result.users} users: p99 "
+def _measured(result: ExperimentResult) -> str:
+    """The table's own per-mode figures (means over trials)."""
+    opportunistic = result.cell("opportunistic-SCION")
+    baseline = result.cell("BGP/IP-only")
+    return (f"{result.params['users']} users: p99 "
             f"{opportunistic.plt_p99_ms:.0f} ms opportunistic vs "
             f"{baseline.plt_p99_ms:.0f} ms BGP/IP-only; daemon hit rate "
             f"{opportunistic.daemon_cache_hit_rate:.0%}, path-server "
@@ -470,7 +384,7 @@ POPULATION = Battery(
     claim="§4/§5: daemon caches, pooled proxy connections, and "
           "path-aware transports keep tail latency bounded when a whole "
           "city browses at once",
-    measured=_measured, holds=population_holds, assemble=_assemble,
+    measured=_measured, holds=population_holds,
     cells=tuple((mode,) for mode in MODES), trial=population_trial,
     base_seed=900, trials=1, opt_in=True, artifact="population.json",
     configure=_configure,
@@ -478,4 +392,39 @@ POPULATION = Battery(
                             f"else {DEFAULT_USERS})"),
              ("sites", int, f"catalog size (default {DEFAULT_SITES})")),
     selftest=selftest,
+    # One row per trial: a PopulationSample, read by field name.
+    columns=(
+        Column("mode", reduce=itemgetter(0), fmt="{mode:<22}",
+               heading=f"{'mode':<22}"),
+        Column("trials", None, len),
+        Column("loads", reduce=sum),
+        Column("failed_loads", reduce=sum),
+        Column("plt_p50_ms", reduce=mean, fmt="{plt_p50_ms:>8.1f}ms",
+               heading=f"{'p50':>9}"),
+        Column("plt_p95_ms", reduce=mean, fmt="{plt_p95_ms:>8.1f}ms",
+               heading=f"{'p95':>9}"),
+        Column("plt_p99_ms", reduce=mean, fmt="{plt_p99_ms:>8.1f}ms",
+               heading=f"{'p99':>9}"),
+        Column("plt_mean_ms", reduce=mean),
+        Column("path_server_qps", reduce=mean, fmt="{path_server_qps:>8.1f}",
+               heading=f"{'PS qps':>8}"),
+        Column("daemon_cache_hit_rate", reduce=mean,
+               fmt="{daemon_cache_hit_rate:>7.1%}", heading=f"{'dmn hit':>8}"),
+        Column("pool_waits", reduce=sum, fmt="{pool_waits:>7d}",
+               heading=f"{'pool q':>7}"),
+        Column("pool_wait_ms", reduce=sum, fmt="{pool_wait_ms:>8.1f}ms",
+               heading=f"{'q ms':>9}"),
+        Column("scion_fetches", reduce=sum),
+        Column("as_link_bytes", reduce=merge_counts)),
+    heading="Population battery — a city browses",
+    description=lambda trials, users, sites, **_: (
+        f"{users} users, {sites} Zipf sites, {trials} trial(s)/mode; "
+        "per-user sessions with think time, tabs, and revisit locality on "
+        "the distributed testbed"),
+    note="expected shape: opportunistic ≈ strict < BGP/IP-only on p99 for "
+         "far-origin sites (SCION detour beats the slow direct core link); "
+         "daemon hit rate ≫ 0 from revisit locality",
+    cells_key="modes",
+    header=lambda users, sites, **_: {"users": users, "sites": sites},
+    footer=_footer,
 )

@@ -29,8 +29,8 @@ from repro.core.browser.brave import BraveBrowser
 from repro.core.browser.page import WebPage, content_for_origin, synthetic_page
 from repro.core.ppl.policies import latency_optimized
 from repro.dns.resolver import Resolver
-from repro.experiments.harness import (Battery, World, attach_tracer,
-                                       load_page, plt_result)
+from repro.experiments.harness import (PLT, Battery, World, attach_tracer,
+                                       load_page)
 from repro.http.reverse_proxy import ScionReverseProxy
 from repro.http.server import HttpServer
 from repro.internet.build import Internet
@@ -164,18 +164,15 @@ def _measured(result, word: str, delta_ms: float) -> str:
             f"({word} {delta_ms:.0f} ms)")
 
 
-def _remote_battery(primary: str, base_seed: int, result_name: str,
+def _remote_battery(primary: str, base_seed: int, heading: str,
                     setting: str, note: str, **declared) -> Battery:
     """What Figures 5 and 6 share — conditions, trial count, the traced
     cell; they differ in primary origin, base seed and prose."""
-
-    def assemble(trials, rows_by_cell, n_resources=N_RESOURCES, **_params):
-        return plt_result(
-            result_name, f"{trials} trials/condition, {n_resources} "
-            f"resources; {setting}", rows_by_cell, note)
-
     return Battery(
-        assemble=assemble,
+        columns=(PLT,), heading=heading, note=note,
+        description=lambda trials, n_resources=N_RESOURCES, **_: (
+            f"{trials} trials/condition, {n_resources} resources; "
+            f"{setting}"),
         cells=tuple((condition,) for condition in REMOTE_CONDITIONS),
         trial=functools.partial(remote_trial, primary),
         base_seed=base_seed, trials=20,

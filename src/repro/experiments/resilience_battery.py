@@ -27,10 +27,9 @@ worker-pool runs are bit-identical, like every other battery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.experiments.fault_battery import MODES, build_fault_world
-from repro.experiments.harness import Battery, BoxStats, World, mean
+from repro.experiments.harness import (Battery, Column, ExperimentResult,
+                                       World, count, mean)
 from repro.simnet.faults import FaultSchedule, inject
 
 #: The battery's two control-plane conditions, in presentation order.
@@ -121,74 +120,7 @@ def resilience_trial(revocation: bool | None, mode: str, seed: int,
     return (ttr, sum(plts) / len(plts), failed_requests, lost_requests)
 
 
-@dataclass(frozen=True)
-class ResilienceCell:
-    """One (revocation, mode) cell of the battery."""
-
-    ttr: BoxStats
-    plt: BoxStats
-    failed_requests: int
-    lost_requests: int
-    total_requests: int
-
-
-@dataclass
-class ResilienceBatteryResult:
-    """The whole battery: one :class:`ResilienceCell` per condition."""
-
-    trials: int
-    cells: dict[tuple[bool, str], ResilienceCell] = field(
-        default_factory=dict)
-
-    def cell(self, revocation: bool, mode: str) -> ResilienceCell:
-        """Look up one cell."""
-        return self.cells[(revocation, mode)]
-
-    def render(self) -> str:
-        """The battery as a text table."""
-        lines = [
-            "== Resilience battery — time-to-recover and PLT under "
-            "path churn ==",
-            (f"{self.trials} trials/cell; {SESSION_LOADS} loads per "
-             f"session every {LOAD_PERIOD_MS / 1000:.0f} s under "
-             f"{len(FLAPS)} link flaps; failed = fetches that failed "
-             "on their first-choice path"),
-            "",
-        ]
-        for (revocation, mode), cell in self.cells.items():
-            label = f"revocation-{'on' if revocation else 'off'} / {mode}"
-            lines.append(cell.ttr.row(f"{label} TTR"))
-            lines.append(cell.plt.row(f"{label} PLT"))
-            lines.append(f"{'':<24} failed={cell.failed_requests}"
-                         f"/{cell.total_requests} "
-                         f"lost={cell.lost_requests}")
-        lines.append(
-            "note: expected shape — with revocation dissemination on, "
-            "the first load after a flap is already clean (TTR ≈ one "
-            "load period), because the daemon dropped the dead path "
-            "before any request tried it; with it off, every recovery "
-            "waits for a request to time out on the dead path first, "
-            "so TTR is several times higher and more requests fail, in "
-            "both proxy modes")
-        return "\n".join(lines)
-
-
-def _assemble(trials: int, rows_by_cell,
-              loads: int = SESSION_LOADS) -> ResilienceBatteryResult:
-    battery = ResilienceBatteryResult(trials=trials)
-    per_session = loads * (1 + N_RESOURCES)
-    for key, rows in rows_by_cell.items():
-        battery.cells[key] = ResilienceCell(
-            ttr=BoxStats.from_samples([row[0] for row in rows]),
-            plt=BoxStats.from_samples([row[1] for row in rows]),
-            failed_requests=int(sum(row[2] for row in rows)),
-            lost_requests=int(sum(row[3] for row in rows)),
-            total_requests=trials * per_session,
-        )
-    return battery
-
-
-def resilience_holds(battery: ResilienceBatteryResult) -> bool:
+def resilience_holds(battery: ExperimentResult) -> bool:
     """The acceptance shape: revocation-on recovers strictly faster and
     fails strictly fewer requests than revocation-off, per mode."""
     for mode in MODES:
@@ -201,7 +133,7 @@ def resilience_holds(battery: ResilienceBatteryResult) -> bool:
     return True
 
 
-def _measured(battery: ResilienceBatteryResult) -> str:
+def _measured(battery: ExperimentResult) -> str:
     on = battery.cell(True, "opportunistic")
     off = battery.cell(False, "opportunistic")
     return (f"TTR {on.ttr.mean / 1000:.1f} s (revocation on) vs "
@@ -216,10 +148,34 @@ RESILIENCE = Battery(
     claim="§4.2: path awareness lets hosts heal around failures without "
           "waiting for them locally — revocation dissemination recovers "
           "sessions faster than timeout-driven discovery",
-    measured=_measured, holds=resilience_holds, assemble=_assemble,
+    measured=_measured, holds=resilience_holds,
     cells=tuple((revocation, mode) for revocation in REVOCATION_CONDITIONS
                 for mode in MODES),
     trial=resilience_trial, base_seed=4200, trials=6, opt_in=True,
     reducers=(("ttr_ms", mean), ("plt_ms", mean),
               ("failed_requests", sum), ("lost_requests", sum)),
+    # One row per trial: (ttr_ms, mean_plt_ms, failed, lost).
+    columns=(
+        Column("ttr", 0, fmt="{label} TTR"),
+        Column("plt", 1, fmt="{label} PLT"),
+        Column("failed_requests", 2, count,
+               fmt="failed={failed_requests}/{total_requests}"),
+        Column("lost_requests", 3, count, fmt="lost={lost_requests}"),
+        Column("total_requests",
+               derive=lambda _cell, trials, loads=SESSION_LOADS, **_:
+               trials * loads * (1 + N_RESOURCES))),
+    heading="Resilience battery — time-to-recover and PLT under path churn",
+    description=lambda trials, **_: (
+        f"{trials} trials/cell; {SESSION_LOADS} loads per session every "
+        f"{LOAD_PERIOD_MS / 1000:.0f} s under {len(FLAPS)} link flaps; "
+        "failed = fetches that failed on their first-choice path"),
+    note="expected shape — with revocation dissemination on, the first "
+         "load after a flap is already clean (TTR ≈ one load period), "
+         "because the daemon dropped the dead path before any request "
+         "tried it; with it off, every recovery waits for a request to "
+         "time out on the dead path first, so TTR is several times higher "
+         "and more requests fail, in both proxy modes",
+    cells_key="cells",
+    cell_label=lambda key: (
+        f"revocation-{'on' if key[0] else 'off'} / {key[1]}"),
 )

@@ -28,7 +28,7 @@ repro.obs report``). Tracing is inert, so the artifacts describe exactly
 the loads the batteries measured.
 
 ``--ablate`` additionally runs the full component-ablation sweep
-(:mod:`repro.experiments.ablations2`): baseline plus one leave-one-out
+(:mod:`repro.experiments.components`): baseline plus one leave-one-out
 run per registered component, with exact contract verification. The
 sweep always runs its batteries sequentially at ``workers=1`` and after
 the pool has drained, so per-component wall-clock deltas are honest.
@@ -214,7 +214,7 @@ ABLATION_NOTE = """
 Every optional runtime component (fast path, snapshot cache, revocation
 dissemination, circuit breaker, tracing, admission control, retry
 budget) is registered declaratively in
-``repro.experiments.ablations2`` with its toggle, its correctness
+``repro.experiments.components`` with its toggle, its correctness
 contract, and the metrics it is expected to move. The harness runs a
 baseline plus one leave-one-out run per component and ranks components
 by how much the metrics move (`score` = max |delta| over the declared
@@ -236,7 +236,7 @@ Commands::
     python -m repro.experiments.run_all --ablate        # this report
     python -m repro.experiments components --json out.json
 
-The machine-readable sweep lands in ``results/ablations2.json``; the
+The machine-readable sweep lands in ``results/components.json``; the
 CLI prints its own wall-clock (``(sweep took N s)``).
 """
 
@@ -332,7 +332,7 @@ if __name__ == "__main__":
                         help="also run the component-ablation sweep "
                              "(leave-one-out importance + contract "
                              "verification; writes "
-                             "results/ablations2.json)")
+                             "results/components.json)")
     optional = [entry for entry in EXPERIMENTS if entry.opt_in]
     for entry in optional:
         parser.add_argument(

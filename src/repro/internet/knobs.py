@@ -7,7 +7,7 @@ boolean environment knob plus a per-world constructor override. Before
 this module each site parsed its own variable with its own accepted
 spellings (some took ``off``, some only ``0``), which is exactly the
 kind of drift the ablation harness
-(:mod:`repro.experiments.ablations2`) exists to catch.
+(:mod:`repro.experiments.components`) exists to catch.
 
 One contract, everywhere:
 

@@ -9,7 +9,7 @@ import dataclasses
 
 import pytest
 
-from repro.experiments import ablations2 as ab
+from repro.experiments import components as ab
 
 TINY = ab.AblationConfig(conditions=("SCION-only",), trials=1,
                          n_resources=4, resilience_trials=1,

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.experiments import ablations2 as ab
+from repro.experiments import components as ab
 from repro.experiments.__main__ import main
 
 SMALL = ab.AblationConfig(conditions=("SCION-only",), trials=2,
@@ -87,7 +87,7 @@ class TestJsonShape:
 
 class TestCli:
     def test_selftest_gate_passes_and_writes_json(self, tmp_path, capsys):
-        target = tmp_path / "ablations2.json"
+        target = tmp_path / "components.json"
         assert main(["components", "--selftest", "--json",
                      str(target)]) == 0
         out = capsys.readouterr().out

@@ -13,7 +13,7 @@ import functools
 
 import pytest
 
-from repro.experiments import ablations2 as ab
+from repro.experiments import components as ab
 from repro.experiments.harness import run_samples
 from repro.experiments.local_setup import (DEFAULT_CALIBRATION,
                                            figure3_trial_events)

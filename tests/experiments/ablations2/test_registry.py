@@ -3,7 +3,7 @@ listed with a toggle, a contract, and the metrics it should move."""
 
 import pytest
 
-from repro.experiments import ablations2 as ab
+from repro.experiments import components as ab
 
 EXPECTED_NAMES = {
     "fastpath", "snapshot_cache", "tracing", "revocation",

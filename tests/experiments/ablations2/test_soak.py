@@ -12,7 +12,7 @@ import functools
 
 import pytest
 
-from repro.experiments import ablations2 as ab
+from repro.experiments import components as ab
 from repro.experiments.fault_battery import build_fault_world
 from repro.experiments.harness import run_samples
 from repro.experiments.local_setup import (DEFAULT_CALIBRATION,

@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.extension.ui import IndicatorState
 from repro.errors import ReproError
-from repro.experiments.ablations import ablation_c_point
 from repro.experiments.fault_battery import (
     CHAOS,
     FALLBACK_SCENARIOS,
@@ -22,6 +21,7 @@ from repro.experiments.fault_battery import (
     scenario_schedule,
 )
 from repro.experiments.harness import run
+from repro.experiments.paper_ablations import ablation_c_point
 from repro.simnet.faults import FaultKind
 from repro.topology.defaults import remote_testbed
 

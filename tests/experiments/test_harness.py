@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
-from repro.experiments.harness import BoxStats, ExperimentResult, run_condition
+from repro.experiments.harness import (PLT, Battery, BoxStats,
+                                       ExperimentResult, run_samples)
 
 
 class TestBoxStats:
@@ -45,22 +46,23 @@ class TestBoxStats:
 class TestRunCondition:
     def test_seeds_are_distinct_and_sequential(self):
         seen = []
-        run_condition(lambda seed: seen.append(seed) or float(seed),
-                      trials=4, base_seed=10)
+        run_samples(lambda seed: seen.append(seed) or float(seed),
+                    range(10, 14))
         assert seen == [10, 11, 12, 13]
 
     def test_summary_over_trials(self):
-        stats = run_condition(lambda seed: float(seed), trials=5,
-                              base_seed=0)
+        stats = BoxStats.from_samples(
+            run_samples(lambda seed: float(seed), range(5)))
         assert stats.minimum == 0.0
         assert stats.maximum == 4.0
 
 
 class TestExperimentResult:
     def test_render_contains_conditions_and_notes(self):
-        result = ExperimentResult(name="X", description="desc")
-        result.add("a", BoxStats.from_samples([1.0]))
-        result.notes.append("shape holds")
+        battery = Battery("x", "X", "X", holds=bool, columns=(PLT,),
+                          heading="X", description=lambda trials: "desc",
+                          note="shape holds")
+        result = ExperimentResult(battery, {("a",): [1.0]})
         text = result.render()
         assert "== X ==" in text
         assert "shape holds" in text

@@ -2,8 +2,8 @@
 
 The paper's evaluation is built from repeated independent page-load
 trials; fanning them over a process pool must not change a single
-sample. The contract under test: ``run_condition(..., workers=N)``
-returns **bit-identical** ``BoxStats`` to a serial run, because trials
+sample. The contract under test: ``run_samples(..., workers=N)``
+summarises to **bit-identical** ``BoxStats`` to a serial run, because trials
 are pure functions of their seed and samples are collected in seed
 order regardless of worker interleaving.
 """
@@ -24,8 +24,8 @@ from repro.experiments.harness import (
     WORKERS_ENV,
     battery_chunksize,
     resolve_workers,
+    BoxStats,
     run,
-    run_condition,
     run_samples,
     submit,
     submit_samples,
@@ -135,8 +135,10 @@ class TestParallelDeterminism:
         fields) for serial vs. workers=4 on a figure-3 trial battery."""
         trial = functools.partial(figure3_trial, "mixed SCION-IP",
                                   n_resources=6)
-        serial = run_condition(trial, trials=8, base_seed=100, workers=1)
-        parallel = run_condition(trial, trials=8, base_seed=100, workers=4)
+        serial = BoxStats.from_samples(
+            run_samples(trial, range(100, 108), workers=1))
+        parallel = BoxStats.from_samples(
+            run_samples(trial, range(100, 108), workers=4))
         for field in dataclasses.fields(serial):
             assert getattr(serial, field.name) == \
                 getattr(parallel, field.name), field.name
@@ -176,13 +178,14 @@ class TestParallelDeterminism:
         BoxStats — the snapshot cache must not change a single bit."""
         trial = functools.partial(figure3_trial, "SCION-only",
                                   n_resources=6)
-        cached_cold = run_condition(trial, trials=6, base_seed=100,
-                                    workers=1)
-        cached_warm = run_condition(trial, trials=6, base_seed=100,
-                                    workers=1)
-        parallel = run_condition(trial, trials=6, base_seed=100, workers=4)
+        seeds = range(100, 106)
+        cached_cold = BoxStats.from_samples(
+            run_samples(trial, seeds, workers=1))
+        cached_warm = BoxStats.from_samples(
+            run_samples(trial, seeds, workers=1))
+        parallel = BoxStats.from_samples(run_samples(trial, seeds, workers=4))
         monkeypatch.setenv(SNAPSHOT_CACHE_ENV, "0")
-        uncached = run_condition(trial, trials=6, base_seed=100, workers=1)
+        uncached = BoxStats.from_samples(run_samples(trial, seeds, workers=1))
         assert uncached == cached_cold == cached_warm == parallel
 
     def test_fault_battery_cached_equals_uncached(self, monkeypatch):
@@ -206,8 +209,8 @@ class TestParallelDeterminism:
             calls.append(seed)
             return float(seed)
 
-        stats = run_condition(closure_trial, trials=4, base_seed=10,
-                              workers=4)
+        stats = BoxStats.from_samples(
+            run_samples(closure_trial, range(10, 14), workers=4))
         assert calls == [10, 11, 12, 13]
         assert stats.minimum == 10.0
         assert stats.maximum == 13.0
@@ -215,11 +218,13 @@ class TestParallelDeterminism:
     def test_workers_one_never_touches_a_pool(self, monkeypatch):
         monkeypatch.setattr(harness, "_shared_pool",
                             lambda workers: pytest.fail("pool created"))
-        stats = run_condition(_identity_trial, trials=3, workers=1)
+        stats = BoxStats.from_samples(
+            run_samples(_identity_trial, range(3), workers=1))
         assert stats.n == 3
 
     def test_single_trial_stays_serial(self, monkeypatch):
         monkeypatch.setattr(harness, "_shared_pool",
                             lambda workers: pytest.fail("pool created"))
-        stats = run_condition(_identity_trial, trials=1, workers=8)
+        stats = BoxStats.from_samples(
+            run_samples(_identity_trial, range(1), workers=8))
         assert stats.n == 1

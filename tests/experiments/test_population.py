@@ -139,7 +139,7 @@ class TestReport:
         payload = result.to_json()
         assert set(payload["modes"]) == set(pop.MODES)
         assert payload["users"] == 8
-        assert result.busiest_ases()
+        assert pop.busiest_ases(result)
 
 
 class TestSelftest:

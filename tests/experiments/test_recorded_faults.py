@@ -4,7 +4,10 @@ ranking, the sharded core and the pooling/memo switches were deleted.
 The benchmark pins the fault-free worlds and the flash crowd; these pins
 cover what it does not: every failover, fallback, time-to-recover and
 shed count of the chaos, resilience and overload batteries. If one of
-these digests moves, a simulated result moved.
+these digests moves, a simulated result moved. The chaos and resilience
+runs also pin their rendered report blocks, recorded at the commit
+before the batteries' hand-written result classes gave way to declared
+columns.
 """
 
 import dataclasses
@@ -24,6 +27,9 @@ def _canonical(value) -> str:
         return "(" + ",".join(
             f"{f.name}={_canonical(getattr(value, f.name))}"
             for f in dataclasses.fields(value)) + ")"
+    if isinstance(value, dict):
+        return "(" + ",".join(
+            f"{name}={_canonical(item)}" for name, item in value.items()) + ")"
     if isinstance(value, (tuple, list)):
         return "[" + ",".join(_canonical(item) for item in value) + "]"
     return repr(value)
@@ -34,18 +40,26 @@ def _digest(cells) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestRecordedRun:
     def test_fault_battery_replays_the_recorded_run(self):
         battery = run(CHAOS, trials=3, workers=1)
         assert len(battery.cells) == 14
         assert _digest(battery.cells.items()) == (
             "b8c2fbacd9f48013bee26d9fae59668e3e68b4a6f2e9912cd57a9f17c08a857e")
+        assert _sha256(battery.render()) == (
+            "e2551c41aeb98dbcda9e587d5e6b13e76eab4ee19d0038f3039218e38d57daed")
 
     def test_resilience_battery_replays_the_recorded_run(self):
         battery = run(RESILIENCE, trials=2, workers=1)
         assert len(battery.cells) == 4
         assert _digest(battery.cells.items()) == (
             "2c9b80590e07fd5fa756904bdc0fd1a7ccdd0a937c686576eec9e20c7db76fad")
+        assert _sha256(battery.render()) == (
+            "c478a42c2d6dc2a43e358b4cec96bb28284e3696b238a910f1f722ac06b7b8a1")
 
     # The overload world is the one recorded run the fast path takes
     # part in (the fault worlds pin it off). The packet-level twin is

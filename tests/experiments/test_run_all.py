@@ -14,7 +14,9 @@ import pytest
 
 from repro.experiments import run_all
 from repro.experiments.__main__ import EXPERIMENTS
-from repro.experiments.ablations import (
+from repro.experiments.harness import BoxStats, ExperimentResult
+from repro.experiments.local_setup import FIGURE3
+from repro.experiments.paper_ablations import (
     ABLATION_A,
     ABLATION_B,
     ABLATION_C,
@@ -24,8 +26,6 @@ from repro.experiments.ablations import (
     ModeSweepPoint,
     PolicyQualityResult,
 )
-from repro.experiments.harness import ExperimentResult, summarize
-from repro.experiments.local_setup import FIGURE3
 from repro.experiments.remote_setup import FIGURE5, FIGURE6
 from repro.obs.export import load_artifact, render_report
 
@@ -34,10 +34,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 def medians(by_condition: dict[str, float]) -> ExperimentResult:
     """A synthetic PLT result with the given median per condition."""
-    result = ExperimentResult("synthetic", "")
-    for condition, median in by_condition.items():
-        result.add(condition, summarize([median]))
-    return result
+    return ExperimentResult(FIGURE3, {(condition,): [median] for condition,
+                                      median in by_condition.items()})
 
 
 def figure3(scion_only: float, strict: float) -> ExperimentResult:
@@ -58,8 +56,8 @@ def policy(worst_policy_ratio: float,
            arbitrary_ratio: float) -> PolicyQualityResult:
     return PolicyQualityResult(
         "Ablation B",
-        policy_vs_optimal=summarize([1.0, worst_policy_ratio]),
-        arbitrary_vs_optimal=summarize([arbitrary_ratio]))
+        policy_vs_optimal=BoxStats.from_samples([1.0, worst_policy_ratio]),
+        arbitrary_vs_optimal=BoxStats.from_samples([arbitrary_ratio]))
 
 
 def modes(opportunistic_blocked: int = 0, strict_loaded_at_0: int = 0,

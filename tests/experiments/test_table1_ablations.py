@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.experiments.ablations import (
+from repro.experiments.harness import run
+from repro.experiments.paper_ablations import (
     ABLATION_A,
     ablation_c_point,
     run_ablation_diversity,
     run_ablation_modes,
     run_ablation_policy,
 )
-from repro.experiments.harness import run
 from repro.experiments.table1 import run_table1
 
 
