@@ -40,7 +40,6 @@ from repro.core.browser.page import (
 )
 from repro.core.extension.extension import BrowserExtension, ExtensionSettings
 from repro.core.geofence import Geofence
-from repro.core.onion import OnionClient, OnionRelay
 from repro.core.ppl import (
     Policy,
     combine,
@@ -78,8 +77,6 @@ __all__ = [
     "IsdAs",
     "Layer",
     "LinkKind",
-    "OnionClient",
-    "OnionRelay",
     "PageLoadResult",
     "Policy",
     "Property",

@@ -1,10 +1,10 @@
 """Component ablation harness: leave-one-out importance + contracts.
 
 Every optional subsystem this repo has grown — the hybrid-fidelity fast
-path, the control-plane snapshot cache, revocation dissemination, the
-proxy's circuit breakers, tracing, admission control in the shared path
-services, the proxy's per-client retry budget — is registered here as a
-:class:`Component` with three declarative facts:
+path, revocation dissemination, the proxy's circuit breakers, tracing,
+admission control in the shared path services, the proxy's per-client
+retry budget — is registered here as a :class:`Component` with three
+declarative facts:
 
 * **its toggle** — the ``REPRO_*`` environment knob (or, for tracing,
   the ``obs=`` kwarg) that switches it, resolved by the uniform rules in
@@ -22,8 +22,8 @@ services, the proxy's per-client retry budget — is registered here as a
 leave-one-out run per component, computes per-component importance
 deltas (with p50/p95 spread of the per-seed paired deltas), verifies
 every contract *exactly*, and collects in-process **evidence** that each
-toggle actually took effect (``internet.fastpath is None``, a bypass
-counter moved, a breaker board stayed inert, …) so an ablation can never
+toggle actually took effect (``internet.fastpath is None``, a tracer
+attached, a breaker board stayed inert, …) so an ablation can never
 silently measure the wrong thing. Components whose off-run raises are
 reported as ``error`` rows at the top of the ranking instead of being
 dropped.
@@ -60,7 +60,6 @@ from repro.experiments.overload import OVERLOAD
 from repro.experiments.population import percentile
 from repro.experiments.resilience_battery import RESILIENCE, SESSION_LOADS
 from repro.internet.knobs import forced_many
-from repro.internet.snapshot import SNAPSHOT_CACHE_ENV
 from repro.scion.admission import ADMISSION_ENV
 from repro.scion.revocation import REVOCATION_ENV
 from repro.simnet.fastpath import FASTPATH_ENV, PLT_ERROR_BOUND
@@ -85,8 +84,8 @@ class Component:
         battery: where importance is measured — the :class:`Battery`
             (``FIGURE3``, ``RESILIENCE`` or ``OVERLOAD``) in which
             the component has work to do (the failure-handling
-            components only matter under churn, the snapshot cache only
-            where there is a control plane to rebuild).
+            components only matter under churn, the overload
+            protections only under a flash crowd).
         metrics: run-level metrics this component is expected to move;
             the ranking score is the largest of their deltas.
         default_on: the component's default state; the leave-one-out
@@ -125,13 +124,6 @@ COMPONENTS: tuple[Component, ...] = (
         metrics=("plt_ms", "events_per_s", "wallclock_ms"),
         description="hybrid-fidelity analytic transfers over the "
                     "packet-level oracle"),
-    # Measured on the seven-AS resilience world: a single-AS figure-3
-    # world has no key generation, beaconing or BGP for the cache to save.
-    Component(
-        name="snapshot_cache", knob=SNAPSHOT_CACHE_ENV,
-        contract=BIT_IDENTICAL, battery=RESILIENCE,
-        metrics=("wallclock_ms",),
-        description="cross-trial control-plane snapshot cache"),
     Component(
         name="tracing", knob=None,
         contract=BIT_IDENTICAL, battery=FIGURE3,
@@ -448,17 +440,6 @@ def _evidence_fastpath() -> str:
     return "internet.fastpath is None with the knob off"
 
 
-def _evidence_snapshot_cache() -> str:
-    from repro.internet import snapshot
-
-    before = snapshot.stats.bypasses
-    with forced_many({SNAPSHOT_CACHE_ENV: False}):
-        _tiny_local_world()
-    bypassed = snapshot.stats.bypasses - before
-    assert bypassed > 0, "no snapshot bypass recorded with the cache off"
-    return f"snapshot.stats.bypasses advanced by {bypassed}"
-
-
 def _evidence_tracing() -> str:
     off = _tiny_local_world(obs=False)
     on = _tiny_local_world(obs=True)
@@ -539,7 +520,6 @@ def _evidence_retry_budget() -> str:
 #: component name → callable returning an evidence line (or raising).
 EVIDENCE_PROBES = {
     "fastpath": _evidence_fastpath,
-    "snapshot_cache": _evidence_snapshot_cache,
     "tracing": _evidence_tracing,
     "revocation": _evidence_revocation,
     "circuit_breaker": _evidence_circuit_breaker,

@@ -211,9 +211,9 @@ of this crowd are the benchmark's ``flash_crowd`` workload
 ABLATION_NOTE = """
 ## Component ablations — how to read the block above
 
-Every optional runtime component (fast path, snapshot cache, revocation
-dissemination, circuit breaker, tracing, admission control, retry
-budget) is registered declaratively in
+Every optional runtime component (fast path, revocation dissemination,
+circuit breaker, tracing, admission control, retry budget) is
+registered declaratively in
 ``repro.experiments.components`` with its toggle, its correctness
 contract, and the metrics it is expected to move. The harness runs a
 baseline plus one leave-one-out run per component and ranks components

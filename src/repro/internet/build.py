@@ -57,14 +57,15 @@ class Internet:
                  host_jitter_ms: float = 0.0,
                  revocation: bool | None = None,
                  fastpath: bool | None = None,
-                 snapshot_cache: bool | None = None,
                  admission: bool | None = None) -> None:
         topology.validate()
         self.topology = topology
-        # Every feature knob below follows the same convention: an
-        # explicit kwarg wins, ``None`` defers to the matching REPRO_*
-        # environment variable (parsed by repro.internet.knobs), and the
-        # default is on. The ablation harness flips them one at a time.
+        # Every feature knob below (fast path, admission, revocation)
+        # follows the same convention: an explicit kwarg wins, ``None``
+        # defers to the matching REPRO_* environment variable (parsed by
+        # repro.internet.knobs), and the default is on. The ablation
+        # harness flips them one at a time. The control-plane snapshot
+        # cache has no knob: no result runs without it.
         self.network = Network(seed=seed, trace=trace)
         self.host_bandwidth_mbps = host_bandwidth_mbps
         self.host_jitter_ms = host_jitter_ms
@@ -85,7 +86,7 @@ class Internet:
         # the path server's degradation stream below, the workload.
         self.snapshot = control_plane_snapshot(
             topology, beacons_per_target=beacons_per_target,
-            verify_beacons=verify_beacons, cache=snapshot_cache)
+            verify_beacons=verify_beacons)
         self.pki: ControlPlanePki = self.snapshot.pki
         self.core_ases: set[IsdAs] = set(self.snapshot.core_ases)
 

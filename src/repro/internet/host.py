@@ -34,6 +34,8 @@ if TYPE_CHECKING:  # pragma: no cover
 UDP_HEADER_BYTES = 8
 #: Bytes of IPv4 header charged per legacy datagram.
 IP_HEADER_BYTES = 20
+#: Bytes of SCION header charged per intra-AS datagram (empty path).
+SCION_LOCAL_HEADER_BYTES = 24
 
 #: First port handed out by the ephemeral allocator.
 EPHEMERAL_PORT_BASE = 32768
@@ -183,7 +185,8 @@ class Host(Node):
         if path is None and datagram.dst.isd_as != self.addr.isd_as:
             raise TransportError(
                 f"SCION send to remote AS {datagram.dst.isd_as} needs a path")
-        header = path.header_bytes() if path is not None else 24
+        header = (path.header_bytes() if path is not None
+                  else SCION_LOCAL_HEADER_BYTES)
         packet = Packet(
             src=self.addr,
             dst=datagram.dst,

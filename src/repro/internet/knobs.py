@@ -1,9 +1,9 @@
 """Uniform environment-knob parsing for every toggleable component.
 
 Every optional subsystem in the repo — the hybrid-fidelity fast path,
-the control-plane snapshot cache, revocation dissemination, the proxy's
-circuit breakers, admission control, retry budgets — is switched by one
-boolean environment knob plus a per-world constructor override. Before
+revocation dissemination, the proxy's circuit breakers, admission
+control, retry budgets — is switched by one boolean environment knob
+plus a per-world constructor override. Before
 this module each site parsed its own variable with its own accepted
 spellings (some took ``off``, some only ``0``), which is exactly the
 kind of drift the ablation harness

@@ -46,10 +46,11 @@ Correctness properties (test-enforced):
   single-AS one) — a write-once value that is a pure function of the
   key, so it does not matter which sharing world triggers it.
 
-Debugging escape hatch: set ``REPRO_SNAPSHOT_CACHE=0`` (or ``off`` /
-``false`` / ``no``) to bypass the cache entirely — every build then
-recomputes the same control plane from scratch. :data:`stats` counts
-hits/misses/bypasses so tests can assert cache behavior.
+The cache has no off switch: nothing a figure, battery or benchmark
+runs would take the off side. Tests that want an uncached reference
+call :func:`clear_cache` and set :data:`MAX_CACHED_SNAPSHOTS` to 0, so
+every build misses and is evicted at once. :data:`stats` counts
+hits/misses/evictions so tests can assert cache behavior.
 """
 
 from __future__ import annotations
@@ -57,15 +58,11 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.internet.knobs import resolve_knob
 from repro.ip.bgp import BgpRib, compute_routes
 from repro.scion.beaconing import BeaconingService, SegmentStore
 from repro.scion.pki import ControlPlanePki
 from repro.topology.graph import AsTopology
 from repro.topology.isd_as import IsdAs
-
-#: Environment variable disabling the cache (``0``/``off``/``false``/``no``).
-SNAPSHOT_CACHE_ENV = "REPRO_SNAPSHOT_CACHE"
 
 #: LRU bound: random-topology sweeps (Ablation B) would otherwise grow
 #: the cache without limit; real batteries use a handful of keys.
@@ -78,19 +75,17 @@ class SnapshotStats:
 
     hits: int = 0
     misses: int = 0
-    #: Builds performed with the cache disabled via the env var.
-    bypasses: int = 0
     #: Entries dropped by the LRU bound.
     evictions: int = 0
 
     def reset(self) -> None:
         """Zero all counters (test isolation)."""
-        self.hits = self.misses = self.bypasses = self.evictions = 0
+        self.hits = self.misses = self.evictions = 0
 
     def as_dict(self) -> dict[str, int]:
         """The counters as a plain dict (picklable, cross-process)."""
         return {"hits": self.hits, "misses": self.misses,
-                "bypasses": self.bypasses, "evictions": self.evictions}
+                "evictions": self.evictions}
 
     def delta_since(self, base: dict[str, int]) -> dict[str, int]:
         """Counter growth since a previously captured :meth:`as_dict`."""
@@ -126,16 +121,6 @@ class ControlPlaneSnapshot:
     core_ases: frozenset[IsdAs]
 
 
-def cache_enabled(override: bool | None = None) -> bool:
-    """Whether the snapshot cache is active.
-
-    An explicit ``override`` (the ``Internet(snapshot_cache=...)``
-    kwarg) wins; otherwise the ``REPRO_SNAPSHOT_CACHE`` environment
-    knob, parsed by the shared :mod:`repro.internet.knobs` rules.
-    """
-    return resolve_knob(SNAPSHOT_CACHE_ENV, override)
-
-
 def snapshot_key(topology: AsTopology, beacons_per_target: int,
                  verify_beacons: bool) -> tuple:
     """The cache key: every input the control-plane state depends on."""
@@ -158,21 +143,15 @@ def _build(topology: AsTopology, key: tuple) -> ControlPlaneSnapshot:
 
 def control_plane_snapshot(topology: AsTopology,
                            beacons_per_target: int = 8,
-                           verify_beacons: bool = False,
-                           cache: bool | None = None
+                           verify_beacons: bool = False
                            ) -> ControlPlaneSnapshot:
     """The (cached) control plane for one world configuration.
 
     On a hit, the returned snapshot is the very object a previous build
     produced — PKI generation, beaconing, and BGP convergence are all
-    skipped. On a miss the state is built once and interned. ``cache``
-    overrides the ``REPRO_SNAPSHOT_CACHE`` knob per call, so single
-    worlds can opt out without touching the process environment.
+    skipped. On a miss the state is built once and interned.
     """
     key = snapshot_key(topology, beacons_per_target, verify_beacons)
-    if not cache_enabled(cache):
-        stats.bypasses += 1
-        return _build(topology, key)
     snapshot = _cache.get(key)
     if snapshot is not None:
         stats.hits += 1

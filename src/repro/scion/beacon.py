@@ -16,7 +16,7 @@ accumulate information during construction"). Each entry carries:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.topology.graph import AsInfo, InterAsLink
 from repro.topology.isd_as import IsdAs
@@ -130,16 +130,3 @@ class AsEntry:
         return (f"e({self.isd_as};{self.ingress_ifid};{self.egress_ifid};"
                 f"{self.as_mtu};{self.hop_field.serialize()};"
                 f"{self.static_info.serialize()};{self.signature:x})")
-
-
-@dataclass
-class BeaconCandidate:
-    """A beacon in flight during propagation, before it becomes a stored
-    segment. Tracks cumulative latency for k-best pruning."""
-
-    entries: list[AsEntry] = field(default_factory=list)
-    cumulative_latency_ms: float = 0.0
-
-    def traversed(self) -> set[IsdAs]:
-        """ASes already on the beacon (loop prevention)."""
-        return {entry.isd_as for entry in self.entries}

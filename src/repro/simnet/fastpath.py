@@ -99,10 +99,6 @@ FASTPATH_ENV = "REPRO_FASTPATH"
 #: duration a transfer may spend in modelled queueing.
 PLT_ERROR_BOUND = 0.01
 
-#: Mirrors :data:`repro.internet.router.PROCESSING_DELAY_MS` (imported
-#: lazily in :func:`_walk_route` to keep simnet importable standalone).
-_SCION_LOCAL_HEADER_BYTES = 24
-
 
 def fastpath_enabled(override: bool | None = None) -> bool:
     """Resolve the fast-path knob: explicit override wins, then the
@@ -360,7 +356,7 @@ class EndpointRecord:
     """One registered transport endpoint (client or server side)."""
 
     __slots__ = ("conn", "kind", "conn_id", "side", "host", "peer_addr",
-                 "via", "path", "net_header_bytes", "route", "peer")
+                 "via", "path", "datagram_header_bytes", "route", "peer")
 
     def __init__(self, conn: Any, kind: str, conn_id: int, side: str,
                  host: Any, peer_addr: Any, via: str, path: Any) -> None:
@@ -375,12 +371,18 @@ class EndpointRecord:
         if path is not None and not path.hops:
             path = None
         self.path = path
+        # What Host.send_datagram adds to every datagram this endpoint
+        # sends: the UDP header plus the network-layer header. Imported
+        # lazily to keep simnet importable standalone.
+        from repro.internet.host import (IP_HEADER_BYTES,
+                                         SCION_LOCAL_HEADER_BYTES,
+                                         UDP_HEADER_BYTES)
         if via == "scion":
-            self.net_header_bytes = (path.header_bytes() if path is not None
-                                     else _SCION_LOCAL_HEADER_BYTES)
+            net_header = (path.header_bytes() if path is not None
+                          else SCION_LOCAL_HEADER_BYTES)
         else:
-            from repro.internet.host import IP_HEADER_BYTES
-            self.net_header_bytes = IP_HEADER_BYTES
+            net_header = IP_HEADER_BYTES
+        self.datagram_header_bytes = UDP_HEADER_BYTES + net_header
         self.route: Any = None       # lazy: RouteLeg | _UNROUTABLE
         self.peer: "EndpointRecord | None" = None
 
@@ -541,10 +543,10 @@ class FastPath:
         n_segments = max(1, (size + mss - 1) // mss)
         full_payload = mss if n_segments > 1 else size
         last_payload = size - (n_segments - 1) * mss if n_segments > 1 else size
-        overhead = channel.header_bytes + 8 + record.net_header_bytes  # +UDP
+        overhead = channel.header_bytes + record.datagram_header_bytes
         full_bytes = full_payload + overhead
         last_bytes = last_payload + overhead
-        ack_bytes = CONTROL_FRAME_BYTES + 8 + peer.net_header_bytes
+        ack_bytes = CONTROL_FRAME_BYTES + peer.datagram_header_bytes
         if full_bytes > fwd.min_mtu or ack_bytes > rev.min_mtu:
             return self._fallback("mtu", channel)
 

@@ -47,20 +47,6 @@ class Packet:
     created_at: float = 0.0
     hops: int = 0
 
-    def copy_shallow(self) -> "Packet":
-        """A shallow copy with a fresh packet id (used for broadcast-style
-        duplication; payload objects are shared)."""
-        return Packet(
-            src=self.src,
-            dst=self.dst,
-            payload=self.payload,
-            size=self.size,
-            protocol=self.protocol,
-            meta=dict(self.meta),
-            created_at=self.created_at,
-            hops=self.hops,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"Packet(#{self.packet_id} {self.protocol} "
                 f"{self.src}->{self.dst} {self.size}B)")

@@ -77,11 +77,3 @@ class PacketTrace:
         """Number of send events observed on ``link_name``."""
         return sum(1 for entry in self.entries
                    if entry.link == link_name and entry.event == "send")
-
-    def bytes_by_link(self) -> dict[str, int]:
-        """Total bytes sent per link (path usage statistics)."""
-        totals: dict[str, int] = {}
-        for entry in self.entries:
-            if entry.event == "send":
-                totals[entry.link] = totals.get(entry.link, 0) + entry.size
-        return totals

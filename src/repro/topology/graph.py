@@ -14,15 +14,11 @@ import enum
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from repro.errors import TopologyError
 from repro.simnet.packet import DEFAULT_MTU
 from repro.topology.isd_as import IsdAs
-
-if TYPE_CHECKING:
-    import networkx as nx
-
 
 class LinkKind(enum.Enum):
     """Relationship of an inter-AS link.
@@ -184,10 +180,6 @@ class AsTopology:
         """Look up an AS's static properties."""
         return self._record(isd_as).info
 
-    def has_as(self, isd_as: IsdAs) -> bool:
-        """True if the AS exists in this topology."""
-        return isd_as in self._ases
-
     def ases(self) -> list[AsInfo]:
         """All registered ASes, in insertion order."""
         return [record.info for record in self._ases.values()]
@@ -250,22 +242,6 @@ class AsTopology:
         for link in self._links:
             digest.update(repr(link).encode())
         return digest.hexdigest()
-
-    # -- derived graphs ---------------------------------------------------------
-
-    def to_networkx(self) -> nx.MultiGraph:
-        """The underlying multigraph with link attributes, for analysis."""
-        # Imported here: this export is the package's only use of networkx.
-        import networkx as nx
-
-        graph = nx.MultiGraph()
-        for info in self.ases():
-            graph.add_node(info.isd_as, core=info.core, isd=info.isd)
-        for link in self._links:
-            graph.add_edge(link.a, link.b, key=link.link_id,
-                           kind=link.kind.value, latency_ms=link.latency_ms,
-                           bandwidth_mbps=link.bandwidth_mbps, mtu=link.mtu)
-        return graph
 
     def validate(self) -> None:
         """Sanity-check the topology.

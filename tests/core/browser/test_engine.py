@@ -72,6 +72,16 @@ class TestLoading:
         direct = load(internet, browser, MIXED)
         assert direct.plt_ms < proxied.plt_ms
 
+    def test_reenabled_extension_routes_through_the_proxy(self):
+        internet, browser = build_world(MIXED)
+        browser.disable_extension()
+        assert load(internet, browser, MIXED).scion_count == 0
+        browser.enable_extension()
+        result = load(internet, browser, MIXED)
+        assert result.scion_count == 4  # main + 3 own resources
+        assert result.indicator_state is IndicatorState.SOME_SCION
+        assert browser._proxied_engine.pages_loaded == 1
+
     def test_missing_resource_marks_outcome(self):
         page = synthetic_page("scion.example", n_resources=2, seed=2)
         internet, browser = build_world(page)

@@ -93,6 +93,23 @@ class TestOpportunisticMode:
         assert result.used_scion
         assert not result.policy_compliant
 
+    def test_curated_domain_added_at_runtime_goes_over_scion(self, world):
+        """§4.1's curated list: a SCION-capable origin with no TXT
+        record is fetched over IP until the list names it."""
+        internet, ases, proxy = world
+        quiet = internet.add_host("quiet", ases.remote_server)
+        HttpServer(quiet, CONTENT, serve_tcp=True, serve_quic=True)
+        proxy.detector.resolver.register_host("quiet.example",
+                                              ip_address=quiet.addr)
+        before = fetch(internet, proxy, "quiet.example")
+        assert not before.used_scion
+        assert before.detection_source == "none"
+        proxy.add_curated_domain("quiet.example", quiet.addr)
+        after = fetch(internet, proxy, "quiet.example")
+        assert after.used_scion
+        assert after.detection_source == "curated"
+        assert after.response.status == 200
+
     def test_policy_steers_path_choice(self, world):
         internet, _ases, proxy = world
         proxy.set_policy(latency_optimized())

@@ -30,7 +30,7 @@ def baseline_probe_nojitter():
 
 class TestVerifyContract:
     def test_bit_identical_contract_passes(self, baseline_probe):
-        ok, detail = ab.verify_contract(ab.component("snapshot_cache"),
+        ok, detail = ab.verify_contract(ab.component("tracing"),
                                         TINY, baseline_probe, ())
         assert ok
         assert "bit-identical" in detail
@@ -64,16 +64,16 @@ class TestErrorRows:
     def test_broken_component_becomes_an_error_row(self):
         """Satellite guarantee: a failing toggle is an ``error`` row at
         the top of the ranking, never silently dropped."""
-        broken = dataclasses.replace(ab.component("snapshot_cache"),
+        broken = dataclasses.replace(ab.component("tracing"),
                                      name="broken", contract="unicorn")
         report = ab.run_ablations(
-            TINY, components=(broken, ab.component("snapshot_cache")))
+            TINY, components=(broken, ab.component("tracing")))
         row = report.result("broken")
         assert row.status == "error"
         assert "unicorn" in row.error
         assert report.ranked[0] is row  # errors sort first
         assert not report.all_ok
-        assert report.result("snapshot_cache").status == "ok"
+        assert report.result("tracing").status == "ok"
         payload = report.to_json()
         assert payload["all_ok"] is False
         names = [entry["name"] for entry in payload["components"]]
@@ -82,9 +82,9 @@ class TestErrorRows:
 
     def test_clean_subset_is_all_ok(self):
         report = ab.run_ablations(
-            TINY, components=(ab.component("snapshot_cache"),))
+            TINY, components=(ab.component("tracing"),))
         assert report.all_ok
-        assert report.result("snapshot_cache").contract_ok
+        assert report.result("tracing").contract_ok
 
 
 class TestImportanceMath:
@@ -137,7 +137,7 @@ class TestImportanceMath:
 class TestReportShape:
     def _row(self, name, status="ok", score=0.0, contract_ok=True):
         return ab.ComponentResult(
-            component=dataclasses.replace(ab.component("snapshot_cache"),
+            component=dataclasses.replace(ab.component("tracing"),
                                           name=name),
             status=status, score=score, contract_ok=contract_ok,
             error="boom" if status == "error" else None)

@@ -12,8 +12,7 @@ SMALL = ab.AblationConfig(conditions=("SCION-only",), trials=2,
                           n_resources=4, resilience_trials=1,
                           resilience_loads=2, contract_trials=1)
 
-SUBSET = (ab.component("snapshot_cache"), ab.component("tracing"),
-          ab.component("revocation"))
+SUBSET = (ab.component("tracing"), ab.component("revocation"))
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +53,7 @@ class TestSweep:
         assert row.deltas["ttr_ms"]["delta_abs"] > 0
 
     def test_deltas_carry_base_and_off(self, report):
-        row = report.result("snapshot_cache")
+        row = report.result("tracing")
         assert set(row.deltas) >= {"wallclock_ms", "plt_ms"}
         for cell in row.deltas.values():
             assert set(cell) == {"base", "off", "delta_abs", "delta_pct"}

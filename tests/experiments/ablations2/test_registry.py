@@ -6,7 +6,7 @@ import pytest
 from repro.experiments import components as ab
 
 EXPECTED_NAMES = {
-    "fastpath", "snapshot_cache", "tracing", "revocation",
+    "fastpath", "tracing", "revocation",
     "circuit_breaker", "admission_control", "retry_budget",
 }
 

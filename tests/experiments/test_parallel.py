@@ -32,7 +32,7 @@ from repro.experiments.harness import (
 )
 from repro.experiments.fault_battery import CHAOS, MODES, fault_trial
 from repro.experiments.local_setup import figure3_trial
-from repro.internet.snapshot import SNAPSHOT_CACHE_ENV
+from repro.internet import snapshot
 from repro.workload.arrivals import ArrivalCurve
 
 
@@ -184,8 +184,13 @@ class TestParallelDeterminism:
         cached_warm = BoxStats.from_samples(
             run_samples(trial, seeds, workers=1))
         parallel = BoxStats.from_samples(run_samples(trial, seeds, workers=4))
-        monkeypatch.setenv(SNAPSHOT_CACHE_ENV, "0")
+        snapshot.clear_cache()
+        monkeypatch.setattr(snapshot, "MAX_CACHED_SNAPSHOTS", 0)
+        misses = snapshot.stats.misses
         uncached = BoxStats.from_samples(run_samples(trial, seeds, workers=1))
+        # One fresh build per trial's world, none served from the cache.
+        assert snapshot.stats.misses - misses == len(seeds)
+        assert snapshot.cache_size() == 0
         assert uncached == cached_cold == cached_warm == parallel
 
     def test_fault_battery_cached_equals_uncached(self, monkeypatch):
@@ -198,8 +203,14 @@ class TestParallelDeterminism:
                           MODES)))
         cached = run(CHAOS, workers=1, **kwargs)
         rerun = run(CHAOS, workers=1, **kwargs)
-        monkeypatch.setenv(SNAPSHOT_CACHE_ENV, "0")
+        snapshot.clear_cache()
+        monkeypatch.setattr(snapshot, "MAX_CACHED_SNAPSHOTS", 0)
+        misses = snapshot.stats.misses
         uncached = run(CHAOS, workers=1, **kwargs)
+        # One fresh build per trial's world, none served from the cache.
+        assert snapshot.stats.misses - misses \
+            == len(kwargs["cells"]) * kwargs["trials"]
+        assert snapshot.cache_size() == 0
         assert cached.cells == rerun.cells == uncached.cells
 
     def test_non_picklable_trial_falls_back_to_serial(self):

@@ -29,9 +29,11 @@ class TestCrossSeedSharing:
         assert snapshot.stats.misses == 2  # one per clear, not per seed
         assert snapshot.stats.hits == 3
 
-        monkeypatch.setenv(snapshot.SNAPSHOT_CACHE_ENV, "0")
+        snapshot.clear_cache()
+        monkeypatch.setattr(snapshot, "MAX_CACHED_SNAPSHOTS", 0)
         uncached = FIGURE5.trial(CELL, SEED)
-        assert snapshot.stats.bypasses == 1
+        assert snapshot.stats.misses == 3  # built fresh, not kept
+        assert snapshot.cache_size() == 0
 
         assert from_empty_cache == after_other_seeds == uncached
 

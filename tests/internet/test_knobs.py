@@ -186,11 +186,3 @@ class TestRefactoredSitesShareTheRule:
         monkeypatch.setenv(REVOCATION_ENV, raw)
         assert revocation_enabled() is False
         assert revocation_enabled(True) is True
-
-    @pytest.mark.parametrize("raw", ["0", "off", "FALSE", " no "])
-    def test_snapshot_cache_enabled(self, monkeypatch, raw):
-        from repro.internet.snapshot import SNAPSHOT_CACHE_ENV, cache_enabled
-
-        monkeypatch.setenv(SNAPSHOT_CACHE_ENV, raw)
-        assert cache_enabled() is False
-        assert cache_enabled(True) is True

@@ -9,8 +9,6 @@ around every test, so all counters here start from zero.
 
 import inspect
 
-import pytest
-
 from repro.internet import snapshot
 from repro.internet.build import Internet
 from repro.topology.defaults import local_testbed, remote_testbed
@@ -122,28 +120,17 @@ class TestTopologyMutationInvalidates:
 
 
 class TestEnvDisable:
-    def test_disabled_cache_counts_bypasses(self, monkeypatch):
-        monkeypatch.setenv(snapshot.SNAPSHOT_CACHE_ENV, "0")
-        Internet(local_testbed(), seed=1)
-        Internet(local_testbed(), seed=1)
-        assert snapshot.stats.bypasses == 2
-        assert snapshot.stats.misses == 0
-        assert snapshot.cache_size() == 0
-
-    @pytest.mark.parametrize("value", ["0", "off", "false", "no", "OFF"])
-    def test_disabling_values(self, value, monkeypatch):
-        monkeypatch.setenv(snapshot.SNAPSHOT_CACHE_ENV, value)
-        assert not snapshot.cache_enabled()
-
-    @pytest.mark.parametrize("value", ["1", "on", "yes", ""])
-    def test_enabling_values(self, value, monkeypatch):
-        monkeypatch.setenv(snapshot.SNAPSHOT_CACHE_ENV, value)
-        assert snapshot.cache_enabled()
+    """The uncached reference: an emptied cache bounded at zero entries
+    builds every world's control plane from scratch."""
 
     def test_disabled_worlds_match_cached_worlds(self, monkeypatch):
         cached = Internet(local_testbed(), seed=3)
-        monkeypatch.setenv(snapshot.SNAPSHOT_CACHE_ENV, "0")
+        snapshot.clear_cache()
+        monkeypatch.setattr(snapshot, "MAX_CACHED_SNAPSHOTS", 0)
         rebuilt = Internet(local_testbed(), seed=3)
+        assert snapshot.stats.misses == 2  # built fresh, not kept
+        assert snapshot.cache_size() == 0
+        assert rebuilt.snapshot is not cached.snapshot
         assert rebuilt.segment_store.registrations \
             == cached.segment_store.registrations
         assert rebuilt.core_ases == cached.core_ases

@@ -40,8 +40,7 @@ class TestArtifacts:
         world, _plt = traced_world
         artifact = artifact_of(world, label="t")
         cache = artifact["process"]["snapshot_cache"]
-        assert set(cache) == {"hits", "misses", "bypasses", "evictions",
-                              "size"}
+        assert set(cache) == {"hits", "misses", "evictions", "size"}
         assert not any(key.startswith("snapshot_cache")
                        for key in artifact["metrics"]["gauges"])
         moved = json.loads(json.dumps(artifact))

@@ -37,7 +37,7 @@ from repro.simnet.link import LinkConfig
 from repro.simnet.network import Network
 from repro.simnet.node import Node
 from repro.simnet.packet import Packet
-from repro.topology.defaults import local_testbed, remote_testbed
+from repro.topology.defaults import LOCAL_AS, local_testbed, remote_testbed
 
 #: Packet-level oracle PLTs recorded before the fast path existed.
 #: ``REPRO_FASTPATH=0`` must keep reproducing these bit-for-bit.
@@ -100,6 +100,26 @@ class TestPacketLevelUnchanged:
                             500) == GOLDEN_FIG5_SCION_500
         assert remote_trial(NEAR_ORIGIN, "multiple origins / SCION",
                             600) == GOLDEN_FIG6_MULTI_SCION_600
+
+
+class TestWireSizes:
+    """The fast path charges each segment what ``Host.send_datagram``
+    puts on the wire, read from the same constants."""
+
+    @pytest.mark.parametrize("via", ["scion", "ip"])
+    def test_intra_as_overhead_matches_the_packet_level_size(self, via):
+        internet = Internet(local_testbed(), seed=1, trace=True)
+        sender = internet.add_host("a", LOCAL_AS)
+        receiver = internet.add_host("b", LOCAL_AS)
+        receiver.udp_socket(4000)
+        sender.udp_socket().send(receiver.addr, 4000, payload=None,
+                                 size=100, via=via)
+        internet.loop.run()
+        wire_size = internet.network.trace.events("send")[0].size
+        record = fastpath.EndpointRecord(
+            conn=None, kind="udp", conn_id=0, side="client", host=sender,
+            peer_addr=receiver.addr, via=via, path=None)
+        assert wire_size == 100 + record.datagram_header_bytes
 
 
 class TestJitterFreeExactness:

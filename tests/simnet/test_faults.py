@@ -107,6 +107,14 @@ class TestScheduleShorthands:
         assert schedule.specs[1].magnitude == 0.5
         assert schedule.specs[2].target == "client"
 
+    def test_path_server_degraded_is_the_spelled_out_spec(self):
+        shorthand = FaultSchedule().path_server_degraded(
+            at_ms=2.0, duration_ms=5.0, probability=0.25)
+        spelled = FaultSchedule().add(FaultSpec(
+            FaultKind.PATH_SERVER_DEGRADED, at_ms=2.0, duration_ms=5.0,
+            magnitude=0.25))
+        assert shorthand.specs == spelled.specs
+
 
 class TestInjectorTransitions:
     def test_link_down_and_recovery(self):
@@ -172,6 +180,18 @@ class TestInjectorTransitions:
         assert not world.path_server.available
         world.loop.run(until=16.0)
         assert world.path_server.available
+
+    def test_path_server_degradation_starts_and_clears(self):
+        topology, _ases = remote_testbed()
+        internet = Internet(topology, seed=1)
+        inject(internet, FaultSchedule().path_server_degraded(
+            at_ms=2.0, duration_ms=5.0, probability=0.25))
+        internet.loop.run(until=1.0)
+        assert internet.path_server.stale_probability == 0.0
+        internet.loop.run(until=3.0)
+        assert internet.path_server.stale_probability == 0.25
+        internet.loop.run(until=8.0)
+        assert internet.path_server.stale_probability == 0.0
 
     def test_infinite_fault_never_recovers(self):
         world = FakeWorld("link")

@@ -114,13 +114,6 @@ class TestTrace:
         assert len(net.trace.drops()) == 1
         assert net.trace.drops()[0].event == "drop-mtu"
 
-    def test_bytes_by_link(self):
-        net, a = self.build_traced()
-        a.send(Packet(src="a", dst="b", payload=None, size=64), 1)
-        a.send(Packet(src="a", dst="b", payload=None, size=36), 1)
-        net.run()
-        assert net.trace.bytes_by_link() == {"wire": 100}
-
     def test_capacity_cap(self):
         trace = PacketTrace(capacity=1)
         packet = Packet(src="a", dst="b", payload=None, size=1)
@@ -144,10 +137,3 @@ class TestTrace:
             trace.record(float(tick), "wire", "send", packet)
         assert len(trace) == 100
         assert trace.dropped_entries == 0
-
-    def test_packet_copy_shallow_gets_new_id(self):
-        packet = Packet(src="a", dst="b", payload="p", size=9)
-        clone = packet.copy_shallow()
-        assert clone.packet_id != packet.packet_id
-        assert clone.payload == "p"
-        assert clone.size == 9

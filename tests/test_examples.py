@@ -33,8 +33,6 @@ def run_example(name: str, capsys) -> str:
     ("green_negotiation", ["candidate paths", "negotiated green",
                            "latency policy"]),
     ("multipath_transfer", ["link-disjoint paths", "speedup"]),
-    ("private_browsing", ["2-hop circuit", "entry knows dest?  : no",
-                          "exit knows client? : no"]),
 ])
 def test_example_runs(name, expected_fragments, capsys):
     output = run_example(name, capsys)

@@ -1,10 +1,10 @@
 """Cold start: what building and running worlds must not import.
 
-``numpy`` and ``networkx`` cost more to import than the rest of the
-package together, and every fresh process — a spawned pool worker, one
-benchmark child — pays for ``import repro`` before its first trial.
-Only battery summaries (``BoxStats``) and the ``to_networkx`` export
-need them, so only those may import them.
+``numpy`` costs more to import than the rest of the package together,
+and every fresh process — a spawned pool worker, one benchmark child —
+pays for ``import repro`` before its first trial. Only battery summaries
+(``BoxStats``) need it, so only they may import it. ``networkx`` is no
+dependency at all; nothing a world runs may pull it in.
 """
 
 import os
@@ -13,7 +13,6 @@ import subprocess
 import sys
 
 from repro.experiments.harness import BoxStats
-from repro.topology.defaults import remote_testbed
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -51,14 +50,3 @@ def test_box_stats_summary_is_unchanged():
     assert BoxStats.from_samples([2.0]) == BoxStats(
         n=1, minimum=2.0, q1=2.0, median=2.0, q3=2.0, maximum=2.0,
         mean=2.0, std=0.0)
-
-
-def test_networkx_export_is_unchanged():
-    topology, ases = remote_testbed()
-    graph = topology.to_networkx()
-    assert type(graph).__name__ == "MultiGraph"
-    assert graph.number_of_nodes() == graph.number_of_edges() == 7
-    assert graph.nodes[ases.local_core] == {"core": True, "isd": 1}
-    assert graph.edges[ases.local_core, ases.client, 1] == {
-        "kind": "parent", "latency_ms": 2.5, "bandwidth_mbps": 1000.0,
-        "mtu": 1500}

@@ -1,7 +1,7 @@
 """The runtime-knob inventory cannot drift.
 
 Every ``REPRO_*`` environment variable the source reads must be one of
-the eight documented knobs, and README's "Runtime knobs" table must
+the seven documented knobs, and README's "Runtime knobs" table must
 list exactly those — adding a knob means editing this set on purpose.
 """
 
@@ -11,9 +11,9 @@ import re
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 KNOBS = {
-    "REPRO_WORKERS", "REPRO_SNAPSHOT_CACHE", "REPRO_FASTPATH",
-    "REPRO_REVOCATION", "REPRO_BREAKER", "REPRO_ADMISSION",
-    "REPRO_RETRY_BUDGET", "REPRO_POPULATION_USERS",
+    "REPRO_WORKERS", "REPRO_FASTPATH", "REPRO_REVOCATION",
+    "REPRO_BREAKER", "REPRO_ADMISSION", "REPRO_RETRY_BUDGET",
+    "REPRO_POPULATION_USERS",
 }
 
 
@@ -31,4 +31,4 @@ def test_readme_table_lists_exactly_the_documented_knobs():
     rows = re.findall(r"^\| `(REPRO_[A-Z_]+)", section, flags=re.MULTILINE)
     assert len(rows) == len(set(rows))
     assert set(rows) == KNOBS
-    assert "all eight" in section
+    assert "all seven" in section

@@ -98,11 +98,6 @@ class TestQueries:
         with pytest.raises(TopologyError):
             link.ifid_of(IsdAs.parse("9-9"))
 
-    def test_to_networkx(self, small):
-        graph = small.to_networkx()
-        assert graph.number_of_nodes() == 5
-        assert graph.number_of_edges() == 5
-
     def test_as_info_attributes(self):
         topo = AsTopology()
         info = topo.add_as("1-1", core=True, co2_g_per_gb=42.0,
