@@ -8,7 +8,8 @@ them into a text report of what moved.
 
 Artifacts are a pure function of (entry, cell, seed) — sorted keys, no
 timestamps — except for the ``process`` block: what this *process* had
-cached when it built the world, which depends on what it ran before.
+cached when it built the world (control-plane snapshots, fast-path
+jitter curves), which depends on what it ran before.
 :func:`artifact_digest` and :func:`diff_report` skip that block, so two
 runs of the same world digest and diff the same from any process.
 """
@@ -37,10 +38,12 @@ def build_artifact(tracer: Any, metrics: MetricsRegistry,
     snapshot. Every completed ``page.load`` in the trace contributes a
     waterfall; loads still open when the artifact is built are skipped
     (their spans are present regardless). The control-plane
-    snapshot-cache counters are cumulative over the process, not the
-    world, so they go under ``process`` (see the module docstring).
+    snapshot-cache and fast-path jitter-curve counters are cumulative
+    over the process, not the world, so they go under ``process`` (see
+    the module docstring).
     """
     from repro.internet import snapshot
+    from repro.simnet.fastpath import jitter_curve_stats
 
     spans = [span.to_dict() for span in tracer.spans]
     waterfalls = []
@@ -58,7 +61,8 @@ def build_artifact(tracer: Any, metrics: MetricsRegistry,
         "waterfalls": waterfalls,
         "extra": dict(extra or {}),
         "process": {"snapshot_cache": {**snapshot.stats.as_dict(),
-                                       "size": snapshot.cache_size()}},
+                                       "size": snapshot.cache_size()},
+                    "jitter_curves": jitter_curve_stats.as_dict()},
     }
 
 

@@ -75,8 +75,15 @@ conditions the fast path reproduces every seed's PLT within
 jitter enters the analytic schedule at its expected value — the fast
 path never draws from the world RNG, so paired experiment conditions
 stay noise-correlated and other seeded consumers see an unperturbed
-stream. ``REPRO_FASTPATH=0`` (or ``Internet(fastpath=False)``) removes
-the fast path entirely and is bit-identical to pre-fast-path behavior.
+stream. A multi-round transfer reads its expected jitter penalty off
+one Monte-Carlo curve per path class (:func:`expected_round_jitter`):
+the curve is a pure function of its key — the route's jitter bounds,
+the initial window and the RTT rounded to a microsecond, or no RTT at
+all once rounds cannot overtake each other — so every message size on
+a path shares one simulation, and no call order or process history
+changes a PLT. ``REPRO_FASTPATH=0`` (or ``Internet(fastpath=False)``)
+removes the fast path entirely and is bit-identical to pre-fast-path
+behavior.
 """
 
 from __future__ import annotations
@@ -118,7 +125,7 @@ class RouteLeg:
     the world has changed.
     """
 
-    __slots__ = ("links", "base_delay_ms", "jitter_bounds", "jitter_mean",
+    __slots__ = ("links", "base_delay_ms", "jitter_bounds", "jitter_spread",
                  "finite_meta", "inv_rate", "bottleneck_inv", "min_mtu",
                  "expiry_ms", "static_clean", "_epoch")
 
@@ -135,7 +142,8 @@ class RouteLeg:
         self.jitter_bounds = tuple(
             link.config.jitter_ms for link, _sender in self.links
             if link.config.jitter_ms > 0.0)
-        self.jitter_mean = sum(self.jitter_bounds) * 0.5
+        #: The most jitter one segment can pick up on this leg.
+        self.jitter_spread = sum(self.jitter_bounds)
         # ms-per-byte factors: serialization of B bytes over the whole
         # leg is B * inv_rate; the slowest hop clocks out a burst at
         # B * bottleneck_inv per segment.
@@ -193,21 +201,12 @@ class RouteLeg:
 #: Sentinel for "resolution attempted, no analytic route exists".
 _UNROUTABLE = object()
 
-#: Bound on each jitter-model cache below. A long battery over fresh
-#: seeds keeps minting keys (every distinct RTT is one), so the caches
-#: evict least-recently-used entries instead of growing for the life of
-#: the process. Both functions are pure (neither reads the world's RNG
-#: or clock), so an evicted key is recomputed to the same value.
+#: Bound on the max-jitter cache below. A long battery over fresh
+#: routes keeps minting ``(bounds, window)`` keys, so the cache evicts
+#: least-recently-used entries instead of growing for the life of the
+#: process. The function is pure (it reads neither the world's RNG nor
+#: its clock), so an evicted key is recomputed to the same value.
 MAX_CACHED_JITTER_VALUES = 4096
-
-
-def _remember(cache: OrderedDict[tuple, float], key: tuple,
-              value: float) -> float:
-    cache[key] = value
-    while len(cache) > MAX_CACHED_JITTER_VALUES:
-        cache.popitem(last=False)
-    return value
-
 
 _MAX_JITTER_CACHE: OrderedDict[tuple, float] = OrderedDict()
 
@@ -261,95 +260,187 @@ def expected_max_jitter(bounds: tuple, window: int) -> float:
             if d > 0.0:
                 acc += sign * d ** k
         integral += (acc / norm) ** window
-    return _remember(_MAX_JITTER_CACHE, key, total - integral * dx)
+    value = _MAX_JITTER_CACHE[key] = total - integral * dx
+    if len(_MAX_JITTER_CACHE) > MAX_CACHED_JITTER_VALUES:
+        _MAX_JITTER_CACHE.popitem(last=False)
+    return value
 
 
-_ROUND_JITTER_CACHE: OrderedDict[tuple, float] = OrderedDict()
 _ROUND_JITTER_SAMPLES = 256
 #: Transfers beyond this many segments use the cheap mean-based jitter
 #: model — at that scale serialization dwarfs any order-statistic bias.
+#: It is also the longest a curve below ever grows.
 _ROUND_JITTER_MAX_SEGMENTS = 512
+#: Segments a new curve is simulated for; it doubles on demand.
+_ROUND_JITTER_FIRST_HORIZON = 32
+#: Bound on the curve cache, counted in curves (each at most
+#: ``_ROUND_JITTER_MAX_SEGMENTS`` floats). The figure batteries hold
+#: under a dozen; evicted curves are rebuilt to the same values.
+MAX_CACHED_JITTER_CURVES = 64
+
+#: One curve per path class: ``(fwd_bounds, rev_bounds, rtt_key,
+#: cwnd0)`` → the mean slowest arrival among the first k segments, for
+#: k = 1 .. horizon.
+_ROUND_JITTER_CURVES: OrderedDict[tuple, list[float]] = OrderedDict()
+
+
+class JitterCurveStats:
+    """Process-level counts of the round-jitter model: simulations run
+    (a new curve, or one grown to a longer horizon), calls a stored
+    curve answered, and curves held. They depend on what the process
+    ran before, so artifacts carry them outside the digest."""
+
+    __slots__ = ("curves_built", "hits")
+
+    def __init__(self) -> None:
+        self.curves_built = 0
+        self.hits = 0
+
+    def as_dict(self) -> dict[str, int]:
+        return {"curves_built": self.curves_built, "hits": self.hits,
+                "size": len(_ROUND_JITTER_CURVES)}
+
+
+jitter_curve_stats = JitterCurveStats()
 
 
 def expected_round_jitter(fwd_bounds: tuple, rev_bounds: tuple,
-                          rtt_ms: float, cwnd0: int, n: int,
-                          rounds: int) -> float:
-    """Expected jitter penalty of a multi-round slow-start transfer.
+                          rtt_ms: float, cwnd0: int, n: int, rounds: int,
+                          spread: float | None = None) -> float:
+    """Expected jitter penalty of an ``n``-segment slow-start transfer
+    (``n <= _ROUND_JITTER_MAX_SEGMENTS``) that takes ``rounds`` round
+    trips after its first burst — its own count, as ``try_send`` lays
+    the rounds out; ``spread`` is ``Σfwd_bounds + Σrev_bounds``, which
+    ``try_send`` passes precomputed on the route legs.
 
     Round advances gate on cumulative-ACK *order statistics* (the k-th
     ACK of a jitter-reordered window releases the next burst), which no
-    closed form captures cleanly. Instead we run the abstract release
-    dynamics — sends, jittered arrivals, cumulative ACKs, window growth
-    — without any packet machinery, over a private string-seeded RNG
-    (stable across processes, never the world's stream), and average the
-    completion time. Cached per (bounds, rtt, cwnd0, n): the figure
-    batteries reuse a handful of keys, so the amortized cost is
-    negligible against the packet-level events saved.
+    closed form captures cleanly. Instead the abstract release dynamics
+    — sends, jittered arrivals, cumulative ACKs, window growth — run
+    without any packet machinery over private string-seeded streams
+    (stable across processes, never the world's), and the penalty is
+    the mean slowest arrival among the first ``n`` segments less the
+    ``rounds`` round trips the schedule already counts.
+
+    One simulation serves every message size on a path: a segment's
+    arrival never depends on later segments, so the curve of mean
+    slowest arrivals over the first k segments (see
+    :func:`_round_jitter_curve`) answers every ``n`` up to its horizon,
+    which doubles on demand up to ``_ROUND_JITTER_MAX_SEGMENTS``. The
+    curve is keyed on what it reads: the jitter bounds, ``cwnd0`` and
+    the RTT rounded to a microsecond — the simulation runs at that
+    rounded RTT, so the answer is a pure function of ``(key, n)``. When
+    ``rtt_ms > (rounds + 1) * spread`` (``spread`` being the most jitter
+    a round trip can add) no round can overtake the next, every arrival
+    is its round's RTTs plus an RTT-free offset, and all such paths
+    share one curve run at a canonical RTT (``rtt_key=None``); the
+    penalty then agrees with a run at the path's own RTT to ~1e-11 ms
+    of round-off.
     """
-    key = (fwd_bounds, rev_bounds, round(rtt_ms, 3), cwnd0, n)
-    cached = _ROUND_JITTER_CACHE.get(key)
-    if cached is not None:
-        _ROUND_JITTER_CACHE.move_to_end(key)
-        return cached
+    if spread is None:
+        spread = sum(fwd_bounds) + sum(rev_bounds)
+    if rtt_ms > (rounds + 1) * spread:
+        rtt_key = None
+        # Past the no-interleave threshold of the longest curve.
+        rtt = (_ROUND_JITTER_MAX_SEGMENTS + 1) * spread
+    else:
+        rtt_key = rtt = round(rtt_ms, 3)
+    key = (fwd_bounds, rev_bounds, rtt_key, cwnd0)
+    curve = _ROUND_JITTER_CURVES.get(key)
+    if curve is not None and len(curve) >= n:
+        _ROUND_JITTER_CURVES.move_to_end(key)
+        jitter_curve_stats.hits += 1
+    else:
+        horizon = 2 * len(curve) if curve else _ROUND_JITTER_FIRST_HORIZON
+        while horizon < n:
+            horizon *= 2
+        curve = _round_jitter_curve(key, rtt,
+                                    min(horizon, _ROUND_JITTER_MAX_SEGMENTS))
+        jitter_curve_stats.curves_built += 1
+        _ROUND_JITTER_CURVES[key] = curve
+        _ROUND_JITTER_CURVES.move_to_end(key)
+        if len(_ROUND_JITTER_CURVES) > MAX_CACHED_JITTER_CURVES:
+            _ROUND_JITTER_CURVES.popitem(last=False)
+    return curve[n - 1] - rounds * rtt
+
+
+def _round_jitter_curve(key: tuple, rtt_ms: float,
+                        horizon: int) -> list[float]:
+    """Mean over ``_ROUND_JITTER_SAMPLES`` samples of the slowest
+    arrival among the first k segments, for k = 1 .. ``horizon``.
+
+    Samples are summed in order and each one's prefix is fixed (see
+    :func:`_sample_arrivals`), so every entry is bit-identical whatever
+    the horizon: growing a curve never changes what it already said.
+    """
+    totals = [0.0] * horizon
+    for sample in range(_ROUND_JITTER_SAMPLES):
+        slowest = 0.0
+        for k, arrival in enumerate(
+                _sample_arrivals(key, rtt_ms, horizon, sample)):
+            if arrival > slowest:
+                slowest = arrival
+            totals[k] += slowest
+    return [total / _ROUND_JITTER_SAMPLES for total in totals]
+
+
+def _sample_arrivals(key: tuple, rtt_ms: float, horizon: int,
+                     sample: int) -> list[float]:
+    """Arrival time of each of the first ``horizon`` segments in one
+    sample of the release dynamics, from its own stream.
+
+    The stream is drawn in segment order — segment i's forward jitter,
+    then the jitter of the ACK it triggers — and a segment is released
+    only by ACKs of segments before it, so segment i's arrival is the
+    same for every ``horizon > i``.
+    """
+    fwd_bounds, rev_bounds, _rtt_key, cwnd0 = key
     # ``bound * draw()`` is ``rng.uniform(0.0, bound)`` by that method's
     # definition (``a + (b - a) * random()``), without its call overhead.
-    draw = random.Random(f"repro-fastpath-round-jitter:{key}").random
+    draw = random.Random(f"repro-fastpath-round-jitter:{key}:{sample}").random
+    fwd = []
+    rev = []
+    for _seg in range(horizon):
+        jitter = 0.0
+        for bound in fwd_bounds:
+            jitter += bound * draw()
+        fwd.append(jitter)
+        jitter = 0.0
+        for bound in rev_bounds:
+            jitter += bound * draw()
+        rev.append(jitter)
     push, pop = heapq.heappush, heapq.heappop
-    first_window = min(n, cwnd0)
-    total = 0.0
-    for _ in range(_ROUND_JITTER_SAMPLES):
-        # Event tuples: (time, tiebreak, kind, value). kind 0 = arrival
-        # at receiver (value = segment id), kind 1 = cumulative ACK back
-        # at sender (value = cumulative count).
-        events: list = []
-        for seg in range(first_window):
-            jitter = 0.0
-            for bound in fwd_bounds:
-                jitter += bound * draw()
-            events.append((jitter, seg, 0, seg))
-        heapq.heapify(events)
-        next_seg = unacked = first_window
-        cwnd = cwnd0
-        acked = 0
-        arrived = [False] * n
-        high = 0
-        last_arrival = 0.0
-        while next_seg < n:
-            time, _tie, kind, value = pop(events)
-            if kind == 0:  # data arrival; in-order delivery gates on max
-                if time > last_arrival:
-                    last_arrival = time
-                arrived[value] = True
-                while high < n and arrived[high]:
-                    high += 1
-                jitter = 0.0
-                for bound in rev_bounds:
-                    jitter += bound * draw()
-                push(events, (time + rtt_ms + jitter, value, 1, high))
-            elif value > acked:  # cumulative ACK that acknowledges more
-                unacked -= value - acked
-                cwnd = min(MAX_CWND, cwnd + value - acked)
-                acked = value
-                while next_seg < n and unacked < cwnd:
-                    jitter = 0.0
-                    for bound in fwd_bounds:
-                        jitter += bound * draw()
-                    push(events, (time + jitter, next_seg, 0, next_seg))
-                    next_seg += 1
-                    unacked += 1
-        # Everything is released: no ACK can change the outcome any
-        # more, which is the slowest arrival still under way. Each of
-        # those would have drawn its ACK's jitter; keep the stream
-        # where the next sample expects it.
-        for time, _tie, kind, _value in events:
-            if kind == 0:
-                if time > last_arrival:
-                    last_arrival = time
-                for _bound in rev_bounds:
-                    draw()
-        total += last_arrival
-    return _remember(_ROUND_JITTER_CACHE, key,
-                     total / _ROUND_JITTER_SAMPLES - rounds * rtt_ms)
+    first_window = min(horizon, cwnd0)
+    # The first window leaves at 0: each arrives after its own jitter.
+    arrivals = fwd[:first_window]
+    # Event tuples: (time, tiebreak, kind, value). kind 0 = arrival at
+    # receiver (value = segment id), kind 1 = cumulative ACK back at
+    # sender (value = cumulative count).
+    events = [(arrival, seg, 0, seg) for seg, arrival in enumerate(arrivals)]
+    heapq.heapify(events)
+    next_seg = unacked = first_window
+    cwnd = cwnd0
+    acked = 0
+    arrived = [False] * horizon
+    high = 0
+    while next_seg < horizon:
+        time, _tie, kind, value = pop(events)
+        if kind == 0:  # data arrival; the receiver ACKs its in-order high
+            arrived[value] = True
+            while high < horizon and arrived[high]:
+                high += 1
+            push(events, (time + rtt_ms + rev[value], value, 1, high))
+        elif value > acked:  # cumulative ACK that acknowledges more
+            unacked -= value - acked
+            cwnd = min(MAX_CWND, cwnd + value - acked)
+            acked = value
+            while next_seg < horizon and unacked < cwnd:
+                arrival = time + fwd[next_seg]
+                arrivals.append(arrival)
+                push(events, (arrival, next_seg, 0, next_seg))
+                next_seg += 1
+                unacked += 1
+    return arrivals
 
 
 class EndpointRecord:
@@ -611,17 +702,19 @@ class FastPath:
         # Expected jitter. Round-free transfers gate on the *slowest*
         # arrival of the initial window (an expected-max order
         # statistic); multi-round transfers additionally gate round
-        # advances on cumulative-ACK order statistics, sampled by the
-        # cached deterministic release-dynamics model.
+        # advances on cumulative-ACK order statistics, read off the
+        # path's deterministic release-dynamics curve.
         if fwd.jitter_bounds or rev.jitter_bounds:
             if rounds == 0:
                 deliver += expected_max_jitter(fwd.jitter_bounds, last_window)
             elif n_segments <= _ROUND_JITTER_MAX_SEGMENTS:
                 deliver += expected_round_jitter(
                     fwd.jitter_bounds, rev.jitter_bounds, rtt, cwnd0,
-                    n_segments, rounds)
+                    n_segments, rounds,
+                    fwd.jitter_spread + rev.jitter_spread)
             else:
-                deliver += (rounds * (fwd.jitter_mean + rev.jitter_mean)
+                deliver += (rounds * (fwd.jitter_spread + rev.jitter_spread)
+                            * 0.5
                             + expected_max_jitter(fwd.jitter_bounds,
                                                   last_window))
         if deliver >= fwd.expiry_ms or deliver >= rev.expiry_ms:

@@ -20,11 +20,11 @@ RESULTS = pathlib.Path(__file__).resolve().parents[2] / "results" / "obs"
 
 PINS = {
     "figure3":
-        "3566fe57d7d2671800f618a23621f2aac853a0330793c0f6b6992fbb765a10a5",
+        "c068dac8417b4e681673af147abcee1c382e2e9b6309a59bef8253e18dfb2b72",
     "figure5":
-        "a4479ef3b129dade45275de5911e362ab28f1d59f72be2fb7f609ca52ae78dbb",
+        "1fe9b58e1d464969cfde2a9fec534d6ca61a6d846036fbb208c9af8f184e8adc",
     "figure6":
-        "89e6e2bf3473e281014ce2bb65b6ab48d85932dbdc5319d5144eccb42b10e08e",
+        "55a9bc6dfe60e1282f518af0eb332f5a65d06793e2e17df14e0b9c73b2f451f5",
     "chaos":
         "07f2923eee7128c67b017afe564ead0df5195bb830f44cfba2a2e955e9b617b1",
 }

@@ -48,6 +48,18 @@ class TestArtifacts:
         assert artifact_digest(moved) == artifact_digest(artifact)
         assert "(no metric differences)" in diff_report(artifact, moved)
 
+    def test_jitter_curve_counters_ride_outside_the_digest(self,
+                                                           traced_world):
+        world, _plt = traced_world
+        artifact = artifact_of(world, label="t")
+        curves = artifact["process"]["jitter_curves"]
+        assert set(curves) == {"curves_built", "hits", "size"}
+        moved = json.loads(json.dumps(artifact))
+        moved["process"]["jitter_curves"]["curves_built"] += 9
+        assert artifact_digest(moved) == artifact_digest(artifact)
+        assert "-- process: jitter_curves (outside the digest) --" \
+            in render_report(artifact)
+
     def test_write_then_load_round_trips(self, traced_world, tmp_path):
         world, _plt = traced_world
         artifact = artifact_of(world, label="t", extra={"seed": 131})

@@ -21,6 +21,7 @@ The contract under test (see :mod:`repro.simnet.fastpath`):
 """
 
 import dataclasses
+import statistics
 from collections import OrderedDict
 
 import pytest
@@ -180,44 +181,143 @@ class TestJitterFreeExactness:
         assert abs(fast - oracle) / oracle <= PLT_ERROR_BOUND
 
 
-class TestJitterModelCaches:
-    """The two jitter models are pure functions behind bounded caches."""
+def _slow_start_rounds(n: int, cwnd0: int) -> int:
+    """Round trips after the first burst, counted as ``try_send`` does."""
+    window = sent = min(n, cwnd0)
+    cwnd = cwnd0
+    rounds = 0
+    while sent < n:
+        cwnd = min(fastpath.MAX_CWND, cwnd + window)
+        window = min(n - sent, cwnd)
+        sent += window
+        rounds += 1
+    return rounds
 
-    ROUND_ARGS = ((0.3, 0.3), (0.3,), 12.345, 10, 40, 2)
+
+#: ``expected_round_jitter(*args)`` as the per-size Monte-Carlo model
+#: answered before one curve served every size on a path. Two of them
+#: passed a ``rounds`` that is not the transfer's own; the statistical
+#: reference re-reads them at the right one.
+RECORDED_ROUND_JITTER = [
+    (((0.3, 0.3), (0.3,), 12.345, 10, 40, 2), 1.4830313793622345),
+    (((0.25,), (0.25, 0.1), 3.2, 4, 25, 3), -2.231246157414989),
+    (((0.3, 0.3), (0.3, 0.3), 161.687, 10, 25, 1), 1.232602275742238),
+    (((0.3, 0.3), (0.3, 0.3), 0.82, 10, 17, 1), 1.1062693258935776),
+    (((0.3,), (0.3,), 0.05, 2, 33, 2), 1.4646491455443085),
+    (((), (0.2,), 1.0, 10, 30, 1), 0.09598247850345754),
+    (((0.2, 0.1, 0.4), (), 0.4, 10, 30, 1), 1.1097002053363765),
+    (((0.3,), (0.3,), 5.0, 128, 400, 2), 6.220962361960435),
+]
+
+
+class TestJitterModelCaches:
+    """The jitter models are pure functions behind bounded caches; the
+    round model keeps one curve per path class and reads every message
+    size off it."""
+
+    PATH = ((0.3, 0.3), (0.3, 0.3))
 
     def test_values_recorded_before_the_caches_were_bounded(self):
-        assert expected_round_jitter(*self.ROUND_ARGS) == 1.4830313793622345
-        assert expected_round_jitter((0.25,), (0.25, 0.1), 3.2, 4, 25, 3) \
-            == -2.231246157414989
         assert expected_max_jitter((0.3, 0.5), 4) == 0.5751245714308764
         assert expected_max_jitter((0.3, 0.5), 1) == 0.4
         assert expected_max_jitter((), 4) == 0.0
         assert expected_max_jitter((0.3,), 0) == 0.0
 
+    @pytest.mark.parametrize("args,recorded", RECORDED_ROUND_JITTER)
+    def test_round_model_within_three_stderr_of_recorded(
+            self, args, recorded):
+        """Both are 256-sample estimates of one mean, from different
+        streams, so they may differ by sampling error alone: at most 3
+        standard errors of the difference of two independent estimates.
+        A recorded value is the mean slowest arrival less
+        ``rounds * rtt``; it is re-read at the transfer's own round
+        count before comparing."""
+        fwd, rev, rtt, cwnd0, n, recorded_rounds = args
+        rounds = _slow_start_rounds(n, cwnd0)
+        reference = recorded + (recorded_rounds - rounds) * rtt
+        value = expected_round_jitter(fwd, rev, rtt, cwnd0, n, rounds)
+        spread = sum(fwd) + sum(rev)
+        if rtt > (rounds + 1) * spread:
+            key = (fwd, rev, None, cwnd0)
+            sim_rtt = (fastpath._ROUND_JITTER_MAX_SEGMENTS + 1) * spread
+        else:
+            sim_rtt = round(rtt, 3)
+            key = (fwd, rev, sim_rtt, cwnd0)
+        # The first n arrivals are the same at every horizon >= n.
+        slowest = [max(fastpath._sample_arrivals(key, sim_rtt, n, sample))
+                   for sample in range(fastpath._ROUND_JITTER_SAMPLES)]
+        assert sum(slowest) / len(slowest) - rounds * sim_rtt == value
+        stderr = statistics.stdev(slowest) / len(slowest) ** 0.5
+        assert abs(value - reference) <= 3 * 2 ** 0.5 * stderr
+
     @pytest.mark.parametrize("args,value", [
-        (((0.3, 0.3), (0.3, 0.3), 161.687, 10, 25, 1), 1.232602275742238),
-        (((0.3, 0.3), (0.3, 0.3), 0.82, 10, 17, 1), 1.1062693258935776),
-        (((0.3,), (0.3,), 0.05, 2, 33, 2), 1.4646491455443085),
-        (((), (0.2,), 1.0, 10, 30, 1), 0.09598247850345754),
-        (((0.2, 0.1, 0.4), (), 0.4, 10, 30, 1), 1.1097002053363765),
-        (((0.3,), (0.3,), 5.0, 128, 400, 2), 6.220962361960435),
+        (((0.3, 0.3), (0.3,), 12.345, 10, 40, 2), 1.485376404498993),
+        (((0.25,), (0.25, 0.1), 3.2, 4, 25, 2), 0.9530613626111517),
+        (((0.3, 0.3), (0.3, 0.3), 161.687, 10, 25, 1), 1.2422798345432966),
+        (((0.3, 0.3), (0.3, 0.3), 0.82, 10, 17, 1), 1.1139136306329251),
+        (((0.3,), (0.3,), 0.05, 2, 33, 4), 1.387455386891365),
+        (((), (0.2,), 1.0, 10, 30, 1), 0.10679674144925855),
+        (((0.2, 0.1, 0.4), (), 0.4, 10, 30, 1), 1.0974796902440525),
+        (((0.3,), (0.3,), 5.0, 128, 400, 3), 1.2190211459512739),
     ])
-    def test_round_model_stops_at_the_last_release_with_the_same_values(
-            self, args, value, monkeypatch):
-        """Recorded when each sample still replayed every ACK to the
-        end: stopping once the last segment is released draws the same
-        stream and reads the same slowest arrival."""
-        # A fresh cache: the key rounds the RTT, so a world run earlier
-        # in this process (161.68700000000001 ms) would answer for it.
-        monkeypatch.setattr(fastpath, "_ROUND_JITTER_CACHE", OrderedDict())
+    def test_round_model_values(self, args, value):
         assert expected_round_jitter(*args) == value
+
+    @pytest.mark.parametrize("rtts,value", [
+        ((161.686944, 161.687), 1.2422798345432966),
+        ((0.82, 0.8200000000000001), 1.2327699472056444),
+    ])
+    def test_rtts_a_hair_apart_read_the_same_in_either_order(
+            self, rtts, value, monkeypatch):
+        """The value is computed from the key, not from whichever
+        unrounded RTT asked first — on a cold cache and a warm one.
+        (The first pair is a remote path's RTT as the figure-5 battery
+        computes it and the rounded key it shares.)"""
+        reads = []
+        for order in (rtts, rtts[::-1]):
+            monkeypatch.setattr(fastpath, "_ROUND_JITTER_CURVES",
+                                OrderedDict())
+            for _cold_then_warm in range(2):
+                reads += [expected_round_jitter(*self.PATH, rtt, 10, 25, 1)
+                          for rtt in order]
+        assert set(reads) == {value}
+
+    def test_growing_the_horizon_keeps_the_prefix(self, monkeypatch):
+        curves = OrderedDict()
+        monkeypatch.setattr(fastpath, "_ROUND_JITTER_CURVES", curves)
+        cold = expected_round_jitter(*self.PATH, 0.82, 10, 20, 1)
+        assert [len(curve) for curve in curves.values()] == [32]
+        expected_round_jitter(*self.PATH, 0.82, 10, 50, 2)
+        assert [len(curve) for curve in curves.values()] == [64]
+        assert expected_round_jitter(*self.PATH, 0.82, 10, 20, 1) == cold
+
+    def test_rtt_above_the_no_interleave_threshold_does_not_matter(self):
+        """Past ``(rounds + 1) * spread`` no round overtakes the next, so
+        every arrival is its rounds' RTTs plus an RTT-free offset: the
+        simulation at any such RTT agrees with the canonical curve to
+        round-off, and the model answers from that one curve."""
+        key = (*self.PATH, None, 10)
+        spread = 1.2
+        canonical_rtt = (fastpath._ROUND_JITTER_MAX_SEGMENTS + 1) * spread
+        canonical = fastpath._round_jitter_curve(key, canonical_rtt, 64)
+        for rtt in (2.5, 11.3, 2_200.0):
+            curve = fastpath._round_jitter_curve(key, rtt, 64)
+            for n in range(1, 65):
+                rounds = _slow_start_rounds(n, 10)
+                if rtt > (rounds + 1) * spread:
+                    assert curve[n - 1] - rounds * rtt == pytest.approx(
+                        canonical[n - 1] - rounds * canonical_rtt,
+                        abs=1e-10)
+        assert len({expected_round_jitter(*self.PATH, rtt, 10, 25, 1)
+                    for rtt in (2.5, 11.3, 2_200.0)}) == 1
 
     def test_caches_evict_least_recently_used_without_changing_values(
             self, monkeypatch):
+        monkeypatch.setattr(fastpath, "MAX_CACHED_JITTER_CURVES", 2)
         monkeypatch.setattr(fastpath, "MAX_CACHED_JITTER_VALUES", 2)
         for name, model, calls in (
-                ("_ROUND_JITTER_CACHE", expected_round_jitter,
-                 [((0.3,), (0.3,), rtt, 4, 12, 2) for rtt in (5.0, 6.0, 7.0)]),
+                ("_ROUND_JITTER_CURVES", expected_round_jitter,
+                 [((0.3,), (0.3,), 0.5, cwnd0, 12, 1) for cwnd0 in (6, 7, 8)]),
                 ("_MAX_JITTER_CACHE", expected_max_jitter,
                  [((0.3, 0.5), window) for window in (2, 3, 4)])):
             cache = OrderedDict()
@@ -225,15 +325,27 @@ class TestJitterModelCaches:
             first, second, third = calls
             value = model(*first)
             model(*second)
+            hot = next(iter(cache))
             assert model(*first) == value  # a hit: ``first`` is now newest
             model(*third)                  # evicts ``second``
             assert len(cache) == 2
-            hot, _newest = cache
-            assert cache[hot] == value
+            assert next(iter(cache)) == hot
             model(*second)                 # evicts ``first``
-            assert value not in cache.values()
+            assert hot not in cache
             assert model(*first) == value  # recomputed, same value
             assert len(cache) == 2
+
+    def test_counters_see_builds_hits_and_size(self, monkeypatch):
+        monkeypatch.setattr(fastpath, "_ROUND_JITTER_CURVES", OrderedDict())
+        stats = fastpath.jitter_curve_stats
+        before = stats.as_dict()
+        for n in (12, 20, 20, 40):  # build, hit, hit, grow
+            expected_round_jitter(*self.PATH, 0.82, 10, n,
+                                  _slow_start_rounds(n, 10))
+        after = stats.as_dict()
+        assert after["curves_built"] - before["curves_built"] == 2
+        assert after["hits"] - before["hits"] == 2
+        assert after["size"] == 1
 
 
 def _listening_server(internet, isd_as):

@@ -22,6 +22,9 @@ NOT_WALKED = {
     # Cumulative over the process, not the world: ``build_artifact``
     # records it under ``process``, outside the metrics and the digest.
     "SnapshotStats",
+    # The fast path's jitter-curve cache: process-level for the same
+    # reason, recorded beside the snapshot cache under ``process``.
+    "JitterCurveStats",
     # Per connection and gone with it; a world's transport totals are
     # ``Network.stats()`` and the link gauges.
     "ChannelStats",
