@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from collections.abc import Generator
 
-from repro.core.browser.cache import BrowserCache
 from repro.core.browser.engine import Browser, DirectFetcher, ExtensionFetcher
 from repro.core.browser.page import WebPage
 from repro.core.extension.extension import BrowserExtension, ExtensionSettings
@@ -61,14 +60,10 @@ class BraveBrowser:
         self.extension = BrowserExtension(self.proxy, settings, rng=rng,
                                           **extension_kwargs)
         self.extension_enabled = extension_enabled
-        assert host.loop is not None
-        self.cache = BrowserCache(loop=host.loop)
         self._proxied_engine = Browser(host, ExtensionFetcher(self.extension),
-                                       parse_delay_ms=parse_delay_ms,
-                                       cache=self.cache)
+                                       parse_delay_ms=parse_delay_ms)
         self._direct_engine = Browser(host, DirectFetcher(host, resolver),
-                                      parse_delay_ms=parse_delay_ms,
-                                      cache=self.cache)
+                                      parse_delay_ms=parse_delay_ms)
 
     def attach_tracer(self, tracer) -> None:
         """Install an observability :class:`~repro.obs.spans.Tracer` into

@@ -143,21 +143,13 @@ class ExtensionFetcher:
 
 
 class Browser:
-    """Loads pages through a fetcher and reports PLT.
-
-    ``cache`` is an optional
-    :class:`~repro.core.browser.cache.BrowserCache`; cached resources are
-    served without touching the fetcher (or the network) and report
-    ``from_cache=True`` outcomes.
-    """
+    """Loads pages through a fetcher and reports PLT."""
 
     def __init__(self, host: Host, fetcher,
-                 parse_delay_ms: float = DEFAULT_PARSE_DELAY_MS,
-                 cache=None) -> None:
+                 parse_delay_ms: float = DEFAULT_PARSE_DELAY_MS) -> None:
         self.host = host
         self.fetcher = fetcher
         self.parse_delay_ms = parse_delay_ms
-        self.cache = cache
         self.pages_loaded = 0
         self.tracer = NULL_TRACER
 
@@ -188,7 +180,7 @@ class Browser:
 
         main_request = HttpRequest(method="GET", host=page.host,
                                    path=page.path, headers=Headers())
-        main_outcome: FetchOutcome = yield from self._fetch_cached(
+        main_outcome: FetchOutcome = yield from self._fetch(
             main_request, indicator, parent=span, main=True)
         if main_outcome.blocked or not main_outcome.ok:
             # Strict mode blocking the main document is the paper's
@@ -222,28 +214,15 @@ class Browser:
                         parent=NULL_SPAN) -> Generator:
         request = HttpRequest(method="GET", host=resource.host,
                               path=resource.path, headers=Headers())
-        outcome = yield from self._fetch_cached(request, indicator,
-                                                parent=parent)
+        outcome = yield from self._fetch(request, indicator, parent=parent)
         return outcome
 
-    def _fetch_cached(self, request: HttpRequest,
-                      indicator: PageIndicator,
-                      parent=NULL_SPAN, main: bool = False) -> Generator:
-        """Serve from the browser cache when possible, else fetch and
-        maybe store."""
-        import dataclasses
+    def _fetch(self, request: HttpRequest, indicator: PageIndicator,
+               parent=NULL_SPAN, main: bool = False) -> Generator:
+        """Fetch one object through the fetcher (``browser.fetch`` span)."""
         tracer = self.tracer
         span = tracer.span("browser.fetch", parent=parent, url=request.url,
                            main=main) if tracer.enabled else NULL_SPAN
-        if self.cache is not None:
-            cached = self.cache.lookup(request.url)
-            if cached is not None:
-                if indicator is not None:
-                    indicator.record(used_scion=cached.used_scion,
-                                     compliant=cached.policy_compliant)
-                span.set(from_cache=True).end()
-                return dataclasses.replace(cached, from_cache=True,
-                                           elapsed_ms=0.0)
         try:
             if tracer.enabled:
                 outcome = yield from self.fetcher.fetch(request, indicator,
@@ -256,9 +235,6 @@ class Browser:
             if not span.ended:
                 span.set(error=type(error).__name__).end("error")
             raise
-        if self.cache is not None:
-            self.cache.store(request.url, outcome)
-        span.set(from_cache=outcome.from_cache,
-                 used_scion=outcome.used_scion, blocked=outcome.blocked)
+        span.set(used_scion=outcome.used_scion, blocked=outcome.blocked)
         span.end("error" if (outcome.blocked or not outcome.ok) else "ok")
         return outcome

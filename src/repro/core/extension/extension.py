@@ -12,8 +12,9 @@ implementing the strict mode" (§5.1). Concretely:
   Figure 3 measures,
 * for strict-mode requests, the extension first asks the proxy whether a
   policy-compliant SCION path exists and blocks the request otherwise,
-* ``Strict-SCION`` response headers feed the HSTS-like store, and every
-  outcome feeds the page indicator.
+* ``Strict-SCION`` headers on SCION responses feed the HSTS-like store
+  (any response may teach an ``addr=``), and every outcome feeds the
+  page indicator.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ from dataclasses import dataclass, field
 from repro.core.extension.hsts import StrictScionStore
 from repro.core.extension.ui import PageIndicator
 from repro.core.geofence import Geofence
-from repro.core.negotiation import (
-    PATH_PREFERENCE_HEADER,
-    ServerPreferenceStore,
-)
 from repro.core.ppl.ast import Policy
 from repro.core.ppl.evaluator import PathPolicy, combine
 from repro.core.skip.proxy import ProxyResult, SkipProxy
@@ -61,9 +58,6 @@ class ExtensionSettings:
     extra_policies: list[Policy] = field(default_factory=list)
     strict_mode_global: bool = False
     strict_sites: set[str] = field(default_factory=set)
-    #: Honor servers' negotiated path preferences (they only ever break
-    #: the user's ties; see repro.core.negotiation).
-    honor_server_preferences: bool = True
 
     def compile_policy(self) -> PathPolicy | None:
         """The combined policy to install in the proxy (None = no policy)."""
@@ -88,7 +82,6 @@ class FetchOutcome:
     policy_compliant: bool
     blocked: bool
     elapsed_ms: float
-    from_cache: bool = False
     #: Recovery mechanism that saved the fetch (see
     #: :class:`~repro.core.skip.proxy.ProxyResult`): "none", "failover"
     #: or "fallback".
@@ -121,7 +114,6 @@ class BrowserExtension:
         assert proxy.host.loop is not None
         self.cpu = SerialResource(proxy.host.loop, capacity=1)
         self.hsts = StrictScionStore(loop=proxy.host.loop)
-        self.server_preferences = ServerPreferenceStore()
         self.requests_intercepted = 0
         self.requests_blocked = 0
         self.tracer = NULL_TRACER
@@ -213,13 +205,9 @@ class BrowserExtension:
                 return outcome
 
         yield loop.timeout(self.ipc_latency_ms)
-        negotiated = None
-        if self.settings.honor_server_preferences:
-            negotiated = self.server_preferences.preferences_for(request.host)
         try:
             result: ProxyResult = yield from self.proxy.fetch(
-                request, strict=strict, server_preferences=negotiated,
-                parent=span)
+                request, strict=strict, parent=span)
         except (StrictModeViolation, HttpError, TransportError,
                 DnsError) as error:
             # Strict-mode blocks and genuine failures (no route, dead
@@ -258,9 +246,14 @@ class BrowserExtension:
 
     def _observe_response(self, request: HttpRequest,
                           result: ProxyResult) -> None:
-        max_age = result.response.strict_scion_max_age()
-        if max_age is not None:
-            self.hsts.observe(request.host, max_age)
+        # Like HSTS over plain HTTP (RFC 6797 §8.1), a pin that arrived
+        # over legacy IP is ignored: only a SCION response may set,
+        # refresh or clear one, so an on-path IP attacker cannot pin an
+        # origin it does not serve over SCION.
+        if result.used_scion:
+            max_age = result.response.strict_scion_max_age()
+            if max_age is not None:
+                self.hsts.observe(request.host, max_age)
         # §4.3: the header also advertises SCION availability — when it
         # names an address, teach the proxy's detector so the *next*
         # request to this origin can go over SCION even without a TXT
@@ -268,9 +261,3 @@ class BrowserExtension:
         advertised = result.response.strict_scion_address()
         if advertised is not None:
             self.proxy.detector.learn(request.host, advertised)
-        # Path negotiation (future-work feature): record the server's
-        # advertised ordering preferences for subsequent requests.
-        preference_header = result.response.headers.get(
-            PATH_PREFERENCE_HEADER)
-        if preference_header is not None:
-            self.server_preferences.observe(request.host, preference_header)

@@ -5,7 +5,9 @@ requests to the host from whom the message was received, until the
 included max-age expiration. This is similar in spirit to ... HSTS"
 (§4.2). The store maps origin hosts to expiry times in simulation time;
 entries refresh on every sighting and can be cleared by a ``max-age=0``
-header, mirroring HSTS semantics.
+header, mirroring HSTS semantics. Like HSTS, which ignores the header
+over an insecure transport, the extension feeds it only sightings that
+arrived over SCION.
 """
 
 from __future__ import annotations

@@ -195,21 +195,6 @@ class SkipProxy:
             choice = self.selector.choose(dst_isd_as, policy, avoid=avoid)
         return choice
 
-    def _effective_policy(self, host: str, server_preferences):
-        """The user's policy with negotiated server preferences appended.
-
-        The server contributes ordering only; the user's ACL,
-        requirements and own preferences always dominate.
-        """
-        if not server_preferences:
-            return self.policy
-        from repro.core.negotiation import preferences_as_policy
-        from repro.core.ppl.evaluator import combine
-        server_policy = preferences_as_policy(host, server_preferences)
-        if self.policy is None:
-            return server_policy
-        return combine([self.policy, server_policy])
-
     def add_curated_domain(self, host: str, address) -> None:
         """Extend the curated SCION-domain list."""
         self.detector.add_curated(host, address)
@@ -238,13 +223,9 @@ class SkipProxy:
     # -- the data path ---------------------------------------------------------------
 
     def fetch(self, request: HttpRequest, strict: bool = False,
-              server_preferences=None, parent=NULL_SPAN) -> Generator:
+              parent=NULL_SPAN) -> Generator:
         """Fetch one request (simulation process); returns
         :class:`ProxyResult`.
-
-        ``server_preferences`` is an optional negotiated preference tuple
-        (see :mod:`repro.core.negotiation`); it is appended *after* the
-        user's policy, so it can only break the user's ties.
 
         Raises :class:`StrictModeViolation` when ``strict`` and no
         policy-compliant SCION route exists, and :class:`HttpError` when
@@ -255,8 +236,8 @@ class SkipProxy:
                            host=request.host, strict=strict) \
             if tracer.enabled else NULL_SPAN
         try:
-            result: ProxyResult = yield from self._fetch(
-                request, strict, server_preferences, span)
+            result: ProxyResult = yield from self._fetch(request, strict,
+                                                         span)
         except BaseException as error:
             if not span.ended:
                 span.set(error=type(error).__name__).end("error")
@@ -266,7 +247,7 @@ class SkipProxy:
         return result
 
     def _fetch(self, request: HttpRequest, strict: bool,
-               server_preferences, span) -> Generator:
+               span) -> Generator:
         """The data path of :meth:`fetch` (span already open)."""
         assert self.host.loop is not None
         loop = self.host.loop
@@ -285,15 +266,12 @@ class SkipProxy:
             request.host, parent=lookup_span)
 
         choice = PathChoice(kind=ChoiceKind.NO_SCION)
-        effective = None
         if detection.scion_available:
-            effective = self._effective_policy(request.host,
-                                               server_preferences)
             choice = self.selector.choose(detection.scion_address.isd_as,
-                                          effective,
+                                          self.policy,
                                           avoid=self._avoided_paths())
             choice = self._admit_choice(
-                choice, detection.scion_address.isd_as, effective, span)
+                choice, detection.scion_address.isd_as, self.policy, span)
         lookup_span.set(source=detection.source,
                         kind=choice.kind.value).end()
         shed = choice.kind is ChoiceKind.OVERLOADED
@@ -351,10 +329,10 @@ class SkipProxy:
                     detection.scion_address.isd_as, fingerprint,
                     ttl_ms=self.failure_backoff_ms)
                 choice = self.selector.choose(
-                    detection.scion_address.isd_as, effective,
+                    detection.scion_address.isd_as, self.policy,
                     avoid=self._avoided_paths())
                 choice = self._admit_choice(
-                    choice, detection.scion_address.isd_as, effective,
+                    choice, detection.scion_address.isd_as, self.policy,
                     span)
                 shed = shed or choice.kind is ChoiceKind.OVERLOADED
                 continue

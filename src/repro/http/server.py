@@ -41,14 +41,11 @@ class HttpServer:
             ``Strict-SCION: max-age=<n>`` — only on requests that arrived
             over SCION, since the header asserts SCION reachability.
         advertise_scion_address: when set, the ``Strict-SCION`` header
-            additionally carries ``addr="<scion address>"`` and is
-            emitted on *every* response, including legacy TCP ones —
-            §4.3's availability advertisement, which lets browsers
-            discover the origin's SCION address (e.g. a nearby reverse
-            proxy) from an ordinary IP fetch.
-        path_preferences: optional preference tuple advertised through
-            the ``SCION-Path-Preference`` header (path negotiation; see
-            :mod:`repro.core.negotiation`).
+            carries ``addr="<scion address>"`` and is emitted on *every*
+            response, including legacy TCP ones — §4.3's availability
+            advertisement, which lets browsers discover the origin's
+            SCION address (e.g. a nearby reverse proxy) from an ordinary
+            IP fetch. Over TCP it carries no ``max-age``.
         server_name: value of the ``Server`` response header.
     """
 
@@ -57,15 +54,11 @@ class HttpServer:
                  tcp_port: int = TCP_PORT, quic_port: int = QUIC_PORT,
                  strict_scion_max_age: int | None = None,
                  advertise_scion_address=None,
-                 path_preferences=None,
-                 cache_max_age_s: int | None = None,
                  server_name: str = "repro-fs/1.0") -> None:
         self.host = host
         self.content = dict(content)
         self.strict_scion_max_age = strict_scion_max_age
         self.advertise_scion_address = advertise_scion_address
-        self.path_preferences = path_preferences
-        self.cache_max_age_s = cache_max_age_s
         self.server_name = server_name
         self.requests_served = 0
         self.requests_by_transport = {"tcp": 0, "quic": 0}
@@ -88,17 +81,6 @@ class HttpServer:
         header_value = self._strict_scion_value(over_scion)
         if header_value is not None:
             headers = headers.with_header(STRICT_SCION_HEADER, header_value)
-        if self.path_preferences:
-            from repro.core.negotiation import (
-                PATH_PREFERENCE_HEADER,
-                render_preference_header,
-            )
-            headers = headers.with_header(
-                PATH_PREFERENCE_HEADER,
-                render_preference_header(self.path_preferences))
-        if self.cache_max_age_s is not None:
-            headers = headers.with_header(
-                "Cache-Control", f"max-age={self.cache_max_age_s}")
         if resource is None:
             self.not_found += 1
             return HttpResponse(status=404, headers=headers, body_size=120)
@@ -114,15 +96,12 @@ class HttpServer:
         Strict-mode pinning (max-age) is only asserted over SCION; the
         availability advertisement (addr=) goes out on every transport.
         """
-        advertising = self.advertise_scion_address is not None
-        if not advertising and (self.strict_scion_max_age is None
-                                or not over_scion):
-            return None
-        max_age = self.strict_scion_max_age or 0
-        value = f"max-age={max_age}"
-        if advertising:
-            value += f'; addr="{self.advertise_scion_address}"'
-        return value
+        parts = []
+        if over_scion and self.strict_scion_max_age is not None:
+            parts.append(f"max-age={self.strict_scion_max_age}")
+        if self.advertise_scion_address is not None:
+            parts.append(f'addr="{self.advertise_scion_address}"')
+        return "; ".join(parts) or None
 
     # -- transport glue ---------------------------------------------------------
 

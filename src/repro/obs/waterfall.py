@@ -68,7 +68,6 @@ class WaterfallRow:
     start_ms: float
     end_ms: float
     status: str
-    from_cache: bool
     segments: tuple[Segment, ...]
 
     @property
@@ -155,7 +154,6 @@ class Waterfall:
                 "start_ms": row.start_ms,
                 "end_ms": row.end_ms,
                 "status": row.status,
-                "from_cache": row.from_cache,
                 "segments": [{"label": seg.label, "start_ms": seg.start_ms,
                               "end_ms": seg.end_ms}
                              for seg in row.segments],
@@ -178,8 +176,6 @@ class Waterfall:
             left = int((row.start_ms - self.start_ms) / span_ms * width)
             bar = max(1, int(row.duration_ms / span_ms * width))
             flags = "M" if row.main else " "
-            if row.from_cache:
-                flags += "C"
             marker = "x" if row.status == "error" else "#"
             lines.append(f"{row.url[:28]:<28} {flags:<2} "
                          f"|{' ' * left}{marker * bar}"
@@ -214,7 +210,6 @@ def waterfall_from_dict(data: dict[str, Any]) -> Waterfall:
             start_ms=row["start_ms"],
             end_ms=row["end_ms"],
             status=row["status"],
-            from_cache=row["from_cache"],
             segments=tuple(Segment(label=seg["label"],
                                    start_ms=seg["start_ms"],
                                    end_ms=seg["end_ms"])
@@ -260,7 +255,6 @@ def _row_from_fetch(fetch: dict[str, Any], children) -> WaterfallRow:
         end_ms=fetch["end_ms"] if fetch.get("end_ms") is not None
         else fetch["start_ms"],
         status=fetch.get("status", "open"),
-        from_cache=bool(attrs.get("from_cache", False)),
         segments=tuple(segments),
     )
 

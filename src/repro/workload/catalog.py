@@ -10,8 +10,7 @@ their worth under load.
 Each site has a stable resource profile (subresource count and sizes)
 drawn once from the dedicated ``catalog:{seed}`` RNG stream, and builds
 its :class:`~repro.core.browser.page.WebPage` under a per-site URL
-prefix — two sites on the same origin never share asset URLs, so a
-browser-cache hit always means a genuine revisit.
+prefix — two sites on the same origin never share asset URLs.
 """
 
 from __future__ import annotations

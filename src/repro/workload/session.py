@@ -10,9 +10,9 @@ as a driver process.
 Revisit locality is the load-bearing behaviour: with probability
 ``revisit_probability`` a user returns to one of their last
 ``locality_window`` sites instead of drawing fresh from the Zipf
-catalog. Revisits are what warm per-user state — browser caches, HTTP
-connection pools, and the path daemon's segment cache all hit on the
-second visit. ``SessionConfig(locality=False)`` turns it off; the roll
+catalog. Revisits are what warm per-user state — HTTP connection
+pools and the path daemon's segment cache both hit on the second
+visit. ``SessionConfig(locality=False)`` turns it off; the roll
 is consumed either way, so the rest of the stream never shifts.
 """
 

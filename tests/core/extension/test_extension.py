@@ -7,11 +7,12 @@ from repro.core.extension.ui import PageIndicator
 from repro.core.geofence import Geofence
 from repro.core.ppl.evaluator import CompositePolicy
 from repro.core.ppl.policies import co2_optimized
-from repro.core.skip.proxy import SkipProxy
+from repro.core.skip.proxy import ProxyResult, SkipProxy
 from repro.dns.resolver import Resolver
-from repro.http.message import Headers, HttpRequest, ResourceData
+from repro.http.message import Headers, HttpRequest, HttpResponse, ResourceData
 from repro.http.server import HttpServer
 from repro.internet.build import Internet
+from repro.scion.addr import HostAddr
 from repro.topology.defaults import remote_testbed
 
 CONTENT = {"/x.html": ResourceData(size=2_000)}
@@ -152,3 +153,89 @@ class TestStrictScionHeader:
         extension.set_geofence(Geofence(blocked_isds={2}))
         outcome = handle(internet, extension, "dual.example")
         assert outcome.ok and not outcome.used_scion
+
+
+#: A SCION address no path reaches.
+NOWHERE = HostAddr.parse("9-ff00:0:999,nowhere")
+
+
+class TestPinsOnlyOverScion:
+    """Like HSTS (RFC 6797 §8.1), a ``Strict-SCION`` pin counts only
+    when it arrived over SCION; an ``addr=`` teaches on any transport."""
+
+    def test_ip_response_cannot_pin_a_legacy_origin(self):
+        # A legacy-only origin configured to pin for a year and to
+        # advertise an unreachable SCION address. Were the pin honoured
+        # from its TCP response, the second fetch would be blocked.
+        topology, ases = remote_testbed()
+        internet = Internet(topology, seed=15)
+        client = internet.add_host("client", ases.client)
+        legacy = internet.add_host("legacy", ases.nearby_server)
+        HttpServer(legacy, CONTENT, serve_tcp=True, serve_quic=False,
+                   strict_scion_max_age=31_536_000,
+                   advertise_scion_address=NOWHERE)
+        resolver = Resolver(internet.loop, lookup_latency_ms=1.0)
+        resolver.register_host("legacy.example", ip_address=legacy.addr)
+        extension = BrowserExtension(SkipProxy(client, resolver,
+                                               processing_ms=1.0))
+        first = handle(internet, extension, "legacy.example")
+        assert first.ok and not first.used_scion
+        assert first.response.headers.get("Strict-SCION") == \
+            f'addr="{NOWHERE}"'
+        assert not extension.hsts.is_strict("legacy.example")
+        assert extension.proxy.detector.learned["legacy.example"] == NOWHERE
+        second = handle(internet, extension, "legacy.example")
+        assert second.ok and not second.blocked and not second.used_scion
+
+    @pytest.mark.parametrize("pinned_before", [False, True],
+                             ids=["unpinned", "pinned"])
+    @pytest.mark.parametrize("header,pins,clears,learns", [
+        pytest.param("max-age=60", True, False, False, id="max-age"),
+        pytest.param("max-age=0", False, True, False, id="max-age-0"),
+        pytest.param(f'addr="{NOWHERE}"', False, False, True, id="addr"),
+        pytest.param(f'max-age=60; addr="{NOWHERE}"', True, False, True,
+                     id="max-age+addr"),
+        pytest.param("max-age=soon; addr=garbage", False, False, False,
+                     id="malformed"),
+    ])
+    @pytest.mark.parametrize("over_scion", [True, False],
+                             ids=["scion", "ip"])
+    def test_header_matrix(self, world, over_scion, header, pins, clears,
+                           learns, pinned_before):
+        _internet, extension = world
+        if pinned_before:
+            extension.hsts.observe("a.example", 600)
+        before = set(extension.hsts.active_hosts())
+        response = HttpResponse(status=200,
+                                headers=Headers({"Strict-SCION": header}))
+        extension._observe_response(get("a.example"), ProxyResult(
+            response=response, used_scion=over_scion, policy_compliant=True,
+            path_fingerprint=None, detection_source="dns", elapsed_ms=1.0))
+        expected = before
+        if over_scion and pins:
+            expected = {"a.example"}
+        elif over_scion and clears:
+            expected = set()
+        assert set(extension.hsts.active_hosts()) == expected
+        assert (extension.proxy.detector.learned.get("a.example")
+                == (NOWHERE if learns else None))
+
+
+@pytest.mark.parametrize("max_age,address,over_scion,expected", [
+    (60, NOWHERE, True, f'max-age=60; addr="{NOWHERE}"'),
+    (60, NOWHERE, False, f'addr="{NOWHERE}"'),
+    (None, NOWHERE, True, f'addr="{NOWHERE}"'),
+    (None, NOWHERE, False, f'addr="{NOWHERE}"'),
+    (60, None, True, "max-age=60"),
+    (60, None, False, None),
+    (None, None, True, None),
+], ids=["pin+addr-scion", "pin+addr-ip", "addr-scion", "addr-ip",
+        "pin-scion", "pin-ip", "neither-scion"])
+def test_server_sends_max_age_only_over_scion(max_age, address, over_scion,
+                                              expected):
+    topology, ases = remote_testbed()
+    host = Internet(topology, seed=15).add_host("origin", ases.client)
+    server = HttpServer(host, CONTENT, strict_scion_max_age=max_age,
+                        advertise_scion_address=address)
+    response = server.respond(get("a.example"), over_scion)
+    assert response.headers.get("Strict-SCION") == expected

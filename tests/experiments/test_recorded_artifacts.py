@@ -20,13 +20,13 @@ RESULTS = pathlib.Path(__file__).resolve().parents[2] / "results" / "obs"
 
 PINS = {
     "figure3":
-        "c068dac8417b4e681673af147abcee1c382e2e9b6309a59bef8253e18dfb2b72",
+        "6661f5ea930447da635febd1033449cafd90d8559be6a1fe2776c3de56e14020",
     "figure5":
-        "1fe9b58e1d464969cfde2a9fec534d6ca61a6d846036fbb208c9af8f184e8adc",
+        "66edcdb61b581bc034289eeebe1fd9f6d962dd656516339d09f97fbab50775a0",
     "figure6":
-        "55a9bc6dfe60e1282f518af0eb332f5a65d06793e2e17df14e0b9c73b2f451f5",
+        "e2116aa6044265036acb22436a579659085889cebfe1d15af580184f943059c6",
     "chaos":
-        "07f2923eee7128c67b017afe564ead0df5195bb830f44cfba2a2e955e9b617b1",
+        "7705e07028e15f12640b9a57fa381e1677a9e9843d176279cd2c1355fc57ea50",
 }
 
 

@@ -22,18 +22,28 @@ def run_example(name: str, capsys) -> str:
     return capsys.readouterr().out
 
 
-@pytest.mark.parametrize("name,expected_fragments", [
-    ("quickstart", ["extension ON", "extension OFF", "path usage"]),
-    ("geofenced_browsing", ["no geofence", "packets through ASIA after "
-                            "geofence: none", "strict"]),
-    ("policy_tuning", ["candidate paths", "latency-optimized",
-                       "CO2-optimized"]),
-    ("strict_mode_hsts", ["first visit", "load failed=True",
-                          "load failed=False"]),
-    ("green_negotiation", ["candidate paths", "negotiated green",
-                           "latency policy"]),
-    ("multipath_transfer", ["link-disjoint paths", "speedup"]),
-])
+#: Every script under ``examples/`` and what its output must mention.
+EXPECTED_FRAGMENTS = {
+    "quickstart": ["extension ON", "extension OFF", "path usage"],
+    "geofenced_browsing": ["no geofence", "packets through ASIA after "
+                           "geofence: none", "strict"],
+    "policy_tuning": ["candidate paths", "latency-optimized",
+                      "CO2-optimized"],
+    "strict_mode_hsts": ["first visit", "load failed=True",
+                         "load failed=False"],
+    "multipath_transfer": ["link-disjoint paths", "speedup"],
+}
+
+
+def test_every_example_is_tested():
+    """An added or deleted example must fail here, not silently go
+    untested."""
+    stems = {path.stem for path in EXAMPLES_DIR.glob("*.py")}
+    assert set(EXPECTED_FRAGMENTS) == stems
+
+
+@pytest.mark.parametrize("name,expected_fragments",
+                         list(EXPECTED_FRAGMENTS.items()))
 def test_example_runs(name, expected_fragments, capsys):
     output = run_example(name, capsys)
     for fragment in expected_fragments:
