@@ -29,6 +29,7 @@ from repro.simnet.packet import Packet
 if TYPE_CHECKING:  # pragma: no cover
     from repro.scion.daemon import PathDaemon
     from repro.simnet.events import Event
+    from repro.simnet.link import Link
 
 #: Bytes of UDP header charged per datagram.
 UDP_HEADER_BYTES = 8
@@ -41,7 +42,7 @@ SCION_LOCAL_HEADER_BYTES = 24
 EPHEMERAL_PORT_BASE = 32768
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Datagram:
     """A UDP datagram as seen by sockets.
 
@@ -146,6 +147,9 @@ class Host(Node):
         self.fastpath = None
         self._sockets: dict[int, UdpSocket] = {}
         self._ephemeral = itertools.count(EPHEMERAL_PORT_BASE)
+        #: The link to the AS router, once wired into a network; sends
+        #: go straight to its ``transmit``.
+        self._uplink: "Link | None" = None
         self.datagrams_sent = 0
         self.datagrams_received = 0
         self.undeliverable = 0
@@ -170,24 +174,36 @@ class Host(Node):
 
     # -- data path ------------------------------------------------------------
 
+    def attach_port(self, ifid: int, link: "Link") -> None:
+        super().attach_port(ifid, link)
+        if ifid == self.ROUTER_IFID and self.loop is not None:
+            self._uplink = link
+
     def send_datagram(self, datagram: Datagram) -> None:
         """Wrap a datagram in the requested network layer and transmit."""
         self.datagrams_sent += 1
         if datagram.via == "scion":
-            self._send_scion(datagram)
+            packet = self._scion_packet(datagram)
         elif datagram.via == "ip":
-            self._send_ip(datagram)
+            packet = self._ip_packet(datagram)
         else:
             raise AddressError(f"unknown via {datagram.via!r}")
+        uplink = self._uplink
+        if uplink is None:
+            # Not wired into a network: Node.send raises the reason.
+            self.send(packet, self.ROUTER_IFID)
+            return
+        self.packets_sent += 1
+        uplink.transmit(packet, self.name)
 
-    def _send_scion(self, datagram: Datagram) -> None:
+    def _scion_packet(self, datagram: Datagram) -> Packet:
         path = datagram.path
         if path is None and datagram.dst.isd_as != self.addr.isd_as:
             raise TransportError(
                 f"SCION send to remote AS {datagram.dst.isd_as} needs a path")
         header = (path.header_bytes() if path is not None
                   else SCION_LOCAL_HEADER_BYTES)
-        packet = Packet(
+        return Packet(
             src=self.addr,
             dst=datagram.dst,
             payload=datagram,
@@ -196,10 +212,9 @@ class Host(Node):
             meta={"path": path, "hop_index": 0},
             created_at=self.loop.now if self.loop else 0.0,
         )
-        self.send(packet, self.ROUTER_IFID)
 
-    def _send_ip(self, datagram: Datagram) -> None:
-        packet = Packet(
+    def _ip_packet(self, datagram: Datagram) -> Packet:
+        return Packet(
             src=self.addr,
             dst=datagram.dst,
             payload=datagram,
@@ -207,7 +222,6 @@ class Host(Node):
             protocol="ip",
             created_at=self.loop.now if self.loop else 0.0,
         )
-        self.send(packet, self.ROUTER_IFID)
 
     def receive(self, packet: Packet, ifid: int) -> None:
         """Dispatch an arriving packet to the bound socket."""

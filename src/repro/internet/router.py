@@ -22,9 +22,24 @@ cannot grow or poison the table.
 Transit crossings (external interface in, external interface out) are
 charged the AS's internal latency so the data plane matches the latency
 metadata the control plane advertises.
+
+A forwarding step that passed every check is remembered too: keyed on
+the path object's identity, the hop index and the ingress interface, it
+holds the earliest expiry of the hops it crossed, the next hop index,
+the egress link's ``transmit`` and the processing delay. A packet that
+finds its step pays one dict lookup, an identity check on the path and
+the expiry comparison, then goes straight onto the egress link's event
+— the same event, at the same time, with the same sequence number the
+full walk would have scheduled. Forgeries, path errors, wrong-AS hops,
+expired packets and worlds built with ``verify_macs=False`` never make
+a step; they take the full walk and its counters. IP forwarding keeps
+the same kind of step per destination address object and ingress.
 """
 
 from __future__ import annotations
+
+import math
+from collections.abc import Callable
 
 from repro.crypto.mac import verify_hop_mac
 from repro.errors import VerificationError
@@ -58,6 +73,12 @@ class AsRouter(Node):
         #: (segment timestamp, hop field) -> expiry (ms) of every hop
         #: field whose MAC verified under ``forwarding_key``.
         self._verified_expiry_ms: dict[tuple[int, HopField], float] = {}
+        #: (id(path), hop index, ingress ifid) -> (path, earliest expiry
+        #: (ms), next hop index or None to deliver locally, egress
+        #: transmit, delay): SCION steps whose every hop verified.
+        self._steps: dict[tuple[int, int, int], tuple] = {}
+        #: (id(dst), ingress ifid) -> (dst, egress transmit, delay).
+        self._ip_steps: dict[tuple[int, int], tuple] = {}
         # drop counters
         self.mac_failures = 0
         self.path_errors = 0
@@ -75,22 +96,48 @@ class AsRouter(Node):
 
     def receive(self, packet: Packet, ifid: int) -> None:
         self.packets_received += 1
-        if packet.protocol == "scion":
+        protocol = packet.protocol
+        if protocol == "scion":
+            meta = packet.meta
+            path = meta.get("path")
+            if path is not None:
+                step = self._steps.get(
+                    (id(path), meta.get("hop_index", 0), ifid))
+                if (step is not None and step[0] is path
+                        and self.loop._now < step[1]):
+                    _path, _expiry, next_index, transmit, delay = step
+                    if next_index is None:
+                        self._deliver_local(packet)
+                        return
+                    meta["hop_index"] = next_index
+                    self.packets_sent += 1
+                    self.loop.call_later(delay, transmit, packet, self.name)
+                    return
             self._forward_scion(packet, ifid)
-        elif packet.protocol == "ip":
+        elif protocol == "ip":
+            dst = packet.dst
+            step = self._ip_steps.get((id(dst), ifid))
+            if step is not None and step[0] is dst:
+                self.packets_sent += 1
+                self.loop.call_later(step[2], step[1], packet, self.name)
+                return
             self._forward_ip(packet, ifid)
         # unknown protocols are dropped silently (counted by base class)
 
     # -- SCION ------------------------------------------------------------------
 
     def _forward_scion(self, packet: Packet, in_ifid: int) -> None:
+        """The full walk: match, verify and expiry-check each hop this
+        AS owns, then forward or deliver. A walk that passes every check
+        leaves its step behind for the packets that follow."""
         path: ScionPath | None = packet.meta.get("path")
         if path is None:
             # Intra-AS SCION traffic: deliver directly to the local host.
             self._deliver_local(packet)
             return
-        hop_index = packet.meta.get("hop_index", 0)
+        first_index = hop_index = packet.meta.get("hop_index", 0)
         hops = path.hops
+        earliest_ms = math.inf
         while True:
             if hop_index >= len(hops):
                 self.path_errors += 1
@@ -110,18 +157,25 @@ class AsRouter(Node):
                 # SCION routers drop packets on expired paths.
                 self.expired_drops += 1
                 return
+            earliest_ms = min(earliest_ms, expiry_ms)
             if hop.egress != 0:
                 packet.meta["hop_index"] = hop_index + 1
                 delay = (self.internal_latency_ms
                          if in_ifid in self.external_ifids
                          else PROCESSING_DELAY_MS)
-                self.loop.call_later(delay, self.send, packet, hop.egress)
+                transmit = self._schedule(delay, packet, hop.egress)
+                if transmit is not None and self.verify_macs:
+                    self._steps[id(path), first_index, in_ifid] = (
+                        path, earliest_ms, hop_index + 1, transmit, delay)
                 return
             next_index = hop_index + 1
             if (next_index < len(hops)
                     and hops[next_index].isd_as == self.isd_as):
                 hop_index = next_index  # segment crossover, keep processing
                 continue
+            if self.verify_macs:
+                self._steps[id(path), first_index, in_ifid] = (
+                    path, earliest_ms, None, None, None)
             self._deliver_local(packet)
             return
 
@@ -146,15 +200,22 @@ class AsRouter(Node):
     def _forward_ip(self, packet: Packet, in_ifid: int) -> None:
         dst = packet.dst
         if dst.isd_as == self.isd_as:
-            self._deliver_local(packet)
-            return
-        egress = self.ip_table.get(dst.isd_as)
-        if egress is None:
-            self.no_route += 1
-            return
-        delay = (self.internal_latency_ms if in_ifid in self.external_ifids
-                 else PROCESSING_DELAY_MS)
-        self.loop.call_later(delay, self.send, packet, egress)
+            ifid = self.host_ports.get(dst.host)
+            if ifid is None:
+                self.no_host += 1
+                return
+            delay = PROCESSING_DELAY_MS
+        else:
+            ifid = self.ip_table.get(dst.isd_as)
+            if ifid is None:
+                self.no_route += 1
+                return
+            delay = (self.internal_latency_ms
+                     if in_ifid in self.external_ifids
+                     else PROCESSING_DELAY_MS)
+        transmit = self._schedule(delay, packet, ifid)
+        if transmit is not None:
+            self._ip_steps[id(dst), in_ifid] = (dst, transmit, delay)
 
     # -- helpers ------------------------------------------------------------------
 
@@ -163,4 +224,21 @@ class AsRouter(Node):
         if ifid is None:
             self.no_host += 1
             return
-        self.loop.call_later(PROCESSING_DELAY_MS, self.send, packet, ifid)
+        self._schedule(PROCESSING_DELAY_MS, packet, ifid)
+
+    def _schedule(self, delay: float, packet: Packet,
+                  ifid: int) -> Callable[[Packet, str], None] | None:
+        """Put ``packet`` on interface ``ifid``'s link after ``delay``.
+
+        Returns the link's ``transmit`` for a step to keep, or ``None``
+        for a missing port, whose packet goes through :meth:`Node.send`
+        so it raises the canonical :class:`SimulationError` when due.
+        """
+        port = self.ports.get(ifid)
+        if port is None:
+            self.loop.call_later(delay, self.send, packet, ifid)
+            return None
+        self.packets_sent += 1
+        transmit = port.link.transmit
+        self.loop.call_later(delay, transmit, packet, self.name)
+        return transmit

@@ -599,7 +599,7 @@ class FastPath:
         """
         if not self.enabled:
             return self._fallback("disabled", channel)
-        if getattr(channel, "_fp_closing", False):
+        if channel._fp_closing:
             raise ConnectionClosedError("channel is closed")
         record: EndpointRecord = conn._fp_record
         peer = record.peer
@@ -642,13 +642,13 @@ class FastPath:
             return self._fallback("mtu", channel)
 
         now = self.loop.now
-        active = getattr(channel, "_fp_active", None)
+        active = channel._fp_active
         chained = bool(active)
         # A channel that just finished *receiving* an analytic transfer
         # owes its access link the final cumulative ACK's serialization
         # time before it can put new data on the wire (the oracle's
         # receiver transmits that ACK ahead of any response segment).
-        start = max(now, getattr(channel, "_fp_tx_busy_until", 0.0))
+        start = max(now, channel._fp_tx_busy_until)
         if chained:
             start = max(start, channel._fp_busy_until)
         # At commit, only what is already known (see the module
@@ -746,10 +746,7 @@ class FastPath:
 
         channel.stats.messages_sent += 1
         channel.stats.segments_sent += n_segments
-        if active is None:
-            channel._fp_active = [transfer]
-        else:
-            active.append(transfer)
+        active.append(transfer)
         channel._fp_busy_until = deliver
         channel._fp_cwnd = transfer.cwnd_final
         for link, _sender in fwd.links:
@@ -846,7 +843,7 @@ class FastPath:
     def defer_close(self, channel: Any) -> bool:
         """Delay a channel close until its last in-flight fast-path
         transfer delivers (the CloseFrame must not beat the data)."""
-        active = getattr(channel, "_fp_active", None)
+        active = channel._fp_active
         if not active:
             return False
         active[-1].close_after = True
@@ -875,7 +872,7 @@ class FastPath:
         # — _deliver may resume the handler synchronously.
         rev_leg = transfer.receiver_rec.route
         busy = self.loop.now + transfer.ack_bytes * rev_leg.bottleneck_inv
-        if busy > getattr(receiver, "_fp_tx_busy_until", 0.0):
+        if busy > receiver._fp_tx_busy_until:
             receiver._fp_tx_busy_until = busy
         receiver._deliver(transfer.payload)
         if transfer.close_after:
@@ -1000,7 +997,7 @@ class FastPath:
     def _fallback(self, reason: str, channel: Any = None) -> bool:
         self.stats.fallbacks[reason] = self.stats.fallbacks.get(reason, 0) + 1
         if channel is not None:
-            active = getattr(channel, "_fp_active", None)
+            active = channel._fp_active
             if active:
                 # FIFO ordering: anything still in analytic flight must
                 # land before the packet-level segments we are about to

@@ -183,18 +183,19 @@ class Link:
 
     def transmit(self, packet: Packet, sender_name: str) -> None:
         """Send ``packet`` from the named endpoint toward the other one."""
-        peer = self._peer_of.get(sender_name)
-        if peer is None:
+        try:
+            receiver, receiver_port = self._peer_of[sender_name]
+        except KeyError:
             raise SimulationError(
-                f"{sender_name} is not attached to link {self.name}")
-        receiver, receiver_port = peer
+                f"{sender_name} is not attached to link {self.name}") from None
         cfg = self.config
+        size = packet.size
 
         if not self._up:
             self.packets_dropped += 1
             self._record("drop-down", packet)
             return
-        if packet.size > cfg.mtu:
+        if size > cfg.mtu:
             self.packets_dropped += 1
             self._record("drop-mtu", packet)
             return
@@ -206,23 +207,28 @@ class Link:
 
         # Per-packet path, so inline: FIFO start, then size / bytes-per-ms
         # (125 bytes/ms per Mbps; <= 0 means infinite, serializing instantly).
-        now = self.loop.now
-        free_at = self._tx_free_at[sender_name]
-        tx_done = free_at if free_at > now else now
+        loop = self.loop
+        now = loop._now
+        tx_free_at = self._tx_free_at
+        tx_done = tx_free_at[sender_name]
+        if tx_done < now:
+            tx_done = now
         if cfg.bandwidth_mbps > 0:
-            tx_done += packet.size / (cfg.bandwidth_mbps * 125.0)
-        self._tx_free_at[sender_name] = tx_done
+            tx_done += size / (cfg.bandwidth_mbps * 125.0)
+        tx_free_at[sender_name] = tx_done
         jitter_bound = cfg.jitter_ms + self._extra_jitter_ms
-        jitter = self.rng.uniform(0.0, jitter_bound) if jitter_bound > 0 else 0.0
+        # ``bound * random()`` is ``uniform(0.0, bound)`` by that method's
+        # definition: the same draw and the same float, one frame fewer.
+        jitter = jitter_bound * self.rng.random() if jitter_bound > 0 else 0.0
         arrival = tx_done + cfg.latency_ms + self._extra_latency_ms + jitter
 
         self.packets_sent += 1
-        self.bytes_sent += packet.size
+        self.bytes_sent += size
         self.inflight += 1
         if self.trace is not None:
             self._record("send", packet)
         packet.hops += 1
-        self.loop.call_at(arrival, self._deliver, receiver, receiver_port, packet)
+        loop.call_at(arrival, self._deliver, receiver, receiver_port, packet)
 
     def _deliver(self, receiver: "Node", port: int, packet: Packet) -> None:
         self.inflight -= 1

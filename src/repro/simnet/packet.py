@@ -43,7 +43,7 @@ class Packet:
     size: int
     protocol: str = "raw"
     meta: dict[str, Any] = field(default_factory=dict)
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_packet_ids.__next__)
     created_at: float = 0.0
     hops: int = 0
 

@@ -123,6 +123,16 @@ class ReliableChannel:
         self.closed = False          # we closed
         self.remote_closed = False   # peer closed
         self.broken = False          # gave up after MAX_SEGMENT_RETRIES
+        # fast-path state (see repro.simnet.fastpath): analytic transfers
+        # in flight, in channel order; a close deferred until the last of
+        # them lands; when the last one delivers and the window it leaves
+        # behind; when this end's access link is free again after the
+        # final ACK of a transfer it received.
+        self._fp_active: list = []
+        self._fp_closing = False
+        self._fp_busy_until = 0.0
+        self._fp_cwnd = INITIAL_CWND
+        self._fp_tx_busy_until = 0.0
 
     # -- sending ---------------------------------------------------------------
 

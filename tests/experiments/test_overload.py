@@ -80,9 +80,9 @@ class TestKnobIdentity:
 class TestContrast:
     """One default-regime seed pair; the selftest sweeps the rest."""
 
-    def test_storm_off_vs_graceful_on(self):
-        on = overload_trial("protections-on", 1200)
-        off = overload_trial("protections-off", 1200)
+    def test_storm_off_vs_graceful_on(self, overload_samples):
+        on = overload_samples["protections-on"]
+        off = overload_samples["protections-off"]
         spike_start, spike_end = burst_window_ms(DEFAULT_CONFIG.arrival)
         # Off: the retry storm amplifies load and outlives the spike.
         assert off.retry_amplification > 2.0
@@ -95,8 +95,8 @@ class TestContrast:
         assert on.time_to_drain_ms <= spike_end - spike_start
         assert on.goodput_ratio > off.goodput_ratio
 
-    def test_sample_accounting_consistent(self):
-        sample = overload_trial("protections-on", 1200)
+    def test_sample_accounting_consistent(self, overload_samples):
+        sample = overload_samples["protections-on"]
         assert sample.loads == DEFAULT_CONFIG.users
         assert sample.failed_loads <= sample.loads
         assert 0 <= sample.shed_served_stale <= sample.requests_shed

@@ -67,9 +67,8 @@ class TestRecordedRun:
     # contention moved to the transmitter (952 of 3,028 transfers
     # commit instead of 772; p99 PLTs within 0.2 % of the oracle's).
 
-    def test_overload_arms_replay_the_recorded_run(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FASTPATH", "1")
-        samples = [(arm, overload_trial(arm, 1200)) for arm in ARMS]
+    def test_overload_arms_replay_the_recorded_run(self, overload_samples):
+        samples = [(arm, overload_samples[arm]) for arm in ARMS]
         assert _digest(samples) == (
             "8bb37428dbb45d9d1e6366a2fb3345558eb53ec4335bd855a0f82283f5f403a8")
 

@@ -4,8 +4,12 @@ import dataclasses
 
 import pytest
 
+from repro.crypto.mac import hop_mac
 from repro.internet.build import Internet
-from repro.scion.path import ScionPath
+from repro.internet.router import PROCESSING_DELAY_MS
+from repro.scion.path import EXP_TIME_UNIT_S, ScionPath
+from repro.simnet.events import EventLoop
+from repro.simnet.packet import Packet
 from repro.topology.defaults import remote_testbed
 
 
@@ -232,6 +236,129 @@ class TestMacEnforcement:
         assert server.datagrams_received == 1
         assert internet.routers[ases.client].expired_drops == 1
         assert self.verified_entries(internet) == 0
+
+class TestForwardingSteps:
+    """A router remembers each forwarding step that passed every check,
+    keyed on the path object, hop index and ingress interface."""
+
+    @staticmethod
+    def steps(internet) -> int:
+        return sum(len(router._steps) for router in internet.routers.values())
+
+    @staticmethod
+    def scion_packet(src, dst, path, hop_index=0):
+        return Packet(src=src.addr, dst=dst.addr, payload=None, size=100,
+                      protocol="scion",
+                      meta={"path": path, "hop_index": hop_index})
+
+    def test_step_charges_the_delay_of_its_ingress(self, world, monkeypatch):
+        internet, ases, client, server = world
+        router = internet.routers[ases.client]
+        path = client.daemon.paths(ases.remote_server)[0]
+        host_ifid = router.host_ports["client"]
+        transit_ifid = min(router.external_ifids)
+        assert router.internal_latency_ms != PROCESSING_DELAY_MS
+        delays = []
+        real = EventLoop.call_later
+
+        def spy(loop, delay, *args):
+            delays.append(delay)
+            return real(loop, delay, *args)
+
+        monkeypatch.setattr(EventLoop, "call_later", spy)
+        for _ in range(2):  # the second round runs on the stored steps
+            for ifid in (host_ifid, transit_ifid):
+                router.receive(self.scion_packet(client, server, path), ifid)
+        assert delays == [PROCESSING_DELAY_MS, router.internal_latency_ms] * 2
+        assert len(router._steps) == 2
+
+    @pytest.mark.parametrize("earlier", [0, 1])
+    def test_crossover_step_expires_with_its_earlier_hop(self, world,
+                                                          earlier):
+        internet, ases, client, server = world
+        server.udp_socket(7)
+        genuine = client.daemon.paths(ases.remote_server)[0]
+        hops = list(genuine.hops)
+        index = next(i for i, hop in enumerate(hops[:-1])
+                     if hop.egress == 0 and hops[i + 1].isd_as == hop.isd_as)
+        router = internet.routers[hops[index].isd_as]
+        # Re-MAC the two crossover hop fields with different lifetimes.
+        exp_times = [62, 62]
+        exp_times[earlier] = 61
+        for offset, exp_time in enumerate(exp_times):
+            hop = hops[index + offset]
+            field = hop.hop_field
+            mac = hop_mac(router.forwarding_key, genuine.timestamp, exp_time,
+                          field.ingress, field.egress, field.chain)
+            hops[index + offset] = dataclasses.replace(
+                hop, hop_field=dataclasses.replace(
+                    field, exp_time=exp_time, mac=mac))
+        path = dataclasses.replace(genuine, hops=tuple(hops))
+        deadline_ms = (path.timestamp + 62 * EXP_TIME_UNIT_S) * 1000.0
+        assert path.expiry_ms() == deadline_ms
+        socket = client.udp_socket()
+        socket.send(server.addr, 7, b"fresh", 64, via="scion", path=path)
+        internet.run()
+        assert (id(path), index, hops[index].ingress) in router._steps
+        internet.loop.run(until=deadline_ms - 1000.0)
+        socket.send(server.addr, 7, b"late", 64, via="scion", path=path)
+        internet.run()
+        assert server.datagrams_received == 2
+        internet.loop.run(until=deadline_ms)
+        socket.send(server.addr, 7, b"stale", 64, via="scion", path=path)
+        internet.run()
+        assert server.datagrams_received == 2
+        assert router.expired_drops == 1
+        assert router.mac_failures == 0
+
+    def test_forged_copy_of_a_cached_path_is_reverified_every_time(
+            self, world, monkeypatch):
+        from repro.internet import router as router_module
+        internet, ases, client, server = world
+        calls = []
+        real = router_module.verify_hop_mac
+
+        def counting(*args):
+            calls.append(args)
+            real(*args)
+
+        monkeypatch.setattr(router_module, "verify_hop_mac", counting)
+        server.udp_socket(7)
+        genuine = client.daemon.paths(ases.remote_server)[0]
+        socket = client.udp_socket()
+        socket.send(server.addr, 7, b"ok", 64, via="scion", path=genuine)
+        internet.run()
+        assert server.datagrams_received == 1
+        forged = TestMacEnforcement().forged_path(genuine)
+        victim = next(
+            internet.routers[hop.isd_as]
+            for hop, original in zip(forged.hops, genuine.hops)
+            if hop.hop_field != original.hop_field)
+        verified = len(calls)
+        for sent in range(1, 4):
+            socket.send(server.addr, 7, b"evil", 64, via="scion",
+                        path=forged)
+            internet.run()
+            assert victim.mac_failures == sent
+            assert len(calls) == verified + sent
+        assert server.datagrams_received == 1
+        assert all(step[0] is not forged for step in victim._steps.values())
+
+    def test_disabled_macs_remember_no_verdict(self):
+        topology, ases = remote_testbed()
+        internet = Internet(topology, seed=4, verify_macs=False)
+        client = internet.add_host("client", ases.client)
+        server = internet.add_host("server", ases.remote_server)
+        server.udp_socket(7)
+        path = client.daemon.paths(ases.remote_server)[0]
+        socket = client.udp_socket()
+        for _ in range(3):
+            socket.send(server.addr, 7, b"ping", 64, via="scion", path=path)
+        internet.run()
+        assert server.datagrams_received == 3
+        assert self.steps(internet) == 0
+        assert TestMacEnforcement.verified_entries(internet) == 0
+
 
 class TestReversePath:
     def test_reverse_swaps_direction(self, world):
