@@ -68,6 +68,8 @@ class UdpSocket:
         self.port = port
         self._queue: deque[Datagram] = deque()
         self._waiters: deque["Event"] = deque()
+        #: Armed receive watchdogs: waiter -> loop handle.
+        self._deadlines: dict["Event", int] = {}
         self.closed = False
 
     # -- sending ------------------------------------------------------------
@@ -91,7 +93,8 @@ class UdpSocket:
         Use from a simulation process: ``datagram = yield socket.recv()``.
         With ``timeout_ms``, the event yields ``None`` if nothing arrives
         in time (the waiter is removed, so no datagram is consumed by a
-        stale wait).
+        stale wait). A datagram or a close disarms the watchdog, so it
+        does not keep the clock running to its deadline.
         """
         if self.host.loop is None:
             raise SimulationError("host not attached to a network")
@@ -101,24 +104,29 @@ class UdpSocket:
             return event
         self._waiters.append(event)
         if timeout_ms is not None:
-            self.host.loop.call_later(timeout_ms, self._expire_waiter, event)
+            self._deadlines[event] = self.host.loop.call_later(
+                timeout_ms, self._expire_waiter, event)
         return event
 
     def _expire_waiter(self, event: "Event") -> None:
-        if event.triggered:
-            return
-        try:
-            self._waiters.remove(event)
-        except ValueError:
-            return
+        del self._deadlines[event]
+        self._waiters.remove(event)
         event.succeed(None)
+
+    def _next_waiter(self) -> "Event":
+        """Take the oldest waiter and disarm its watchdog."""
+        event = self._waiters.popleft()
+        handle = self._deadlines.pop(event, None)
+        if handle is not None:
+            self.host.loop.cancel_scheduled(handle)
+        return event
 
     def deliver(self, datagram: Datagram) -> None:
         """Called by the host when a datagram arrives for this port."""
         if self.closed:
             return
         if self._waiters:
-            self._waiters.popleft().succeed(datagram)
+            self._next_waiter().succeed(datagram)
         else:
             self._queue.append(datagram)
 
@@ -129,7 +137,7 @@ class UdpSocket:
         self.closed = True
         self.host.release_port(self.port)
         while self._waiters:
-            self._waiters.popleft().fail(
+            self._next_waiter().fail(
                 TransportError(f"socket {self.host.name}:{self.port} closed"))
 
 

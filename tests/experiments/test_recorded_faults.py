@@ -62,19 +62,21 @@ class TestRecordedRun:
             "c478a42c2d6dc2a43e358b4cec96bb28284e3696b238a910f1f722ac06b7b8a1")
 
     # The overload world is the one recorded run the fast path takes
-    # part in (the fault worlds pin it off). The packet-level twin is
-    # the parent's value; the fast-path digest was re-recorded when
-    # contention moved to the transmitter (952 of 3,028 transfers
-    # commit instead of 772; p99 PLTs within 0.2 % of the oracle's).
+    # part in (the fault worlds pin it off). The fast-path digest was
+    # re-recorded when contention moved to the transmitter (952 of
+    # 3,028 transfers commit instead of 772; p99 PLTs within 0.2 % of
+    # the oracle's). Both were re-recorded when a socket's receive
+    # watchdog began to be cancelled on delivery: only each sample's
+    # ``events`` moved (the stale timers no longer fire).
 
     def test_overload_arms_replay_the_recorded_run(self, overload_samples):
         samples = [(arm, overload_samples[arm]) for arm in ARMS]
         assert _digest(samples) == (
-            "8bb37428dbb45d9d1e6366a2fb3345558eb53ec4335bd855a0f82283f5f403a8")
+            "effb2b62c52cd11c629395fa8fc11a294ead35b6772824fb132309d70dd5b4ad")
 
     def test_overload_arms_packet_level_replay_the_parents_run(
             self, monkeypatch):
         monkeypatch.setenv("REPRO_FASTPATH", "0")
         samples = [(arm, overload_trial(arm, 1200)) for arm in ARMS]
         assert _digest(samples) == (
-            "99f22ee17996ca4c8793ac7272ded0831d8cbaea2e5c56e2eb542a34a03ccb94")
+            "9cc840bf7be81693432598366a2c803f4b92b44183bb3862f3b6ad65e764d05c")
