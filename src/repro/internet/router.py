@@ -200,31 +200,29 @@ class AsRouter(Node):
     def _forward_ip(self, packet: Packet, in_ifid: int) -> None:
         dst = packet.dst
         if dst.isd_as == self.isd_as:
-            ifid = self.host_ports.get(dst.host)
-            if ifid is None:
-                self.no_host += 1
-                return
             delay = PROCESSING_DELAY_MS
+            transmit = self._deliver_local(packet)
         else:
-            ifid = self.ip_table.get(dst.isd_as)
-            if ifid is None:
+            egress = self.ip_table.get(dst.isd_as)
+            if egress is None:
                 self.no_route += 1
                 return
             delay = (self.internal_latency_ms
                      if in_ifid in self.external_ifids
                      else PROCESSING_DELAY_MS)
-        transmit = self._schedule(delay, packet, ifid)
+            transmit = self._schedule(delay, packet, egress)
         if transmit is not None:
             self._ip_steps[id(dst), in_ifid] = (dst, transmit, delay)
 
     # -- helpers ------------------------------------------------------------------
 
-    def _deliver_local(self, packet: Packet) -> None:
+    def _deliver_local(self, packet: Packet
+                       ) -> Callable[[Packet, str], None] | None:
         ifid = self.host_ports.get(packet.dst.host)
         if ifid is None:
             self.no_host += 1
-            return
-        self._schedule(PROCESSING_DELAY_MS, packet, ifid)
+            return None
+        return self._schedule(PROCESSING_DELAY_MS, packet, ifid)
 
     def _schedule(self, delay: float, packet: Packet,
                   ifid: int) -> Callable[[Packet, str], None] | None:

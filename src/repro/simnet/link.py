@@ -183,19 +183,18 @@ class Link:
 
     def transmit(self, packet: Packet, sender_name: str) -> None:
         """Send ``packet`` from the named endpoint toward the other one."""
-        try:
-            receiver, receiver_port = self._peer_of[sender_name]
-        except KeyError:
+        peer = self._peer_of.get(sender_name)
+        if peer is None:
             raise SimulationError(
-                f"{sender_name} is not attached to link {self.name}") from None
+                f"{sender_name} is not attached to link {self.name}")
+        receiver, receiver_port = peer
         cfg = self.config
-        size = packet.size
 
         if not self._up:
             self.packets_dropped += 1
             self._record("drop-down", packet)
             return
-        if size > cfg.mtu:
+        if packet.size > cfg.mtu:
             self.packets_dropped += 1
             self._record("drop-mtu", packet)
             return
@@ -207,15 +206,12 @@ class Link:
 
         # Per-packet path, so inline: FIFO start, then size / bytes-per-ms
         # (125 bytes/ms per Mbps; <= 0 means infinite, serializing instantly).
-        loop = self.loop
-        now = loop._now
-        tx_free_at = self._tx_free_at
-        tx_done = tx_free_at[sender_name]
-        if tx_done < now:
-            tx_done = now
+        now = self.loop._now
+        free_at = self._tx_free_at[sender_name]
+        tx_done = free_at if free_at > now else now
         if cfg.bandwidth_mbps > 0:
-            tx_done += size / (cfg.bandwidth_mbps * 125.0)
-        tx_free_at[sender_name] = tx_done
+            tx_done += packet.size / (cfg.bandwidth_mbps * 125.0)
+        self._tx_free_at[sender_name] = tx_done
         jitter_bound = cfg.jitter_ms + self._extra_jitter_ms
         # ``bound * random()`` is ``uniform(0.0, bound)`` by that method's
         # definition: the same draw and the same float, one frame fewer.
@@ -223,12 +219,12 @@ class Link:
         arrival = tx_done + cfg.latency_ms + self._extra_latency_ms + jitter
 
         self.packets_sent += 1
-        self.bytes_sent += size
+        self.bytes_sent += packet.size
         self.inflight += 1
         if self.trace is not None:
             self._record("send", packet)
         packet.hops += 1
-        loop.call_at(arrival, self._deliver, receiver, receiver_port, packet)
+        self.loop.call_at(arrival, self._deliver, receiver, receiver_port, packet)
 
     def _deliver(self, receiver: "Node", port: int, packet: Packet) -> None:
         self.inflight -= 1

@@ -237,19 +237,58 @@ class TestMacEnforcement:
         assert internet.routers[ases.client].expired_drops == 1
         assert self.verified_entries(internet) == 0
 
+    def test_forged_copy_of_a_cached_path_is_reverified_every_time(
+            self, world, monkeypatch):
+        from repro.internet import router as router_module
+        internet, ases, client, server = world
+        calls = []
+        real = router_module.verify_hop_mac
+
+        def counting(*args):
+            calls.append(args)
+            real(*args)
+
+        monkeypatch.setattr(router_module, "verify_hop_mac", counting)
+        server.udp_socket(7)
+        genuine = client.daemon.paths(ases.remote_server)[0]
+        socket = client.udp_socket()
+        socket.send(server.addr, 7, b"ok", 64, via="scion", path=genuine)
+        internet.run()
+        assert server.datagrams_received == 1
+        forged = self.forged_path(genuine)
+        victim = next(
+            internet.routers[hop.isd_as]
+            for hop, original in zip(forged.hops, genuine.hops)
+            if hop.hop_field != original.hop_field)
+        verified = len(calls)
+        for sent in range(1, 4):
+            socket.send(server.addr, 7, b"evil", 64, via="scion",
+                        path=forged)
+            internet.run()
+            assert victim.mac_failures == sent
+            assert len(calls) == verified + sent
+        assert server.datagrams_received == 1
+        assert all(step[0] is not forged for step in victim._steps.values())
+
+    def test_disabled_macs_remember_no_verdict(self):
+        topology, ases = remote_testbed()
+        internet = Internet(topology, seed=4, verify_macs=False)
+        client = internet.add_host("client", ases.client)
+        server = internet.add_host("server", ases.remote_server)
+        server.udp_socket(7)
+        path = client.daemon.paths(ases.remote_server)[0]
+        socket = client.udp_socket()
+        for _ in range(3):
+            socket.send(server.addr, 7, b"ping", 64, via="scion", path=path)
+        internet.run()
+        assert server.datagrams_received == 3
+        assert not any(router._steps for router in internet.routers.values())
+        assert self.verified_entries(internet) == 0
+
+
 class TestForwardingSteps:
     """A router remembers each forwarding step that passed every check,
     keyed on the path object, hop index and ingress interface."""
-
-    @staticmethod
-    def steps(internet) -> int:
-        return sum(len(router._steps) for router in internet.routers.values())
-
-    @staticmethod
-    def scion_packet(src, dst, path, hop_index=0):
-        return Packet(src=src.addr, dst=dst.addr, payload=None, size=100,
-                      protocol="scion",
-                      meta={"path": path, "hop_index": hop_index})
 
     def test_step_charges_the_delay_of_its_ingress(self, world, monkeypatch):
         internet, ases, client, server = world
@@ -268,7 +307,10 @@ class TestForwardingSteps:
         monkeypatch.setattr(EventLoop, "call_later", spy)
         for _ in range(2):  # the second round runs on the stored steps
             for ifid in (host_ifid, transit_ifid):
-                router.receive(self.scion_packet(client, server, path), ifid)
+                packet = Packet(src=client.addr, dst=server.addr,
+                                payload=None, size=100, protocol="scion",
+                                meta={"path": path, "hop_index": 0})
+                router.receive(packet, ifid)
         assert delays == [PROCESSING_DELAY_MS, router.internal_latency_ms] * 2
         assert len(router._steps) == 2
 
@@ -310,54 +352,6 @@ class TestForwardingSteps:
         assert server.datagrams_received == 2
         assert router.expired_drops == 1
         assert router.mac_failures == 0
-
-    def test_forged_copy_of_a_cached_path_is_reverified_every_time(
-            self, world, monkeypatch):
-        from repro.internet import router as router_module
-        internet, ases, client, server = world
-        calls = []
-        real = router_module.verify_hop_mac
-
-        def counting(*args):
-            calls.append(args)
-            real(*args)
-
-        monkeypatch.setattr(router_module, "verify_hop_mac", counting)
-        server.udp_socket(7)
-        genuine = client.daemon.paths(ases.remote_server)[0]
-        socket = client.udp_socket()
-        socket.send(server.addr, 7, b"ok", 64, via="scion", path=genuine)
-        internet.run()
-        assert server.datagrams_received == 1
-        forged = TestMacEnforcement().forged_path(genuine)
-        victim = next(
-            internet.routers[hop.isd_as]
-            for hop, original in zip(forged.hops, genuine.hops)
-            if hop.hop_field != original.hop_field)
-        verified = len(calls)
-        for sent in range(1, 4):
-            socket.send(server.addr, 7, b"evil", 64, via="scion",
-                        path=forged)
-            internet.run()
-            assert victim.mac_failures == sent
-            assert len(calls) == verified + sent
-        assert server.datagrams_received == 1
-        assert all(step[0] is not forged for step in victim._steps.values())
-
-    def test_disabled_macs_remember_no_verdict(self):
-        topology, ases = remote_testbed()
-        internet = Internet(topology, seed=4, verify_macs=False)
-        client = internet.add_host("client", ases.client)
-        server = internet.add_host("server", ases.remote_server)
-        server.udp_socket(7)
-        path = client.daemon.paths(ases.remote_server)[0]
-        socket = client.udp_socket()
-        for _ in range(3):
-            socket.send(server.addr, 7, b"ping", 64, via="scion", path=path)
-        internet.run()
-        assert server.datagrams_received == 3
-        assert self.steps(internet) == 0
-        assert TestMacEnforcement.verified_entries(internet) == 0
 
 
 class TestReversePath:
