@@ -746,7 +746,10 @@ class FastPath:
 
         channel.stats.messages_sent += 1
         channel.stats.segments_sent += n_segments
-        active.append(transfer)
+        if active is None:
+            channel._fp_active = [transfer]
+        else:
+            active.append(transfer)
         channel._fp_busy_until = deliver
         channel._fp_cwnd = transfer.cwnd_final
         for link, _sender in fwd.links:

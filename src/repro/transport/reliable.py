@@ -124,11 +124,12 @@ class ReliableChannel:
         self.remote_closed = False   # peer closed
         self.broken = False          # gave up after MAX_SEGMENT_RETRIES
         # fast-path state (see repro.simnet.fastpath): analytic transfers
-        # in flight, in channel order; a close deferred until the last of
-        # them lands; when the last one delivers and the window it leaves
-        # behind; when this end's access link is free again after the
-        # final ACK of a transfer it received.
-        self._fp_active: list = []
+        # in flight, in channel order (a list from the first one on); a
+        # close deferred until the last of them lands; when the last one
+        # delivers and the window it leaves behind; when this end's
+        # access link is free again after the final ACK of a transfer it
+        # received.
+        self._fp_active: list | None = None
         self._fp_closing = False
         self._fp_busy_until = 0.0
         self._fp_cwnd = INITIAL_CWND
