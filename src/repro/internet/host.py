@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from collections.abc import Callable
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from repro.errors import AddressError, SimulationError, TransportError
 from repro.scion.addr import HostAddr
@@ -42,9 +42,8 @@ SCION_LOCAL_HEADER_BYTES = 24
 EPHEMERAL_PORT_BASE = 32768
 
 
-@dataclass(frozen=True, slots=True)
-class Datagram:
-    """A UDP datagram as seen by sockets.
+class Datagram(NamedTuple):
+    """A UDP datagram as seen by sockets (immutable).
 
     ``path`` is the SCION path the datagram travelled (traversal
     direction: src → dst); ``None`` for legacy IP datagrams.
@@ -61,7 +60,12 @@ class Datagram:
 
 
 class UdpSocket:
-    """A bound UDP endpoint on one host."""
+    """A bound UDP endpoint on one host.
+
+    A socket has one consumer at a time: either processes pulling with
+    :meth:`recv` (a handshake) or one push-mode reader installed with
+    :meth:`listen` (an established transport).
+    """
 
     def __init__(self, host: "Host", port: int) -> None:
         self.host = host
@@ -70,6 +74,12 @@ class UdpSocket:
         self._waiters: deque["Event"] = deque()
         #: Armed receive watchdogs: waiter -> loop handle.
         self._deadlines: dict["Event", int] = {}
+        #: The push-mode reader, and whether it waits for a datagram
+        #: (no step of it is scheduled).
+        self._reader: Callable[[Datagram], None] | None = None
+        self._reader_idle = False
+        #: What stopped the reader, if its handler raised.
+        self.reader_error: Exception | None = None
         self.closed = False
 
     # -- sending ------------------------------------------------------------
@@ -81,9 +91,8 @@ class UdpSocket:
         if self.closed:
             raise TransportError(f"socket {self.host.name}:{self.port} is closed")
         self.host.send_datagram(
-            Datagram(src=self.host.addr, src_port=self.port, dst=dst,
-                     dst_port=dst_port, payload=payload, size=size,
-                     via=via, path=path))
+            Datagram(self.host.addr, self.port, dst, dst_port, payload,
+                     size, via, path))
 
     # -- receiving ------------------------------------------------------------
 
@@ -98,6 +107,9 @@ class UdpSocket:
         """
         if self.host.loop is None:
             raise SimulationError("host not attached to a network")
+        if self._reader is not None:
+            raise SimulationError(
+                f"socket {self.host.name}:{self.port} has a listening reader")
         event = self.host.loop.event()
         if self._queue:
             event.succeed(self._queue.popleft())
@@ -107,6 +119,40 @@ class UdpSocket:
             self._deadlines[event] = self.host.loop.call_later(
                 timeout_ms, self._expire_waiter, event)
         return event
+
+    def listen(self, handler: Callable[[Datagram], None]) -> None:
+        """Hand every datagram to ``handler``, one loop step each.
+
+        The push-mode form of a process looping on ``yield recv()``, and
+        scheduled exactly like one: a first step now, one step per
+        datagram (queued ones stepped back to back), and a final no-op
+        step if the socket closes while the reader waits. A handler that
+        raises stops the reader: the exception is kept in
+        :attr:`reader_error` and later datagrams stay queued.
+        """
+        if self.host.loop is None:
+            raise SimulationError("host not attached to a network")
+        if self._reader is not None or self._waiters:
+            raise SimulationError(
+                f"socket {self.host.name}:{self.port} already has a reader")
+        self._reader = handler
+        self.host.loop.call_soon(self._read, None)
+
+    def _read(self, datagram: Datagram | None) -> None:
+        if datagram is not None:
+            try:
+                self._reader(datagram)
+            except Exception as exc:  # noqa: BLE001 - kept on the socket
+                self.reader_error = exc
+                self._reader = None
+                return
+        if self._queue:
+            self.host.loop.call_soon(self._read, self._queue.popleft())
+        else:
+            self._reader_idle = True
+
+    def _stop_reader(self) -> None:
+        self._reader = None
 
     def _expire_waiter(self, event: "Event") -> None:
         del self._deadlines[event]
@@ -125,17 +171,28 @@ class UdpSocket:
         """Called by the host when a datagram arrives for this port."""
         if self.closed:
             return
-        if self._waiters:
+        if self._reader_idle:
+            self._reader_idle = False
+            self.host.loop.call_soon(self._read, datagram)
+        elif self._waiters:
             self._next_waiter().succeed(datagram)
         else:
             self._queue.append(datagram)
 
     def close(self) -> None:
-        """Unbind the socket; queued data is discarded, waiters fail."""
+        """Unbind the socket: nothing more is delivered and waiters fail.
+
+        Datagrams already queued are kept: a reader with a step pending
+        still drains them, and a later :meth:`recv` still returns them.
+        An idle reader gets one last (no-op) step and stops.
+        """
         if self.closed:
             return
         self.closed = True
         self.host.release_port(self.port)
+        if self._reader_idle:
+            self._reader_idle = False
+            self.host.loop.call_soon(self._stop_reader)
         while self._waiters:
             self._next_waiter().fail(
                 TransportError(f"socket {self.host.name}:{self.port} closed"))

@@ -18,7 +18,7 @@ from collections.abc import Callable, Generator
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import HandshakeError, TransportError
+from repro.errors import HandshakeError
 from repro.internet.host import Datagram, Host, UdpSocket
 from repro.scion.addr import HostAddr
 from repro.scion.path import ScionPath
@@ -92,8 +92,11 @@ class TcpConnection:
         return self.channel.srtt_ms
 
     def on_datagram(self, datagram: Datagram) -> None:
-        """Feed an incoming datagram's frame into the channel."""
-        self.channel.on_frame(datagram.payload)
+        """Feed an incoming datagram's frame into the channel; stray
+        handshake duplicates (SYN / SYN-ACK) are ignored."""
+        payload = datagram.payload
+        if not isinstance(payload, (Syn, SynAck)):
+            self.channel.on_frame(payload)
 
 
 class TcpListener:
@@ -114,28 +117,25 @@ class TcpListener:
         self.socket: UdpSocket = host.udp_socket(port)
         self.connections: dict[tuple[HostAddr, int], TcpConnection] = {}
         self.accepted = 0
-        assert host.loop is not None
-        host.loop.process(self._accept_loop(), name=f"tcp-listen:{host.name}:{port}")
+        self.socket.listen(self._on_datagram)
 
     def close(self) -> None:
         """Stop accepting (established connections keep working until the
         socket closes delivery)."""
         self.socket.close()
 
-    def _accept_loop(self) -> Generator:
-        while True:
-            datagram = yield self.socket.recv()
-            key = (datagram.src, datagram.src_port)
-            if isinstance(datagram.payload, Syn):
-                if key not in self.connections:
-                    self.connections[key] = self._establish(datagram)
-                    self.accepted += 1
-                # (Re-)confirm, covering a lost SYN-ACK.
-                self._reply(datagram, SynAck(conn_id=datagram.payload.conn_id))
-                continue
-            connection = self.connections.get(key)
-            if connection is not None:
-                connection.on_datagram(datagram)
+    def _on_datagram(self, datagram: Datagram) -> None:
+        key = (datagram.src, datagram.src_port)
+        if isinstance(datagram.payload, Syn):
+            if key not in self.connections:
+                self.connections[key] = self._establish(datagram)
+                self.accepted += 1
+            # (Re-)confirm, covering a lost SYN-ACK.
+            self._reply(datagram, SynAck(conn_id=datagram.payload.conn_id))
+            return
+        connection = self.connections.get(key)
+        if connection is not None:
+            connection.on_datagram(datagram)
 
     def _establish(self, syn: Datagram) -> TcpConnection:
         reply_path = syn.path.reverse() if syn.path is not None else None
@@ -203,16 +203,5 @@ def tcp_connect(host: Host, dst: HostAddr, dst_port: int,
     if getattr(host, "fastpath", None) is not None:
         host.fastpath.register(connection, "tcp", conn_id, "client",
                                host, dst, via, path)
-
-    def receive_loop() -> Generator:
-        while True:
-            try:
-                datagram = yield socket.recv()
-            except TransportError:
-                return
-            if datagram is not None and not isinstance(
-                    datagram.payload, (Syn, SynAck)):
-                connection.on_datagram(datagram)
-
-    loop.process(receive_loop(), name=f"tcp-recv:{host.name}:{socket.port}")
+    socket.listen(connection.on_datagram)
     return connection

@@ -12,9 +12,9 @@ import itertools
 from collections import deque
 from collections.abc import Callable, Generator
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
-from repro.errors import ConnectionClosedError, HandshakeError, TransportError
+from repro.errors import ConnectionClosedError, HandshakeError
 from repro.internet.host import Datagram, Host, UdpSocket
 from repro.obs.spans import NULL_SPAN, NULL_TRACER
 from repro.scion.addr import HostAddr
@@ -46,9 +46,8 @@ class ServerHello:
     conn_id: int
 
 
-@dataclass(frozen=True)
-class StreamFrame:
-    """A reliability-engine frame scoped to one stream."""
+class StreamFrame(NamedTuple):
+    """A reliability-engine frame scoped to one stream (immutable)."""
 
     stream_id: int
     frame: Any
@@ -158,7 +157,7 @@ class QuicConnection:
             self._handle_close()
             return
         if not isinstance(payload, StreamFrame):
-            return  # stray handshake duplicates
+            return  # stray handshake duplicates (ClientHello / ServerHello)
         stream = self.streams.get(payload.stream_id)
         if stream is None:
             stream = QuicStream(self, payload.stream_id)
@@ -217,28 +216,24 @@ class QuicListener:
         self.socket: UdpSocket = host.udp_socket(port)
         self.connections: dict[tuple[HostAddr, int], QuicConnection] = {}
         self.accepted = 0
-        assert host.loop is not None
-        host.loop.process(self._accept_loop(),
-                          name=f"quic-listen:{host.name}:{port}")
+        self.socket.listen(self._on_datagram)
 
     def close(self) -> None:
         """Stop accepting new connections."""
         self.socket.close()
 
-    def _accept_loop(self) -> Generator:
-        while True:
-            datagram = yield self.socket.recv()
-            key = (datagram.src, datagram.src_port)
-            if isinstance(datagram.payload, ClientHello):
-                if key not in self.connections:
-                    self.connections[key] = self._establish(datagram)
-                    self.accepted += 1
-                self._reply(datagram,
-                            ServerHello(conn_id=datagram.payload.conn_id))
-                continue
-            connection = self.connections.get(key)
-            if connection is not None:
-                connection.on_datagram(datagram)
+    def _on_datagram(self, datagram: Datagram) -> None:
+        key = (datagram.src, datagram.src_port)
+        if isinstance(datagram.payload, ClientHello):
+            if key not in self.connections:
+                self.connections[key] = self._establish(datagram)
+                self.accepted += 1
+            self._reply(datagram,
+                        ServerHello(conn_id=datagram.payload.conn_id))
+            return
+        connection = self.connections.get(key)
+        if connection is not None:
+            connection.on_datagram(datagram)
 
     def _establish(self, hello: Datagram) -> QuicConnection:
         reply_path = hello.path.reverse() if hello.path is not None else None
@@ -314,16 +309,5 @@ def quic_connect(host: Host, dst: HostAddr, dst_port: int,
     if getattr(host, "fastpath", None) is not None:
         host.fastpath.register(connection, "quic", conn_id, "client",
                                host, dst, via, path)
-
-    def receive_loop() -> Generator:
-        while True:
-            try:
-                datagram = yield socket.recv()
-            except TransportError:
-                return
-            if datagram is not None and not isinstance(
-                    datagram.payload, (ClientHello, ServerHello)):
-                connection.on_datagram(datagram)
-
-    loop.process(receive_loop(), name=f"quic-recv:{host.name}:{socket.port}")
+    socket.listen(connection.on_datagram)
     return connection

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from repro.errors import ConnectionClosedError, TransportError
 
@@ -39,9 +39,8 @@ MAX_RTO_MS = 10_000.0
 MAX_SEGMENT_RETRIES = 12
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One wire segment of an application message.
+class Segment(NamedTuple):
+    """One wire segment of an application message (immutable).
 
     Only the final segment of a message carries the payload object (the
     earlier ones represent its leading bytes); ``message_end`` marks it.
@@ -53,8 +52,7 @@ class Segment:
     payload: Any = None
 
 
-@dataclass(frozen=True)
-class AckFrame:
+class AckFrame(NamedTuple):
     """Cumulative acknowledgement: all seqs below ``cumulative`` arrived."""
 
     cumulative: int
@@ -151,11 +149,7 @@ class ReliableChannel:
             remaining -= chunk_size
             last = index == chunks - 1
             self._pending.append(Segment(
-                seq=self._next_seq,
-                chunk_size=chunk_size,
-                message_end=last,
-                payload=payload if last else None,
-            ))
+                self._next_seq, chunk_size, last, payload if last else None))
             self._next_seq += 1
         self._pump()
 
@@ -213,8 +207,7 @@ class ReliableChannel:
                 self._expected_seq += 1
                 if ready.message_end:
                     self._deliver(ready.payload)
-        self.transmit(AckFrame(cumulative=self._expected_seq),
-                      CONTROL_FRAME_BYTES)
+        self.transmit(AckFrame(self._expected_seq), CONTROL_FRAME_BYTES)
 
     def _deliver(self, payload: Any) -> None:
         self.stats.messages_delivered += 1
