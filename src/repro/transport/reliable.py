@@ -110,8 +110,8 @@ class ReliableChannel:
         # RTT estimation (Jacobson/Karels)
         self._srtt = initial_rtt_ms
         self._rttvar = initial_rtt_ms / 2
-        self._timer_epoch = 0
-        self._timer_armed = False
+        #: Loop handle of the armed retransmission timer, or None.
+        self._timer: int | None = None
         # receiver state
         self._expected_seq = 0
         self._out_of_order: dict[int, Segment] = {}
@@ -157,7 +157,7 @@ class ReliableChannel:
         while self._pending and len(self._unacked) < self._cwnd:
             segment = self._pending.popleft()
             self._transmit_segment(segment, retransmission=False)
-        if self._unacked and not self._timer_armed:
+        if self._unacked and self._timer is None:
             self._arm_timer()
 
     def _transmit_segment(self, segment: Segment, retransmission: bool) -> None:
@@ -263,19 +263,19 @@ class ReliableChannel:
     # -- retransmission timer -------------------------------------------------------
 
     def _arm_timer(self) -> None:
-        self._timer_epoch += 1
-        self._timer_armed = True
-        self.loop.call_later(self.rto_ms, self._on_timer, self._timer_epoch)
+        """(Re)start the timer; a superseded one leaves the loop, so it
+        cannot keep the clock running to its deadline."""
+        self._cancel_timer()
+        self._timer = self.loop.call_later(self.rto_ms, self._on_timer)
 
     def _cancel_timer(self) -> None:
-        self._timer_epoch += 1
-        self._timer_armed = False
+        if self._timer is not None:
+            self.loop.cancel_scheduled(self._timer)
+            self._timer = None
 
-    def _on_timer(self, epoch: int) -> None:
-        if epoch != self._timer_epoch or not self._timer_armed:
-            return
+    def _on_timer(self) -> None:
+        self._timer = None
         if not self._unacked:
-            self._timer_armed = False
             return
         oldest = next(iter(self._unacked))
         segment, _time, retx = self._unacked[oldest]

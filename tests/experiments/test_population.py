@@ -53,8 +53,10 @@ class TestRecordedRun:
     four now commits, and its PLTs agree with the oracle's to round-off
     (mean 364.76885802535 vs 364.76885802534 ms; 364.7649 before).
     Both event counts were re-recorded when a socket's receive watchdog
-    began to be cancelled on delivery (75 stale timers no longer fire);
-    packets, bytes and every PLT stayed."""
+    began to be cancelled on delivery (75 stale timers no longer fire),
+    and again when a superseded retransmission timer began to be
+    cancelled (10,405 -> 10,401 and 109,097 -> 102,536); packets, bytes
+    and every PLT stayed."""
 
     def _replay(self, events, packets, sent_bytes, digest):
         world = pop.build_population_world("opportunistic-SCION", 950,
@@ -77,13 +79,13 @@ class TestRecordedRun:
 
     def test_small_city_replays_the_recorded_run(self, monkeypatch):
         monkeypatch.setenv("REPRO_FASTPATH", "1")
-        self._replay(10405, 48154, 31326606, (
+        self._replay(10401, 48154, 31326606, (
             "f8a8cd14030ae16c1091abdfb54895e84d6a488986d45b4f6d73a59ca75eadd7"))
 
     def test_small_city_packet_level_replays_the_parents_run(
             self, monkeypatch):
         monkeypatch.setenv("REPRO_FASTPATH", "0")
-        self._replay(109097, 48154, 31326606, (
+        self._replay(102536, 48154, 31326606, (
             "e0e3d6429edce10d497dd0ad755ab3b2cdb6e4f5ac9379341da2b27649cb98cf"))
 
 

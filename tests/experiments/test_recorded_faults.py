@@ -67,16 +67,19 @@ class TestRecordedRun:
     # 3,028 transfers commit instead of 772; p99 PLTs within 0.2 % of
     # the oracle's). Both were re-recorded when a socket's receive
     # watchdog began to be cancelled on delivery: only each sample's
-    # ``events`` moved (the stale timers no longer fire).
+    # ``events`` moved (the stale timers no longer fire). Both were
+    # re-recorded again when a superseded retransmission timer began to
+    # be cancelled: only each sample's ``events`` and ``duration_ms``
+    # moved (the last stale timer no longer stretches the run).
 
     def test_overload_arms_replay_the_recorded_run(self, overload_samples):
         samples = [(arm, overload_samples[arm]) for arm in ARMS]
         assert _digest(samples) == (
-            "effb2b62c52cd11c629395fa8fc11a294ead35b6772824fb132309d70dd5b4ad")
+            "9ca484ce8d3a703d6a2e83b041e38a6bb2f405c98f616605cc22f7090740c511")
 
     def test_overload_arms_packet_level_replay_the_parents_run(
             self, monkeypatch):
         monkeypatch.setenv("REPRO_FASTPATH", "0")
         samples = [(arm, overload_trial(arm, 1200)) for arm in ARMS]
         assert _digest(samples) == (
-            "9cc840bf7be81693432598366a2c803f4b92b44183bb3862f3b6ad65e764d05c")
+            "f609990eaa3f83c4cb03bdba97282873af78303d468d244affe0afe7599fdd5f")
