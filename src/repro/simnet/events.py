@@ -295,8 +295,20 @@ class SerialResource:
         """Acquire, hold for ``duration_ms`` of simulated time, release.
 
         Usage: ``yield from resource.use(5.0)``.
+
+        A process interrupted while it waits takes no unit with it: a
+        still-queued waiter leaves the queue, and a unit already handed
+        to it is released on to the next waiter.
         """
-        yield self.acquire()
+        event = self.acquire()
+        try:
+            yield event
+        except BaseException:
+            if event.triggered:
+                self.release()
+            else:
+                self._waiters.remove(event)
+            raise
         try:
             yield self.loop.timeout(duration_ms)
         finally:

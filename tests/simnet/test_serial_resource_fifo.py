@@ -86,3 +86,54 @@ class TestSerialResourceFifo:
             loop.process(worker())
         loop.run()
         assert finished == [10.0, 20.0, 30.0, 40.0]
+
+
+class TestInterruptedWaiter:
+    """A process interrupted while it waits in :meth:`SerialResource.use`
+    must not take a unit with it: the processes queued behind it still
+    run, and the resource ends idle."""
+
+    def test_interrupt_while_queued(self, loop):
+        resource = SerialResource(loop, capacity=1)
+        ran = []
+
+        def worker(label: str, hold_ms: float):
+            yield from resource.use(hold_ms)
+            ran.append((label, loop.now))
+
+        loop.process(worker("a", 10.0))
+        b = loop.process(worker("b", 10.0))
+        loop.process(worker("c", 10.0))
+
+        def interrupter():
+            yield loop.timeout(5.0)
+            b.interrupt("gave up")
+
+        loop.process(interrupter())
+        loop.run()
+        assert ran == [("a", 10.0), ("c", 20.0)]
+        assert resource.in_use == 0
+        assert not resource._waiters
+
+    def test_interrupt_after_grant_before_resume(self, loop):
+        resource = SerialResource(loop, capacity=1)
+        holder = resource.acquire()
+        assert holder.triggered
+        ran = []
+
+        def worker(label: str):
+            yield from resource.use(1.0)
+            ran.append((label, loop.now))
+
+        b = loop.process(worker("b"))
+        loop.process(worker("c"))
+        loop.run(until=2.0)
+        assert len(resource._waiters) == 2
+        # The unit passes to b's waiter, but b is interrupted before its
+        # wakeup runs: b must hand the unit on to c.
+        resource.release()
+        b.interrupt("gave up")
+        loop.run()
+        assert ran == [("c", 3.0)]
+        assert resource.in_use == 0
+        assert not resource._waiters
