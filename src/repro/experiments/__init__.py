@@ -1,6 +1,7 @@
 """Experiment harness reproducing the paper's evaluation (§5.2).
 
-Scenario builders construct a fresh simulated world per trial; the
+Every trial runs in a fresh world, a
+:class:`~repro.experiments.world.WorldSpec` built from its seed; the
 harness runs seeded trial batteries and summarizes PLT distributions the
 way the paper's box plots do. Every experiment is declared once as a
 :class:`~repro.experiments.harness.Battery` in the module that owns its
@@ -14,7 +15,9 @@ and serialises them.
 
 * :mod:`repro.experiments.harness` — trials, box-plot statistics, the
   ``Battery`` record with ``submit`` / ``run``, the result shape and its
-  columns, world records,
+  columns,
+* :mod:`repro.experiments.world` — ``WorldSpec``, ``build`` and the one
+  ``World`` record,
 * :mod:`repro.experiments.__main__` — the registry and the one CLI,
 * :mod:`repro.experiments.run_all` — the EXPERIMENTS.md generator,
 * :mod:`repro.experiments.local_setup` — Figures 2/3 (local testbed),

@@ -33,17 +33,14 @@ bit-identical.
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 
-from repro.core.browser.brave import BraveBrowser
-from repro.core.browser.page import content_for_origin, synthetic_page
+from repro.core.browser.page import synthetic_page
 from repro.core.ppl.policies import latency_optimized
-from repro.dns.resolver import Resolver
 from repro.errors import ReproError
 from repro.experiments.harness import (Battery, Column, ExperimentResult,
-                                       World, attach_tracer, count,
-                                       load_page)
-from repro.http.server import HttpServer
-from repro.internet.build import Internet
+                                       count, load_page)
+from repro.experiments.world import Calibration, Origin, World, WorldSpec, build
 from repro.simnet.faults import FaultSchedule, inject
 from repro.topology.defaults import remote_testbed
 
@@ -71,41 +68,32 @@ CHAOS_REQUEST_TIMEOUT_MS = 15_000.0
 N_RESOURCES = 6
 
 
+#: The distributed testbed with one dual-stack origin: it serves both
+#: QUIC/SCION and TCP/IP, so SCION-specific faults leave an IP escape
+#: hatch — which opportunistic mode may take and strict mode must not.
+#: A latency policy makes both core routes policy-compliant (failover
+#: has somewhere to go). Fault worlds run pure packet-level: most
+#: scenarios arm the fault injector (which disables the fast path
+#: anyway), and the ones that don't — baseline, quic-outage,
+#: segment-expiry — must produce rows bit-identical to them and to
+#: pre-fast-path behavior.
+FAULT_WORLD = WorldSpec(
+    testbed=remote_testbed,
+    origins=(Origin(ORIGIN, "origin", "remote_server", quic=True),),
+    calibration=Calibration(dns_latency_ms=2.0, host_jitter_ms=0.0),
+    policies=(latency_optimized(),),
+    request_timeout_ms=CHAOS_REQUEST_TIMEOUT_MS, fastpath=False)
+
+
 def build_fault_world(seed: int, n_resources: int = N_RESOURCES,
                       strict: bool = False, obs: bool = False,
                       revocation: bool | None = None) -> World:
-    """A distributed-testbed world with one dual-stack origin.
-
-    The origin serves both QUIC/SCION and TCP/IP, so SCION-specific
-    faults leave an IP escape hatch — which opportunistic mode may take
-    and strict mode must not. A latency policy makes both core routes
-    policy-compliant (failover has somewhere to go). ``revocation``
-    switches dissemination per world (the resilience battery's cells);
-    ``None`` defers to the ``REPRO_REVOCATION`` knob.
-    """
-    topology, ases = remote_testbed()
-    # Fault worlds run pure packet-level: most scenarios arm the fault
-    # injector (which disables the fast path anyway), and the ones that
-    # don't — baseline, quic-outage, segment-expiry — must produce rows
-    # bit-identical to them and to pre-fast-path behavior.
-    internet = Internet(topology, seed=seed, revocation=revocation,
-                        fastpath=False)
-    client = internet.add_host("client", ases.client)
-    origin = internet.add_host("origin", ases.remote_server)
+    """A fresh fault world. ``revocation`` switches dissemination per
+    world (the resilience battery's cells); ``None`` defers to the
+    ``REPRO_REVOCATION`` knob."""
     page = synthetic_page(ORIGIN, n_resources=n_resources, seed=seed)
-    server = HttpServer(origin, content_for_origin(page, ORIGIN),
-                        serve_tcp=True, serve_quic=True)
-    resolver = Resolver(internet.loop, lookup_latency_ms=2.0)
-    resolver.register_host(ORIGIN, ip_address=origin.addr,
-                           scion_address=origin.addr)
-    browser = BraveBrowser(client, resolver, rng=internet.network.rng)
-    browser.settings.extra_policies.append(latency_optimized())
-    browser.extension.apply_settings()
-    browser.proxy.request_timeout_ms = CHAOS_REQUEST_TIMEOUT_MS
-    if strict:
-        browser.extension.enable_strict_mode()
-    return World(internet, browser, page, server=server, ases=ases,
-                 tracer=attach_tracer(internet, browser) if obs else None)
+    return build(replace(FAULT_WORLD, page=page, strict=strict,
+                         revocation=revocation), seed, obs=obs)
 
 
 def scenario_schedule(scenario: str, ases) -> FaultSchedule:
@@ -131,8 +119,8 @@ def _prepare_scenario(world: World, scenario: str) -> None:
     """Arm the scenario against a built world (before the load starts)."""
     if scenario == "quic-outage":
         # The origin's SCION side dies; its TCP listener stays up.
-        assert world.server.quic_listener is not None
-        world.server.quic_listener.close()
+        (server,) = world.servers
+        server.quic_listener.close()
     elif scenario == "segment-expiry":
         # Warm the daemon cache, kill the infrastructure, then let every
         # cached segment age out: refreshes are impossible.

@@ -1,5 +1,6 @@
 """What every experiment shares: trial running, box-plot statistics, the
-:class:`Battery` record, the one result shape and the world records.
+:class:`Battery` record, the one result shape, and what a trial reads
+off a built world (:mod:`repro.experiments.world` builds them).
 
 The paper presents PLT distributions as box plots over repeated page
 loads. :class:`BoxStats` captures exactly the quantities a box plot
@@ -581,63 +582,18 @@ def write_json(path: "str | os.PathLike", result: Any) -> str:
 
 
 # ---------------------------------------------------------------------------
-# World records
+# Reading a world
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class World:
-    """One freshly-built single-browser world."""
-
-    internet: Any
-    browser: Any
-    page: Any
-    #: Observability tracer, present when built with ``obs=True``.
-    tracer: Any = None
-    #: The origin server and the testbed's AS record, where a scenario
-    #: needs to reach them (fault worlds).
-    server: Any = None
-    ases: Any = None
-
-
-@dataclass
-class Crowd:
-    """One freshly-built world with a population of browsers."""
-
-    internet: Any
-    catalog: Any
-    #: ``(user_id, browser, plan-or-page, arrival_ms)`` per user.
-    users: list
-    tracer: Any = None
-    #: The scenario's sizing record, where it has one (overload).
-    config: Any = None
-
-
-def attach_tracer(internet, *browsers):
-    """One tracer across every browser stack, the revocation service
-    and the fast path of a world; returns it. Tracing is inert, so the
-    measured PLTs are bit-identical with and without it."""
-    from repro.obs.spans import Tracer
-
-    tracer = Tracer(internet.loop)
-    for browser in browsers:
-        browser.attach_tracer(tracer)
-    internet.revocations.tracer = tracer
-    if internet.fastpath is not None:
-        internet.fastpath.tracer = tracer
-    return tracer
-
-
-def observe_world(world: "World | Crowd"):
+def observe_world(world):
     """What ``world`` did so far, as one metrics registry: every
     component's counts, its links, and (when traced) its spans — the
     snapshot the batteries' samples, the obs artifacts and the feedback
     panel all read (:func:`repro.obs.metrics.observe`)."""
     from repro.obs.metrics import observe
 
-    browsers = [world.browser] if isinstance(world, World) \
-        else [user[1] for user in world.users]
-    return observe(world.internet, browsers,
+    return observe(world.internet, [user[1] for user in world.users],
                    world.tracer.spans if world.tracer is not None else ())
 
 
@@ -657,6 +613,6 @@ def traced_artifact(entry: Battery, cell: tuple | None = None,
         extra={"plt_ms": result.plt_ms, "seed": seed})
 
 
-def load_page(world: World):
+def load_page(world):
     """Run the world's page load to completion; returns its result."""
     return world.internet.loop.run_process(world.browser.load(world.page))

@@ -13,24 +13,20 @@ Four experiment conditions, exactly as §5.2 defines them:
   rest on the TCP/IP FS and therefore blocked.
 * **BGP/IP-only** — extension disabled; no interception, no proxy.
 
-Overhead calibration: the defaults below charge ~20 ms of combined
-extension + IPC + proxy time per request, reproducing the ~100 ms PLT
-penalty the paper measured on its laptop for fully-proxied loads. The
-knobs are explicit so Ablation A can sweep them.
+The detour's per-request costs are a
+:class:`~repro.experiments.world.Calibration`, explicit so Ablation A
+can sweep them.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import replace
+from types import SimpleNamespace
 
-from repro.core.browser.brave import BraveBrowser
-from repro.core.browser.page import WebPage, content_for_origin, synthetic_page
-from repro.dns.resolver import Resolver
-from repro.experiments.harness import (PLT, Battery, World, attach_tracer,
-                                       load_page, mean)
-from repro.http.server import HttpServer
-from repro.internet.build import Internet
+from repro.core.browser.page import WebPage, synthetic_page
+from repro.experiments.harness import PLT, Battery, load_page, mean
+from repro.experiments.world import Calibration, Origin, World, WorldSpec, build
 from repro.topology.defaults import LOCAL_AS, local_testbed
 
 #: Origin names of the two file servers (Figure 2).
@@ -44,26 +40,21 @@ FIGURE3_CONDITIONS = ("SCION-only", "mixed SCION-IP", "strict-SCION",
 #: Subresources of the local static site.
 N_RESOURCES = 12
 
-
-@dataclass(frozen=True)
-class LocalCalibration:
-    """Per-request overhead knobs for the prototype detour.
-
-    Extension processing and proxy processing are *serialized* across
-    concurrent requests (single-threaded JS event loop; proxy CPU), so
-    for an N-resource page the proxied-load penalty grows like
-    N × (extension + proxy) — which is why blocked strict-mode requests,
-    skipping the proxy data path, shorten PLT (Figure 3).
-    """
-
-    extension_overhead_ms: float = 1.5
-    ipc_latency_ms: float = 0.6
-    proxy_processing_ms: float = 6.0
-    dns_latency_ms: float = 0.4
-    host_jitter_ms: float = 0.15
+DEFAULT_CALIBRATION = Calibration()
 
 
-DEFAULT_CALIBRATION = LocalCalibration()
+def laptop_testbed():
+    """The local testbed, its one AS in both roles."""
+    return local_testbed(), SimpleNamespace(client=LOCAL_AS, laptop=LOCAL_AS)
+
+
+#: The laptop of Figure 2: a SCION file server that also speaks TCP/IP,
+#: and a TCP/IP-only one, beside the browser host.
+LOCAL_WORLD = WorldSpec(
+    testbed=laptop_testbed,
+    origins=(Origin(SCION_ORIGIN, "scion-fs", "laptop", quic=True),
+             Origin(IP_ORIGIN, "tcpip-fs", "laptop")),
+    calibration=DEFAULT_CALIBRATION)
 
 
 def make_page(condition: str, n_resources: int, seed: int) -> WebPage:
@@ -84,44 +75,14 @@ def make_page(condition: str, n_resources: int, seed: int) -> WebPage:
 
 
 def build_local_world(page: WebPage, seed: int,
-                      calibration: LocalCalibration = DEFAULT_CALIBRATION,
+                      calibration: Calibration = DEFAULT_CALIBRATION,
                       extension_enabled: bool = True,
                       strict: bool = False,
                       obs: bool = False) -> World:
-    """Assemble a fresh laptop world serving ``page``.
-
-    ``obs=True`` attaches a :class:`~repro.obs.spans.Tracer` across the
-    whole browser stack (``world.tracer``).
-    """
-    internet = Internet(local_testbed(), seed=seed,
-                        host_jitter_ms=calibration.host_jitter_ms)
-    client = internet.add_host("client", LOCAL_AS)
-    scion_fs = internet.add_host("scion-fs", LOCAL_AS)
-    ip_fs = internet.add_host("tcpip-fs", LOCAL_AS)
-
-    HttpServer(scion_fs, content_for_origin(page, SCION_ORIGIN),
-               serve_tcp=True, serve_quic=True)
-    HttpServer(ip_fs, content_for_origin(page, IP_ORIGIN),
-               serve_tcp=True, serve_quic=False)
-
-    resolver = Resolver(internet.loop,
-                        lookup_latency_ms=calibration.dns_latency_ms)
-    resolver.register_host(SCION_ORIGIN, ip_address=scion_fs.addr,
-                           scion_address=scion_fs.addr)
-    resolver.register_host(IP_ORIGIN, ip_address=ip_fs.addr)
-
-    browser = BraveBrowser(
-        client, resolver,
-        extension_enabled=extension_enabled,
-        proxy_processing_ms=calibration.proxy_processing_ms,
-        extension_overhead_ms=calibration.extension_overhead_ms,
-        ipc_latency_ms=calibration.ipc_latency_ms,
-        rng=internet.network.rng,
-    )
-    if strict:
-        browser.extension.enable_strict_mode()
-    return World(internet, browser, page,
-                 tracer=attach_tracer(internet, browser) if obs else None)
+    """A fresh laptop world serving ``page``."""
+    return build(replace(LOCAL_WORLD, page=page, calibration=calibration,
+                         extension=extension_enabled, strict=strict),
+                 seed, obs=obs)
 
 
 def load_once(world: World) -> float:
@@ -130,7 +91,7 @@ def load_once(world: World) -> float:
 
 
 def figure3_load(condition: str, seed: int, n_resources: int = N_RESOURCES,
-                 calibration: LocalCalibration = DEFAULT_CALIBRATION,
+                 calibration: Calibration = DEFAULT_CALIBRATION,
                  obs: bool = False):
     """One Figure 3 load in a fresh world; returns ``(world, result)``.
 

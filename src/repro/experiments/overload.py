@@ -36,21 +36,28 @@ and ``REPRO_WORKERS=4`` batteries are bit-identical (test-enforced);
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, replace
 from operator import itemgetter
+from types import SimpleNamespace
 
-from repro.experiments.harness import (Battery, Column, Crowd,
-                                       ExperimentResult, mean, observe_world)
-# ``harvest_rows`` is re-exported: the benchmark calls it on this module.
+from repro.core.ppl.policies import latency_optimized
+from repro.experiments.harness import (Battery, Column, ExperimentResult,
+                                       mean, observe_world)
+# ``harvest_rows`` and ``start_crowd`` are re-exported: the benchmark calls
+# them on this module.
 from repro.experiments.population import harvest_rows, percentile
+from repro.experiments.population import start_sessions as start_crowd
 from repro.experiments.remote_setup import FAR_ORIGIN
+from repro.experiments.world import Calibration, Origin, World, WorldSpec, build
 from repro.scion.admission import ADMISSION_ENV
 from repro.core.skip.breaker import BREAKER_ENV
 from repro.core.skip.retry_budget import RETRY_BUDGET_ENV
 from repro.workload.arrivals import (ArrivalCurve, arrival_times,
                                      burst_window_ms, spike_site_flags)
 from repro.workload.catalog import SiteCatalog, SiteProfile
+from repro.workload.session import Visit
 
 #: The two arms, in presentation order.
 ARMS = ("protections-on", "protections-off")
@@ -215,91 +222,58 @@ def overload_catalog(config: OverloadConfig) -> SiteCatalog:
         for rank in range(1, config.sites + 1))
 
 
+def _crowd_testbed(detour_mbps: float, direct_mbps: float):
+    topology, client, origin = overload_testbed(detour_mbps, direct_mbps)
+    return topology, SimpleNamespace(client=client, origin=origin)
+
+
+#: The constrained testbed's one origin behind a reverse proxy, browsed
+#: by latency optimizers; :func:`build_overload_world` sizes it from an
+#: :class:`OverloadConfig`.
+CROWD_WORLD = WorldSpec(
+    testbed=functools.partial(_crowd_testbed, DEFAULT_CONFIG.detour_mbps,
+                              DEFAULT_CONFIG.direct_mbps),
+    origins=(Origin(FAR_ORIGIN, "origin-www", "origin", proxy="rp-www"),),
+    calibration=Calibration(dns_latency_ms=4.0, host_jitter_ms=0.0),
+    policies=(latency_optimized(),))
+
+
 def build_overload_world(seed: int,
-                         config: OverloadConfig = DEFAULT_CONFIG
-                         ) -> Crowd:
-    """Assemble the constrained testbed with a flash-crowd population.
+                         config: OverloadConfig = DEFAULT_CONFIG) -> World:
+    """A fresh constrained testbed with a flash-crowd population.
 
     The arm is *not* a parameter: protections are toggled through the
     ``REPRO_ADMISSION``/``REPRO_RETRY_BUDGET`` knobs (the trial function
     forces them), so the built world differs only in what those
-    subsystems do — never in RNG stream layout.
+    subsystems do — never in RNG stream layout. The shared server's
+    admission gate is sized to this world's scale: capacity sits above
+    the baseline first-contact lookup rate and well below the spike's.
     """
-    from repro.core.browser.brave import BraveBrowser
-    from repro.core.ppl.policies import latency_optimized
-    from repro.dns.resolver import Resolver
-    from repro.http.reverse_proxy import ScionReverseProxy
-    from repro.http.server import HttpServer
-    from repro.internet.build import Internet
-
-    topology, client_as, origin_as = overload_testbed(config.detour_mbps,
-                                                      config.direct_mbps)
-    internet = Internet(topology, seed=seed)
-    resolver = Resolver(internet.loop, lookup_latency_ms=4.0)
-
     catalog = overload_catalog(config)
-    server_host = internet.add_host("origin-www", origin_as)
-    rp_host = internet.add_host("rp-www", origin_as)
-    HttpServer(server_host, catalog.origin_content(FAR_ORIGIN),
-               serve_tcp=True, serve_quic=False)
-    ScionReverseProxy(rp_host, server_host.addr)
-    resolver.register_host(FAR_ORIGIN, ip_address=server_host.addr,
-                           scion_address=rp_host.addr)
-
-    # Tune the shared server's admission gate to this world's scale:
-    # capacity sits above the baseline first-contact lookup rate and
-    # well below the spike's.
-    admission = internet.path_server.admission
-    admission.capacity_qps = config.admission_qps
-    admission.max_queue_depth = config.admission_depth
-
-    hosts = internet.add_population("user", client_as, config.users)
     arrivals = arrival_times(config.users, config.arrival, seed)
     spiked = spike_site_flags(arrivals, config.arrival, seed)
     site_rng = random.Random(f"overload-sites:{seed}")
-    users = []
-    for user_id, host in enumerate(hosts):
-        browser = BraveBrowser(host, resolver, extension_enabled=True,
-                               rng=internet.network.rng)
-        browser.settings.extra_policies.append(latency_optimized())
-        browser.extension.apply_settings()
-        browser.proxy.request_timeout_ms = config.timeout_ms
-        browser.proxy.max_scion_attempts = config.max_attempts
-        browser.proxy.max_ip_attempts = config.max_attempts
-        browser.proxy.retry_budget.configure(
-            config.budget_capacity, config.budget_refill_per_sec)
-        # Site of the day for the spike's excess arrivals; everyone
-        # else browses the catalog uniformly. The draw always happens,
-        # so the stream never depends on the flags.
-        site = site_rng.randrange(config.sites)
-        if spiked[user_id]:
-            site = 0
-        users.append((user_id, browser, catalog.page_for(site),
-                      arrivals[user_id]))
-    return Crowd(internet, catalog, users, config=config)
+    # Site of the day for the spike's excess arrivals; everyone else
+    # browses the catalog uniformly. The draw always happens, so the
+    # stream never depends on the flags.
+    sites = [site_rng.randrange(config.sites) for _ in arrivals]
+    world = build(replace(
+        CROWD_WORLD, catalog=catalog,
+        testbed=functools.partial(_crowd_testbed, config.detour_mbps,
+                                  config.direct_mbps),
+        users=tuple(((Visit(sites=(0 if spike else site,),
+                            think_time_ms=0.0, revisit=False),), arrival_ms)
+                    for site, spike, arrival_ms
+                    in zip(sites, spiked, arrivals)),
+        request_timeout_ms=config.timeout_ms,
+        max_attempts=config.max_attempts,
+        retry_budget=(config.budget_capacity, config.budget_refill_per_sec),
+        admission=(config.admission_qps, config.admission_depth)), seed)
+    world.config = config
+    return world
 
 
-def _user_load(world: Crowd, browser, page, arrival_ms: float):
-    """One user's driver: arrive with the crowd, load the page once."""
-    loop = world.internet.loop
-    if loop.now < arrival_ms:
-        yield loop.timeout(arrival_ms - loop.now)
-    started = loop.now
-    result = yield from browser.load(page)
-    return [(started, loop.now, result.plt_ms, result.failed,
-             result.scion_count, result.shed_count,
-             result.retry_budget_exhausted_count)]
-
-
-def start_crowd(world: Crowd) -> list:
-    """Spawn every user's page load as a loop process."""
-    loop = world.internet.loop
-    return [loop.process(_user_load(world, browser, page, arrival_ms),
-                         name=f"user-{user_id}")
-            for user_id, browser, page, arrival_ms in world.users]
-
-
-def collect_sample(world: Crowd, arm: str, rows) -> OverloadSample:
+def collect_sample(world: World, arm: str, rows) -> OverloadSample:
     """Aggregate a drained world into phase-partitioned overload stats."""
     internet = world.internet
     config = world.config
@@ -363,7 +337,7 @@ def collect_sample(world: Crowd, arm: str, rows) -> OverloadSample:
 
 
 def drain_arm(arm: str, seed: int, config: OverloadConfig = DEFAULT_CONFIG
-              ) -> tuple[Crowd, list]:
+              ) -> tuple[World, list]:
     """Build one arm's world and run its crowd to quiescence; returns
     the drained world and its load rows (see :func:`harvest_rows`)."""
     from repro.internet.knobs import forced_many

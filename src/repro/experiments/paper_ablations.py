@@ -30,55 +30,40 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.core.browser.brave import BraveBrowser
-from repro.core.browser.page import Resource, WebPage, content_for_origin
+from repro.core.browser.page import Resource, WebPage
 from repro.core.geofence import Geofence
 from repro.core.ppl.evaluator import metric_value, order_paths, permits
 from repro.core.ppl.policies import co2_optimized, latency_optimized
-from repro.dns.resolver import Resolver
 from repro.errors import NoPathError
-from repro.experiments.harness import PLT, Battery, BoxStats, serial
-from repro.experiments.local_setup import (
-    DEFAULT_CALIBRATION,
-    N_RESOURCES,
-    LocalCalibration,
-    build_local_world,
-    load_once,
-    make_page,
-)
-from repro.http.server import HttpServer
+from repro.experiments.harness import (PLT, Battery, BoxStats, load_page,
+                                       serial)
+from repro.experiments.local_setup import (DEFAULT_CALIBRATION, LOCAL_WORLD,
+                                           N_RESOURCES, build_local_world,
+                                           load_once, make_page)
+from repro.experiments.world import Origin, build
 from repro.internet.build import Internet
 from repro.internet.snapshot import control_plane_snapshot
 from repro.quic.multipath import BulkSink, disjoint_paths, multipath_send
 from repro.scion.combinator import combine_segments
-from repro.topology.defaults import (LOCAL_AS, dual_homed_testbed,
-                                     local_testbed)
+from repro.topology.defaults import dual_homed_testbed
 from repro.topology.generator import random_internet
 
 # ---------------------------------------------------------------------------
 # Ablation A — overhead decomposition
 # ---------------------------------------------------------------------------
 
-ABLATION_A_CONDITIONS = ("full detour", "free extension", "free proxy",
-                         "free both", "no detour (BGP/IP)")
-
-
-def _calibration_for(condition: str) -> LocalCalibration:
-    base = DEFAULT_CALIBRATION
-    extension = 0.0 if condition in ("free extension", "free both") \
-        else base.extension_overhead_ms
-    proxy = 0.0 if condition in ("free proxy", "free both") \
-        else base.proxy_processing_ms
-    ipc = 0.0 if condition == "free both" else base.ipc_latency_ms
-    return LocalCalibration(
-        extension_overhead_ms=extension,
-        ipc_latency_ms=ipc,
-        proxy_processing_ms=proxy,
-        dns_latency_ms=base.dns_latency_ms,
-        host_jitter_ms=base.host_jitter_ms,
-    )
+#: Each condition's calibration: the detour's costs zeroed one part at a
+#: time (the IPC hop goes only with both ends).
+ABLATION_A_CALIBRATIONS = {
+    "full detour": DEFAULT_CALIBRATION,
+    "free extension": replace(DEFAULT_CALIBRATION, extension_overhead_ms=0.0),
+    "free proxy": replace(DEFAULT_CALIBRATION, proxy_processing_ms=0.0),
+    "free both": replace(DEFAULT_CALIBRATION, extension_overhead_ms=0.0,
+                         proxy_processing_ms=0.0, ipc_latency_ms=0.0),
+    "no detour (BGP/IP)": DEFAULT_CALIBRATION,
+}
 
 
 def ablation_a_trial(condition: str, seed: int,
@@ -86,7 +71,7 @@ def ablation_a_trial(condition: str, seed: int,
     """One overhead-decomposition trial on the mixed local page."""
     return load_once(build_local_world(
         make_page("mixed SCION-IP", n_resources, seed), seed,
-        calibration=_calibration_for(condition),
+        calibration=ABLATION_A_CALIBRATIONS[condition],
         extension_enabled=condition != "no detour (BGP/IP)"))
 
 
@@ -105,7 +90,7 @@ ABLATION_A = Battery(
         f"'free both' {ablation_a.median('free both'):.0f} ms ≈ "
         f"baseline {ablation_a.median('no detour (BGP/IP)'):.0f} ms"),
     holds=ablation_a_holds,
-    cells=tuple((condition,) for condition in ABLATION_A_CONDITIONS),
+    cells=tuple((condition,) for condition in ABLATION_A_CALIBRATIONS),
     trial=ablation_a_trial, base_seed=700, trials=15,
     columns=(PLT,),
     heading="Ablation A — extension/proxy overhead decomposition",
@@ -247,36 +232,29 @@ class ModeSweepPoint:
     indicator: str
 
 
+#: The laptop with one origin per site, the first ``fraction`` of
+#: which also speak SCION; the browser's mode is the cell's other half.
+AVAILABILITY_WORLD = replace(
+    LOCAL_WORLD, calibration=replace(DEFAULT_CALIBRATION, host_jitter_ms=0.05))
+
+
 def ablation_c_point(fraction: float, mode: str, seed: int = 0,
                      n_origins: int = 8,
                      resources_per_origin: int = 2) -> ModeSweepPoint:
     """Run one (availability fraction, mode) cell in a fresh local world."""
-    internet = Internet(local_testbed(), seed=seed, host_jitter_ms=0.05)
-    client = internet.add_host("client", LOCAL_AS)
-    resolver = Resolver(internet.loop, lookup_latency_ms=0.4)
-
     scion_origins = max(0, min(n_origins, round(fraction * n_origins)))
-    origins = [f"site-{index}.example" for index in range(n_origins)]
-    resources = []
-    for index, origin in enumerate(origins):
-        for item in range(resources_per_origin):
-            resources.append(Resource(host=origin, path=f"/r{item}.png",
-                                      size=8_000))
-    page = WebPage(host=origins[0], path="/index.html", html_size=10_000,
-                   resources=tuple(resources))
-    for index, origin in enumerate(origins):
-        host = internet.add_host(f"server-{index}", LOCAL_AS)
-        scion_enabled = index < scion_origins
-        HttpServer(host, content_for_origin(page, origin),
-                   serve_tcp=True, serve_quic=scion_enabled)
-        resolver.register_host(
-            origin, ip_address=host.addr,
-            scion_address=host.addr if scion_enabled else None)
-
-    browser = BraveBrowser(client, resolver, rng=internet.network.rng)
-    if mode == "strict":
-        browser.extension.enable_strict_mode()
-    result = internet.loop.run_process(browser.load(page))
+    origins = tuple(Origin(f"site-{index}.example", f"server-{index}",
+                           "laptop", quic=index < scion_origins)
+                    for index in range(n_origins))
+    page = WebPage(host=origins[0].name, path="/index.html",
+                   html_size=10_000,
+                   resources=tuple(Resource(host=origin.name,
+                                            path=f"/r{item}.png", size=8_000)
+                                   for origin in origins
+                                   for item in range(resources_per_origin)))
+    world = build(replace(AVAILABILITY_WORLD, origins=origins, page=page,
+                          strict=mode == "strict"), seed)
+    result = load_page(world)
     return ModeSweepPoint(
         fraction=fraction,
         mode=mode,

@@ -30,21 +30,14 @@ facade.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 
-from repro.core.browser.brave import BraveBrowser
-from repro.core.ppl.policies import latency_optimized
-from repro.dns.resolver import Resolver
-from repro.experiments.harness import (Battery, Column, Crowd,
-                                       ExperimentResult, attach_tracer, mean,
-                                       merge_counts, observe_world)
-from repro.experiments.remote_setup import (CDN_ORIGIN, FAR_ORIGIN,
-                                            NEAR2_ORIGIN, NEAR_ORIGIN,
-                                            place_origins)
-from repro.internet.build import Internet
+from repro.experiments.harness import (Battery, Column, ExperimentResult,
+                                       mean, merge_counts, observe_world)
+from repro.experiments.remote_setup import ORIGINS, REMOTE_WORLD
+from repro.experiments.world import Calibration, World, build
 from repro.internet.knobs import resolve_int_knob
-from repro.topology.defaults import remote_testbed
 from repro.workload.arrivals import ArrivalCurve, arrival_times
 from repro.workload.catalog import default_catalog
 from repro.workload.session import DEFAULT_SESSION, SessionConfig, plan_session
@@ -109,51 +102,36 @@ def resolve_users(override: int | None = None) -> int:
     return resolve_int_knob(USERS_ENV, override, DEFAULT_USERS, minimum=1)
 
 
+#: The distributed testbed's origins with a browsing population. The
+#: world is jitter-free: population tails should come from load, not
+#: injected noise.
+CITY_WORLD = replace(REMOTE_WORLD,
+                     calibration=Calibration(dns_latency_ms=4.0,
+                                             host_jitter_ms=0.0))
+
+
 def build_population_world(mode: str, seed: int, users: int,
                            sites: int = DEFAULT_SITES,
                            arrival: ArrivalCurve = DEFAULT_ARRIVAL,
                            session: SessionConfig = DEFAULT_SESSION,
-                           obs: bool = False) -> Crowd:
-    """Assemble the distributed testbed with a browsing population.
-
-    Origins mirror :mod:`repro.experiments.remote_setup` (legacy TCP
-    servers fronted by SCION reverse proxies); each user gets their own
-    client host, daemon, and browser so per-user warmth is real. The
-    world is jitter-free: population tails should come from load, not
-    injected noise.
-    """
-    topology, ases = remote_testbed()
-    internet = Internet(topology, seed=seed)
-    resolver = Resolver(internet.loop, lookup_latency_ms=4.0)
-
-    catalog = default_catalog(
-        sites,
-        origins=(FAR_ORIGIN, NEAR_ORIGIN, NEAR2_ORIGIN, CDN_ORIGIN),
-        seed=seed)
-    place_origins(internet, resolver, ases, catalog.origin_content)
-
-    hosts = internet.add_population("user", ases.client, users)
-    population = []
+                           obs: bool = False) -> World:
+    """A fresh city of ``users`` browsing a ``sites``-site catalog.
+    Each user gets their own client host, daemon, and browser so
+    per-user warmth is real."""
+    catalog = default_catalog(sites, origins=tuple(o.name for o in ORIGINS),
+                              seed=seed)
     arrivals = arrival_times(users, arrival, seed)
-    for user_id, host in enumerate(hosts):
-        browser = BraveBrowser(
-            host, resolver,
-            extension_enabled=(mode != "BGP/IP-only"),
-            rng=internet.network.rng,
-        )
-        browser.settings.extra_policies.append(latency_optimized())
-        if mode == "strict-SCION":
-            browser.extension.enable_strict_mode()
-        browser.extension.apply_settings()
-        plan = plan_session(catalog, user_id, seed, session)
-        population.append((user_id, browser, plan, arrivals[user_id]))
-    tracer = attach_tracer(internet, *(user[1] for user in population)) \
-        if obs else None
-    return Crowd(internet, catalog, population, tracer=tracer)
+    return build(replace(
+        CITY_WORLD, catalog=catalog,
+        users=tuple((plan_session(catalog, user_id, seed, session),
+                     arrivals[user_id]) for user_id in range(users)),
+        extension=mode != "BGP/IP-only", strict=mode == "strict-SCION"),
+        seed, obs=obs)
 
 
-def _user_session(world: Crowd, browser, plan, arrival_ms: float):
-    """One user's driver process: arrive, browse the plan, think."""
+def _user_session(world: World, browser, plan, arrival_ms: float):
+    """One user's driver process: arrive, browse the plan, think; one
+    row per page load."""
     loop = world.internet.loop
     if loop.now < arrival_ms:
         yield loop.timeout(arrival_ms - loop.now)
@@ -171,13 +149,14 @@ def _user_session(world: Crowd, browser, plan, arrival_ms: float):
             results = [tab.value for tab in tabs]
         for result in results:
             rows.append((started, loop.now, result.plt_ms, result.failed,
-                         result.scion_count))
+                         result.scion_count, result.shed_count,
+                         result.retry_budget_exhausted_count))
         if visit.think_time_ms > 0:
             yield loop.timeout(visit.think_time_ms)
     return rows
 
 
-def start_sessions(world: Crowd) -> list:
+def start_sessions(world: World) -> list:
     """Spawn every user's session as a loop process."""
     loop = world.internet.loop
     return [loop.process(_user_session(world, browser, plan, arrival_ms),
@@ -185,7 +164,7 @@ def start_sessions(world: Crowd) -> list:
             for user_id, browser, plan, arrival_ms in world.users]
 
 
-def collect_sample(world: Crowd, mode: str, users: int,
+def collect_sample(world: World, mode: str, users: int,
                    rows) -> PopulationSample:
     """Aggregate a drained world + harvested session rows into a sample."""
     internet = world.internet
@@ -234,7 +213,7 @@ def harvest_rows(processes) -> list:
     return rows
 
 
-def population_leak_report(world: Crowd) -> list[str]:
+def population_leak_report(world: World) -> list[str]:
     """Resource-leak audit of a drained (or interrupted) world.
 
     Returns human-readable violations; empty means quiescent. Covers

@@ -23,17 +23,12 @@ worlds per trial.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import replace
 
-from repro.core.browser.brave import BraveBrowser
-from repro.core.browser.page import WebPage, content_for_origin, synthetic_page
+from repro.core.browser.page import WebPage, synthetic_page
 from repro.core.ppl.policies import latency_optimized
-from repro.dns.resolver import Resolver
-from repro.experiments.harness import (PLT, Battery, World, attach_tracer,
-                                       load_page)
-from repro.http.reverse_proxy import ScionReverseProxy
-from repro.http.server import HttpServer
-from repro.internet.build import Internet
+from repro.experiments.harness import PLT, Battery, load_page
+from repro.experiments.world import Calibration, Origin, World, WorldSpec, build
 from repro.topology.defaults import remote_testbed
 
 #: Origin host names.
@@ -50,18 +45,26 @@ REMOTE_CONDITIONS = ("single origin / SCION", "single origin / IPv4-6",
 N_RESOURCES = 9
 
 
-@dataclass(frozen=True)
-class RemoteCalibration:
-    """Overhead and environment knobs for the distributed setup."""
+DEFAULT_REMOTE_CALIBRATION = Calibration(dns_latency_ms=4.0,
+                                         host_jitter_ms=0.3)
 
-    extension_overhead_ms: float = 1.5
-    ipc_latency_ms: float = 0.6
-    proxy_processing_ms: float = 6.0
-    dns_latency_ms: float = 4.0
-    host_jitter_ms: float = 0.3
+#: The four origins of Figure 4, each a legacy TCP/IP server fronted by
+#: a SCION reverse proxy in its own AS.
+ORIGINS = tuple(
+    Origin(origin, f"origin-{origin.split('.')[0]}", placement,
+           proxy=f"rp-{origin.split('.')[0]}", max_age=3600)
+    for origin, placement in ((FAR_ORIGIN, "remote_server"),
+                              (NEAR_ORIGIN, "nearby_server"),
+                              (NEAR2_ORIGIN, "nearby_server"),
+                              (CDN_ORIGIN, "third_server")))
 
-
-DEFAULT_REMOTE_CALIBRATION = RemoteCalibration()
+#: The distributed testbed. The path-aware part of the experiment: the
+#: browser prefers low-latency paths, which is what lets SCION pick the
+#: detour in Figure 5.
+REMOTE_WORLD = WorldSpec(
+    testbed=remote_testbed, origins=ORIGINS,
+    calibration=DEFAULT_REMOTE_CALIBRATION,
+    policies=(latency_optimized(),))
 
 
 def make_remote_page(primary: str, multi_origin: bool, n_resources: int,
@@ -77,62 +80,18 @@ def make_remote_page(primary: str, multi_origin: bool, n_resources: int,
                           seed=seed)
 
 
-def place_origins(internet: Internet, resolver: Resolver, ases,
-                  content_for) -> None:
-    """The four origins of Figure 4: each a legacy TCP/IP server fronted
-    by a SCION reverse proxy in its own AS, serving
-    ``content_for(origin)``."""
-    placements = {
-        FAR_ORIGIN: ases.remote_server,
-        NEAR_ORIGIN: ases.nearby_server,
-        NEAR2_ORIGIN: ases.nearby_server,
-        CDN_ORIGIN: ases.third_server,
-    }
-    for origin, isd_as in placements.items():
-        label = origin.split(".")[0]
-        server_host = internet.add_host(f"origin-{label}", isd_as)
-        rp_host = internet.add_host(f"rp-{label}", isd_as)
-        HttpServer(server_host, content_for(origin),
-                   serve_tcp=True, serve_quic=False)
-        ScionReverseProxy(rp_host, server_host.addr,
-                          advertise_strict_scion_max_age=3600)
-        resolver.register_host(origin, ip_address=server_host.addr,
-                               scion_address=rp_host.addr)
-
-
 def build_remote_world(page: WebPage, seed: int,
-                       calibration: RemoteCalibration = DEFAULT_REMOTE_CALIBRATION,
+                       calibration: Calibration = DEFAULT_REMOTE_CALIBRATION,
                        extension_enabled: bool = True,
                        obs: bool = False) -> World:
-    """Assemble a fresh distributed testbed serving ``page``."""
-    topology, ases = remote_testbed()
-    internet = Internet(topology, seed=seed,
-                        host_jitter_ms=calibration.host_jitter_ms)
-    client = internet.add_host("client", ases.client)
-    resolver = Resolver(internet.loop,
-                        lookup_latency_ms=calibration.dns_latency_ms)
-    place_origins(internet, resolver, ases,
-                  functools.partial(content_for_origin, page))
-
-    browser = BraveBrowser(
-        client, resolver,
-        extension_enabled=extension_enabled,
-        proxy_processing_ms=calibration.proxy_processing_ms,
-        extension_overhead_ms=calibration.extension_overhead_ms,
-        ipc_latency_ms=calibration.ipc_latency_ms,
-        rng=internet.network.rng,
-    )
-    # The path-aware part of the experiment: prefer low-latency paths
-    # (this is what lets SCION pick the detour in Figure 5).
-    browser.settings.extra_policies.append(latency_optimized())
-    browser.extension.apply_settings()
-    return World(internet, browser, page,
-                 tracer=attach_tracer(internet, browser) if obs else None)
+    """A fresh distributed testbed serving ``page``."""
+    return build(replace(REMOTE_WORLD, page=page, calibration=calibration,
+                         extension=extension_enabled), seed, obs=obs)
 
 
 def remote_load(primary: str, condition: str, seed: int,
                 n_resources: int = N_RESOURCES,
-                calibration: RemoteCalibration = DEFAULT_REMOTE_CALIBRATION,
+                calibration: Calibration = DEFAULT_REMOTE_CALIBRATION,
                 obs: bool = False):
     """One load of Figure 5 (``primary=FAR_ORIGIN``) or Figure 6
     (``primary=NEAR_ORIGIN``) in a fresh world; returns ``(world,

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from repro.experiments.fault_battery import MODES, build_fault_world
 from repro.experiments.harness import (Battery, Column, ExperimentResult,
-                                       World, count, mean)
+                                       count, mean)
+from repro.experiments.world import World
 from repro.simnet.faults import FaultSchedule, inject
 
 #: The battery's two control-plane conditions, in presentation order.
