@@ -232,10 +232,12 @@ class ModeSweepPoint:
     indicator: str
 
 
-#: The laptop with one origin per site, the first ``fraction`` of
-#: which also speak SCION; the browser's mode is the cell's other half.
+#: The laptop with one origin per site (each cell supplies them: the
+#: first ``fraction`` also speak SCION); the browser's mode is the
+#: cell's other half.
 AVAILABILITY_WORLD = replace(
-    LOCAL_WORLD, calibration=replace(DEFAULT_CALIBRATION, host_jitter_ms=0.05))
+    LOCAL_WORLD, origins=(),
+    calibration=replace(DEFAULT_CALIBRATION, host_jitter_ms=0.05))
 
 
 def ablation_c_point(fraction: float, mode: str, seed: int = 0,

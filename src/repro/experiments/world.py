@@ -17,8 +17,9 @@ tracer. ``tests/experiments/test_world_fingerprint.py`` pins it.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.core.browser.brave import BraveBrowser
 from repro.core.browser.page import content_for_origin
