@@ -5,9 +5,8 @@ Every trial runs in a fresh world, a
 harness runs seeded trial batteries and summarizes PLT distributions the
 way the paper's box plots do. Every experiment is declared once as a
 :class:`~repro.experiments.harness.Battery` in the module that owns its
-trial; ``python -m repro.experiments`` lists and runs them. Every pooled
-battery — the figures, Ablation A, chaos, resilience, population and
-overload — returns the one result shape,
+trial; ``python -m repro.experiments`` lists and runs them. Every
+experiment of the report returns the one result shape,
 :class:`~repro.experiments.harness.ExperimentResult`: it declares its
 per-cell figures as :class:`~repro.experiments.harness.Column` records
 (row field, reducer, display format) and the harness derives, renders

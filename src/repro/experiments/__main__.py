@@ -91,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if run_checklist(entry) else 1
         given = {**entry.selftest, **given}
     result = run(entry, **given)
-    print(entry.render(result))
+    print(result.render())
     if entry.measured is not None:
         print(f"{entry.label}: {entry.measured(result)}")
     holds = verdict(entry, result)

@@ -20,8 +20,8 @@ A pooled battery summarises the same way every time, so it declares
 a cell (the row field it reads, a reducer, a display format). Its
 result is an :class:`ExperimentResult` — the raw rows per cell plus one
 :class:`Cell` of figures each — which renders and serialises every
-battery, from a Figure 3 box plot (the one-column case, :data:`PLT`) to
-the overload table.
+experiment, from Table 1's verdicts and a Figure 3 box plot (the
+one-column case, :data:`PLT`) to the overload table.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import dataclasses
 import functools
 import math
 import multiprocessing
-import operator
 import os
 import pickle
 import time
@@ -268,8 +267,9 @@ class Column:
     cell's record and JSON.
 
     ``fmt`` shows the figure: a box plot as a row of its own labelled
-    ``fmt.format(label=…)``, anything else as ``fmt.format_map(cell)``
-    on the cell's one line, under ``heading`` in a table.
+    ``fmt.format(label=…)`` and ending in ``unit``, anything else as
+    ``fmt.format_map(cell)`` on the cell's one line, under ``heading``
+    in a table.
     """
 
     name: str
@@ -279,6 +279,7 @@ class Column:
     kept: bool = True
     fmt: str | None = None
     heading: str | None = None
+    unit: str = "ms"
 
     def values(self, rows: list) -> list:
         """What this column reads of every row."""
@@ -363,7 +364,7 @@ class ExperimentResult:
         other shown figures on one line per cell (a table when the
         columns have headings)."""
         battery = self.battery
-        name = battery.heading
+        name = battery.heading or battery.title
         shown = [column for column in battery.columns if column.fmt]
         header = " ".join(column.heading for column in shown
                           if column.heading)
@@ -374,7 +375,8 @@ class ExperimentResult:
             label = battery.cell_label(key)
             boxes = [column for column in shown
                      if isinstance(cell[column.name], BoxStats)]
-            lines += [cell[column.name].row(column.fmt.format(label=label))
+            lines += [cell[column.name].row(column.fmt.format(label=label),
+                                            column.unit)
                       for column in boxes]
             line = [column.fmt.format_map(cell) for column in shown
                     if column not in boxes]
@@ -392,7 +394,7 @@ class ExperimentResult:
         cells = {key: cell if len(cell) > 1 else next(iter(cell.values()))
                  for key, cell in self.cells.items()}
         return {
-            "name": battery.heading,
+            "name": battery.heading or battery.title,
             "description": self.description,
             **(battery.header(**self.params) if battery.header else {}),
             "trials": self.trials,
@@ -414,11 +416,12 @@ class Battery:
     ``run_all`` (summary row, report block, ``results/<artifact>``), the
     ``python -m repro.experiments <name>`` CLI, the component-ablation
     harness, the fast-path A/B and ``repro.obs trace`` all read this
-    record instead of naming experiments. A *pooled* battery has
-    ``cells``, a ``trial`` and ``columns``, and its result is an
-    :class:`ExperimentResult`; a *serial* one (Table 1, Ablations B–E,
-    the two harness tools) has none of them and does its work in
-    ``assemble``.
+    record instead of naming experiments. Every experiment of the
+    report has ``cells``, a ``trial`` and ``columns``, and its result
+    is an :class:`ExperimentResult`; the two harness tools, which run
+    other batteries under pinned knobs or in paired arms, have none of
+    them and do their work in ``assemble``. Every result renders
+    itself (``result.render()``).
     """
 
     #: Registry / CLI name, and the row label and block title of the
@@ -429,7 +432,7 @@ class Battery:
     #: The predicate deciding the summary row's "Holds" cell and the
     #: CLI's exit status.
     holds: Callable[[Any], bool]
-    #: A serial battery's ``assemble(trials, **params)`` → its result.
+    #: A harness tool's ``assemble(trials, **params)`` → its result.
     assemble: Callable[..., Any] | None = None
     #: The rest of the summary row: the paper's claim and the measured
     #: shape as text (the two harness tools judge no claim).
@@ -442,8 +445,6 @@ class Battery:
     trial: Callable[..., Any] | None = None
     base_seed: int = 0
     trials: int = 0
-    #: Text of a result (``result.render()`` unless the result is a list).
-    render: Callable[[Any], str] = operator.methodcaller("render")
     #: ``run_all`` runs the battery only when asked (``--<name>``).
     opt_in: bool = False
     #: File name under ``results/`` for the machine-readable result.
@@ -468,11 +469,12 @@ class Battery:
     #: column of that row.
     score_trial: Callable[..., tuple] | None = None
     reducers: tuple[tuple[str, Callable], ...] = ()
-    #: A pooled battery's summary: one :class:`Column` per figure of a
-    #: cell, the block's heading, ``description(trials, **params)`` and
-    #: expected-shape note, the JSON key of its cell map, extra
-    #: top-level JSON fields ``header(**params)``, each cell's row label
-    #: and the lines ``footer(result)`` adds under the cells.
+    #: The summary of an experiment: one :class:`Column` per figure of a
+    #: cell, the block's heading (default: ``title``), its
+    #: ``description(trials, **params)`` and expected-shape note, the
+    #: JSON key of its cell map, extra top-level JSON fields
+    #: ``header(**params)``, each cell's row label and the lines
+    #: ``footer(result)`` adds under the cells.
     columns: tuple[Column, ...] = ()
     heading: str = ""
     description: Callable[..., str] | None = None
@@ -500,7 +502,7 @@ class Pending:
 
     def collect(self) -> Any:
         """Wait for every cell and assemble the battery's result."""
-        if self.battery.trial is None:
+        if self.battery.assemble is not None:
             return self.battery.assemble(self._trials, **self._params)
         return ExperimentResult(
             self.battery,
@@ -527,13 +529,6 @@ def submit(battery: Battery, trials: int | None = None,
         workers=workers))
         for cell in (battery.cells if cells is None else cells)]
     return Pending(battery, trials, in_flight, params)
-
-
-def serial(compute: Callable[..., Any]) -> Callable[..., Any]:
-    """The ``assemble`` of a serial battery that takes no trial count:
-    all of its work happens in ``compute(**params)`` when the result is
-    collected."""
-    return lambda _trials, **params: compute(**params)
 
 
 def run(battery: Battery, **kwargs) -> Any:

@@ -501,7 +501,6 @@ OVERLOAD = Battery(
         Column("peak_queue_depth", reduce=max),
         Column("time_to_drain_ms", reduce=mean,
                fmt="{time_to_drain_ms:>8.0f}ms", heading=f"{'drain':>9}")),
-    heading="Overload battery — flash crowd vs. graceful degradation",
     description=lambda trials, config: (
         f"{config.users} users, {config.arrival.burst_multiplier:.0f}× "
         f"correlated spike on the site of the day, {config.detour_mbps:g} "

@@ -30,15 +30,18 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import dataclass, replace
+from operator import itemgetter
+from typing import Any
 
 from repro.core.browser.page import Resource, WebPage
 from repro.core.geofence import Geofence
 from repro.core.ppl.evaluator import metric_value, order_paths, permits
 from repro.core.ppl.policies import co2_optimized, latency_optimized
-from repro.errors import NoPathError
-from repro.experiments.harness import (PLT, Battery, BoxStats, load_page,
-                                       serial)
+from repro.experiments.harness import (PLT, Battery, BoxStats, Column,
+                                       ExperimentResult, count, load_page,
+                                       mean)
 from repro.experiments.local_setup import (DEFAULT_CALIBRATION, LOCAL_WORLD,
                                            N_RESOURCES, build_local_world,
                                            load_once, make_page)
@@ -107,44 +110,17 @@ ABLATION_A = Battery(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PolicyQualityResult:
-    """Selection quality over many (src, dst) pairs."""
-
-    name: str
-    pairs: int = 0
-    mean_paths_per_pair: float = 0.0
-    policy_vs_optimal: BoxStats | None = None   # ratio, 1.0 = optimal
-    arbitrary_vs_optimal: BoxStats | None = None
-    geofence_available: int = 0
-    geofence_compliant_choices: int = 0
-    notes: list[str] = field(default_factory=list)
-
-    def render(self) -> str:
-        """Text summary."""
-        lines = [f"== {self.name} ==",
-                 f"{self.pairs} src-dst pairs, "
-                 f"{self.mean_paths_per_pair:.1f} candidate paths/pair"]
-        if self.policy_vs_optimal:
-            lines.append(self.policy_vs_optimal.row(
-                "policy/optimal ratio", unit=""))
-        if self.arbitrary_vs_optimal:
-            lines.append(self.arbitrary_vs_optimal.row(
-                "arbitrary/optimal ratio", unit=""))
-        lines.append(f"geofence: compliant choice for "
-                     f"{self.geofence_compliant_choices}/"
-                     f"{self.geofence_available} reachable pairs")
-        lines.extend(f"note: {note}" for note in self.notes)
-        return "\n".join(lines)
-
-
-def run_ablation_policy(metric: str = "co2", seed: int = 42,
-                        n_isds: int = 3, pairs: int = 40) -> PolicyQualityResult:
-    """Ablation B: policy-selected vs optimal vs arbitrary paths.
+def ablation_b_trial(metric: str, seed: int, n_isds: int = 3,
+                     pairs: int = 40) -> tuple[tuple, ...]:
+    """Ablation B: one record per reachable random (src, dst) pair —
+    ``(paths, policy_ratio, arbitrary_ratio, compliant_exists,
+    compliant_chosen)``.
 
     Control-plane only (no packet simulation needed): generate a random
     Internet, run beaconing, combine paths for random pairs, and compare
-    selections by the given metric ("co2" or "latency").
+    the policy's choice and an arbitrary one with the optimum by
+    ``metric`` ("co2" or "latency"); then whether a geofence blocking the
+    last ISD leaves a compliant path, and whether its policy picks one.
     """
     topology = random_internet(n_isds=n_isds, cores_per_isd=2,
                                leaves_per_isd=4, seed=seed)
@@ -153,54 +129,36 @@ def run_ablation_policy(metric: str = "co2", seed: int = 42,
     all_ases = [info.isd_as for info in topology.ases()]
     rng = random.Random(seed)
     policy = co2_optimized() if metric == "co2" else latency_optimized()
-    geofence = Geofence(blocked_isds={n_isds})  # block the last ISD
-    geofence_policy = geofence.to_policy()
-
-    result = PolicyQualityResult(
-        name=f"Ablation B — policy quality ({metric}), seed {seed}")
-    policy_ratios: list[float] = []
-    arbitrary_ratios: list[float] = []
-    total_paths = 0
+    geofence_policy = Geofence(blocked_isds={n_isds}).to_policy()
+    records = []
     for _ in range(pairs):
         src, dst = rng.sample(all_ases, 2)
         candidates = combine_segments(src, dst, store, core_ases=core_ases)
         if not candidates:
             continue
-        result.pairs += 1
-        total_paths += len(candidates)
-        optimal = min(metric_value(path, metric) for path in candidates)
+        floor = max(min(metric_value(path, metric) for path in candidates),
+                    1e-9)
         chosen = order_paths(policy, candidates)[0]
         arbitrary = rng.choice(candidates)
-        floor = max(optimal, 1e-9)
-        policy_ratios.append(metric_value(chosen, metric) / floor)
-        arbitrary_ratios.append(metric_value(arbitrary, metric) / floor)
-        # Geofencing: does a compliant path exist, and do we pick one?
-        compliant = [path for path in candidates
-                     if permits(geofence_policy, path)]
-        if compliant:
-            result.geofence_available += 1
-            try:
-                choice = order_paths(geofence_policy, candidates)[0]
-            except (IndexError, NoPathError):
-                continue
-            if permits(geofence_policy, choice):
-                result.geofence_compliant_choices += 1
-    result.mean_paths_per_pair = (total_paths / result.pairs
-                                  if result.pairs else 0.0)
-    if policy_ratios:
-        result.policy_vs_optimal = BoxStats.from_samples(policy_ratios)
-        result.arbitrary_vs_optimal = BoxStats.from_samples(arbitrary_ratios)
-    result.notes.append(
-        "policy ratio must be 1.0 by construction; the arbitrary ratio "
-        "shows what path-obliviousness costs")
-    return result
+        fenced = order_paths(geofence_policy, candidates)
+        records.append((len(candidates), metric_value(chosen, metric) / floor,
+                        metric_value(arbitrary, metric) / floor, bool(fenced),
+                        bool(fenced) and permits(geofence_policy, fenced[0])))
+    return tuple(records)
 
 
-def ablation_b_holds(ablation_b: PolicyQualityResult) -> bool:
+def _per_pair(index: int, reduce: Callable[[list], Any]):
+    """A column reducer: ``reduce`` over one field of every pair record
+    of every trial."""
+    return lambda rows: reduce([pair[index] for row in rows for pair in row])
+
+
+def ablation_b_holds(ablation_b: ExperimentResult) -> bool:
     """Whether policy selection was optimal for every pair and an
     arbitrary choice measurably worse."""
-    return (abs(ablation_b.policy_vs_optimal.maximum - 1.0) < 1e-6
-            and ablation_b.arbitrary_vs_optimal.mean > 1.1)
+    return all(abs(cell.policy_vs_optimal.maximum - 1.0) < 1e-6
+               and cell.arbitrary_vs_optimal.mean > 1.1
+               for cell in ablation_b.cells.values())
 
 
 ABLATION_B = Battery(
@@ -208,10 +166,35 @@ ABLATION_B = Battery(
     title="Ablation B — policy quality",
     claim="§2: many path choices enable multi-criteria optimization",
     measured=lambda ablation_b: (
-        f"{ablation_b.mean_paths_per_pair:.1f} paths/pair; policy always "
-        f"optimal, arbitrary choice "
-        f"{ablation_b.arbitrary_vs_optimal.mean:.2f}× worse on CO2"),
-    holds=ablation_b_holds, assemble=serial(run_ablation_policy),
+        f"{ablation_b.cell('co2').mean_paths_per_pair:.1f} paths/pair; "
+        f"policy always optimal, arbitrary choice "
+        f"{ablation_b.cell('co2').arbitrary_vs_optimal.mean:.2f}× worse on "
+        f"CO2"),
+    holds=ablation_b_holds,
+    cells=(("co2",),), trial=ablation_b_trial, base_seed=42, trials=1,
+    # One row per trial: a record per reachable pair.
+    columns=(
+        Column("pairs", None, lambda rows: sum(map(len, rows)),
+               fmt="pairs={pairs}"),
+        Column("mean_paths_per_pair", None, _per_pair(0, mean),
+               fmt="paths/pair={mean_paths_per_pair:.1f}"),
+        Column("policy_vs_optimal", None,
+               _per_pair(1, BoxStats.from_samples),
+               fmt="{label} policy/optimal", unit=""),
+        Column("arbitrary_vs_optimal", None,
+               _per_pair(2, BoxStats.from_samples),
+               fmt="{label} arbitrary/optimal", unit=""),
+        Column("geofence_available", None, _per_pair(3, count)),
+        Column("geofence_compliant_choices", None, _per_pair(4, count),
+               fmt="geofence compliant={geofence_compliant_choices}/"
+                   "{geofence_available}")),
+    description=lambda trials, n_isds=3, pairs=40: (
+        f"{pairs} random src-dst pairs/trial on a {n_isds}-ISD random "
+        f"Internet, {trials} trial(s); chosen path's metric / the optimum "
+        f"(1.0 = optimal); the geofence blocks ISD {n_isds}"),
+    note="policy ratio must be 1.0 by construction; the arbitrary ratio "
+         "shows what path-obliviousness costs",
+    cells_key="metrics",
 )
 
 
@@ -257,53 +240,20 @@ def ablation_c_point(fraction: float, mode: str, seed: int = 0,
     world = build(replace(AVAILABILITY_WORLD, origins=origins, page=page,
                           strict=mode == "strict"), seed)
     result = load_page(world)
-    return ModeSweepPoint(
-        fraction=fraction,
-        mode=mode,
-        loaded=sum(1 for outcome in result.outcomes if outcome.ok),
-        blocked=result.blocked_count,
-        over_scion=result.scion_count,
-        indicator=result.indicator_state.value,
-    )
+    return ModeSweepPoint(fraction, mode,
+                          sum(1 for outcome in result.outcomes if outcome.ok),
+                          result.blocked_count, result.scion_count,
+                          result.indicator_state.value)
 
 
-def run_ablation_modes(fractions: tuple[float, ...] = (0.0, 0.25, 0.5,
-                                                       0.75, 1.0),
-                       seed: int = 0) -> list[ModeSweepPoint]:
-    """Ablation C: sweep SCION availability under both modes.
-
-    Note the main document's origin is SCION-enabled only when the
-    fraction is > 0, so strict mode at fraction 0 fails the whole page —
-    the paper's "websites may fail to load completely" (§4.2).
-    """
-    points = []
-    for fraction in fractions:
-        for mode in ("opportunistic", "strict"):
-            points.append(ablation_c_point(fraction, mode, seed=seed))
-    return points
-
-
-def render_mode_sweep(points: list[ModeSweepPoint]) -> str:
-    """Text table of the mode sweep."""
-    lines = ["== Ablation C — partial availability (opportunistic vs "
-             "strict) ==",
-             f"{'fraction':>8} {'mode':>13} {'loaded':>6} {'blocked':>7} "
-             f"{'scion':>5}  indicator"]
-    for point in points:
-        lines.append(f"{point.fraction:>8.2f} {point.mode:>13} "
-                     f"{point.loaded:>6} {point.blocked:>7} "
-                     f"{point.over_scion:>5}  {point.indicator}")
-    return "\n".join(lines)
-
-
-def ablation_c_holds(ablation_c: list[ModeSweepPoint]) -> bool:
+def ablation_c_holds(ablation_c: ExperimentResult) -> bool:
     """Whether the mode sweep matched §4.2: opportunistic never blocks,
     strict fails the page with no SCION origins and blocks nothing when
     all are."""
-    strict = {p.fraction: p for p in ablation_c if p.mode == "strict"}
-    return (all(p.blocked == 0 for p in ablation_c
-                if p.mode == "opportunistic")
-            and strict[0.0].loaded == 0 and strict[1.0].blocked == 0)
+    return (all(cell.blocked == 0 for cell in ablation_c.cells.values()
+                if cell.mode == "opportunistic")
+            and ablation_c.cell(0.0, "strict").loaded == 0
+            and ablation_c.cell(1.0, "strict").blocked == 0)
 
 
 ABLATION_C = Battery(
@@ -314,8 +264,32 @@ ABLATION_C = Battery(
     measured=lambda _ablation_c: (
         "opportunistic: 0 blocked at all fractions; strict: blocks "
         "scale with unavailability, page fails at 0%"),
-    holds=ablation_c_holds, assemble=serial(run_ablation_modes),
-    render=render_mode_sweep,
+    holds=ablation_c_holds,
+    cells=tuple((fraction, mode) for fraction in (0.0, 0.25, 0.5, 0.75, 1.0)
+                for mode in ("opportunistic", "strict")),
+    trial=ablation_c_point, trials=1,
+    # One row per trial: a ModeSweepPoint, read by field name.
+    columns=(
+        Column("fraction", reduce=itemgetter(0), fmt="{fraction:>8.2f}",
+               heading="fraction"),
+        Column("mode", reduce=itemgetter(0), fmt="{mode:>13}",
+               heading=f"{'mode':>13}"),
+        Column("loaded", reduce=count, fmt="{loaded:>6}", heading="loaded"),
+        Column("blocked", reduce=count, fmt="{blocked:>7}",
+               heading="blocked"),
+        Column("over_scion", reduce=count, fmt="{over_scion:>5}",
+               heading="scion"),
+        Column("indicator", reduce=lambda states: " / ".join(
+            dict.fromkeys(states)), fmt=" {indicator}",
+               heading=" indicator")),
+    description=lambda trials, n_origins=8, resources_per_origin=2: (
+        f"{n_origins} origins x {resources_per_origin} resources, the "
+        f"first `fraction` of them SCION-enabled; {trials} trial(s)/cell, "
+        "counts summed over trials"),
+    note="the main document's origin speaks SCION only above fraction 0, "
+         "so strict mode fails the whole page there — §4.2's \"websites "
+         "may fail to load completely\"; opportunistic never blocks",
+    cells_key="cells",
 )
 
 
@@ -323,43 +297,51 @@ ABLATION_C = Battery(
 # Ablation D — multipath bulk transfer
 # ---------------------------------------------------------------------------
 
-
-def run_ablation_multipath(size: int = 4_000_000) -> tuple[float, float]:
-    """Ablation D: ``(single-path ms, two-path ms)`` for one bulk
-    transfer across the dual-homed testbed."""
-    def transfer(n_paths: int) -> float:
-        topology, client_as, server_as = dual_homed_testbed()
-        internet = Internet(topology, seed=3)
-        client = internet.add_host("client", client_as)
-        server = internet.add_host("server", server_as)
-        BulkSink(server)
-        paths = disjoint_paths(client.daemon.paths(server_as))
-        return internet.loop.run_process(
-            multipath_send(client, server.addr, 4443, size,
-                           paths[:n_paths]))
-
-    return transfer(1), transfer(2)
+#: Ablation D's transfer size in bytes.
+MULTIPATH_SIZE = 4_000_000
 
 
-def render_multipath(times: tuple[float, float]) -> str:
-    """Text table of the multipath transfer."""
-    single, multi = times
-    return (f"4 MB, dual-homed testbed (2 x 300 Mbps disjoint paths)\n"
-            f"single path : {single:10.1f} ms\n"
-            f"two paths   : {multi:10.1f} ms\n"
-            f"speedup     : {single / multi:10.2f}x")
+def ablation_d_trial(n_paths: int, seed: int,
+                     size: int = MULTIPATH_SIZE) -> float:
+    """Ablation D: how long (ms) one bulk transfer of ``size`` bytes
+    takes over ``n_paths`` link-disjoint paths of the dual-homed
+    testbed."""
+    topology, client_as, server_as = dual_homed_testbed()
+    internet = Internet(topology, seed=seed)
+    client = internet.add_host("client", client_as)
+    server = internet.add_host("server", server_as)
+    BulkSink(server)
+    paths = disjoint_paths(client.daemon.paths(server_as))
+    return internet.loop.run_process(
+        multipath_send(client, server.addr, 4443, size, paths[:n_paths]))
+
+
+def _speedup(ablation_d: ExperimentResult) -> float:
+    """Mean single-path over mean two-path transfer time."""
+    return (ablation_d.cell(1).transfer_ms.mean
+            / ablation_d.cell(2).transfer_ms.mean)
 
 
 ABLATION_D = Battery(
     name="ablation-d", label="Ablation D",
     title="Ablation D — multipath bulk transfer",
     claim="§1: native inter-domain multipath aggregates capacity",
-    measured=lambda times: (
-        f"4 MB transfer: {times[0]:.0f} ms single path vs "
-        f"{times[1]:.0f} ms over two disjoint paths "
-        f"({times[0] / times[1]:.2f}x)"),
-    holds=lambda times: times[1] < times[0],
-    assemble=serial(run_ablation_multipath), render=render_multipath,
+    measured=lambda ablation_d: (
+        f"{ablation_d.params.get('size', MULTIPATH_SIZE) / 1e6:g} MB "
+        f"transfer: {ablation_d.cell(1).transfer_ms.mean:.0f} ms single "
+        f"path vs {ablation_d.cell(2).transfer_ms.mean:.0f} ms over two "
+        f"disjoint paths ({_speedup(ablation_d):.2f}x)"),
+    holds=lambda ablation_d: _speedup(ablation_d) > 1.0,
+    cells=((1,), (2,)), trial=ablation_d_trial, base_seed=3, trials=1,
+    columns=(Column("transfer_ms", None, fmt="{label}"),),
+    description=lambda trials, size=MULTIPATH_SIZE: (
+        f"{size / 1e6:g} MB, dual-homed testbed (2 x 300 Mbps disjoint "
+        f"paths), {trials} trial(s)/path count; transfer time in ms"),
+    note="two link-disjoint paths aggregate their capacity: the transfer "
+         "finishes sooner than over one",
+    cells_key="paths",
+    cell_label=lambda key: f"{key[0]} path" + "s" * (key[0] > 1),
+    footer=lambda ablation_d: [f"speedup: {_speedup(ablation_d):.2f}x"],
 )
 
 
@@ -367,24 +349,19 @@ ABLATION_D = Battery(
 # Ablation E — beacon-store diversity
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class DiversityPoint:
-    """Path availability at one beacons-per-target budget."""
-
-    beacons_per_target: int
-    mean_paths_per_pair: float
-    mean_latency_penalty: float  # best-path latency / full-diversity best
+#: Ablation E's beacon-store budgets; the largest is the reference.
+BUDGETS = (1, 2, 4, 8)
 
 
-def run_ablation_diversity(budgets: tuple[int, ...] = (1, 2, 4, 8),
-                           seed: int = 5, pairs: int = 20,
-                           n_isds: int = 3) -> list[DiversityPoint]:
-    """Ablation E: sweep the beacon store's per-target budget.
+def ablation_e_trial(budget: int, seed: int, budgets: tuple[int, ...] =
+                     BUDGETS, pairs: int = 20,
+                     n_isds: int = 3) -> tuple[int, float, float]:
+    """Ablation E: ``(budget, mean paths per pair, mean latency
+    penalty)`` for one beacon store's per-target budget.
 
-    The reference is the largest budget in ``budgets``: each smaller
-    budget is scored by how many paths survive and how much best-path
-    latency it gives up against the reference.
+    The reference is the largest budget in ``budgets``: a budget is
+    scored by how many paths survive for random leaf pairs and how much
+    best-path latency it gives up against the reference.
     """
     topology = random_internet(n_isds=n_isds, cores_per_isd=2,
                                leaves_per_isd=4, seed=seed)
@@ -402,43 +379,31 @@ def run_ablation_diversity(budgets: tuple[int, ...] = (1, 2, 4, 8),
             counts.append(len(paths))
             if paths:
                 best[(src, dst)] = paths[0].metadata.latency_ms
-        mean_count = sum(counts) / len(counts) if counts else 0.0
-        return mean_count, best
+        return sum(counts) / len(counts) if counts else 0.0, best
 
-    reference_budget = max(budgets)
-    _reference_count, reference_best = evaluate(reference_budget)
-    points = []
-    for budget in budgets:
-        mean_count, best = evaluate(budget)
-        penalties = [best[pair] / reference_best[pair]
-                     for pair in reference_best if pair in best]
-        penalty = sum(penalties) / len(penalties) if penalties else 0.0
-        points.append(DiversityPoint(
-            beacons_per_target=budget,
-            mean_paths_per_pair=mean_count,
-            mean_latency_penalty=penalty,
-        ))
-    return points
+    _reference_count, reference_best = evaluate(max(budgets))
+    mean_count, best = evaluate(budget)
+    penalties = [best[pair] / reference_best[pair]
+                 for pair in reference_best if pair in best]
+    return (budget, mean_count,
+            sum(penalties) / len(penalties) if penalties else 0.0)
 
 
-def render_diversity(points: list[DiversityPoint]) -> str:
-    """Text table of the diversity sweep."""
-    lines = ["== Ablation E — beacon-store diversity ==",
-             f"{'budget':>7} {'paths/pair':>11} {'latency penalty':>16}"]
-    for point in points:
-        lines.append(f"{point.beacons_per_target:>7} "
-                     f"{point.mean_paths_per_pair:>11.1f} "
-                     f"{point.mean_latency_penalty:>15.3f}x")
-    return "\n".join(lines)
-
-
-def ablation_e_holds(ablation_e: list[DiversityPoint]) -> bool:
+def ablation_e_holds(ablation_e: ExperimentResult) -> bool:
     """Whether path diversity grew with the beacon-store budget: never
-    shrinking, and more than doubling from budget 1 to budget 8."""
-    by_budget = {p.beacons_per_target: p.mean_paths_per_pair
-                 for p in ablation_e}
-    counts = [by_budget[budget] for budget in sorted(by_budget)]
-    return counts == sorted(counts) and by_budget[8] > 2 * by_budget[1]
+    shrinking, and more than doubling from the smallest budget run to
+    the largest."""
+    counts = [cell.mean_paths_per_pair
+              for _budget, cell in sorted(ablation_e.cells.items())]
+    return counts == sorted(counts) and counts[-1] > 2 * counts[0]
+
+
+def _diversity_measured(ablation_e: ExperimentResult) -> str:
+    first, last = (ablation_e.cells[pick(ablation_e.cells)]
+                   for pick in (min, max))
+    return (f"paths/pair grows {first.mean_paths_per_pair:.1f} → "
+            f"{last.mean_paths_per_pair:.1f} as the budget rises "
+            f"{first.beacons_per_target} → {last.beacons_per_target}")
 
 
 ABLATION_E = Battery(
@@ -446,11 +411,25 @@ ABLATION_E = Battery(
     title="Ablation E — beacon-store diversity",
     claim="§2: path diversity enables multi-criteria optimization "
           "(beacon-store budget is the knob)",
-    measured=lambda ablation_e: (
-        f"paths/pair grows {ablation_e[0].mean_paths_per_pair:.1f} → "
-        f"{ablation_e[-1].mean_paths_per_pair:.1f} as the budget rises "
-        f"{ablation_e[0].beacons_per_target} → "
-        f"{ablation_e[-1].beacons_per_target}"),
-    holds=ablation_e_holds, assemble=serial(run_ablation_diversity),
-    render=render_diversity,
+    measured=_diversity_measured, holds=ablation_e_holds,
+    cells=tuple((budget,) for budget in BUDGETS), trial=ablation_e_trial,
+    base_seed=5, trials=1,
+    # One row per trial: (budget, mean paths per pair, latency penalty).
+    columns=(
+        Column("beacons_per_target", 0, itemgetter(0),
+               fmt="{beacons_per_target:>7}", heading=f"{'budget':>7}"),
+        Column("mean_paths_per_pair", 1, mean,
+               fmt="{mean_paths_per_pair:>11.1f}",
+               heading=f"{'paths/pair':>11}"),
+        Column("mean_latency_penalty", 2, mean,
+               fmt="{mean_latency_penalty:>15.3f}x",
+               heading=f"{'latency penalty':>16}")),
+    description=lambda trials, budgets=BUDGETS, pairs=20, n_isds=3: (
+        f"{pairs} random leaf pairs/trial on a {n_isds}-ISD random "
+        f"Internet, {trials} trial(s)/budget; latency penalty = best "
+        f"path's latency / the best at budget {max(budgets)}"),
+    note="expected shape: paths per pair grow with the budget, more than "
+         "doubling from the smallest to the largest; a smaller store "
+         "never finds a faster path (penalty >= 1x)",
+    cells_key="budgets",
 )

@@ -395,7 +395,6 @@ POPULATION = Battery(
                heading=f"{'q ms':>9}"),
         Column("scion_fetches", reduce=sum),
         Column("as_link_bytes", reduce=merge_counts)),
-    heading="Population battery — a city browses",
     description=lambda trials, users, sites, **_: (
         f"{users} users, {sites} Zipf sites, {trials} trial(s)/mode; "
         "per-user sessions with think time, tabs, and revisit locality on "

@@ -301,7 +301,7 @@ def main(output_path: str = "EXPERIMENTS.md",
         # otherwise-idle machine.
         reported.append((SWEEP, run(SWEEP, trials=trials)))
     for entry, result in reported:
-        parts.append(block(entry.title, entry.render(result)))
+        parts.append(block(entry.title, result.render()))
         parts.append(POSTSCRIPTS.get(entry, ""))
     parts.append(FASTPATH_NOTE)
     parts.append(f"\n_Total generation time: {time.time() - started:.1f} s "

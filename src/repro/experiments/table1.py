@@ -10,7 +10,8 @@ so the prose is the ground truth — see the module docstring of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from operator import itemgetter
 
 from repro.core.properties import (
     Layer,
@@ -19,94 +20,45 @@ from repro.core.properties import (
     Suitability,
     decision_table,
     render_table,
-    suitability,
 )
-from repro.experiments.harness import Battery, serial
+from repro.experiments.harness import Battery, Column
 
 
-@dataclass
-class Table1Check:
-    """One verifiable claim from the paper's §2 prose."""
-
-    claim: str
-    holds: bool
+def _rates(layer: Layer, expected: Suitability, props) -> Callable:
+    """A claim: ``layer`` rates each of ``props`` ``expected``."""
+    return lambda table: all(table[prop][layer] is expected for prop in props)
 
 
-@dataclass
-class Table1Result:
-    """The rendered table plus per-claim verification."""
-
-    table_text: str
-    checks: list[Table1Check] = field(default_factory=list)
-
-    @property
-    def all_hold(self) -> bool:
-        """True when every prose claim is satisfied by the model."""
-        return all(check.holds for check in self.checks)
-
-    def render(self) -> str:
-        """Table plus check list."""
-        lines = ["== Table 1 — which layer should select paths? ==", "",
-                 self.table_text, ""]
-        for check in self.checks:
-            mark = "ok " if check.holds else "FAIL"
-            lines.append(f"[{mark}] {check.claim}")
-        return "\n".join(lines)
+def _of(*classes: PropertyClass) -> list[Property]:
+    return [prop for prop in Property if prop.spec.property_class in classes]
 
 
-def run_table1() -> Table1Result:
-    """Build the table and verify the paper's prose claims."""
-    table = decision_table()
-    checks = [
-        Table1Check(
-            claim=("OS can select paths for all performance and quality "
-                   "properties"),
-            holds=all(
-                table[prop][Layer.OS] is Suitability.BEST
-                for prop in Property
-                if prop.spec.property_class in (PropertyClass.PERFORMANCE,
-                                                PropertyClass.QUALITY)),
-        ),
-        Table1Check(
-            claim=("OS lacks context for privacy/anonymity and ESG "
-                   "properties"),
-            holds=all(
-                table[prop][Layer.OS] is Suitability.INAPPROPRIATE
-                for prop in Property
-                if prop.spec.property_class in (PropertyClass.PRIVACY,
-                                                PropertyClass.ESG)),
-        ),
-        Table1Check(
-            claim=("loss rate and path MTU are abstracted away from the "
-                   "user"),
-            holds=(table[Property.LOSS_RATE][Layer.USER]
-                   is Suitability.INAPPROPRIATE
-                   and table[Property.PATH_MTU][Layer.USER]
-                   is Suitability.INAPPROPRIATE),
-        ),
-        Table1Check(
-            claim=("user context is decisive for geofencing and carbon "
-                   "footprint"),
-            holds=(table[Property.GEOFENCING][Layer.USER]
-                   is Suitability.BEST
-                   and table[Property.CARBON_FOOTPRINT][Layer.USER]
-                   is Suitability.BEST),
-        ),
-        Table1Check(
-            claim=("the application layer can address every property "
-                   "(the argument for the browser)"),
-            holds=all(table[prop][Layer.APPLICATION] is Suitability.BEST
-                      for prop in Property),
-        ),
-        Table1Check(
-            claim="every property has at least one BEST layer",
-            holds=all(
-                any(suitability(prop, layer) is Suitability.BEST
-                    for layer in Layer)
-                for prop in Property),
-        ),
-    ]
-    return Table1Result(table_text=render_table(), checks=checks)
+#: §2's verifiable prose claims, each a predicate over the decision
+#: table, in the order the report lists them.
+CLAIMS = {
+    "OS can select paths for all performance and quality properties":
+        _rates(Layer.OS, Suitability.BEST,
+               _of(PropertyClass.PERFORMANCE, PropertyClass.QUALITY)),
+    "OS lacks context for privacy/anonymity and ESG properties":
+        _rates(Layer.OS, Suitability.INAPPROPRIATE,
+               _of(PropertyClass.PRIVACY, PropertyClass.ESG)),
+    "loss rate and path MTU are abstracted away from the user":
+        _rates(Layer.USER, Suitability.INAPPROPRIATE,
+               (Property.LOSS_RATE, Property.PATH_MTU)),
+    "user context is decisive for geofencing and carbon footprint":
+        _rates(Layer.USER, Suitability.BEST,
+               (Property.GEOFENCING, Property.CARBON_FOOTPRINT)),
+    "the application layer can address every property (the argument for "
+    "the browser)": _rates(Layer.APPLICATION, Suitability.BEST, Property),
+    "every property has at least one BEST layer": lambda table: all(
+        Suitability.BEST in table[prop].values() for prop in Property),
+}
+
+
+def table1_trial(claim: str, seed: int) -> tuple[str, bool]:
+    """``(claim, holds)``: one prose claim checked against the decision
+    table (structural, so every seed agrees)."""
+    return claim, CLAIMS[claim](decision_table())
 
 
 TABLE1 = Battery(
@@ -117,5 +69,22 @@ TABLE1 = Battery(
           "user",
     measured=lambda _table1: (
         "decision model derives the same matrix from §2's prose rules"),
-    holds=lambda table1: table1.all_hold, assemble=serial(run_table1),
+    holds=lambda table1: all(cell.holds for cell in table1.cells.values()),
+    cells=tuple((claim,) for claim in CLAIMS), trial=table1_trial,
+    trials=1,
+    # One row per trial: (claim, holds).
+    columns=(
+        Column("claim", 0, itemgetter(0)),
+        Column("holds", 1, all),
+        Column("mark", kept=False,
+               derive=lambda cell, _trials: "ok " if cell.holds else "FAIL",
+               fmt="[{mark}] {claim}")),
+    heading="Table 1 — which layer should select paths?",
+    description=lambda trials: (
+        f"the decision model's matrix, then §2's prose claims checked "
+        f"against it ({trials} trial(s)/claim)\n\n{render_table()}"),
+    note="expected shape: every claim ok — the model's per-property "
+         "attributes reproduce §2's prose (the ground truth; the "
+         "extraction garbled the paper's glyph alignment)",
+    cells_key="claims",
 )

@@ -19,7 +19,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.experiments import harness
-from repro.experiments.__main__ import EXPERIMENTS, REGISTRY
+from repro.experiments.__main__ import EXPERIMENTS, REGISTRY, main
 from repro.experiments.harness import (
     WORKERS_ENV,
     battery_chunksize,
@@ -122,7 +122,20 @@ class TestRegistry:
         serial = submit(battery, trials=2, workers=1, **small).collect()
         pooled = run(battery, trials=2, workers=2, **small)
         assert serial == pooled
-        assert battery.render(serial) == battery.render(pooled)
+        assert serial.render() == pooled.render()
+
+    @pytest.mark.parametrize("entry", EXPERIMENTS,
+                             ids=lambda entry: entry.name)
+    def test_trials_reach_every_experiment(self, entry, capsys):
+        """``--trials`` defaults to the declared count and reaches the
+        run, for every experiment of the report."""
+        assert entry.trials >= 1
+        with pytest.raises(SystemExit):
+            main([entry.name, "--help"])
+        assert f"(default {entry.trials})" in " ".join(
+            capsys.readouterr().out.split())
+        small = self.SMALL.get(entry.name, {})
+        assert run(entry, trials=2, workers=1, **small).trials == 2
 
 
 class TestParallelDeterminism:

@@ -1,8 +1,9 @@
-"""One result shape for every pooled battery.
+"""One result shape for every experiment.
 
-A pooled battery (one with ``cells`` and a ``trial``) declares its
-columns and returns :class:`~repro.experiments.harness.ExperimentResult`;
-nothing else under ``repro.experiments`` renders a result of one. The
+Every experiment of the report has ``cells`` and a ``trial``, declares
+its columns and returns
+:class:`~repro.experiments.harness.ExperimentResult`; nothing else under
+``repro.experiments`` renders a result of one. The
 population and overload report blocks and their stable JSON are pinned
 as recorded at the commit before their hand-written result classes were
 deleted, and the population summary line must say what its table says.
@@ -24,7 +25,7 @@ import re
 import pytest
 
 import repro.experiments
-from repro.experiments.__main__ import REGISTRY
+from repro.experiments.__main__ import EXPERIMENTS, REGISTRY
 from repro.experiments.harness import run, to_json
 from repro.experiments.overload import OVERLOAD
 from repro.experiments.population import MODES, POPULATION
@@ -96,19 +97,17 @@ class TestOneResultShape:
     def test_every_pooled_battery_assembles_through_one_path(self):
         pooled = [entry for entry in REGISTRY.values()
                   if entry.trial is not None]
-        assert {entry.name for entry in pooled} == {
-            "figure3", "figure5", "figure6", "ablation-a", "chaos",
-            "resilience", "population", "overload"}
+        assert pooled == list(EXPERIMENTS)
         for entry in pooled:
             assert entry.cells and entry.columns, entry.name
             assert entry.assemble is None, entry.name
+        assert {entry.name for entry in REGISTRY.values()
+                if entry.assemble is not None} == {"components",
+                                                   "fastpath-ab"}
 
     def test_no_other_result_class_renders_a_pooled_battery(self):
-        """Besides the one shape, only the serial batteries' results
-        (Table 1, Ablation B, the component sweep, the fast-path A/B)
-        render themselves."""
+        """Besides the one shape, only the two harness tools' results
+        (the component sweep, the fast-path A/B) render themselves."""
         assert _result_classes() == {
-            "harness.ExperimentResult", "table1.Table1Result",
-            "paper_ablations.PolicyQualityResult",
-            "components.AblationReport", "fastpath_ab.AbReport",
-            "fastpath_ab.ContendedReport"}
+            "harness.ExperimentResult", "components.AblationReport",
+            "fastpath_ab.AbReport", "fastpath_ab.ContendedReport"}

@@ -14,7 +14,7 @@ import pytest
 
 from repro.experiments import run_all
 from repro.experiments.__main__ import EXPERIMENTS
-from repro.experiments.harness import BoxStats, ExperimentResult
+from repro.experiments.harness import ExperimentResult
 from repro.experiments.local_setup import FIGURE3
 from repro.experiments.paper_ablations import (
     ABLATION_A,
@@ -22,11 +22,10 @@ from repro.experiments.paper_ablations import (
     ABLATION_C,
     ABLATION_D,
     ABLATION_E,
-    DiversityPoint,
     ModeSweepPoint,
-    PolicyQualityResult,
 )
 from repro.experiments.remote_setup import FIGURE5, FIGURE6
+from repro.experiments.table1 import CLAIMS, TABLE1
 from repro.obs.export import load_artifact, render_report
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -53,30 +52,45 @@ def overhead(free_both: float, baseline: float) -> ExperimentResult:
 
 
 def policy(worst_policy_ratio: float,
-           arbitrary_ratio: float) -> PolicyQualityResult:
-    return PolicyQualityResult(
-        "Ablation B",
-        policy_vs_optimal=BoxStats.from_samples([1.0, worst_policy_ratio]),
-        arbitrary_vs_optimal=BoxStats.from_samples([arbitrary_ratio]))
+           arbitrary_ratio: float) -> ExperimentResult:
+    """Two reachable pairs: one chosen optimally, one at the given
+    ratio; an arbitrary choice at ``arbitrary_ratio`` for both."""
+    return ExperimentResult(ABLATION_B, {("co2",): [(
+        (10, 1.0, arbitrary_ratio, True, True),
+        (10, worst_policy_ratio, arbitrary_ratio, True, True))]})
 
 
 def modes(opportunistic_blocked: int = 0, strict_loaded_at_0: int = 0,
-          strict_blocked_at_1: int = 0) -> list[ModeSweepPoint]:
+          strict_blocked_at_1: int = 0) -> ExperimentResult:
     def point(fraction, mode, loaded, blocked):
         return ModeSweepPoint(fraction, mode, loaded, blocked,
                               over_scion=0, indicator="")
 
-    return [point(0.0, "opportunistic", 17, 0),
-            point(0.5, "opportunistic", 17, opportunistic_blocked),
-            point(1.0, "opportunistic", 17, 0),
-            point(0.0, "strict", strict_loaded_at_0, 17),
-            point(0.5, "strict", 9, 8),
-            point(1.0, "strict", 17, strict_blocked_at_1)]
+    points = [point(0.0, "opportunistic", 17, 0),
+              point(0.5, "opportunistic", 17, opportunistic_blocked),
+              point(1.0, "opportunistic", 17, 0),
+              point(0.0, "strict", strict_loaded_at_0, 17),
+              point(0.5, "strict", 9, 8),
+              point(1.0, "strict", 17, strict_blocked_at_1)]
+    return ExperimentResult(ABLATION_C, {(p.fraction, p.mode): [p]
+                                         for p in points})
 
 
-def diversity(*paths_per_pair: float) -> list[DiversityPoint]:
-    return [DiversityPoint(budget, paths, 1.0)
-            for budget, paths in zip((1, 2, 4, 8), paths_per_pair)]
+def diversity(*paths_per_pair: float,
+              budgets: tuple[int, ...] = (1, 2, 4, 8)) -> ExperimentResult:
+    return ExperimentResult(ABLATION_E, {
+        (budget,): [(budget, paths, 1.0)]
+        for budget, paths in zip(budgets, paths_per_pair)})
+
+
+def multipath(single: float, two: float) -> ExperimentResult:
+    return ExperimentResult(ABLATION_D, {(1,): [single], (2,): [two]})
+
+
+def table1(*failing: str) -> ExperimentResult:
+    """Every prose claim holding except those named."""
+    return ExperimentResult(TABLE1, {(claim,): [(claim, claim not in failing)]
+                                     for claim in CLAIMS})
 
 
 class TestAblationHolds:
@@ -100,6 +114,19 @@ class TestAblationHolds:
         assert not ABLATION_E.holds(diversity(2.0, 3.0, 2.5, 5.0))
         assert not ABLATION_E.holds(diversity(2.0, 3.0, 3.5, 4.0))
 
+    def test_e_compares_the_smallest_and_largest_budget_run(self):
+        assert ABLATION_E.holds(diversity(7.0, 15.0, budgets=(2, 4)))
+        assert not ABLATION_E.holds(diversity(7.0, 14.0, budgets=(2, 4)))
+        assert ABLATION_E.measured(diversity(7.0, 15.0, budgets=(2, 4))) \
+            == "paths/pair grows 7.0 → 15.0 as the budget rises 2 → 4"
+
+    def test_table1_every_prose_claim_must_hold(self):
+        assert TABLE1.holds(table1())
+        assert not TABLE1.holds(table1(
+            "every property has at least one BEST layer"))
+        assert "[FAIL] every property has at least one BEST layer" \
+            in table1("every property has at least one BEST layer").render()
+
 
 class TestFigureHolds:
     def test_figure3_overhead_near_100ms_and_strict_shorter(self):
@@ -117,8 +144,8 @@ class TestFigureHolds:
         assert not FIGURE6.holds(remote(scion=90.0, ip=150.0))
 
     def test_d_two_paths_beat_one(self):
-        assert ABLATION_D.holds((403.0, 230.0))
-        assert not ABLATION_D.holds((403.0, 403.0))
+        assert ABLATION_D.holds(multipath(403.0, 230.0))
+        assert not ABLATION_D.holds(multipath(403.0, 403.0))
 
 
 class TestReport:
