@@ -74,10 +74,10 @@ class UdpSocket:
         self._waiters: deque["Event"] = deque()
         #: Armed receive watchdogs: waiter -> loop handle.
         self._deadlines: dict["Event", int] = {}
-        #: The push-mode reader, and whether it waits for a datagram
-        #: (no step of it is scheduled).
+        #: The push-mode reader, and whether it takes datagrams as they
+        #: arrive (its first step, which drains the backlog, has run).
         self._reader: Callable[[Datagram], None] | None = None
-        self._reader_idle = False
+        self._reader_live = False
         #: What stopped the reader, if its handler raised.
         self.reader_error: Exception | None = None
         self.closed = False
@@ -121,12 +121,11 @@ class UdpSocket:
         return event
 
     def listen(self, handler: Callable[[Datagram], None]) -> None:
-        """Hand every datagram to ``handler``, one loop step each.
+        """Hand every datagram to ``handler`` in the event that delivers it.
 
-        The push-mode form of a process looping on ``yield recv()``, and
-        scheduled exactly like one: a first step now, one step per
-        datagram (queued ones stepped back to back), and a final no-op
-        step if the socket closes while the reader waits. A handler that
+        One step is scheduled now; it hands over the datagrams queued
+        before it, in arrival order, and from then on each datagram is
+        handled as it arrives, at no loop step of its own. A handler that
         raises stops the reader: the exception is kept in
         :attr:`reader_error` and later datagrams stay queued.
         """
@@ -136,23 +135,21 @@ class UdpSocket:
             raise SimulationError(
                 f"socket {self.host.name}:{self.port} already has a reader")
         self._reader = handler
-        self.host.loop.call_soon(self._read, None)
+        self.host.loop.call_soon(self._drain)
 
-    def _read(self, datagram: Datagram | None) -> None:
-        if datagram is not None:
-            try:
-                self._reader(datagram)
-            except Exception as exc:  # noqa: BLE001 - kept on the socket
-                self.reader_error = exc
-                self._reader = None
-                return
-        if self._queue:
-            self.host.loop.call_soon(self._read, self._queue.popleft())
-        else:
-            self._reader_idle = True
+    def _drain(self) -> None:
+        queue = self._queue
+        while queue and self._reader is not None:
+            self._read(queue.popleft())
+        self._reader_live = self._reader is not None
 
-    def _stop_reader(self) -> None:
-        self._reader = None
+    def _read(self, datagram: Datagram) -> None:
+        try:
+            self._reader(datagram)
+        except Exception as exc:  # noqa: BLE001 - kept on the socket
+            self.reader_error = exc
+            self._reader = None
+            self._reader_live = False
 
     def _expire_waiter(self, event: "Event") -> None:
         del self._deadlines[event]
@@ -171,9 +168,8 @@ class UdpSocket:
         """Called by the host when a datagram arrives for this port."""
         if self.closed:
             return
-        if self._reader_idle:
-            self._reader_idle = False
-            self.host.loop.call_soon(self._read, datagram)
+        if self._reader_live:
+            self._read(datagram)
         elif self._waiters:
             self._next_waiter().succeed(datagram)
         else:
@@ -182,17 +178,17 @@ class UdpSocket:
     def close(self) -> None:
         """Unbind the socket: nothing more is delivered and waiters fail.
 
-        Datagrams already queued are kept: a reader with a step pending
-        still drains them, and a later :meth:`recv` still returns them.
-        An idle reader gets one last (no-op) step and stops.
+        Datagrams already queued are kept: a reader whose first step is
+        pending still drains them, and a later :meth:`recv` still returns
+        them. A live reader stops.
         """
         if self.closed:
             return
         self.closed = True
         self.host.release_port(self.port)
-        if self._reader_idle:
-            self._reader_idle = False
-            self.host.loop.call_soon(self._stop_reader)
+        if self._reader_live:
+            self._reader_live = False
+            self._reader = None
         while self._waiters:
             self._next_waiter().fail(
                 TransportError(f"socket {self.host.name}:{self.port} closed"))

@@ -24,15 +24,17 @@ charged the AS's internal latency so the data plane matches the latency
 metadata the control plane advertises.
 
 A forwarding step that passed every check is remembered too: keyed on
-the path object's identity, the hop index and the ingress interface, it
-holds the earliest expiry of the hops it crossed, the next hop index,
-the egress link's ``transmit`` and the processing delay. A packet that
-finds its step pays one dict lookup, an identity check on the path and
-the expiry comparison, then goes straight onto the egress link's event
-— the same event, at the same time, with the same sequence number the
-full walk would have scheduled. Forgeries, path errors, wrong-AS hops,
-expired packets and worlds built with ``verify_macs=False`` never make
-a step; they take the full walk and its counters. IP forwarding keeps
+the path object's identity (``None`` for intra-AS SCION), the hop index
+and the ingress interface, it holds the earliest expiry of the hops it
+crossed, the next hop index, the processing delay and the egress link's
+``transmit``. The ingress link asks for the step (:meth:`AsRouter.
+hop_step`) as it puts the packet on the wire: a packet that finds it,
+unexpired at its arrival time, costs one loop event for the hop, which
+runs when the step hands the packet to the egress link — the instant
+the full walk's transmit would have run. Forgeries, path errors,
+wrong-AS hops, expired packets and worlds built with
+``verify_macs=False`` never make a step; they arrive in an event of
+their own and take the full walk and its counters. IP forwarding keeps
 the same kind of step per destination address object and ingress.
 """
 
@@ -98,31 +100,39 @@ class AsRouter(Node):
         self.packets_received += 1
         protocol = packet.protocol
         if protocol == "scion":
-            meta = packet.meta
-            path = meta.get("path")
-            if path is not None:
-                step = self._steps.get(
-                    (id(path), meta.get("hop_index", 0), ifid))
-                if (step is not None and step[0] is path
-                        and self.loop._now < step[1]):
-                    _path, _expiry, next_index, transmit, delay = step
-                    if next_index is None:
-                        self._deliver_local(packet)
-                        return
-                    meta["hop_index"] = next_index
-                    self.packets_sent += 1
-                    self.loop.call_later(delay, transmit, packet, self.name)
-                    return
             self._forward_scion(packet, ifid)
         elif protocol == "ip":
+            self._forward_ip(packet, ifid)
+        # unknown protocols are dropped silently (counted by base class)
+
+    def hop_step(self, packet: Packet, ifid: int, arrival: float
+                 ) -> tuple[float, Callable[[Packet, str], None]] | None:
+        """The stored step for ``packet`` arriving on ``ifid`` at
+        ``arrival``, as ``(delay, egress transmit)``; ``None`` sends the
+        packet through :meth:`receive` and the full walk.
+
+        Asked by the ingress link as it puts the packet on the wire, so
+        a hit costs the packet one loop event for the hop. Expiry is
+        judged at ``arrival``, as the full walk would judge it there.
+        """
+        protocol = packet.protocol
+        if protocol == "scion":
+            meta = packet.meta
+            path = meta.get("path")
+            step = self._steps.get((id(path), meta.get("hop_index", 0), ifid))
+            if step is None or step[0] is not path or arrival >= step[1]:
+                return None
+            next_index = step[2]
+            if next_index is None:
+                return self._local_step(packet)
+            meta["hop_index"] = next_index
+            return step[3], step[4]
+        if protocol == "ip":
             dst = packet.dst
             step = self._ip_steps.get((id(dst), ifid))
             if step is not None and step[0] is dst:
-                self.packets_sent += 1
-                self.loop.call_later(step[2], step[1], packet, self.name)
-                return
-            self._forward_ip(packet, ifid)
-        # unknown protocols are dropped silently (counted by base class)
+                return step[1], step[2]
+        return None
 
     # -- SCION ------------------------------------------------------------------
 
@@ -133,6 +143,9 @@ class AsRouter(Node):
         path: ScionPath | None = packet.meta.get("path")
         if path is None:
             # Intra-AS SCION traffic: deliver directly to the local host.
+            if self.verify_macs:
+                self._steps[id(None), packet.meta.get("hop_index", 0),
+                            in_ifid] = (None, math.inf, None, None, None)
             self._deliver_local(packet)
             return
         first_index = hop_index = packet.meta.get("hop_index", 0)
@@ -166,7 +179,7 @@ class AsRouter(Node):
                 transmit = self._schedule(delay, packet, hop.egress)
                 if transmit is not None and self.verify_macs:
                     self._steps[id(path), first_index, in_ifid] = (
-                        path, earliest_ms, hop_index + 1, transmit, delay)
+                        path, earliest_ms, hop_index + 1, delay, transmit)
                 return
             next_index = hop_index + 1
             if (next_index < len(hops)
@@ -211,10 +224,17 @@ class AsRouter(Node):
                      if in_ifid in self.external_ifids
                      else PROCESSING_DELAY_MS)
             transmit = self._schedule(delay, packet, egress)
-        if transmit is not None:
-            self._ip_steps[id(dst), in_ifid] = (dst, transmit, delay)
+        if transmit is not None and self.verify_macs:
+            self._ip_steps[id(dst), in_ifid] = (dst, delay, transmit)
 
     # -- helpers ------------------------------------------------------------------
+
+    def _local_step(self, packet: Packet
+                    ) -> tuple[float, Callable[[Packet, str], None]] | None:
+        port = self.ports.get(self.host_ports.get(packet.dst.host))
+        if port is None:
+            return None
+        return PROCESSING_DELAY_MS, port.link.transmit
 
     def _deliver_local(self, packet: Packet
                        ) -> Callable[[Packet, str], None] | None:

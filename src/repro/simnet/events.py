@@ -81,7 +81,12 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers automatically after a delay."""
+    """An event that triggers automatically after a delay.
+
+    Its callbacks run in the expiry's own step, as in SimPy: a process
+    waiting on a timeout resumes at the deadline without a further loop
+    step.
+    """
 
     __slots__ = ("delay", "_handle")
 
@@ -105,8 +110,13 @@ class Timeout(Event):
             self.loop.cancel_scheduled(self._handle)
 
     def _expire(self, value: Any) -> None:
-        if not self.triggered:
-            self.succeed(value)
+        if self.triggered:
+            return
+        self.triggered = True
+        self.value = value
+        callbacks, self._callbacks = self._callbacks, []
+        for callback in callbacks:
+            callback(self)
 
 
 class Interrupt(Exception):

@@ -17,6 +17,7 @@ is how path-MTU effects become observable to upper layers.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -89,13 +90,15 @@ class Link:
         self._endpoints = {a.name: (a, a_port), b.name: (b, b_port)}
         # Receiver per sender, precomputed: transmit() runs per packet and
         # must not search the endpoint table each time.
-        self._peer_of = {a.name: (b, b_port), b.name: (a, a_port)}
+        self._peer_of = {a.name: (b, b_port, b.hop_step),
+                         b.name: (a, a_port, a.hop_step)}
         # Transmitter-free times, one per direction, keyed by sender name.
         # Packets queue FIFO on this clock; the fast path reads it to
         # judge contention and stamps its analytic bursts onto it.
         self._tx_free_at = {a.name: 0.0, b.name: 0.0}
         #: Packets currently on the wire (sent, not yet delivered,
-        #: propagation included) — read by the ``link_inflight`` /
+        #: propagation included; a merged hop also counts the router's
+        #: processing delay) — read by the ``link_inflight`` /
         #: ``as_link_inflight`` gauges only; it decides nothing.
         self.inflight = 0
         # Counters for stats/feedback (paper §4: per-path usage statistics).
@@ -187,7 +190,7 @@ class Link:
         if peer is None:
             raise SimulationError(
                 f"{sender_name} is not attached to link {self.name}")
-        receiver, receiver_port = peer
+        receiver, receiver_port, hop_step = peer
         cfg = self.config
 
         if not self._up:
@@ -224,6 +227,13 @@ class Link:
         if self.trace is not None:
             self._record("send", packet)
         packet.hops += 1
+        if hop_step is not None:
+            step = hop_step(packet, receiver_port, arrival)
+            if step is not None:
+                delay, egress = step
+                self.loop.call_at(arrival + delay, self._hop, receiver,
+                                  egress, packet, arrival)
+                return
         self.loop.call_at(arrival, self._deliver, receiver, receiver_port, packet)
 
     def _deliver(self, receiver: "Node", port: int, packet: Packet) -> None:
@@ -231,6 +241,17 @@ class Link:
         if self.trace is not None:
             self._record("recv", packet)
         receiver.receive(packet, port)
+
+    def _hop(self, receiver: "Node", egress: Callable[[Packet, str], None],
+             packet: Packet, arrival: float) -> None:
+        """Arrival and the receiver's forwarding step as one event, run
+        when the step hands the packet to its ``egress`` transmit."""
+        self.inflight -= 1
+        if self.trace is not None:
+            self.trace.record(arrival, self.name, "recv", packet)
+        receiver.packets_received += 1
+        receiver.packets_sent += 1
+        egress(packet, receiver.name)
 
     def _record(self, event: str, packet: Packet) -> None:
         if self.trace is not None:

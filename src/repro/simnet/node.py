@@ -29,6 +29,13 @@ class Port:
 class Node:
     """A device in the simulated network."""
 
+    #: ``hop_step(packet, ifid, arrival)`` on a node that can name, when
+    #: a link puts a packet on the wire toward it, what it will do with
+    #: the packet: ``(delay, egress transmit)`` to hand it on ``delay``
+    #: ms after ``arrival`` without a receive step of its own, or
+    #: ``None`` to receive it. ``None`` here: every packet is received.
+    hop_step = None
+
     def __init__(self, name: str) -> None:
         self.name = name
         self.loop: "EventLoop | None" = None  # set by Network.add_node

@@ -34,7 +34,10 @@ class PacketTrace:
     when they need per-path accounting. ``capacity`` bounds the memory: a
     full trace drops its *oldest* entry for each new one (ring-buffer
     semantics — the recent past is what post-mortems need) and counts the
-    evictions in :attr:`dropped_entries`.
+    evictions in :attr:`dropped_entries`. Entries are kept in the order
+    written, which is not quite time order: a ``recv`` at a router that
+    forwards on a stored step carries the arrival time but is written
+    when the router hands the packet on.
     """
 
     def __init__(self, capacity: int | None = None) -> None:

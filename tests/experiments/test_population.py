@@ -55,8 +55,10 @@ class TestRecordedRun:
     Both event counts were re-recorded when a socket's receive watchdog
     began to be cancelled on delivery (75 stale timers no longer fire),
     and again when a superseded retransmission timer began to be
-    cancelled (10,405 -> 10,401 and 109,097 -> 102,536); packets, bytes
-    and every PLT stayed."""
+    cancelled (10,405 -> 10,401 and 109,097 -> 102,536), and once more
+    when a router's forwarding step joined its packet's arrival event
+    and a socket reader began to run in the delivery event (10,401 ->
+    8,104 and 102,536 -> 52,891); packets, bytes and every PLT stayed."""
 
     def _replay(self, events, packets, sent_bytes, digest):
         world = pop.build_population_world("opportunistic-SCION", 950,
@@ -79,13 +81,13 @@ class TestRecordedRun:
 
     def test_small_city_replays_the_recorded_run(self, monkeypatch):
         monkeypatch.setenv("REPRO_FASTPATH", "1")
-        self._replay(10401, 48154, 31326606, (
+        self._replay(8104, 48154, 31326606, (
             "f8a8cd14030ae16c1091abdfb54895e84d6a488986d45b4f6d73a59ca75eadd7"))
 
     def test_small_city_packet_level_replays_the_parents_run(
             self, monkeypatch):
         monkeypatch.setenv("REPRO_FASTPATH", "0")
-        self._replay(102536, 48154, 31326606, (
+        self._replay(52891, 48154, 31326606, (
             "e0e3d6429edce10d497dd0ad755ab3b2cdb6e4f5ac9379341da2b27649cb98cf"))
 
 

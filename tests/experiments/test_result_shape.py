@@ -12,7 +12,16 @@ began to be cancelled on delivery: only ``duration_ms``, ``events`` and
 the path-server rate derived from the duration moved. The stable JSON
 was re-recorded again when a superseded retransmission timer began to
 be cancelled: only ``events`` and the overload ``duration_ms`` moved,
-and the rendered blocks stayed.
+and the rendered blocks stayed. Both were re-recorded once more when a
+router's forwarding step joined its packet's arrival event, a socket
+reader began to run in the delivery event and a timeout began to resume
+its waiters in its own step: same-instant events run in a new order.
+The population block stayed; its JSON moved in ``events`` (16,352 ->
+8,574 for the opportunistic trial), the mean PLT (112.595 -> 112.567
+ms) and the pool wait (766.3437 -> 766.3431 ms). In the overload block
+the p99 PLTs fell by up to 14 ms (pre-spike 1,226 -> 1,221 ms, burst
+2,671 -> 2,657 ms on and 2,711 -> 2,697 ms off), retry amplification
+went 1.18x -> 1.17x and budget exhaustions 11 -> 10.
 """
 
 import hashlib
@@ -43,10 +52,10 @@ class TestRecordedReports:
     @pytest.mark.parametrize("battery, params, render, stable_json", [
         (POPULATION, dict(users=6, sites=6),
          "52d308e9608cf26b61404dc2a2a9b1e66351b03442774ea76700160a0e478c05",
-         "8fb34dab4986bcfe29ac5546e3c1e22d229873d88d7412de1d8600686f757d6a"),
+         "62b9502f979d49d1ec19708ea723939df2e44f01af96d9a04d80c3ef8b93a80c"),
         (OVERLOAD, dict(users=12),
-         "71decea5ec706009946a79c8e1145c3cbfac6c7cae2cece2e0abadad22e3c723",
-         "33f973280f48416be207bda721e72804846614a841718d2059eefd7a25a7f873"),
+         "92dc3f23ffc0df3dbc7259f257a0a55c243e2a08c67214132a5242b2b6b7643f",
+         "59d8806582cbc8fe85b86c42d00ac6cce28456aa7fc0a1f3787b95d8dd234d51"),
     ], ids=["population", "overload"])
     def test_report_and_json_replay_the_recorded_run(
             self, battery, params, render, stable_json):

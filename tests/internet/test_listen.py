@@ -1,12 +1,19 @@
-"""A push-mode socket reader schedules exactly what a ``recv`` loop did.
+"""A push-mode socket reader handles what a ``recv`` loop did, one event
+cheaper per datagram.
 
 ``UdpSocket.listen`` replaced four generator processes that looped on
-``yield socket.recv()``. Each case below runs the same deliveries and
-closes against both readers — the reference generator is kept here — and
-requires the same handled order, the same loop event count and the same
-clock. The handler schedules work of its own, so a step landing before
-or after that work would show.
+``yield socket.recv()``; it now calls its handler inside the event that
+delivers the datagram. Each case below runs the same deliveries and
+closes against both readers — the reference generator is kept here —
+and requires the same datagrams handled in the same order at the same
+times, the same work scheduled by the handler, the same clock, and one
+loop event fewer per handled datagram (and none for a close that stops
+an idle reader, which cost the generator its last step). Only the order
+of same-instant work moves: a handler's echo no longer runs before the
+next datagram of the same burst is handled.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -73,11 +80,20 @@ def run(reader, scenario):
             "error": repr(error), "socket": socket}
 
 
-def compare(scenario):
+def handled(result):
+    return [(now, payload) for now, kind, payload in result["log"]
+            if kind == "handle"]
+
+
+def compare(scenario, closes_idle=False):
     listened = run("listen", scenario)
     reference = run("reference", scenario)
-    for key in ("log", "events", "now", "error"):
+    assert handled(listened) == handled(reference)
+    assert Counter(listened["log"]) == Counter(reference["log"])
+    for key in ("now", "error"):
         assert listened[key] == reference[key], key
+    saved = len(handled(reference)) + closes_idle
+    assert listened["events"] == reference["events"] - saved
     return listened
 
 
@@ -105,6 +121,10 @@ def test_same_instant_bursts():
 
     result = compare(scenario)
     assert len(result["log"]) == 14
+    # Each burst is handled within its delivery event, so both bursts
+    # of an instant are handled before the first echo runs.
+    assert [entry[1] for entry in result["log"][:5]] == ["handle"] * 4 + [
+        "echo"]
 
 
 def test_close_while_idle_takes_one_last_step():
@@ -115,11 +135,11 @@ def test_close_while_idle_takes_one_last_step():
         loop.call_later(3.0, deliver, "late")
         return process
 
-    result = compare(scenario)
+    result = compare(scenario, closes_idle=True)
     assert [entry[2] for entry in result["log"]] == ["a", "a"]
-    # The first step; the delivery of "a", its step and its echo; the
-    # close and the reader's last step; the ignored late delivery.
-    assert result["events"] == 7
+    # The first step; the delivery of "a", which handles it, and its
+    # echo; the close; the ignored late delivery.
+    assert result["events"] == 5
     assert result["now"] == 3.0
 
 

@@ -288,7 +288,10 @@ class TestMacEnforcement:
 
 class TestForwardingSteps:
     """A router remembers each forwarding step that passed every check,
-    keyed on the path object, hop index and ingress interface."""
+    keyed on the path object, hop index and ingress interface. The link
+    that carries a packet toward the router looks its step up as it puts
+    the packet on the wire; a hit makes the arrival and the step one
+    event, run when the step hands the packet to its egress link."""
 
     def test_step_charges_the_delay_of_its_ingress(self, world, monkeypatch):
         internet, ases, client, server = world
@@ -304,15 +307,20 @@ class TestForwardingSteps:
             delays.append(delay)
             return real(loop, delay, *args)
 
+        def packet():
+            return Packet(src=client.addr, dst=server.addr, payload=None,
+                          size=100, protocol="scion",
+                          meta={"path": path, "hop_index": 0})
+
         monkeypatch.setattr(EventLoop, "call_later", spy)
-        for _ in range(2):  # the second round runs on the stored steps
-            for ifid in (host_ifid, transit_ifid):
-                packet = Packet(src=client.addr, dst=server.addr,
-                                payload=None, size=100, protocol="scion",
-                                meta={"path": path, "hop_index": 0})
-                router.receive(packet, ifid)
-        assert delays == [PROCESSING_DELAY_MS, router.internal_latency_ms] * 2
+        ifids = (host_ifid, transit_ifid)
+        for ifid in ifids:  # the full walk stores the steps ...
+            router.receive(packet(), ifid)
+        assert delays == [PROCESSING_DELAY_MS, router.internal_latency_ms]
         assert len(router._steps) == 2
+        # ... which charge the same delays.
+        assert [router.hop_step(packet(), ifid, internet.loop.now)[0]
+                for ifid in ifids] == delays
 
     @pytest.mark.parametrize("earlier", [0, 1])
     def test_crossover_step_expires_with_its_earlier_hop(self, world,
@@ -352,6 +360,142 @@ class TestForwardingSteps:
         assert server.datagrams_received == 2
         assert router.expired_drops == 1
         assert router.mac_failures == 0
+
+
+class TestMergedHop:
+    """What a hop judges when its arrival and its step are one event."""
+
+    @staticmethod
+    def transit(internet, path):
+        """The first transit hop's index, router and egress link."""
+        index = next(i for i, hop in enumerate(path.hops)
+                     if hop.ingress and hop.egress)
+        router = internet.routers[path.hops[index].isd_as]
+        return index, router, router.ports[path.hops[index].egress].link
+
+    def test_expiry_inside_the_processing_window_is_judged_at_arrival(
+            self, world, monkeypatch):
+        internet, ases, client, server = world
+        server.udp_socket(7)
+        path = client.daemon.paths(ases.remote_server)[0]
+        router = internet.routers[ases.client]
+        egress = router.ports[path.hops[0].egress].link
+        socket = client.udp_socket()
+        socket.send(server.addr, 7, b"warm", 64, via="scion", path=path)
+        internet.run()
+        _path, deadline, _next, delay, _transmit = router._steps[
+            id(path), 0, router.host_ports["client"]]
+        latency = client.ports[client.ROUTER_IFID].link.config.latency_ms
+        walked = []
+        monkeypatch.setattr(router, "receive", lambda packet, ifid: (
+            walked.append(internet.loop.now),
+            type(router).receive(router, packet, ifid)))
+        # Arrives half a processing delay before the deadline, leaves
+        # half a delay after it: its step, judged at arrival, forwards it.
+        internet.loop.run(until=deadline - latency - delay / 2)
+        socket.send(server.addr, 7, b"just", 64, via="scion", path=path)
+        internet.run()
+        assert (router.expired_drops, egress.packets_sent) == (0, 2)
+        assert walked == []
+        # Arriving after the deadline, it takes the full walk, which
+        # drops it where it arrives.
+        socket.send(server.addr, 7, b"stale", 64, via="scion", path=path)
+        internet.run()
+        assert (router.expired_drops, egress.packets_sent) == (1, 2)
+        assert len(walked) == 1 and walked[0] > deadline
+
+    def test_forged_hop_never_makes_a_step_and_fails_every_time(
+            self, world):
+        internet, ases, client, server = world
+        server.udp_socket(7)
+        genuine = client.daemon.paths(ases.remote_server)[0]
+        forged = TestMacEnforcement().forged_path(genuine)
+        _index, victim, _egress = self.transit(internet, forged)
+        socket = client.udp_socket()
+        for sent in range(1, 4):
+            socket.send(server.addr, 7, b"evil", 64, via="scion",
+                        path=forged)
+            internet.run()
+            assert victim.mac_failures == sent
+        # The genuine hop before the forgery made its step; the forged
+        # one made none, so each packet met the full walk there.
+        first = internet.routers[forged.hops[0].isd_as]
+        assert any(step[0] is forged for step in first._steps.values())
+        assert not any(step[0] is forged for step in victim._steps.values())
+        assert server.datagrams_received == 0
+
+    def test_egress_taken_down_inside_the_window_drops_at_transmit(self):
+        topology, ases = remote_testbed()
+        internet = Internet(topology, seed=4, trace=True)
+        client = internet.add_host("client", ases.client)
+        server = internet.add_host("server", ases.remote_server)
+        server.udp_socket(7)
+        path = client.daemon.paths(ases.remote_server)[0]
+        index, router, egress = self.transit(internet, path)
+        ingress = router.ports[path.hops[index].ingress].link
+        trace = internet.network.trace
+        socket = client.udp_socket()
+
+        def crossing(sent_at):
+            """When the last packet reached the router, and when the
+            router handed it to the egress link, after ``sent_at``."""
+            (recv,) = [entry.time for entry in trace.events("recv")
+                       if entry.link == ingress.name and entry.time > sent_at]
+            handed = [entry.time for entry in trace
+                      if entry.link == egress.name and entry.time > sent_at
+                      and entry.event in ("send", "drop-down")]
+            return recv - sent_at, handed[0] - sent_at, handed
+
+        socket.send(server.addr, 7, b"warm", 64, via="scion", path=path)
+        internet.run()
+        arrival, handed, _ = crossing(0.0)
+        assert handed - arrival == pytest.approx(router.internal_latency_ms)
+        sent_at = internet.loop.now
+        internet.loop.call_at(sent_at + arrival + (handed - arrival) / 2,
+                              setattr, egress, "up", False)
+        socket.send(server.addr, 7, b"cut", 64, via="scion", path=path)
+        internet.run()
+        assert crossing(sent_at)[:2] == pytest.approx((arrival, handed))
+        (drop,) = [entry for entry in trace.events("drop-down")
+                   if entry.link == egress.name]
+        assert drop.time == pytest.approx(sent_at + handed)
+        assert egress.packets_dropped == 1
+        assert router.packets_sent == router.packets_received == 2
+        assert server.datagrams_received == 1
+
+    def test_worlds_without_mac_checks_never_merge_a_hop(self, monkeypatch):
+        from repro.simnet.link import Link
+
+        merged = []
+        real = Link._hop
+
+        def counting(link, *args):
+            merged.append(link.name)
+            real(link, *args)
+
+        monkeypatch.setattr(Link, "_hop", counting)
+        topology, ases = remote_testbed()
+        received = {}
+        for verify in (False, True):
+            internet = Internet(topology, seed=4, verify_macs=verify)
+            client = internet.add_host("client", ases.client)
+            server = internet.add_host("server", ases.remote_server)
+            sibling = internet.add_host("sibling", ases.client)
+            server.udp_socket(7)
+            sibling.udp_socket(7)
+            path = client.daemon.paths(ases.remote_server)[0]
+            socket = client.udp_socket()
+            for _ in range(3):
+                socket.send(server.addr, 7, b"s", 64, via="scion", path=path)
+                socket.send(server.addr, 7, b"i", 64, via="ip")
+                socket.send(sibling.addr, 7, b"l", 64, via="scion")
+                internet.run()
+            received[verify] = (server.datagrams_received,
+                                sibling.datagrams_received, len(merged))
+        # Without checks every packet is received by every router; with
+        # them, the second and third rounds merge their hops.
+        assert received[False] == (6, 3, 0)
+        assert received[True][:2] == (6, 3) and received[True][2] > 0
 
 
 class TestReversePath:

@@ -288,6 +288,79 @@ class TestCombinators:
             loop.any_of([])
 
 
+class TestTimeoutStep:
+    """A timeout runs its callbacks in its own step, as SimPy does."""
+
+    def test_waiter_resumes_in_the_timeouts_own_step(self, loop):
+        seen = []
+
+        def sleeper():
+            yield loop.timeout(2.0)
+            seen.append(("woke", loop.now))
+
+        loop.process(sleeper())
+        # Scheduled after the timeout, for the same instant: a waiter
+        # resumed one step after the expiry would run after it.
+        loop.call_later(1.0, loop.call_at, 2.0, seen.append, "later")
+        loop.run()
+        assert seen == [("woke", 2.0), "later"]
+        # The sleeper's start, the call_later, the expiry (which resumes
+        # the sleeper) and the "later" entry: no step of the waiter's own.
+        assert loop.events_processed == 4
+
+    def test_every_callback_runs_in_order_within_the_expiry(self, loop):
+        timeout = loop.timeout(1.0, value="v")
+        seen = []
+        timeout.add_callback(lambda event: seen.append(("a", event.value)))
+        timeout.add_callback(lambda event: seen.append(("b", event.value)))
+        loop.run()
+        assert seen == [("a", "v"), ("b", "v")]
+        assert loop.events_processed == 1
+        # A callback added after the expiry still runs, one step later.
+        timeout.add_callback(lambda event: seen.append(("c", event.value)))
+        loop.run()
+        assert seen[-1] == ("c", "v")
+        assert loop.events_processed == 2
+
+    def test_any_of_keeps_its_step(self, loop):
+        """AnyOf is an ordinary event: its waiter still resumes one step
+        after the timeout fired it, and the slower timeout is ignored."""
+
+        def main():
+            slow = loop.timeout(9.0, value="slow")
+            event, value = yield loop.any_of(
+                [loop.timeout(1.0, value="fast"), slow])
+            at = loop.now
+            slow.cancel()
+            return value, at
+
+        assert loop.run_process(main()) == ("fast", 1.0)
+        assert loop.now == 1.0  # the cancelled timer did not stretch the run
+
+    def test_all_of_keeps_its_values_and_order(self, loop):
+        def main():
+            values = yield loop.all_of([loop.timeout(3.0, value="c"),
+                                        loop.timeout(1.0, value="a"),
+                                        loop.timeout(2.0, value="b")])
+            return values, loop.now
+
+        assert loop.run_process(main()) == (["c", "a", "b"], 3.0)
+
+    def test_cancelled_waiter_never_resumes(self, loop):
+        seen = []
+
+        def sleeper(timeout):
+            yield timeout
+            seen.append("woke")
+
+        timeout = loop.timeout(5.0)
+        loop.process(sleeper(timeout))
+        loop.call_later(1.0, timeout.cancel)
+        loop.run()
+        assert seen == [] and not timeout.triggered
+        assert loop.now == 1.0
+
+
 class TestSerialResource:
     def test_serializes_two_users(self, loop):
         resource = SerialResource(loop)
