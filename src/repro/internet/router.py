@@ -76,10 +76,10 @@ class AsRouter(Node):
         #: field whose MAC verified under ``forwarding_key``.
         self._verified_expiry_ms: dict[tuple[int, HopField], float] = {}
         #: (id(path), hop index, ingress ifid) -> (path, earliest expiry
-        #: (ms), next hop index or None to deliver locally, egress
-        #: transmit, delay): SCION steps whose every hop verified.
+        #: (ms), next hop index or None to deliver locally, delay, egress
+        #: transmit): SCION steps whose every hop verified.
         self._steps: dict[tuple[int, int, int], tuple] = {}
-        #: (id(dst), ingress ifid) -> (dst, egress transmit, delay).
+        #: (id(dst), ingress ifid) -> (dst, delay, egress transmit).
         self._ip_steps: dict[tuple[int, int], tuple] = {}
         # drop counters
         self.mac_failures = 0
