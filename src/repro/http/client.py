@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import (ConnectionClosedError, HttpError,
-                          RequestTimeoutError)
+                          RequestTimeoutError, SimulationError)
 from repro.http.message import HttpRequest, HttpResponse
 from repro.internet.host import Host
 from repro.ip.tcp import tcp_connect
@@ -67,6 +67,22 @@ class ClientStats:
     pool_wait_ms: float = 0.0
 
 
+class _Watchdog:
+    """A timed request's deadline: the interrupt cause its timer throws
+    into the requesting process, so that process can tell its own
+    timeout from any other interrupt."""
+
+    __slots__ = ("process", "fired")
+
+    def __init__(self, process: Any) -> None:
+        self.process = process
+        self.fired = False
+
+    def fire(self) -> None:
+        self.fired = True
+        self.process.interrupt(self)
+
+
 class HttpClient:
     """HTTP client bound to one simulated host."""
 
@@ -88,46 +104,44 @@ class HttpClient:
         Usage: ``response = yield from client.request(...)``. Raises
         :class:`HttpError` when the transport fails and
         :class:`RequestTimeoutError` when ``timeout_ms`` elapses before
-        the response arrives. A timed-out exchange keeps running in the
-        background until its transport gives up; its connection returns
-        to (or is discarded from) the pool when it does, so the pool
-        never hands a half-used stream to a later request.
+        the response arrives. The deadline is one timer that interrupts
+        the requesting process wherever the exchange waits — in the pool
+        queue, the handshake or the response — so the exchange gives up
+        its pool slot at once and a half-used stream is discarded: the
+        pool never hands it to a later request. Any other interrupt
+        propagates unchanged and withdraws the timer.
         """
         tracer = self.tracer
         span = tracer.span("http.request", parent=parent, via=via,
                            dst=str(dst), url=request.url) \
             if tracer.enabled else NULL_SPAN
-        if timeout_ms is None:
-            try:
-                response = yield from self._request(dst, port, request, via,
-                                                    path, span=span)
-            except BaseException as error:
-                span.set(error=type(error).__name__).end("error")
-                raise
-            span.end()
-            return response
-        assert self.host.loop is not None
         loop = self.host.loop
-        exchange = loop.process(
-            self._request(dst, port, request, via, path, span=span),
-            name=f"http-{request.method}-{dst}")
-        timer = loop.timeout(timeout_ms)
+        watchdog = None
+        if timeout_ms is not None:
+            process = loop.active_process if loop is not None else None
+            if process is None:
+                raise SimulationError(
+                    "request(timeout_ms=) must run inside a process")
+            watchdog = _Watchdog(process)
+            handle = loop.call_later(timeout_ms, watchdog.fire)
         try:
-            event, value = yield loop.any_of([exchange, timer])
+            response = yield from self._request(dst, port, request, via,
+                                                path, span=span)
         except BaseException as error:
-            timer.cancel()  # exchange failed first: withdraw the watchdog
+            if isinstance(error, Interrupt) and error.cause is watchdog:
+                self.stats.timeouts += 1
+                span.event("timeout", timeout_ms=timeout_ms)
+                span.set(error="RequestTimeoutError").end("error")
+                raise RequestTimeoutError(
+                    f"no response from {dst}:{port} within "
+                    f"{timeout_ms:.0f} ms") from None
             span.set(error=type(error).__name__).end("error")
             raise
-        if event is timer:
-            self.stats.timeouts += 1
-            exchange.interrupt("request timeout")
-            span.event("timeout", timeout_ms=timeout_ms)
-            span.set(error="RequestTimeoutError").end("error")
-            raise RequestTimeoutError(
-                f"no response from {dst}:{port} within {timeout_ms:.0f} ms")
-        timer.cancel()
+        finally:
+            if watchdog is not None and not watchdog.fired:
+                loop.cancel_scheduled(handle)
         span.end()
-        return value
+        return response
 
     def _request(self, dst: HostAddr, port: int, request: HttpRequest,
                  via: str, path: ScionPath | None,

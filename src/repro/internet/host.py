@@ -103,7 +103,9 @@ class UdpSocket:
         With ``timeout_ms``, the event yields ``None`` if nothing arrives
         in time (the waiter is removed, so no datagram is consumed by a
         stale wait). A datagram or a close disarms the watchdog, so it
-        does not keep the clock running to its deadline.
+        does not keep the clock running to its deadline. On a closed
+        socket, datagrams queued before the close are still returned;
+        after them the event fails with :class:`TransportError`.
         """
         if self.host.loop is None:
             raise SimulationError("host not attached to a network")
@@ -113,6 +115,10 @@ class UdpSocket:
         event = self.host.loop.event()
         if self._queue:
             event.succeed(self._queue.popleft())
+            return event
+        if self.closed:
+            event.fail(TransportError(
+                f"socket {self.host.name}:{self.port} is closed"))
             return event
         self._waiters.append(event)
         if timeout_ms is not None:

@@ -177,17 +177,22 @@ def tcp_connect(host: Host, dst: HostAddr, dst_port: int,
     conn_id = next(_conn_ids)
     start = loop.now
     established = False
-    for _attempt in range(retries):
-        socket.send(dst, dst_port, Syn(conn_id=conn_id), HANDSHAKE_BYTES,
-                    via=via, path=path)
-        datagram = yield socket.recv(timeout_ms=timeout_ms)
-        if datagram is None:
-            continue
-        if isinstance(datagram.payload, SynAck) and \
-                datagram.payload.conn_id == conn_id:
-            established = True
-            break
-        # Unexpected frame during handshake (e.g. duplicate): ignore it.
+    try:
+        for _attempt in range(retries):
+            socket.send(dst, dst_port, Syn(conn_id=conn_id), HANDSHAKE_BYTES,
+                        via=via, path=path)
+            datagram = yield socket.recv(timeout_ms=timeout_ms)
+            if datagram is None:
+                continue
+            if isinstance(datagram.payload, SynAck) and \
+                    datagram.payload.conn_id == conn_id:
+                established = True
+                break
+            # Unexpected frame during handshake (e.g. duplicate): ignore it.
+    except BaseException:
+        # Interrupted: unbind the port and disarm the SYN deadline.
+        socket.close()
+        raise
     if not established:
         socket.close()
         raise HandshakeError(

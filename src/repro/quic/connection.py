@@ -279,18 +279,25 @@ def quic_connect(host: Host, dst: HostAddr, dst_port: int,
     start = loop.now
     established = False
     attempts = 0
-    for _attempt in range(retries):
-        attempts += 1
-        socket.send(dst, dst_port, ClientHello(conn_id=conn_id),
-                    HANDSHAKE_BYTES, via=via, path=path)
-        datagram = yield socket.recv(timeout_ms=timeout_ms)
-        if datagram is None:
-            span.event("hello-timeout", attempt=attempts)
-            continue
-        if isinstance(datagram.payload, ServerHello) and \
-                datagram.payload.conn_id == conn_id:
-            established = True
-            break
+    try:
+        for _attempt in range(retries):
+            attempts += 1
+            socket.send(dst, dst_port, ClientHello(conn_id=conn_id),
+                        HANDSHAKE_BYTES, via=via, path=path)
+            datagram = yield socket.recv(timeout_ms=timeout_ms)
+            if datagram is None:
+                span.event("hello-timeout", attempt=attempts)
+                continue
+            if isinstance(datagram.payload, ServerHello) and \
+                    datagram.payload.conn_id == conn_id:
+                established = True
+                break
+    except BaseException as error:
+        # Interrupted (a request watchdog, an aborted session): unbind
+        # the port and disarm the hello deadline before giving up.
+        socket.close()
+        span.set(attempts=attempts, error=type(error).__name__).end("error")
+        raise
     if not established:
         socket.close()
         span.set(attempts=attempts, error="HandshakeError").end("error")

@@ -202,11 +202,20 @@ class ScionPath:
                          metadata=metadata)
 
     def summary(self) -> str:
-        """Human-readable one-line description (used in stats feedback)."""
+        """Human-readable one-line description (used in stats feedback).
+
+        Memoized like :meth:`fingerprint`: the proxy records it on every
+        successful SCION fetch.
+        """
+        cached = getattr(self, "_summary", None)
+        if cached is not None:
+            return cached
         chain = " > ".join(str(isd_as) for isd_as in self.metadata.ases)
-        return (f"[{chain}] lat={self.metadata.latency_ms:.1f}ms "
+        text = (f"[{chain}] lat={self.metadata.latency_ms:.1f}ms "
                 f"bw={self.metadata.bandwidth_mbps:.0f}Mbps "
                 f"mtu={self.metadata.mtu} co2={self.metadata.co2_g_per_gb:.0f}")
+        object.__setattr__(self, "_summary", text)
+        return text
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ScionPath({self.summary()})"

@@ -15,9 +15,9 @@ such processes, which keeps their state machines readable.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from collections.abc import Callable, Generator
+from heapq import heappop, heappush
 from typing import Any
 
 from repro.errors import SimulationError
@@ -47,7 +47,21 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event with ``value``. Returns self for chaining."""
-        self._trigger(value=value)
+        if self.triggered:
+            raise SimulationError("event already triggered")
+        self.triggered = True
+        self.value = value
+        callbacks = self._callbacks
+        if callbacks:
+            # call_soon per callback, without its frame.
+            self._callbacks = []
+            loop = self.loop
+            queue = loop._queue
+            now = loop._now
+            args = (self,)
+            for callback in callbacks:
+                heappush(queue, (now, loop._sequence, callback, args))
+                loop._sequence += 1
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -55,8 +69,10 @@ class Event:
         waiting process."""
         if not isinstance(exception, BaseException):
             raise SimulationError("Event.fail() requires an exception instance")
-        self._trigger(exception=exception)
-        return self
+        if self.triggered:
+            raise SimulationError("event already triggered")
+        self.exception = exception
+        return self.succeed()
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Run ``callback(event)`` once the event triggers.
@@ -68,16 +84,6 @@ class Event:
             self.loop.call_soon(callback, self)
         else:
             self._callbacks.append(callback)
-
-    def _trigger(self, value: Any = None, exception: BaseException | None = None) -> None:
-        if self.triggered:
-            raise SimulationError("event already triggered")
-        self.triggered = True
-        self.value = value
-        self.exception = exception
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            self.loop.call_soon(callback, self)
 
 
 class Timeout(Event):
@@ -91,11 +97,19 @@ class Timeout(Event):
     __slots__ = ("delay", "_handle")
 
     def __init__(self, loop: "EventLoop", delay: float, value: Any = None) -> None:
-        super().__init__(loop)
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
+        # Event.__init__ and call_later, without their frames.
+        self.loop = loop
+        self.triggered = False
+        self.value = None
+        self.exception = None
+        self._callbacks = []
         self.delay = delay
-        self._handle = loop.call_later(delay, self._expire, value)
+        self._handle = handle = loop._sequence
+        heappush(loop._queue, (loop._now + delay, handle, self._expire,
+                               (value,)))
+        loop._sequence = handle + 1
 
     def cancel(self) -> None:
         """Withdraw the timer so it never triggers.
@@ -157,13 +171,19 @@ class Process(Event):
     def _step(self, event: Event | None) -> None:
         if self.triggered:
             return
-        if event is not None and event is not self._waiting_on:
+        if event is None:
+            send_value = None
+        elif event is not self._waiting_on:
             return  # stale wakeup after an interrupt
-        self._waiting_on = None
-        if event is not None and event.exception is not None:
+        elif event.exception is not None:
+            self._waiting_on = None
             self._throw(event.exception, None)
             return
-        send_value = event.value if event is not None else None
+        else:
+            send_value = event.value
+        self._waiting_on = None
+        loop = self.loop
+        loop.active_process = self
         try:
             target = self._generator.send(send_value)
         except StopIteration as stop:
@@ -172,12 +192,26 @@ class Process(Event):
         except BaseException as exc:  # noqa: BLE001 - propagate via event
             self.fail(exc)
             return
-        self._wait_on(target)
+        finally:
+            loop.active_process = None
+        # _wait_on and add_callback, without their frames.
+        if isinstance(target, Event):
+            self._waiting_on = target
+            if target.triggered:
+                heappush(loop._queue, (loop._now, loop._sequence, self._step,
+                                       (target,)))
+                loop._sequence += 1
+            else:
+                target._callbacks.append(self._step)
+        else:
+            self._wait_on(target)
 
     def _throw(self, exception: BaseException, stale: Event | None) -> None:
         del stale
         if self.triggered:
             return
+        loop = self.loop
+        loop.active_process = self
         try:
             target = self._generator.throw(exception)
         except StopIteration as stop:
@@ -186,6 +220,8 @@ class Process(Event):
         except BaseException as exc:  # noqa: BLE001 - propagate via event
             self.fail(exc)
             return
+        finally:
+            loop.active_process = None
         self._wait_on(target)
 
     def _wait_on(self, target: Event) -> None:
@@ -310,15 +346,21 @@ class SerialResource:
         still-queued waiter leaves the queue, and a unit already handed
         to it is released on to the next waiter.
         """
-        event = self.acquire()
-        try:
-            yield event
-        except BaseException:
-            if event.triggered:
-                self.release()
-            else:
-                self._waiters.remove(event)
-            raise
+        if duration_ms > 0.0 and self._in_use < self.capacity:
+            # A free unit: taken with no wake-up. A zero hold keeps its
+            # wake-up, or its release would run ahead of same-instant
+            # work it used to follow.
+            self._in_use += 1
+        else:
+            event = self.acquire()
+            try:
+                yield event
+            except BaseException:
+                if event.triggered:
+                    self.release()
+                else:
+                    self._waiters.remove(event)
+                raise
         try:
             yield self.loop.timeout(duration_ms)
         finally:
@@ -334,7 +376,7 @@ class EventLoop:
     """
 
     __slots__ = ("_now", "_sequence", "_queue", "_events_processed",
-                 "_cancelled")
+                 "_cancelled", "active_process")
 
     def __init__(self) -> None:
         self._now = 0.0
@@ -342,6 +384,9 @@ class EventLoop:
         self._queue: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._events_processed = 0
         self._cancelled: set[int] = set()
+        #: The process whose generator is running right now, or None
+        #: between steps (SimPy's ``env.active_process``).
+        self.active_process: Process | None = None
 
     @property
     def now(self) -> float:
@@ -363,8 +408,7 @@ class EventLoop:
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} ms in the past")
         handle = self._sequence
-        heapq.heappush(self._queue,
-                       (self._now + delay, handle, callback, args))
+        heappush(self._queue, (self._now + delay, handle, callback, args))
         self._sequence += 1
         return handle
 
@@ -377,7 +421,7 @@ class EventLoop:
             raise SimulationError(
                 f"cannot schedule at {when} ms, already at {self._now} ms")
         handle = self._sequence
-        heapq.heappush(self._queue, (when, handle, callback, args))
+        heappush(self._queue, (when, handle, callback, args))
         self._sequence += 1
         return handle
 
@@ -398,7 +442,7 @@ class EventLoop:
         same-time entries."""
         # Scheduling at `now` can never be in the past, so this skips
         # call_at's guard — it is the single hottest call in a simulation.
-        heapq.heappush(self._queue, (self._now, self._sequence, callback, args))
+        heappush(self._queue, (self._now, self._sequence, callback, args))
         self._sequence += 1
 
     # -- coroutine layer ----------------------------------------------------
@@ -433,7 +477,7 @@ class EventLoop:
         forever); exceeding it raises :class:`SimulationError`.
         """
         queue = self._queue
-        pop = heapq.heappop
+        pop = heappop
         cancelled = self._cancelled
         processed = 0
         try:
@@ -459,7 +503,7 @@ class EventLoop:
                     continue  # invisible: must not advance the clock
                 if when > until:
                     # Past the deadline: put it back for the next run.
-                    heapq.heappush(queue, (when, seq, callback, args))
+                    heappush(queue, (when, seq, callback, args))
                     self._now = until
                     return self._now
                 self._now = when

@@ -537,7 +537,13 @@ class FastPath:
         self.stats = FastPathStats()
         self.disabled_reason: str | None = None
         self._endpoints: dict[tuple[str, int], dict[str, EndpointRecord]] = {}
-        self._by_link: dict[int, list[Transfer]] = {}
+        #: Transfers in analytic flight, in commit order.
+        self._in_flight: dict[Transfer, None] = {}
+        #: Resolved legs, ``(host, via, peer_addr, id(path))`` →
+        #: ``(path, leg)``: connections on one route share one RouteLeg
+        #: (and its epoch-cached ``clean()``); the entry holds the path
+        #: so its id is not reused while the key lives.
+        self._routes: dict[tuple, tuple[Any, Any]] = {}
 
     # -- registration --------------------------------------------------------
 
@@ -560,11 +566,13 @@ class FastPath:
     def on_link_changed(self, link: Any) -> None:
         """A link's dynamic state changed: invalidate and demote."""
         self.epoch += 1
-        transfers = self._by_link.get(id(link))
-        if transfers:
-            reason = "link-down" if not link._up else "fault"
-            for transfer in list(transfers):
-                self._demote(transfer, reason)
+        crossing = [transfer for transfer in self._in_flight
+                    if any(hop is link for leg in (transfer.sender_rec.route,
+                                                   transfer.receiver_rec.route)
+                           for hop, _sender in leg.links)]
+        reason = "link-down" if not link._up else "fault"
+        for transfer in crossing:
+            self._demote(transfer, reason)
 
     def disable(self, reason: str) -> None:
         """Turn the fast path off for the rest of this world's lifetime.
@@ -576,14 +584,7 @@ class FastPath:
             return
         self.enabled = False
         self.disabled_reason = reason
-        seen: set[int] = set()
-        pending: list[Transfer] = []
-        for transfers in self._by_link.values():
-            for transfer in transfers:
-                if id(transfer) not in seen:
-                    seen.add(id(transfer))
-                    pending.append(transfer)
-        for transfer in pending:
+        for transfer in list(self._in_flight):
             self._demote(transfer, reason)
 
     # -- transfer entry point ------------------------------------------------
@@ -620,10 +621,10 @@ class FastPath:
 
         fwd = record.route
         if fwd is None:
-            fwd = record.route = _resolve_route(record)
+            fwd = record.route = self._route(record)
         rev = peer.route
         if rev is None:
-            rev = peer.route = _resolve_route(peer)
+            rev = peer.route = self._route(peer)
         if fwd is _UNROUTABLE or rev is _UNROUTABLE:
             return self._fallback("no-route", channel)
         epoch = self.epoch
@@ -752,10 +753,7 @@ class FastPath:
             active.append(transfer)
         channel._fp_busy_until = deliver
         channel._fp_cwnd = transfer.cwnd_final
-        for link, _sender in fwd.links:
-            self._by_link.setdefault(id(link), []).append(transfer)
-        for link, _sender in rev.links:
-            self._by_link.setdefault(id(link), []).append(transfer)
+        self._in_flight[transfer] = None
         # One pending event per transfer: each burst visits each finite
         # forward hop in turn (`_step`), then the message is delivered.
         # O(rounds × hops) events, still far below the oracle's
@@ -859,7 +857,7 @@ class FastPath:
         if transfer.done:
             return
         transfer.done = True
-        self._unlink(transfer)
+        del self._in_flight[transfer]
         channel = transfer.channel
         channel._fp_active.remove(transfer)
         channel._cwnd = transfer.cwnd_final
@@ -939,7 +937,7 @@ class FastPath:
         transfer.done = True
         if transfer.handle is not None:
             self.loop.cancel_scheduled(transfer.handle)
-        self._unlink(transfer)
+        del self._in_flight[transfer]
         channel = transfer.channel
         channel._fp_active.remove(transfer)
         self.stats.demotions += 1
@@ -985,17 +983,13 @@ class FastPath:
             link.bytes_sent += ack_bytes
         return receiver
 
-    def _unlink(self, transfer: Transfer) -> None:
-        for leg in (transfer.sender_rec.route, transfer.receiver_rec.route):
-            for link, _sender in leg.links:
-                transfers = self._by_link.get(id(link))
-                if transfers is not None:
-                    try:
-                        transfers.remove(transfer)
-                    except ValueError:
-                        pass
-                    if not transfers:
-                        del self._by_link[id(link)]
+    def _route(self, record: EndpointRecord):
+        """``record``'s leg, resolved once per route in this world."""
+        key = (record.host, record.via, record.peer_addr, id(record.path))
+        entry = self._routes.get(key)
+        if entry is None:
+            entry = self._routes[key] = (record.path, _resolve_route(record))
+        return entry[1]
 
     def _fallback(self, reason: str, channel: Any = None) -> bool:
         self.stats.fallbacks[reason] = self.stats.fallbacks.get(reason, 0) + 1

@@ -155,7 +155,10 @@ def test_close_with_a_step_pending_still_drains_the_queue():
         loop.call_later(1.0, burst_then_close)
         return process
 
-    result = compare(scenario)
+    # The reference generator drains the queue, then its recv on the
+    # closed socket fails and it takes one last step to return, as it
+    # does when a close finds it idle.
+    result = compare(scenario, closes_idle=True)
     handled = [entry[2] for entry in result["log"] if entry[1] == "handle"]
     assert handled == ["a", "b", "c"]
 
@@ -166,7 +169,21 @@ def test_close_keeps_queued_datagrams_for_a_later_recv():
     socket.close()
     socket.deliver(datagram("late"))
     assert socket.recv().value.payload == "a"
-    assert not socket.recv().triggered
+    after = socket.recv()
+    assert isinstance(after.exception, TransportError)
+    assert not socket._waiters
+
+
+def test_recv_on_a_closed_socket_fails_instead_of_parking():
+    socket = bound_socket()
+    loop = socket.host.loop
+    socket.close()
+    event = socket.recv(timeout_ms=5.0)
+    loop.run()
+    assert event.triggered
+    assert isinstance(event.exception, TransportError)
+    assert not socket._waiters and not socket._deadlines
+    assert loop.now == 0.0  # no deadline was armed
 
 
 def test_a_raising_handler_stops_the_reader_and_keeps_its_error():

@@ -632,6 +632,81 @@ class TestContentionAtTheTransmitter:
         assert began < promised
 
 
+class TestBookkeeping:
+    """In-flight transfers sit in one commit-ordered registry, and a
+    route is resolved once per world."""
+
+    def _three_transfers(self, remote_world, order):
+        internet, ases = remote_world
+        tracer = Tracer(internet.loop)
+        internet.fastpath.tracer = tracer
+        server, received = _far_server(internet, ases)
+        conns = {name: _connect(internet, ases, server, name)
+                 for name in ("c1", "c2", "c3")}
+        internet.run()  # drain the handshakes' ACKs
+        # Sizes name the transfers in the demotion spans.
+        sizes = {"c1": 300_000, "c2": 200_000, "c3": 100_000}
+        for name in order:
+            conns[name].send((name, sizes[name]), sizes[name])
+        assert internet.fastpath.stats.transfers == 3
+        return internet, tracer, received, sizes
+
+    @staticmethod
+    def _demoted(tracer):
+        return [span.attributes["size"]
+                for span in tracer.spans_named("fastpath.demote")]
+
+    def test_connections_on_one_route_share_one_leg(self, remote_world):
+        internet, ases = remote_world
+        server, received = _far_server(internet, ases)
+        client = internet.add_host("c1", ases.client)
+        conns = [internet.loop.run_process(
+            tcp_connect(client, server.addr, 80, via="ip"))
+            for _ in range(2)]
+        for index, conn in enumerate(conns):
+            conn.send(index, 20_000)
+        internet.run()
+        assert sorted(received) == [0, 1]
+        legs = [conn._fp_record.route for conn in conns]
+        assert isinstance(legs[0], fastpath.RouteLeg)
+        assert legs[0] is legs[1]
+        # The replies' legs are shared too, and the registry drained.
+        assert len(internet.fastpath._routes) == 2
+        assert not internet.fastpath._in_flight
+
+    def test_a_link_fault_demotes_the_crossing_transfers_in_commit_order(
+            self, remote_world):
+        internet, tracer, received, sizes = self._three_transfers(
+            remote_world, order=("c3", "c1", "c2"))
+        shared = internet.links_for("server")[0]
+        own = internet.links_for("c1")[0]
+        now = internet.loop.now
+        internet.loop.call_at(now + 5.0, setattr, own, "extra_latency_ms",
+                              1.0)
+        internet.loop.call_at(now + 6.0, setattr, shared,
+                              "extra_latency_ms", 1.0)
+        internet.run()
+        assert len(received) == 3
+        # c1's access link carries c1's transfer alone; the server's
+        # carries the other two, demoted in the order they committed.
+        assert self._demoted(tracer) == [sizes["c1"], sizes["c3"],
+                                         sizes["c2"]]
+        assert internet.fastpath.stats.fallbacks == {"fault": 3}
+        assert not internet.fastpath._in_flight
+
+    def test_disable_demotes_every_transfer_in_commit_order(
+            self, remote_world):
+        internet, tracer, received, sizes = self._three_transfers(
+            remote_world, order=("c2", "c3", "c1"))
+        internet.loop.call_later(5.0, internet.fastpath.disable, "test")
+        internet.run()
+        assert len(received) == 3
+        assert self._demoted(tracer) == [sizes["c2"], sizes["c3"],
+                                         sizes["c1"]]
+        assert internet.fastpath.stats.fallbacks == {"test": 3}
+        assert not internet.fastpath._in_flight
+
+
 class TestFaultInjectorDisables:
     def test_arm_disables_for_the_world(self, remote_world):
         internet, ases = remote_world
