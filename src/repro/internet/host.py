@@ -11,12 +11,17 @@ the machine the paper's HTTP proxy runs on:
 
 Receivers see the arriving path, so servers can reply along the reversed
 SCION path without any path lookup of their own.
+
+A transport sends through a :class:`UdpFlow` (:meth:`UdpSocket.connect`):
+the destination, the way, the path, the header bytes, the protocol and
+the host's uplink are resolved once, so a datagram costs one
+:class:`~repro.simnet.packet.Packet` and one ``Datagram`` on the way
+out. :meth:`UdpSocket.send` is the same flow, built per call.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from collections.abc import Callable
 from typing import TYPE_CHECKING, Any, NamedTuple
 
@@ -59,6 +64,86 @@ class Datagram(NamedTuple):
     path: ScionPath | None = None
 
 
+#: ``Datagram(...)`` without the generated ``__new__`` frame: a flow
+#: builds one per send, field for field in declaration order.
+_new_datagram = tuple.__new__
+
+
+class UdpFlow:
+    """One socket's datagrams to one ``(dst, dst_port)`` along one way
+    (``via``) and ``path``.
+
+    Everything but the payload and its size is resolved at construction
+    (:meth:`UdpSocket.connect`), which raises what a send with these
+    arguments would raise: :class:`TransportError` on a closed socket or
+    a SCION flow to a remote AS without ``path``, :class:`AddressError`
+    for an unknown ``via``. :meth:`send` only checks that the socket is
+    still open.
+    """
+
+    __slots__ = ("socket", "dst", "dst_port", "via", "path", "_protocol",
+                 "_header_path", "_overhead", "_transmit")
+
+    def __init__(self, socket: "UdpSocket", dst: HostAddr, dst_port: int,
+                 via: str, path: ScionPath | None) -> None:
+        host = socket.host
+        if socket.closed:
+            raise _closed(socket)
+        if via == "scion":
+            if path is None and dst.isd_as != host.addr.isd_as:
+                raise TransportError(
+                    f"SCION send to remote AS {dst.isd_as} needs a path")
+            header = (path.header_bytes() if path is not None
+                      else SCION_LOCAL_HEADER_BYTES)
+            self._header_path = path
+        elif via == "ip":
+            header = IP_HEADER_BYTES
+            self._header_path = None
+        else:
+            raise AddressError(f"unknown via {via!r}")
+        self.socket = socket
+        self.dst = dst
+        self.dst_port = dst_port
+        self.via = via
+        #: The path receivers see in the datagram; the packet header
+        #: carries it only over SCION.
+        self.path = path
+        self._protocol = via
+        self._overhead = UDP_HEADER_BYTES + header
+        #: The uplink's ``transmit``, or None on a host not wired into a
+        #: network (its sends go through Node.send, which raises why).
+        uplink = host._uplink  # noqa: SLF001 - the host's own wiring
+        self._transmit = uplink.transmit if uplink is not None else None
+
+    def send(self, payload: Any, size: int) -> None:
+        """Send one datagram of ``size`` payload bytes."""
+        socket = self.socket
+        if socket.closed:
+            raise _closed(socket)
+        host = socket.host
+        host.datagrams_sent += 1
+        addr = host.addr
+        datagram = _new_datagram(Datagram, (
+            addr, socket.port, self.dst, self.dst_port, payload, size,
+            self.via, self.path))
+        transmit = self._transmit
+        if transmit is None:
+            # Not wired into a network: Node.send raises the reason.
+            host.send(Packet(addr, self.dst, datagram, size + self._overhead,
+                             self._protocol, self._header_path, 0,
+                             host.loop.now if host.loop else 0.0),
+                      Host.ROUTER_IFID)
+            return
+        host.packets_sent += 1
+        transmit(Packet(addr, self.dst, datagram, size + self._overhead,
+                        self._protocol, self._header_path, 0, host.loop._now),
+                 host.name)
+
+
+def _closed(socket: "UdpSocket") -> TransportError:
+    return TransportError(f"socket {socket.host.name}:{socket.port} is closed")
+
+
 class UdpSocket:
     """A bound UDP endpoint on one host.
 
@@ -70,8 +155,8 @@ class UdpSocket:
     def __init__(self, host: "Host", port: int) -> None:
         self.host = host
         self.port = port
-        self._queue: deque[Datagram] = deque()
-        self._waiters: deque["Event"] = deque()
+        self._queue: list[Datagram] = []
+        self._waiters: list["Event"] = []
         #: Armed receive watchdogs: waiter -> loop handle.
         self._deadlines: dict["Event", int] = {}
         #: The push-mode reader, and whether it takes datagrams as they
@@ -84,15 +169,17 @@ class UdpSocket:
 
     # -- sending ------------------------------------------------------------
 
+    def connect(self, dst: HostAddr, dst_port: int, via: str = "ip",
+                path: ScionPath | None = None) -> UdpFlow:
+        """The flow of this socket's datagrams to ``(dst, dst_port)``;
+        raises what :class:`UdpFlow` raises."""
+        return UdpFlow(self, dst, dst_port, via, path)
+
     def send(self, dst: HostAddr, dst_port: int, payload: Any, size: int,
              via: str = "ip", path: ScionPath | None = None) -> None:
         """Send one datagram. SCION sends require ``path`` unless the
         destination is in the local AS (empty path)."""
-        if self.closed:
-            raise TransportError(f"socket {self.host.name}:{self.port} is closed")
-        self.host.send_datagram(
-            Datagram(self.host.addr, self.port, dst, dst_port, payload,
-                     size, via, path))
+        UdpFlow(self, dst, dst_port, via, path).send(payload, size)
 
     # -- receiving ------------------------------------------------------------
 
@@ -114,11 +201,10 @@ class UdpSocket:
                 f"socket {self.host.name}:{self.port} has a listening reader")
         event = self.host.loop.event()
         if self._queue:
-            event.succeed(self._queue.popleft())
+            event.succeed(self._queue.pop(0))
             return event
         if self.closed:
-            event.fail(TransportError(
-                f"socket {self.host.name}:{self.port} is closed"))
+            event.fail(_closed(self))
             return event
         self._waiters.append(event)
         if timeout_ms is not None:
@@ -146,16 +232,17 @@ class UdpSocket:
     def _drain(self) -> None:
         queue = self._queue
         while queue and self._reader is not None:
-            self._read(queue.popleft())
+            datagram = queue.pop(0)
+            try:
+                self._reader(datagram)
+            except Exception as exc:  # noqa: BLE001 - kept on the socket
+                self._stop_reader(exc)
         self._reader_live = self._reader is not None
 
-    def _read(self, datagram: Datagram) -> None:
-        try:
-            self._reader(datagram)
-        except Exception as exc:  # noqa: BLE001 - kept on the socket
-            self.reader_error = exc
-            self._reader = None
-            self._reader_live = False
+    def _stop_reader(self, error: Exception) -> None:
+        self.reader_error = error
+        self._reader = None
+        self._reader_live = False
 
     def _expire_waiter(self, event: "Event") -> None:
         del self._deadlines[event]
@@ -164,7 +251,7 @@ class UdpSocket:
 
     def _next_waiter(self) -> "Event":
         """Take the oldest waiter and disarm its watchdog."""
-        event = self._waiters.popleft()
+        event = self._waiters.pop(0)
         handle = self._deadlines.pop(event, None)
         if handle is not None:
             self.host.loop.cancel_scheduled(handle)
@@ -175,7 +262,10 @@ class UdpSocket:
         if self.closed:
             return
         if self._reader_live:
-            self._read(datagram)
+            try:
+                self._reader(datagram)
+            except Exception as exc:  # noqa: BLE001 - kept on the socket
+                self._stop_reader(exc)
         elif self._waiters:
             self._next_waiter().succeed(datagram)
         else:
@@ -245,50 +335,6 @@ class Host(Node):
         super().attach_port(ifid, link)
         if ifid == self.ROUTER_IFID and self.loop is not None:
             self._uplink = link
-
-    def send_datagram(self, datagram: Datagram) -> None:
-        """Wrap a datagram in the requested network layer and transmit."""
-        self.datagrams_sent += 1
-        if datagram.via == "scion":
-            packet = self._scion_packet(datagram)
-        elif datagram.via == "ip":
-            packet = self._ip_packet(datagram)
-        else:
-            raise AddressError(f"unknown via {datagram.via!r}")
-        uplink = self._uplink
-        if uplink is None:
-            # Not wired into a network: Node.send raises the reason.
-            self.send(packet, self.ROUTER_IFID)
-            return
-        self.packets_sent += 1
-        uplink.transmit(packet, self.name)
-
-    def _scion_packet(self, datagram: Datagram) -> Packet:
-        path = datagram.path
-        if path is None and datagram.dst.isd_as != self.addr.isd_as:
-            raise TransportError(
-                f"SCION send to remote AS {datagram.dst.isd_as} needs a path")
-        header = (path.header_bytes() if path is not None
-                  else SCION_LOCAL_HEADER_BYTES)
-        return Packet(
-            src=self.addr,
-            dst=datagram.dst,
-            payload=datagram,
-            size=datagram.size + UDP_HEADER_BYTES + header,
-            protocol="scion",
-            meta={"path": path, "hop_index": 0},
-            created_at=self.loop.now if self.loop else 0.0,
-        )
-
-    def _ip_packet(self, datagram: Datagram) -> Packet:
-        return Packet(
-            src=self.addr,
-            dst=datagram.dst,
-            payload=datagram,
-            size=datagram.size + UDP_HEADER_BYTES + IP_HEADER_BYTES,
-            protocol="ip",
-            created_at=self.loop.now if self.loop else 0.0,
-        )
 
     def receive(self, packet: Packet, ifid: int) -> None:
         """Dispatch an arriving packet to the bound socket."""

@@ -117,15 +117,17 @@ class AsRouter(Node):
         """
         protocol = packet.protocol
         if protocol == "scion":
-            meta = packet.meta
-            path = meta.get("path")
-            step = self._steps.get((id(path), meta.get("hop_index", 0), ifid))
+            path = packet.path
+            step = self._steps.get((id(path), packet.hop_index, ifid))
             if step is None or step[0] is not path or arrival >= step[1]:
                 return None
             next_index = step[2]
             if next_index is None:
-                return self._local_step(packet)
-            meta["hop_index"] = next_index
+                port = self.ports.get(self.host_ports.get(packet.dst.host))
+                if port is None:
+                    return None
+                return PROCESSING_DELAY_MS, port.link.transmit
+            packet.hop_index = next_index
             return step[3], step[4]
         if protocol == "ip":
             dst = packet.dst
@@ -140,15 +142,15 @@ class AsRouter(Node):
         """The full walk: match, verify and expiry-check each hop this
         AS owns, then forward or deliver. A walk that passes every check
         leaves its step behind for the packets that follow."""
-        path: ScionPath | None = packet.meta.get("path")
+        path: ScionPath | None = packet.path
         if path is None:
             # Intra-AS SCION traffic: deliver directly to the local host.
             if self.verify_macs:
-                self._steps[id(None), packet.meta.get("hop_index", 0),
-                            in_ifid] = (None, math.inf, None, None, None)
+                self._steps[id(None), packet.hop_index, in_ifid] = (
+                    None, math.inf, None, None, None)
             self._deliver_local(packet)
             return
-        first_index = hop_index = packet.meta.get("hop_index", 0)
+        first_index = hop_index = packet.hop_index
         hops = path.hops
         earliest_ms = math.inf
         while True:
@@ -172,7 +174,7 @@ class AsRouter(Node):
                 return
             earliest_ms = min(earliest_ms, expiry_ms)
             if hop.egress != 0:
-                packet.meta["hop_index"] = hop_index + 1
+                packet.hop_index = hop_index + 1
                 delay = (self.internal_latency_ms
                          if in_ifid in self.external_ifids
                          else PROCESSING_DELAY_MS)
@@ -228,13 +230,6 @@ class AsRouter(Node):
             self._ip_steps[id(dst), in_ifid] = (dst, delay, transmit)
 
     # -- helpers ------------------------------------------------------------------
-
-    def _local_step(self, packet: Packet
-                    ) -> tuple[float, Callable[[Packet, str], None]] | None:
-        port = self.ports.get(self.host_ports.get(packet.dst.host))
-        if port is None:
-            return None
-        return PROCESSING_DELAY_MS, port.link.transmit
 
     def _deliver_local(self, packet: Packet
                        ) -> Callable[[Packet, str], None] | None:

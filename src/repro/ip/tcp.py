@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import HandshakeError
-from repro.internet.host import Datagram, Host, UdpSocket
+from repro.internet.host import Datagram, Host, UdpFlow, UdpSocket
 from repro.scion.addr import HostAddr
 from repro.scion.path import ScionPath
-from repro.transport.reliable import ReliableChannel
+from repro.transport.reliable import AckFrame, ReliableChannel, Segment
 
 #: Per-segment TCP header bytes charged on the wire.
 TCP_HEADER_BYTES = 32
@@ -57,11 +57,11 @@ class TcpConnection:
     fastpath = None
     _fp_record = None
 
-    def __init__(self, loop, send_raw: Callable[[Any, int], None],
-                 initial_rtt_ms: float, conn_id: int) -> None:
+    def __init__(self, loop, flow: UdpFlow, initial_rtt_ms: float,
+                 conn_id: int) -> None:
         self.conn_id = conn_id
         self.channel = ReliableChannel(
-            loop, transmit=send_raw, header_bytes=TCP_HEADER_BYTES,
+            loop, transmit=flow.send, header_bytes=TCP_HEADER_BYTES,
             initial_rtt_ms=initial_rtt_ms)
 
     def send(self, payload: Any, size: int) -> None:
@@ -95,7 +95,9 @@ class TcpConnection:
         """Feed an incoming datagram's frame into the channel; stray
         handshake duplicates (SYN / SYN-ACK) are ignored."""
         payload = datagram.payload
-        if not isinstance(payload, (Syn, SynAck)):
+        kind = type(payload)
+        if (kind is Segment or kind is AckFrame
+                or not isinstance(payload, (Syn, SynAck))):
             self.channel.on_frame(payload)
 
 
@@ -139,14 +141,9 @@ class TcpListener:
 
     def _establish(self, syn: Datagram) -> TcpConnection:
         reply_path = syn.path.reverse() if syn.path is not None else None
-
-        def send_raw(frame: Any, size: int) -> None:
-            self.socket.send(syn.src, syn.src_port, frame, size,
-                             via=syn.via, path=reply_path)
-
+        flow = self.socket.connect(syn.src, syn.src_port, syn.via, reply_path)
         assert self.host.loop is not None
-        connection = TcpConnection(self.host.loop, send_raw,
-                                   initial_rtt_ms=50.0,
+        connection = TcpConnection(self.host.loop, flow, initial_rtt_ms=50.0,
                                    conn_id=syn.payload.conn_id)
         if self.host.fastpath is not None:
             self.host.fastpath.register(
@@ -199,12 +196,8 @@ def tcp_connect(host: Host, dst: HostAddr, dst_port: int,
             f"TCP connect {host.name} -> {dst}:{dst_port} failed after "
             f"{retries} attempts")
     rtt = max(0.1, loop.now - start)
-
-    def send_raw(frame: Any, size: int) -> None:
-        socket.send(dst, dst_port, frame, size, via=via, path=path)
-
-    connection = TcpConnection(loop, send_raw, initial_rtt_ms=rtt,
-                               conn_id=conn_id)
+    connection = TcpConnection(loop, socket.connect(dst, dst_port, via, path),
+                               initial_rtt_ms=rtt, conn_id=conn_id)
     if getattr(host, "fastpath", None) is not None:
         host.fastpath.register(connection, "tcp", conn_id, "client",
                                host, dst, via, path)

@@ -9,13 +9,12 @@ how QUIC avoids cross-stream head-of-line blocking.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from collections.abc import Callable, Generator
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 from repro.errors import ConnectionClosedError, HandshakeError
-from repro.internet.host import Datagram, Host, UdpSocket
+from repro.internet.host import Datagram, Host, UdpFlow, UdpSocket
 from repro.obs.spans import NULL_SPAN, NULL_TRACER
 from repro.scion.addr import HostAddr
 from repro.scion.path import ScionPath
@@ -30,6 +29,9 @@ HANDSHAKE_TIMEOUT_MS = 1000.0
 HANDSHAKE_RETRIES = 5
 
 _conn_ids = itertools.count(1)
+
+#: ``StreamFrame(...)`` without the generated ``__new__`` frame.
+_new_stream_frame = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,10 @@ class QuicStream:
         )
 
     def _transmit(self, frame: Any, size: int) -> None:
-        self.connection.send_frame(StreamFrame(self.stream_id, frame), size)
+        connection = self.connection
+        if not connection.closed:
+            connection._send(  # noqa: SLF001 - the connection's own flow
+                _new_stream_frame(StreamFrame, (self.stream_id, frame)), size)
 
     def send(self, payload: Any, size: int) -> None:
         """Send one application message of ``size`` bytes."""
@@ -106,19 +111,20 @@ class QuicConnection:
     fastpath = None
     _fp_record = None
 
-    def __init__(self, loop, conn_id: int,
-                 send_datagram: Callable[[Any, int], None],
+    def __init__(self, loop, conn_id: int, flow: UdpFlow,
                  initial_rtt_ms: float, is_client: bool) -> None:
         self.loop = loop
         self.conn_id = conn_id
-        self._send_datagram = send_datagram
+        #: The flow's ``send``: every frame of the connection goes out
+        #: through it.
+        self._send = flow.send
         self.initial_rtt_ms = initial_rtt_ms
         self.is_client = is_client
         self.closed = False
         self.streams: dict[int, QuicStream] = {}
         self._next_stream_id = 0 if is_client else 1
-        self._accept_queue: deque[QuicStream] = deque()
-        self._accept_waiters: deque = deque()
+        self._accept_queue: list[QuicStream] = []
+        self._accept_waiters: list = []
 
     # -- streams -----------------------------------------------------------------
 
@@ -135,7 +141,7 @@ class QuicConnection:
         """Event yielding the next peer-initiated stream."""
         event = self.loop.event()
         if self._accept_queue:
-            event.succeed(self._accept_queue.popleft())
+            event.succeed(self._accept_queue.pop(0))
         elif self.closed:
             event.fail(ConnectionClosedError("connection is closed"))
         else:
@@ -144,26 +150,21 @@ class QuicConnection:
 
     # -- frame plumbing ------------------------------------------------------------
 
-    def send_frame(self, frame: StreamFrame, size: int) -> None:
-        """Put a stream frame on the wire (called by streams)."""
-        if self.closed:
-            return
-        self._send_datagram(frame, size)
-
     def on_datagram(self, datagram: Datagram) -> None:
         """Feed an incoming datagram into the right stream."""
         payload = datagram.payload
-        if isinstance(payload, ConnectionClose):
-            self._handle_close()
-            return
-        if not isinstance(payload, StreamFrame):
-            return  # stray handshake duplicates (ClientHello / ServerHello)
+        if type(payload) is not StreamFrame:
+            if isinstance(payload, ConnectionClose):
+                self._handle_close()
+                return
+            if not isinstance(payload, StreamFrame):
+                return  # stray handshake duplicates (ClientHello / ServerHello)
         stream = self.streams.get(payload.stream_id)
         if stream is None:
             stream = QuicStream(self, payload.stream_id)
             self.streams[payload.stream_id] = stream
             if self._accept_waiters:
-                self._accept_waiters.popleft().succeed(stream)
+                self._accept_waiters.pop(0).succeed(stream)
             else:
                 self._accept_queue.append(stream)
         stream.channel.on_frame(payload.frame)
@@ -180,7 +181,7 @@ class QuicConnection:
             stream = QuicStream(self, stream_id)
             self.streams[stream_id] = stream
             if self._accept_waiters:
-                self._accept_waiters.popleft().succeed(stream)
+                self._accept_waiters.pop(0).succeed(stream)
             else:
                 self._accept_queue.append(stream)
         return stream.channel
@@ -191,7 +192,7 @@ class QuicConnection:
         """Tear the connection down and notify the peer."""
         if self.closed:
             return
-        self._send_datagram(ConnectionClose(self.conn_id), 32)
+        self._send(ConnectionClose(self.conn_id), 32)
         self._handle_close()
 
     def _handle_close(self) -> None:
@@ -201,7 +202,7 @@ class QuicConnection:
         for stream in self.streams.values():
             stream.channel._on_close()  # noqa: SLF001 - deliberate teardown
         while self._accept_waiters:
-            self._accept_waiters.popleft().fail(
+            self._accept_waiters.pop(0).fail(
                 ConnectionClosedError("connection closed"))
 
 
@@ -237,15 +238,12 @@ class QuicListener:
 
     def _establish(self, hello: Datagram) -> QuicConnection:
         reply_path = hello.path.reverse() if hello.path is not None else None
-
-        def send_datagram(frame: Any, size: int) -> None:
-            self.socket.send(hello.src, hello.src_port, frame, size,
-                             via=hello.via, path=reply_path)
-
+        flow = self.socket.connect(hello.src, hello.src_port, hello.via,
+                                   reply_path)
         assert self.host.loop is not None
         connection = QuicConnection(
-            self.host.loop, conn_id=hello.payload.conn_id,
-            send_datagram=send_datagram, initial_rtt_ms=50.0, is_client=False)
+            self.host.loop, conn_id=hello.payload.conn_id, flow=flow,
+            initial_rtt_ms=50.0, is_client=False)
         if self.host.fastpath is not None:
             self.host.fastpath.register(
                 connection, "quic", hello.payload.conn_id, "server",
@@ -306,12 +304,8 @@ def quic_connect(host: Host, dst: HostAddr, dst_port: int,
             f"{retries} attempts")
     rtt = max(0.1, loop.now - start)
     span.set(attempts=attempts, rtt_ms=rtt).end()
-
-    def send_datagram(frame: Any, size: int) -> None:
-        socket.send(dst, dst_port, frame, size, via=via, path=path)
-
     connection = QuicConnection(loop, conn_id=conn_id,
-                                send_datagram=send_datagram,
+                                flow=socket.connect(dst, dst_port, via, path),
                                 initial_rtt_ms=rtt, is_client=True)
     if getattr(host, "fastpath", None) is not None:
         host.fastpath.register(connection, "quic", conn_id, "client",

@@ -25,6 +25,17 @@ class HostAddr:
     def __post_init__(self) -> None:
         if not self.host:
             raise AddressError("empty host component")
+        # Sockets and listeners look addresses up per datagram: hash once.
+        object.__setattr__(self, "_hash", hash((self.isd_as, self.host)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild from the fields, so the cached hash is recomputed: a
+        # ``str`` hashes differently in every process (PYTHONHASHSEED),
+        # and a pickled hash would miss every dict in a spawned worker.
+        return (type(self), (self.isd_as, self.host))
 
     @classmethod
     def parse(cls, text: str) -> "HostAddr":

@@ -462,7 +462,7 @@ class EndpointRecord:
         if path is not None and not path.hops:
             path = None
         self.path = path
-        # What Host.send_datagram adds to every datagram this endpoint
+        # What a UdpFlow adds to every datagram this endpoint
         # sends: the UDP header plus the network-layer header. Imported
         # lazily to keep simnet importable standalone.
         from repro.internet.host import (IP_HEADER_BYTES,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
+from heapq import heappush
 from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
@@ -209,7 +210,8 @@ class Link:
 
         # Per-packet path, so inline: FIFO start, then size / bytes-per-ms
         # (125 bytes/ms per Mbps; <= 0 means infinite, serializing instantly).
-        now = self.loop._now
+        loop = self.loop
+        now = loop._now
         free_at = self._tx_free_at[sender_name]
         tx_done = free_at if free_at > now else now
         if cfg.bandwidth_mbps > 0:
@@ -227,14 +229,20 @@ class Link:
         if self.trace is not None:
             self._record("send", packet)
         packet.hops += 1
+        # The one heap entry, pushed as EventLoop.call_at would push it
+        # (``arrival`` is never in the past), without its frame.
         if hop_step is not None:
             step = hop_step(packet, receiver_port, arrival)
             if step is not None:
                 delay, egress = step
-                self.loop.call_at(arrival + delay, self._hop, receiver,
-                                  egress, packet, arrival)
+                heappush(loop._queue, (arrival + delay, loop._sequence,
+                                       self._hop, (receiver, egress, packet,
+                                                   arrival)))
+                loop._sequence += 1
                 return
-        self.loop.call_at(arrival, self._deliver, receiver, receiver_port, packet)
+        heappush(loop._queue, (arrival, loop._sequence, self._deliver,
+                               (receiver, receiver_port, packet)))
+        loop._sequence += 1
 
     def _deliver(self, receiver: "Node", port: int, packet: Packet) -> None:
         self.inflight -= 1

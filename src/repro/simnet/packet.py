@@ -31,9 +31,12 @@ class Packet:
         size: wire size in bytes; links charge serialization delay for it.
         protocol: short tag naming the top-most protocol ("ip", "scion",
             "udp", ...) used by nodes to dispatch.
-        meta: free-form per-packet annotations (path headers, TTLs, ...).
-        packet_id: unique id for tracing.
+        path: the SCION path in the header (traversal direction); ``None``
+            for intra-AS SCION and for every other protocol.
+        hop_index: index into ``path.hops`` of the hop the next router
+            processes; routers advance it as they forward.
         created_at: simulation time the packet was created (set by sender).
+        packet_id: unique id for tracing.
         hops: number of links traversed so far; incremented by links.
     """
 
@@ -42,9 +45,10 @@ class Packet:
     payload: Any
     size: int
     protocol: str = "raw"
-    meta: dict[str, Any] = field(default_factory=dict)
-    packet_id: int = field(default_factory=_packet_ids.__next__)
+    path: Any = None
+    hop_index: int = 0
     created_at: float = 0.0
+    packet_id: int = field(default_factory=_packet_ids.__next__)
     hops: int = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

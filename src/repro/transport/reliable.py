@@ -66,6 +66,10 @@ class CloseFrame:
 #: Wire size charged for a pure ACK or CLOSE frame.
 CONTROL_FRAME_BYTES = 16
 
+#: ``AckFrame(...)`` without the generated ``__new__`` frame: one per
+#: segment received.
+_new_ack = tuple.__new__
+
 
 @dataclass
 class ChannelStats:
@@ -115,8 +119,8 @@ class ReliableChannel:
         # receiver state
         self._expected_seq = 0
         self._out_of_order: dict[int, Segment] = {}
-        self._recv_queue: deque[Any] = deque()
-        self._recv_waiters: deque["Event"] = deque()
+        self._recv_queue: list[Any] = []
+        self._recv_waiters: list["Event"] = []
         # lifecycle
         self.closed = False          # we closed
         self.remote_closed = False   # peer closed
@@ -165,16 +169,21 @@ class ReliableChannel:
         if retransmission:
             self.stats.retransmissions += 1
             _old, _time, retx = self._unacked[segment.seq]
-            self._unacked[segment.seq] = (segment, self.loop.now, retx + 1)
+            self._unacked[segment.seq] = (segment, self.loop._now, retx + 1)
         else:
-            self._unacked[segment.seq] = (segment, self.loop.now, 0)
+            self._unacked[segment.seq] = (segment, self.loop._now, 0)
         self.transmit(segment, self.header_bytes + segment.chunk_size)
 
     # -- receiving ----------------------------------------------------------------
 
     def on_frame(self, frame: Any) -> None:
         """Feed one frame that arrived from the peer."""
-        if isinstance(frame, Segment):
+        kind = type(frame)
+        if kind is Segment:
+            self._on_segment(frame)
+        elif kind is AckFrame:
+            self._on_ack(frame.cumulative)
+        elif isinstance(frame, Segment):
             self._on_segment(frame)
         elif isinstance(frame, AckFrame):
             self._on_ack(frame.cumulative)
@@ -191,7 +200,7 @@ class ReliableChannel:
         """
         event = self.loop.event()
         if self._recv_queue:
-            event.succeed(self._recv_queue.popleft())
+            event.succeed(self._recv_queue.pop(0))
         elif self.remote_closed:
             event.fail(ConnectionClosedError("peer closed the channel"))
         else:
@@ -207,35 +216,44 @@ class ReliableChannel:
                 self._expected_seq += 1
                 if ready.message_end:
                     self._deliver(ready.payload)
-        self.transmit(AckFrame(self._expected_seq), CONTROL_FRAME_BYTES)
+        self.transmit(_new_ack(AckFrame, (self._expected_seq,)),
+                      CONTROL_FRAME_BYTES)
 
     def _deliver(self, payload: Any) -> None:
         self.stats.messages_delivered += 1
         if self._recv_waiters:
-            self._recv_waiters.popleft().succeed(payload)
+            self._recv_waiters.pop(0).succeed(payload)
         else:
             self._recv_queue.append(payload)
 
     # -- acknowledgements -------------------------------------------------------------
 
     def _on_ack(self, cumulative: int) -> None:
-        newly_acked = [seq for seq in self._unacked if seq < cumulative]
-        if newly_acked:
-            last = newly_acked[-1]
-            _segment, sent_time, retx = self._unacked[last]
+        unacked = self._unacked
+        # ``_unacked`` holds consecutive seqs in order (segments go out in
+        # seq order, a retransmission keeps its place and only an acked
+        # prefix leaves), so the newly acked segments are its first
+        # ``cumulative - oldest`` entries.
+        acked = (min(cumulative - next(iter(unacked)), len(unacked))
+                 if unacked else 0)
+        if acked > 0:
+            popitem = unacked.popitem
+            for _ in range(acked - 1):
+                popitem(last=False)
+            # Karn's rule: sample the RTT only off the newest newly-acked
+            # segment, and only if it was never retransmitted.
+            _seq, (_segment, sent_time, retx) = popitem(last=False)
             if retx == 0:
-                self._update_rtt(self.loop.now - sent_time)
-            for seq in newly_acked:
-                del self._unacked[seq]
-            self._cwnd = min(MAX_CWND, self._cwnd + len(newly_acked))
+                self._update_rtt(self.loop._now - sent_time)
+            self._cwnd = min(MAX_CWND, self._cwnd + acked)
             self._dup_acks = 0
-            if self._unacked:
+            if unacked:
                 self._arm_timer()
             else:
                 self._cancel_timer()
             self._pump()
             return
-        if self._unacked:
+        if unacked:
             self._dup_acks += 1
             if self._dup_acks >= 3:
                 self._dup_acks = 0
@@ -265,7 +283,8 @@ class ReliableChannel:
     def _arm_timer(self) -> None:
         """(Re)start the timer; a superseded one leaves the loop, so it
         cannot keep the clock running to its deadline."""
-        self._cancel_timer()
+        if self._timer is not None:
+            self.loop.cancel_scheduled(self._timer)
         self._timer = self.loop.call_later(self.rto_ms, self._on_timer)
 
     def _cancel_timer(self) -> None:
@@ -297,7 +316,7 @@ class ReliableChannel:
         self._unacked.clear()
         self._pending.clear()
         while self._recv_waiters:
-            self._recv_waiters.popleft().fail(ConnectionClosedError(
+            self._recv_waiters.pop(0).fail(ConnectionClosedError(
                 f"peer unresponsive after {MAX_SEGMENT_RETRIES} retries"))
 
     # -- close ----------------------------------------------------------------------
@@ -315,5 +334,5 @@ class ReliableChannel:
             return
         self.remote_closed = True
         while self._recv_waiters:
-            self._recv_waiters.popleft().fail(
+            self._recv_waiters.pop(0).fail(
                 ConnectionClosedError("peer closed the channel"))

@@ -19,11 +19,12 @@ def world():
     return internet, ases, client, server
 
 
-def raw_packet(client, server, protocol, meta=None, size=64):
+def raw_packet(client, server, protocol, path=None, hop_index=0, size=64):
     datagram = Datagram(src=client.addr, src_port=1, dst=server.addr,
                         dst_port=2, payload=b"x", size=size, via="ip")
     return Packet(src=client.addr, dst=server.addr, payload=datagram,
-                  size=size, protocol=protocol, meta=meta or {})
+                  size=size, protocol=protocol, path=path,
+                  hop_index=hop_index)
 
 
 class TestScionEdgeCases:
@@ -38,8 +39,7 @@ class TestScionEdgeCases:
         """A pathless SCION packet can only be delivered intra-AS; for a
         remote destination the local router drops it (no such host)."""
         internet, ases, client, server = world
-        packet = raw_packet(client, server, "scion",
-                            meta={"path": None, "hop_index": 0})
+        packet = raw_packet(client, server, "scion", path=None, hop_index=0)
         client.send(packet, client.ROUTER_IFID)
         internet.run()
         assert server.datagrams_received == 0
@@ -48,8 +48,7 @@ class TestScionEdgeCases:
     def test_hop_index_beyond_path_counted(self, world):
         internet, ases, client, server = world
         path = client.daemon.paths(ases.remote_server)[0]
-        packet = raw_packet(client, server, "scion",
-                            meta={"path": path, "hop_index": 99})
+        packet = raw_packet(client, server, "scion", path=path, hop_index=99)
         client.send(packet, client.ROUTER_IFID)
         internet.run()
         assert internet.routers[ases.client].path_errors == 1
@@ -60,8 +59,7 @@ class TestScionEdgeCases:
         # not the AS named in hop 0.
         foreign = internet.add_host("foreign", ases.nearby_server)
         path = foreign.daemon.paths(ases.remote_server)[0]
-        packet = raw_packet(client, server, "scion",
-                            meta={"path": path, "hop_index": 0})
+        packet = raw_packet(client, server, "scion", path=path, hop_index=0)
         client.send(packet, client.ROUTER_IFID)
         internet.run()
         assert internet.routers[ases.client].path_errors == 1

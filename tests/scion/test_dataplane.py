@@ -141,7 +141,7 @@ class TestMacEnforcement:
                             size=32, via="scion", path=path)
         packet = Packet(src=client.addr, dst=server.addr, payload=datagram,
                         size=100, protocol="scion",
-                        meta={"path": path, "hop_index": 2})  # skip ahead
+                        path=path, hop_index=2)  # skip ahead
         client.send(packet, client.ROUTER_IFID)
         internet.run()
         assert server.datagrams_received == 0
@@ -310,7 +310,7 @@ class TestForwardingSteps:
         def packet():
             return Packet(src=client.addr, dst=server.addr, payload=None,
                           size=100, protocol="scion",
-                          meta={"path": path, "hop_index": 0})
+                          path=path, hop_index=0)
 
         monkeypatch.setattr(EventLoop, "call_later", spy)
         ifids = (host_ifid, transit_ifid)

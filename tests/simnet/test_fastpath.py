@@ -104,7 +104,7 @@ class TestPacketLevelUnchanged:
 
 
 class TestWireSizes:
-    """The fast path charges each segment what ``Host.send_datagram``
+    """The fast path charges each segment what a ``UdpFlow``
     puts on the wire, read from the same constants."""
 
     @pytest.mark.parametrize("via", ["scion", "ip"])

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from repro.errors import ConnectionClosedError, TransportError
 from repro.simnet.events import EventLoop
-from repro.transport.reliable import INITIAL_CWND, ReliableChannel
+from repro.transport.reliable import (INITIAL_CWND, MAX_CWND, AckFrame,
+                                      ReliableChannel, Segment)
 
 
 class Wire:
@@ -233,3 +234,122 @@ class TestClose:
         wire = Wire(loop)
         wire.a.close()
         wire.a.close()
+
+
+class TestAckedPrefix:
+    """``_on_ack`` pops the acked prefix of the window.
+
+    The window below has its middle segment (seq 2) retransmitted; the
+    ACKs walk the prefix across it. Karn's rule samples the RTT only off
+    the newest newly-acked segment, and only if that one was never
+    retransmitted.
+    """
+
+    @staticmethod
+    def window():
+        """Five segments sent at t=0, seq 2 resent at t=3."""
+        loop = EventLoop()
+        sent = []
+        channel = ReliableChannel(
+            loop, transmit=lambda frame, size: sent.append(frame),
+            initial_rtt_ms=10.0)
+        channel.send_message("m", 5 * channel.mss)
+        loop._now = 3.0
+        channel._transmit_segment(channel._unacked[2][0],
+                                  retransmission=True)
+        return loop, channel, sent
+
+    def test_prefix_ending_on_the_retransmitted_segment_takes_no_sample(self):
+        loop, channel, _sent = self.window()
+        loop._now = 8.0
+        channel.on_frame(AckFrame(3))
+        assert list(channel._unacked) == [3, 4]
+        assert (channel.srtt_ms, channel._rttvar) == (10.0, 5.0)
+        assert channel._cwnd == INITIAL_CWND + 3
+        assert channel._timer is not None
+
+    def test_prefix_past_the_retransmitted_segment_samples_the_newest(self):
+        loop, channel, _sent = self.window()
+        loop._now = 8.0
+        channel.on_frame(AckFrame(4))  # newest acked: seq 3, sent at 0
+        assert list(channel._unacked) == [4]
+        assert channel.srtt_ms == 10.0 + 0.125 * (8.0 - 10.0)
+        assert channel._cwnd == INITIAL_CWND + 4
+
+    def test_whole_window_acked_cancels_the_timer(self):
+        loop, channel, _sent = self.window()
+        loop._now = 8.0
+        channel.on_frame(AckFrame(5))
+        assert not channel._unacked
+        assert channel._timer is None
+        assert channel._cwnd == INITIAL_CWND + 5
+
+    def test_cwnd_growth_is_capped(self):
+        _loop, channel, _sent = self.window()
+        channel._cwnd = MAX_CWND - 1
+        channel.on_frame(AckFrame(5))
+        assert channel._cwnd == MAX_CWND
+
+    def test_stale_and_duplicate_acks_take_the_dup_ack_path(self):
+        loop, channel, sent = self.window()
+        loop._now = 8.0
+        channel.on_frame(AckFrame(2))
+        resent = len(sent)
+        for _ in range(2):
+            channel.on_frame(AckFrame(2))
+        channel.on_frame(AckFrame(1))  # stale: below the window
+        assert channel._dup_acks == 0
+        assert channel.stats.fast_retransmits == 1
+        assert sent[resent:] == [channel._unacked[2][0]]
+        assert channel._unacked[2][2] == 2  # its second retransmission
+        assert list(channel._unacked) == [2, 3, 4]
+
+    def test_matches_the_window_scan(self):
+        """Against the scan it replaced, ACK by ACK: the same window,
+        RTT estimate, cwnd, dup-ACK count and frames on the wire."""
+
+        def scan(channel, cumulative):
+            newly_acked = [seq for seq in channel._unacked
+                           if seq < cumulative]
+            if newly_acked:
+                _segment, sent_time, retx = channel._unacked[newly_acked[-1]]
+                if retx == 0:
+                    channel._update_rtt(channel.loop.now - sent_time)
+                for seq in newly_acked:
+                    del channel._unacked[seq]
+                channel._cwnd = min(MAX_CWND,
+                                    channel._cwnd + len(newly_acked))
+                channel._dup_acks = 0
+                if channel._unacked:
+                    channel._arm_timer()
+                else:
+                    channel._cancel_timer()
+                channel._pump()
+                return
+            if channel._unacked:
+                channel._dup_acks += 1
+                if channel._dup_acks >= 3:
+                    channel._dup_acks = 0
+                    channel.stats.fast_retransmits += 1
+                    oldest = next(iter(channel._unacked))
+                    segment, _time, _retx = channel._unacked[oldest]
+                    channel._transmit_segment(segment, retransmission=True)
+                    channel._arm_timer()
+
+        def state(channel, sent):
+            return (dict(channel._unacked), channel._srtt, channel._rttvar,
+                    channel._cwnd, channel._dup_acks,
+                    channel._timer is not None, list(sent))
+
+        acks = [0, 2, 2, 2, 2, 1, 3, 3, 4, 9, 9, 12, 40, 40]
+        (ref_loop, reference, ref_sent), (loop, channel, sent) = \
+            self.window(), self.window()
+        reference.send_message("more", 30 * reference.mss)
+        channel.send_message("more", 30 * channel.mss)
+        for step, cumulative in enumerate(acks):
+            ref_loop._now = loop._now = 4.0 + step
+            scan(reference, cumulative)
+            channel._on_ack(cumulative)
+            assert state(channel, sent) == state(reference, ref_sent)
+        assert all(isinstance(frame, Segment) for frame in sent)
+
