@@ -13,13 +13,13 @@ from __future__ import annotations
 from collections.abc import Generator
 from dataclasses import dataclass
 
-from repro.core.browser.page import Resource, WebPage
+from repro.core.browser.page import WebPage
 from repro.core.extension.extension import BrowserExtension, FetchOutcome
 from repro.core.extension.ui import IndicatorState, PageIndicator
 from repro.dns.resolver import Resolver
 from repro.errors import BrowserError, DnsError, HttpError
 from repro.http.client import HttpClient
-from repro.http.message import Headers, HttpRequest
+from repro.http.message import HttpRequest
 from repro.internet.host import Host
 from repro.obs.spans import NULL_SPAN, NULL_TRACER
 
@@ -136,10 +136,10 @@ class ExtensionFetcher:
     def fetch(self, request: HttpRequest,
               indicator: PageIndicator | None = None,
               parent=NULL_SPAN) -> Generator:
-        """Delegate to the extension's interception path."""
-        outcome = yield from self.extension.handle_request(request, indicator,
-                                                           parent=parent)
-        return outcome
+        """The extension's interception path for ``request`` (the
+        simulation process itself, so a resumption skips this frame)."""
+        return self.extension.handle_request(request, indicator,
+                                             parent=parent)
 
 
 class Browser:
@@ -179,7 +179,7 @@ class Browser:
         started = loop.now
 
         main_request = HttpRequest(method="GET", host=page.host,
-                                   path=page.path, headers=Headers())
+                                   path=page.path)
         main_outcome: FetchOutcome = yield from self._fetch(
             main_request, indicator, parent=span, main=True)
         if main_outcome.blocked or not main_outcome.ok:
@@ -196,7 +196,10 @@ class Browser:
         parse_span.end()
 
         fetches = [loop.process(
-                       self._fetch_resource(resource, indicator, span),
+                       self._fetch(HttpRequest(method="GET",
+                                               host=resource.host,
+                                               path=resource.path),
+                                   indicator, parent=span),
                        name=f"fetch:{resource.url}")
                    for resource in page.resources]
         outcomes: list[FetchOutcome] = [main_outcome]
@@ -208,14 +211,6 @@ class Browser:
             page=page, plt_ms=loop.now - started,
             outcomes=tuple(outcomes),
             indicator_state=indicator.state(), failed=False)
-
-    def _fetch_resource(self, resource: Resource,
-                        indicator: PageIndicator,
-                        parent=NULL_SPAN) -> Generator:
-        request = HttpRequest(method="GET", host=resource.host,
-                              path=resource.path, headers=Headers())
-        outcome = yield from self._fetch(request, indicator, parent=parent)
-        return outcome
 
     def _fetch(self, request: HttpRequest, indicator: PageIndicator,
                parent=NULL_SPAN, main: bool = False) -> Generator:

@@ -30,7 +30,12 @@ from repro.core.ppl.evaluator import PathPolicy
 from repro.core.skip.breaker import BreakerBoard, BreakerState
 from repro.core.skip.detection import DetectionResult, ScionDetector
 from repro.core.skip.retry_budget import RetryBudget
-from repro.core.skip.session import ChoiceKind, PathChoice, PathSelector
+from repro.core.skip.session import (
+    NO_SCION_CHOICE,
+    ChoiceKind,
+    PathChoice,
+    PathSelector,
+)
 from repro.core.skip.stats import PathUsageStats
 from repro.dns.resolver import Resolver
 from repro.errors import (
@@ -214,7 +219,7 @@ class SkipProxy:
             host_name, parent=span)
         if not detection.scion_available:
             span.set(scion_available=False).end()
-            return detection, PathChoice(kind=ChoiceKind.NO_SCION)
+            return detection, NO_SCION_CHOICE
         choice = self.selector.choose(detection.scion_address.isd_as,
                                       self.policy)
         span.set(scion_available=True, kind=choice.kind.value).end()
@@ -265,7 +270,7 @@ class SkipProxy:
         detection: DetectionResult = yield from self.detector.detect(
             request.host, parent=lookup_span)
 
-        choice = PathChoice(kind=ChoiceKind.NO_SCION)
+        choice = NO_SCION_CHOICE
         if detection.scion_available:
             choice = self.selector.choose(detection.scion_address.isd_as,
                                           self.policy,
@@ -337,26 +342,27 @@ class SkipProxy:
                 shed = shed or choice.kind is ChoiceKind.OVERLOADED
                 continue
             elapsed = loop.now - started
-            if choice.path is not None:
-                fingerprint = choice.path.fingerprint()
+            path = choice.path
+            fingerprint = None
+            if path is not None:
+                fingerprint = path.fingerprint()
                 if self.breakers.record_success(
                         fingerprint, loop.now) == "close":
                     span.event("breaker.close", fingerprint=fingerprint)
+            compliant = choice.compliant
             self.stats.record_scion(
                 request.host,
-                fingerprint=(choice.path.fingerprint() if choice.path
+                fingerprint=(fingerprint if path is not None
                              else "local-as"),
-                summary=(choice.path.summary() if choice.path
-                         else "(local AS)"),
+                summary=path.summary() if path is not None else "(local AS)",
                 latency_ms=elapsed,
-                compliant=choice.compliant,
+                compliant=compliant,
             )
             return ProxyResult(
                 response=response,
                 used_scion=True,
-                policy_compliant=choice.compliant,
-                path_fingerprint=(choice.path.fingerprint()
-                                  if choice.path else None),
+                policy_compliant=compliant,
+                path_fingerprint=fingerprint,
                 detection_source=detection.source,
                 elapsed_ms=elapsed,
                 recovery="failover" if attempts else "none",

@@ -20,6 +20,7 @@ Destinations in the local AS need no path and are trivially compliant.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 from repro.core.ppl.evaluator import PathPolicy, order_paths
@@ -60,8 +61,26 @@ class PathChoice:
         return self.kind in (ChoiceKind.SCION_COMPLIANT, ChoiceKind.LOCAL_AS)
 
 
+#: The verdicts that carry no path: frozen, so every selection shares them.
+LOCAL_AS_CHOICE = PathChoice(kind=ChoiceKind.LOCAL_AS)
+NO_SCION_CHOICE = PathChoice(kind=ChoiceKind.NO_SCION)
+POLICY_EXHAUSTED_CHOICE = PathChoice(kind=ChoiceKind.POLICY_EXHAUSTED)
+OVERLOADED_CHOICE = PathChoice(kind=ChoiceKind.OVERLOADED)
+
+
 class PathSelector:
-    """Stateless selection logic over a daemon's candidate sets."""
+    """Selection logic over a daemon's candidate sets.
+
+    The verdict is a pure function of the policy and the candidate
+    paths (both immutable), and consecutive requests to one destination
+    nearly always bring the same pair, so the selector keeps its last
+    verdict per destination and reuses it while the *same* policy object
+    and the *same* path objects, in the same order, come back. Any
+    change — a new policy, a quarantined, revoked, avoided or refreshed
+    path — is a different object or list and recomputes. The entry holds
+    its policy and paths, so neither identity can be reused by a new
+    object while it stands.
+    """
 
     def __init__(self, daemon: PathDaemon,
                  use_noncompliant: bool = False) -> None:
@@ -70,6 +89,10 @@ class PathSelector:
         self.selections = 0
         #: The same selections by outcome (``ChoiceKind`` value).
         self.selected: dict[str, int] = {}
+        #: dst → (policy, candidates, verdict) of the last selection
+        #: that evaluated candidates for it.
+        self._last: dict[IsdAs, tuple[PathPolicy | None,
+                                      list[ScionPath], PathChoice]] = {}
 
     def choose(self, dst: IsdAs, policy: PathPolicy | None,
                avoid: frozenset[str] = frozenset()) -> PathChoice:
@@ -87,18 +110,31 @@ class PathSelector:
     def _choose(self, dst: IsdAs, policy: PathPolicy | None,
                 avoid: frozenset[str]) -> PathChoice:
         if dst == self.daemon.isd_as:
-            return PathChoice(kind=ChoiceKind.LOCAL_AS)
+            return LOCAL_AS_CHOICE
         try:
-            paths = self.daemon.try_paths(dst)
+            candidates = self.daemon.try_paths(dst)
         except OverloadError:
             # The shared path service shed this lookup: an explicit
             # outcome, so the proxy can fall back to IP (opportunistic)
             # or block with "overloaded" (strict) without retrying.
-            return PathChoice(kind=ChoiceKind.OVERLOADED)
-        candidates = [path for path in paths
-                      if path.fingerprint() not in avoid]
+            return OVERLOADED_CHOICE
+        if avoid:
+            candidates = [path for path in candidates
+                          if path.fingerprint() not in avoid]
         if not candidates:
-            return PathChoice(kind=ChoiceKind.NO_SCION)
+            return NO_SCION_CHOICE
+        last = self._last.get(dst)
+        if last is not None and last[0] is policy \
+                and len(last[1]) == len(candidates) \
+                and all(map(operator.is_, last[1], candidates)):
+            return last[2]
+        choice = self._verdict(policy, candidates)
+        self._last[dst] = (policy, candidates, choice)
+        return choice
+
+    def _verdict(self, policy: PathPolicy | None,
+                 candidates: list[ScionPath]) -> PathChoice:
+        """The choice among a non-empty candidate list."""
         if policy is None:
             return PathChoice(kind=ChoiceKind.SCION_COMPLIANT,
                               path=candidates[0])
@@ -109,4 +145,4 @@ class PathSelector:
         if self.use_noncompliant:
             return PathChoice(kind=ChoiceKind.SCION_NONCOMPLIANT,
                               path=candidates[0])
-        return PathChoice(kind=ChoiceKind.POLICY_EXHAUSTED)
+        return POLICY_EXHAUSTED_CHOICE

@@ -75,8 +75,10 @@ class PathUsageStats:
         stats.scion_requests += 1
         if not compliant:
             stats.non_compliant += 1
-        record = stats.paths.setdefault(
-            fingerprint, PathRecord(fingerprint=fingerprint, summary=summary))
+        record = stats.paths.get(fingerprint)
+        if record is None:
+            record = stats.paths[fingerprint] = PathRecord(
+                fingerprint=fingerprint, summary=summary)
         record.uses += 1
         record.total_latency_ms += latency_ms
         stats.scion_latency.observe(latency_ms)

@@ -176,7 +176,9 @@ class HttpClient:
 
     def _acquire(self, key: tuple, dst: HostAddr, port: int, via: str,
                  path: ScionPath | None, span=NULL_SPAN) -> Generator:
-        pool = self._pools.setdefault(key, _Pool())
+        pool = self._pools.get(key)
+        if pool is None:
+            pool = self._pools[key] = _Pool()
         while True:
             for pooled in pool.connections:
                 if not pooled.busy:

@@ -7,10 +7,10 @@ bytes). Header names are case-insensitive, per RFC 9110.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator
 
-from repro.errors import HttpError
+from repro.errors import AddressError, HttpError
 
 #: The paper's HSTS-like response header (§4.2): operators set it to
 #: instruct browsers to enforce strict SCION mode for this origin.
@@ -22,7 +22,14 @@ RESPONSE_OVERHEAD_BYTES = 180
 
 
 class Headers:
-    """An immutable, case-insensitive header multimap."""
+    """An immutable, case-insensitive header multimap.
+
+    Lookups and the wire size are answered from what the constructor
+    computed once, so a block built once can serve every message that
+    carries it.
+    """
+
+    __slots__ = ("_pairs", "_first", "_wire_bytes")
 
     def __init__(self, items: dict[str, str] | list[tuple[str, str]] | None = None):
         pairs: list[tuple[str, str]]
@@ -34,18 +41,20 @@ class Headers:
             pairs = list(items)
         self._pairs: tuple[tuple[str, str], ...] = tuple(
             (str(name), str(value)) for name, value in pairs)
+        #: Lowered name → its first value.
+        self._first: dict[str, str] = {}
+        for name, value in self._pairs:
+            self._first.setdefault(name.lower(), value)
+        self._wire_bytes = sum(len(name) + len(value) + 4
+                               for name, value in self._pairs)
 
     def get(self, name: str, default: str | None = None) -> str | None:
         """First value of ``name`` (case-insensitive), or ``default``."""
-        lowered = name.lower()
-        for header, value in self._pairs:
-            if header.lower() == lowered:
-                return value
-        return default
+        return self._first.get(name.lower(), default)
 
     def has(self, name: str) -> bool:
         """True when the header is present."""
-        return self.get(name) is not None
+        return name.lower() in self._first
 
     def with_header(self, name: str, value: str) -> "Headers":
         """A copy with one header appended."""
@@ -57,13 +66,67 @@ class Headers:
 
     def wire_bytes(self) -> int:
         """Approximate serialized size of the header block."""
-        return sum(len(name) + len(value) + 4 for name, value in self._pairs)
+        return self._wire_bytes
 
     def __len__(self) -> int:
         return len(self._pairs)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Headers({list(self._pairs)!r})"
+
+
+#: The header block of a message that carries none (``Headers`` is
+#: immutable, so every such message shares it).
+_NO_HEADERS = Headers()
+
+#: ``Strict-SCION`` value → its parsed ``(max-age, address)``. The parse
+#: is a pure function of the string and ``HostAddr`` is frozen, so one
+#: entry serves every response carrying the value: origins send a few
+#: distinct values, each on many responses. The bound (oldest entry out
+#: first) keeps values a peer makes up from growing it.
+_STRICT_SCION_PARSED: dict[str, tuple[int | None, Any]] = {}
+STRICT_SCION_MEMO_SIZE = 64
+
+
+def _strict_scion_directives(value: str) -> tuple[int | None, Any]:
+    """The memoised :func:`_parse_strict_scion` of ``value``."""
+    parsed = _STRICT_SCION_PARSED.get(value)
+    if parsed is None:
+        parsed = _parse_strict_scion(value)
+        if len(_STRICT_SCION_PARSED) >= STRICT_SCION_MEMO_SIZE:
+            del _STRICT_SCION_PARSED[next(iter(_STRICT_SCION_PARSED))]
+        _STRICT_SCION_PARSED[value] = parsed
+    return parsed
+
+
+def _parse_strict_scion(value: str) -> tuple[int | None, Any]:
+    """``(max_age, address)`` of one ``Strict-SCION`` value.
+
+    The first ``max-age=`` directive decides the max-age (seconds,
+    negatives clamped to 0) and the first ``addr="isd-as,host"`` decides
+    the address; either is None when absent or malformed — a malformed
+    header is ignored, like a malformed HSTS header would be, and an
+    advertisement must never break a load.
+    """
+    from repro.scion.addr import HostAddr
+    max_age = address = None
+    max_age_seen = address_seen = False
+    for part in value.split(";"):
+        part = part.strip()
+        if not max_age_seen and part.startswith("max-age="):
+            max_age_seen = True
+            try:
+                max_age = max(0, int(part[len("max-age="):]))
+            except ValueError:
+                pass
+        elif not address_seen and part.startswith("addr="):
+            address_seen = True
+            try:
+                address = HostAddr.parse(
+                    part[len("addr="):].strip().strip('"'))
+            except AddressError:
+                pass
+    return max_age, address
 
 
 @dataclass(frozen=True)
@@ -77,7 +140,7 @@ class HttpRequest:
     method: str
     host: str
     path: str
-    headers: Headers = field(default_factory=Headers)
+    headers: Headers = _NO_HEADERS
     body_size: int = 0
 
     def __post_init__(self) -> None:
@@ -103,7 +166,7 @@ class HttpResponse:
     """An HTTP response; ``body`` carries a content tag, not real bytes."""
 
     status: int
-    headers: Headers = field(default_factory=Headers)
+    headers: Headers = _NO_HEADERS
     body_size: int = 0
     body: Any = None
 
@@ -118,26 +181,15 @@ class HttpResponse:
                 + self.body_size)
 
     def strict_scion_max_age(self) -> int | None:
-        """Parse the ``Strict-SCION`` header's max-age, if present.
-
-        Returns the max-age in seconds, or None when the header is absent
-        or malformed (a malformed header is ignored, like a malformed
-        HSTS header would be).
-        """
+        """The ``Strict-SCION`` header's max-age in seconds, or None when
+        the header is absent or malformed (see :func:`_parse_strict_scion`)."""
         value = self.headers.get(STRICT_SCION_HEADER)
         if value is None:
             return None
-        for part in value.split(";"):
-            part = part.strip()
-            if part.startswith("max-age="):
-                try:
-                    return max(0, int(part[len("max-age="):]))
-                except ValueError:
-                    return None
-        return None
+        return _strict_scion_directives(value)[0]
 
     def strict_scion_address(self):
-        """Parse the optional ``addr="isd-as,host"`` directive.
+        """The optional ``addr="isd-as,host"`` directive.
 
         §4.3: the ``Strict-SCION`` header doubles as a SCION-availability
         advertisement; carrying the address lets a browser that fetched
@@ -145,20 +197,10 @@ class HttpResponse:
         SCION. Returns a :class:`~repro.scion.addr.HostAddr` or None
         (absent or malformed — advertisements must never break a load).
         """
-        from repro.errors import AddressError
-        from repro.scion.addr import HostAddr
         value = self.headers.get(STRICT_SCION_HEADER)
         if value is None:
             return None
-        for part in value.split(";"):
-            part = part.strip()
-            if part.startswith("addr="):
-                text = part[len("addr="):].strip().strip('"')
-                try:
-                    return HostAddr.parse(text)
-                except AddressError:
-                    return None
-        return None
+        return _strict_scion_directives(value)[1]
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,17 @@ from collections.abc import Generator
 
 from repro.errors import HttpError, TransportError
 from repro.http.client import HttpClient
-from repro.http.message import STRICT_SCION_HEADER, HttpRequest, HttpResponse
+from repro.http.message import (
+    STRICT_SCION_HEADER,
+    Headers,
+    HttpRequest,
+    HttpResponse,
+)
 from repro.internet.host import Host
 from repro.quic.connection import QuicConnection, QuicListener, QuicStream
+
+#: Backend header blocks whose forwarded form a proxy keeps.
+FORWARDED_HEADERS_MEMO_SIZE = 16
 
 
 class ScionReverseProxy:
@@ -42,6 +50,8 @@ class ScionReverseProxy:
         self.client = HttpClient(host)
         self.requests_forwarded = 0
         self.errors = 0
+        #: Backend header block → the block forwarded to the browser.
+        self._forwarded: dict[Headers, Headers] = {}
         self.listener = QuicListener(host, quic_port, self._handler)
 
     def _handler(self, connection: QuicConnection) -> Generator:
@@ -71,15 +81,34 @@ class ScionReverseProxy:
             self.errors += 1
             return HttpResponse(status=502, body_size=120)
         self.requests_forwarded += 1
-        if self.advertise_strict_scion_max_age is not None and \
-                not response.headers.has(STRICT_SCION_HEADER):
-            value = (f"max-age={self.advertise_strict_scion_max_age}; "
-                     f'addr="{self.host.addr}"')
-            response = HttpResponse(
-                status=response.status,
-                headers=response.headers.with_header(STRICT_SCION_HEADER,
-                                                     value),
-                body_size=response.body_size,
-                body=response.body,
-            )
+        if self.advertise_strict_scion_max_age is not None:
+            headers = self._forwarded_headers(response.headers)
+            if headers is not response.headers:
+                response = HttpResponse(status=response.status,
+                                        headers=headers,
+                                        body_size=response.body_size,
+                                        body=response.body)
         return response
+
+    def _forwarded_headers(self, backend: Headers) -> Headers:
+        """``backend``'s header block with ``Strict-SCION`` added unless
+        the origin set its own.
+
+        An origin serves a few header blocks and reuses each (see
+        :meth:`HttpServer._headers`), so the result is kept per block:
+        keyed on the block's identity, which the entry's reference keeps
+        from being reused, and bounded (oldest out first) for an origin
+        that builds a new block per response.
+        """
+        forwarded = self._forwarded.get(backend)
+        if forwarded is None:
+            forwarded = backend
+            if not backend.has(STRICT_SCION_HEADER):
+                forwarded = backend.with_header(
+                    STRICT_SCION_HEADER,
+                    f"max-age={self.advertise_strict_scion_max_age}; "
+                    f'addr="{self.host.addr}"')
+            if len(self._forwarded) >= FORWARDED_HEADERS_MEMO_SIZE:
+                del self._forwarded[next(iter(self._forwarded))]
+            self._forwarded[backend] = forwarded
+        return forwarded

@@ -63,6 +63,7 @@ class HttpServer:
         self.requests_served = 0
         self.requests_by_transport = {"tcp": 0, "quic": 0}
         self.not_found = 0
+        self._header_blocks: dict[tuple[bool, str | None], Headers] = {}
         self.tcp_listener: TcpListener | None = None
         self.quic_listener: QuicListener | None = None
         if serve_tcp:
@@ -77,18 +78,34 @@ class HttpServer:
         """Build the response for one request (pure logic, no I/O)."""
         self.requests_served += 1
         resource = self.content.get(request.path)
-        headers = Headers({"Server": self.server_name})
-        header_value = self._strict_scion_value(over_scion)
-        if header_value is not None:
-            headers = headers.with_header(STRICT_SCION_HEADER, header_value)
         if resource is None:
             self.not_found += 1
-            return HttpResponse(status=404, headers=headers, body_size=120)
-        headers = headers.with_header("Content-Type", resource.content_type)
+            return HttpResponse(status=404,
+                                headers=self._headers(over_scion, None),
+                                body_size=120)
+        headers = self._headers(over_scion, resource.content_type)
         if request.method == "HEAD":
             return HttpResponse(status=200, headers=headers, body_size=0)
         return HttpResponse(status=200, headers=headers,
                             body_size=resource.size, body=resource.body)
+
+    def _headers(self, over_scion: bool,
+                 content_type: str | None) -> Headers:
+        """The response header block for one transport and content type
+        (None: a 404). ``Headers`` is immutable and the server's header
+        settings are fixed at construction, so each block is built once;
+        there are at most two per content type the content map serves."""
+        key = (over_scion, content_type)
+        headers = self._header_blocks.get(key)
+        if headers is None:
+            pairs = [("Server", self.server_name)]
+            header_value = self._strict_scion_value(over_scion)
+            if header_value is not None:
+                pairs.append((STRICT_SCION_HEADER, header_value))
+            if content_type is not None:
+                pairs.append(("Content-Type", content_type))
+            headers = self._header_blocks[key] = Headers(pairs)
+        return headers
 
     def _strict_scion_value(self, over_scion: bool) -> str | None:
         """The Strict-SCION header value for one response, or None.

@@ -117,8 +117,10 @@ class PathDaemon:
             self.stats.cache_hits += 1
             paths, earliest_expiry, combined_under = entry
             if self.clock is None or self.clock.now < earliest_expiry:  # type: ignore[attr-defined]
-                # Fast path: no cached path can have expired yet.
-                fresh = list(paths)
+                # Fast path: no cached path can have expired yet. The
+                # filters below return a new list, so the answer never
+                # aliases the cache entry.
+                fresh = paths
             else:
                 fresh = self._unexpired(paths)
                 if fresh:
@@ -140,7 +142,7 @@ class PathDaemon:
                 # time-bounded) but try a fresh combination below —
                 # beaconing may know more by now. Under overload these
                 # are still the stale answer of last resort.
-                stale_candidates = fresh
+                stale_candidates = list(fresh)
         shedder = self._overloaded()
         if shedder is not None:
             if stale_candidates:

@@ -66,6 +66,14 @@ class IsdAs:
             raise AddressError(f"ISD out of range: {self.isd}")
         if not 0 <= self.asn <= MAX_ASN:
             raise AddressError(f"ASN out of range: {self.asn}")
+        # Daemon caches, selectors and routers key on ISD-AS per lookup:
+        # hash once. The value is the generated hash's, so dict and set
+        # order do not change, and an int tuple hashes alike in every
+        # process, so a pickled copy may carry it.
+        object.__setattr__(self, "_hash", hash((self.isd, self.asn)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def parse(cls, text: str) -> "IsdAs":

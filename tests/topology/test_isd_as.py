@@ -1,5 +1,9 @@
 """ISD-AS identifiers: parsing, formatting, wildcard matching."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -92,6 +96,40 @@ class TestOrderingHashing:
     def test_usable_as_dict_key(self):
         table = {IsdAs(1, 2): "x"}
         assert table[IsdAs.parse("1-2")] == "x"
+
+
+class TestCachedHash:
+    """``IsdAs`` computes its hash once; it must stay the value the
+    generated dataclass hash gave, so dict and set order do not move."""
+
+    @given(isd=st.integers(min_value=0, max_value=MAX_ISD),
+           asn=st.integers(min_value=0, max_value=MAX_ASN))
+    def test_hash_is_the_field_tuple_hash(self, isd, asn):
+        assert hash(IsdAs(isd, asn)) == hash((isd, asn))
+
+    @pytest.mark.parametrize("duplicate", [
+        lambda isd_as: pickle.loads(pickle.dumps(isd_as)),
+        copy.copy,
+        copy.deepcopy,
+        lambda isd_as: dataclasses.replace(isd_as),
+    ], ids=["pickle", "copy", "deepcopy", "replace"])
+    def test_copies_keep_hash_and_equality(self, duplicate):
+        original = IsdAs(1, 0xFF00_0000_0110)
+        twin = duplicate(original)
+        assert twin == original and hash(twin) == hash(original)
+        assert {original: "x"}[twin] == "x"
+
+    def test_replace_rehashes_the_new_fields(self):
+        moved = dataclasses.replace(IsdAs(1, 2), asn=3)
+        assert moved == IsdAs(1, 3) and hash(moved) == hash((1, 3))
+
+    def test_equality_and_ordering_ignore_the_cache(self):
+        assert IsdAs(1, 2) == IsdAs(1, 2) and IsdAs(1, 2) != IsdAs(1, 3)
+        assert IsdAs(1, 2) != (1, 2)
+        assert IsdAs(1, 9) < IsdAs(2, 1) <= IsdAs(2, 1) < IsdAs(2, 2)
+        assert IsdAs(2, 2) > IsdAs(1, 9) >= IsdAs(1, 9)
+        assert repr(IsdAs(1, 2)) == "IsdAs(isd=1, asn=2)"
+        assert dataclasses.astuple(IsdAs(1, 2)) == (1, 2)
 
 
 @given(isd=st.integers(min_value=0, max_value=MAX_ISD),
