@@ -28,6 +28,10 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.skip.retry_budget import LazyRandom
 
 #: Cap on the exponential backoff doubling (2**6 = 64x the base).
 MAX_BACKOFF_DOUBLINGS = 6
@@ -73,7 +77,7 @@ class CircuitBreaker:
     #: recovering path in lockstep. ``None`` (the default, and what
     #: direct construction gets) keeps the exact deterministic backoff;
     #: draws happen only on trips, so fault-free runs stay RNG-silent.
-    jitter_rng: random.Random | None = None
+    jitter_rng: "random.Random | LazyRandom | None" = None
 
     def blocks(self, now: float) -> bool:
         """Whether requests must avoid this path right now.
@@ -167,7 +171,7 @@ class BreakerBoard:
     enabled: bool | None = None
     #: Shared jitter stream handed to every lazily-created breaker
     #: (see :attr:`CircuitBreaker.jitter_rng`); ``None`` disables jitter.
-    jitter_rng: random.Random | None = None
+    jitter_rng: "random.Random | LazyRandom | None" = None
     _breakers: dict[str, CircuitBreaker] = field(default_factory=dict)
 
     def __post_init__(self) -> None:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from repro.core.ppl.evaluator import PathPolicy
 from repro.core.skip.breaker import BreakerBoard, BreakerState
 from repro.core.skip.detection import DetectionResult, ScionDetector
-from repro.core.skip.retry_budget import RetryBudget
+from repro.core.skip.retry_budget import LazyRandom, RetryBudget
 from repro.core.skip.session import (
     NO_SCION_CHOICE,
     ChoiceKind,
@@ -141,7 +141,7 @@ class SkipProxy:
         #: the ``REPRO_BREAKER`` knob.
         self.breakers = BreakerBoard(
             enabled=breaker,
-            jitter_rng=random.Random(f"breaker-jitter:{host.name}"))
+            jitter_rng=LazyRandom(f"breaker-jitter:{host.name}"))
         #: Token-bucket retry authorization (``REPRO_RETRY_BUDGET``):
         #: bounds this client's retry amplification and desynchronizes
         #: backoff with seeded jitter. ``retry_budget=None`` defers to

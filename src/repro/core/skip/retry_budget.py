@@ -24,6 +24,29 @@ from dataclasses import dataclass, field
 RETRY_BUDGET_ENV = "REPRO_RETRY_BUDGET"
 
 
+class LazyRandom:
+    """A seeded jitter stream whose :class:`random.Random` (2.5 KB of
+    Mersenne-Twister state) is built at the first draw.
+
+    Jitter is drawn only after a retry or a breaker trip, so most
+    streams never draw; the draws, when they come, are those of
+    ``random.Random(seed)``.
+    """
+
+    __slots__ = ("seed", "_rng")
+
+    def __init__(self, seed: str) -> None:
+        self.seed = seed
+        self._rng: random.Random | None = None
+
+    def random(self) -> float:
+        """The stream's next float in [0, 1)."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self.seed)
+        return rng.random()
+
+
 @dataclass
 class RetryBudget:
     """Token-bucket retry authorization for one client proxy.
@@ -46,13 +69,13 @@ class RetryBudget:
     exhausted_total: int = 0
     _tokens: float = field(init=False)
     _last_refill_ms: float = field(init=False, default=0.0)
-    _jitter: random.Random = field(init=False)
+    _jitter: LazyRandom = field(init=False)
 
     def __post_init__(self) -> None:
         from repro.internet.knobs import resolve_knob
         self.enabled = resolve_knob(RETRY_BUDGET_ENV, self.enabled)
         self._tokens = self.capacity
-        self._jitter = random.Random(f"retry-jitter:{self.name}")
+        self._jitter = LazyRandom(f"retry-jitter:{self.name}")
 
     def configure(self, capacity: float, refill_per_sec: float) -> None:
         """Retune the bucket (e.g., per-experiment) and refill it."""

@@ -34,7 +34,7 @@ from repro.simnet.events import Interrupt
 DEFAULT_MAX_CONNECTIONS = 6
 
 
-@dataclass
+@dataclass(slots=True)
 class _PooledConnection:
     """One reusable stream-like transport (TCP conn or QUIC stream)."""
 
@@ -43,13 +43,14 @@ class _PooledConnection:
     requests: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _Pool:
-    """All connections for one (dst, port, via, path) key."""
+    """All connections for one (dst, port, via, path) key; ``waiters``
+    is built by the first request that has to wait."""
 
     connections: list[_PooledConnection] = field(default_factory=list)
     opening: int = 0
-    waiters: deque = field(default_factory=deque)
+    waiters: deque | None = None
 
 
 @dataclass
@@ -199,6 +200,8 @@ class HttpClient:
                 return pooled
             assert self.host.loop is not None
             waiter = self.host.loop.event()
+            if pool.waiters is None:
+                pool.waiters = deque()
             pool.waiters.append(waiter)
             self.stats.pool_waits += 1
             queued_at = self.host.loop.now

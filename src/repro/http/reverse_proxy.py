@@ -72,6 +72,8 @@ class ScionReverseProxy:
                 continue
             response = yield from self._forward(request)
             stream.send(response, response.wire_bytes())
+            # Parked on the next request, the handler holds neither.
+            del request, response
 
     def _forward(self, request: HttpRequest) -> Generator:
         try:

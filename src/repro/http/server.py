@@ -147,3 +147,5 @@ class HttpServer:
             self.requests_by_transport["quic" if over_scion else "tcp"] += 1
             response = self.respond(request, over_scion=over_scion)
             stream.send(response, response.wire_bytes())
+            # Parked on the next request, the handler holds neither.
+            del request, response

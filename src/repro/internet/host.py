@@ -82,7 +82,7 @@ class UdpFlow:
     """
 
     __slots__ = ("socket", "dst", "dst_port", "via", "path", "_protocol",
-                 "_header_path", "_overhead", "_transmit")
+                 "_header_path", "_overhead", "_uplink")
 
     def __init__(self, socket: "UdpSocket", dst: HostAddr, dst_port: int,
                  via: str, path: ScionPath | None) -> None:
@@ -110,10 +110,9 @@ class UdpFlow:
         self.path = path
         self._protocol = via
         self._overhead = UDP_HEADER_BYTES + header
-        #: The uplink's ``transmit``, or None on a host not wired into a
-        #: network (its sends go through Node.send, which raises why).
-        uplink = host._uplink  # noqa: SLF001 - the host's own wiring
-        self._transmit = uplink.transmit if uplink is not None else None
+        #: The host's uplink, or None on a host not wired into a network
+        #: (its sends go through Node.send, which raises why).
+        self._uplink = host._uplink  # noqa: SLF001 - the host's own wiring
 
     def send(self, payload: Any, size: int) -> None:
         """Send one datagram of ``size`` payload bytes."""
@@ -126,8 +125,8 @@ class UdpFlow:
         datagram = _new_datagram(Datagram, (
             addr, socket.port, self.dst, self.dst_port, payload, size,
             self.via, self.path))
-        transmit = self._transmit
-        if transmit is None:
+        uplink = self._uplink
+        if uplink is None:
             # Not wired into a network: Node.send raises the reason.
             host.send(Packet(addr, self.dst, datagram, size + self._overhead,
                              self._protocol, self._header_path, 0,
@@ -135,9 +134,10 @@ class UdpFlow:
                       Host.ROUTER_IFID)
             return
         host.packets_sent += 1
-        transmit(Packet(addr, self.dst, datagram, size + self._overhead,
-                        self._protocol, self._header_path, 0, host.loop._now),
-                 host.name)
+        uplink.transmit(Packet(addr, self.dst, datagram,
+                               size + self._overhead, self._protocol,
+                               self._header_path, 0, host.loop._now),
+                        host.name)
 
 
 def _closed(socket: "UdpSocket") -> TransportError:
@@ -152,13 +152,18 @@ class UdpSocket:
     :meth:`listen` (an established transport).
     """
 
+    __slots__ = ("host", "port", "_queue", "_waiters", "_deadlines",
+                 "_reader", "_reader_live", "reader_error", "closed")
+
     def __init__(self, host: "Host", port: int) -> None:
         self.host = host
         self.port = port
-        self._queue: list[Datagram] = []
-        self._waiters: list["Event"] = []
-        #: Armed receive watchdogs: waiter -> loop handle.
-        self._deadlines: dict["Event", int] = {}
+        #: Datagrams nobody took yet, receivers waiting for one, and the
+        #: armed receive watchdogs (waiter -> loop handle); each None
+        #: while empty.
+        self._queue: list[Datagram] | None = None
+        self._waiters: list["Event"] | None = None
+        self._deadlines: dict["Event", int] | None = None
         #: The push-mode reader, and whether it takes datagrams as they
         #: arrive (its first step, which drains the backlog, has run).
         self._reader: Callable[[Datagram], None] | None = None
@@ -200,16 +205,26 @@ class UdpSocket:
             raise SimulationError(
                 f"socket {self.host.name}:{self.port} has a listening reader")
         event = self.host.loop.event()
-        if self._queue:
-            event.succeed(self._queue.pop(0))
+        queue = self._queue
+        if queue:
+            event.succeed(queue.pop(0))
+            if not queue:
+                self._queue = None
             return event
         if self.closed:
             event.fail(_closed(self))
             return event
-        self._waiters.append(event)
+        if self._waiters is None:
+            self._waiters = [event]
+        else:
+            self._waiters.append(event)
         if timeout_ms is not None:
-            self._deadlines[event] = self.host.loop.call_later(
+            handle = self.host.loop.call_later(
                 timeout_ms, self._expire_waiter, event)
+            if self._deadlines is None:
+                self._deadlines = {event: handle}
+            else:
+                self._deadlines[event] = handle
         return event
 
     def listen(self, handler: Callable[[Datagram], None]) -> None:
@@ -237,6 +252,8 @@ class UdpSocket:
                 self._reader(datagram)
             except Exception as exc:  # noqa: BLE001 - kept on the socket
                 self._stop_reader(exc)
+        if queue is not None and not queue:
+            self._queue = None
         self._reader_live = self._reader is not None
 
     def _stop_reader(self, error: Exception) -> None:
@@ -245,17 +262,29 @@ class UdpSocket:
         self._reader_live = False
 
     def _expire_waiter(self, event: "Event") -> None:
-        del self._deadlines[event]
-        self._waiters.remove(event)
+        self._forget_waiter(event)
         event.succeed(None)
 
     def _next_waiter(self) -> "Event":
         """Take the oldest waiter and disarm its watchdog."""
-        event = self._waiters.pop(0)
-        handle = self._deadlines.pop(event, None)
+        event = self._waiters[0]
+        handle = self._forget_waiter(event)
         if handle is not None:
             self.host.loop.cancel_scheduled(handle)
         return event
+
+    def _forget_waiter(self, event: "Event") -> int | None:
+        """Drop a waiter; returns its watchdog's handle, if it had one."""
+        self._waiters.remove(event)
+        if not self._waiters:
+            self._waiters = None
+        deadlines = self._deadlines
+        if deadlines is None:
+            return None
+        handle = deadlines.pop(event, None)
+        if not deadlines:
+            self._deadlines = None
+        return handle
 
     def deliver(self, datagram: Datagram) -> None:
         """Called by the host when a datagram arrives for this port."""
@@ -268,6 +297,8 @@ class UdpSocket:
                 self._stop_reader(exc)
         elif self._waiters:
             self._next_waiter().succeed(datagram)
+        elif self._queue is None:
+            self._queue = [datagram]
         else:
             self._queue.append(datagram)
 

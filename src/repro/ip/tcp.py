@@ -52,10 +52,7 @@ class SynAck:
 class TcpConnection:
     """An established TCP connection: one bidirectional message stream."""
 
-    #: Set by :meth:`repro.simnet.fastpath.FastPath.register` when the
-    #: world runs with the hybrid-fidelity fast path enabled.
-    fastpath = None
-    _fp_record = None
+    __slots__ = ("conn_id", "channel", "fastpath", "_fp_record")
 
     def __init__(self, loop, flow: UdpFlow, initial_rtt_ms: float,
                  conn_id: int) -> None:
@@ -63,6 +60,10 @@ class TcpConnection:
         self.channel = ReliableChannel(
             loop, transmit=flow.send, header_bytes=TCP_HEADER_BYTES,
             initial_rtt_ms=initial_rtt_ms)
+        #: Set by :meth:`repro.simnet.fastpath.FastPath.register` when the
+        #: world runs with the hybrid-fidelity fast path enabled.
+        self.fastpath = None
+        self._fp_record = None
 
     def send(self, payload: Any, size: int) -> None:
         """Send one application message of ``size`` bytes."""

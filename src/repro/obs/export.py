@@ -9,7 +9,8 @@ them into a text report of what moved.
 Artifacts are a pure function of (entry, cell, seed) — sorted keys, no
 timestamps — except for the ``process`` block: what this *process* had
 cached when it built the world (control-plane snapshots, fast-path
-jitter curves), which depends on what it ran before.
+jitter curves) and the memory it held (peak RSS, GC-tracked objects),
+which depend on what it ran before.
 :func:`artifact_digest` and :func:`diff_report` skip that block, so two
 runs of the same world digest and diff the same from any process.
 """
@@ -38,9 +39,9 @@ def build_artifact(tracer: Any, metrics: MetricsRegistry,
     snapshot. Every completed ``page.load`` in the trace contributes a
     waterfall; loads still open when the artifact is built are skipped
     (their spans are present regardless). The control-plane
-    snapshot-cache and fast-path jitter-curve counters are cumulative
-    over the process, not the world, so they go under ``process`` (see
-    the module docstring).
+    snapshot-cache and fast-path jitter-curve counters and the memory
+    numbers are cumulative over the process, not the world, so they go
+    under ``process`` (see the module docstring).
     """
     from repro.internet import snapshot
     from repro.simnet.fastpath import jitter_curve_stats
@@ -62,8 +63,23 @@ def build_artifact(tracer: Any, metrics: MetricsRegistry,
         "extra": dict(extra or {}),
         "process": {"snapshot_cache": {**snapshot.stats.as_dict(),
                                        "size": snapshot.cache_size()},
-                    "jitter_curves": jitter_curve_stats.as_dict()},
+                    "jitter_curves": jitter_curve_stats.as_dict(),
+                    "memory": process_memory()},
     }
+
+
+def process_memory() -> dict[str, float]:
+    """This process's peak resident set (MB) and how many objects the
+    cyclic collector tracks right now."""
+    import gc
+    import resource
+    import sys
+
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is in KB on Linux, in bytes on macOS.
+    scale = 1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0
+    return {"peak_rss_mb": round(peak / scale, 1),
+            "gc_objects": len(gc.get_objects())}
 
 
 def artifact_digest(artifact: dict[str, Any]) -> str:

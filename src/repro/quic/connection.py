@@ -65,6 +65,8 @@ class ConnectionClose:
 class QuicStream:
     """One bidirectional stream of a connection."""
 
+    __slots__ = ("connection", "stream_id", "channel")
+
     def __init__(self, connection: "QuicConnection", stream_id: int) -> None:
         self.connection = connection
         self.stream_id = stream_id
@@ -78,7 +80,7 @@ class QuicStream:
     def _transmit(self, frame: Any, size: int) -> None:
         connection = self.connection
         if not connection.closed:
-            connection._send(  # noqa: SLF001 - the connection's own flow
+            connection._flow.send(  # noqa: SLF001 - the connection's own flow
                 _new_stream_frame(StreamFrame, (self.stream_id, frame)), size)
 
     def send(self, payload: Any, size: int) -> None:
@@ -106,25 +108,29 @@ class QuicStream:
 class QuicConnection:
     """An established QUIC connection (either side)."""
 
-    #: Set by :meth:`repro.simnet.fastpath.FastPath.register` when the
-    #: world runs with the hybrid-fidelity fast path enabled.
-    fastpath = None
-    _fp_record = None
+    __slots__ = ("loop", "conn_id", "_flow", "initial_rtt_ms", "is_client",
+                 "closed", "streams", "_next_stream_id", "_accept_queue",
+                 "_accept_waiters", "fastpath", "_fp_record")
 
     def __init__(self, loop, conn_id: int, flow: UdpFlow,
                  initial_rtt_ms: float, is_client: bool) -> None:
         self.loop = loop
         self.conn_id = conn_id
-        #: The flow's ``send``: every frame of the connection goes out
-        #: through it.
-        self._send = flow.send
+        #: Every frame of the connection goes out through this flow.
+        self._flow = flow
         self.initial_rtt_ms = initial_rtt_ms
         self.is_client = is_client
         self.closed = False
         self.streams: dict[int, QuicStream] = {}
         self._next_stream_id = 0 if is_client else 1
-        self._accept_queue: list[QuicStream] = []
-        self._accept_waiters: list = []
+        #: Peer-opened streams not yet accepted, and accepts waiting for
+        #: one (each None while empty).
+        self._accept_queue: list[QuicStream] | None = None
+        self._accept_waiters: list | None = None
+        #: Set by :meth:`repro.simnet.fastpath.FastPath.register` when the
+        #: world runs with the hybrid-fidelity fast path enabled.
+        self.fastpath = None
+        self._fp_record = None
 
     # -- streams -----------------------------------------------------------------
 
@@ -140,10 +146,15 @@ class QuicConnection:
     def accept_stream(self):
         """Event yielding the next peer-initiated stream."""
         event = self.loop.event()
-        if self._accept_queue:
-            event.succeed(self._accept_queue.pop(0))
+        queue = self._accept_queue
+        if queue:
+            event.succeed(queue.pop(0))
+            if not queue:
+                self._accept_queue = None
         elif self.closed:
             event.fail(ConnectionClosedError("connection is closed"))
+        elif self._accept_waiters is None:
+            self._accept_waiters = [event]
         else:
             self._accept_waiters.append(event)
         return event
@@ -161,12 +172,7 @@ class QuicConnection:
                 return  # stray handshake duplicates (ClientHello / ServerHello)
         stream = self.streams.get(payload.stream_id)
         if stream is None:
-            stream = QuicStream(self, payload.stream_id)
-            self.streams[payload.stream_id] = stream
-            if self._accept_waiters:
-                self._accept_waiters.pop(0).succeed(stream)
-            else:
-                self._accept_queue.append(stream)
+            stream = self._peer_stream(payload.stream_id)
         stream.channel.on_frame(payload.frame)
 
     def fastpath_channel(self, stream_id: int) -> "ReliableChannel":
@@ -178,13 +184,23 @@ class QuicConnection:
         """
         stream = self.streams.get(stream_id)
         if stream is None:
-            stream = QuicStream(self, stream_id)
-            self.streams[stream_id] = stream
-            if self._accept_waiters:
-                self._accept_waiters.pop(0).succeed(stream)
-            else:
-                self._accept_queue.append(stream)
+            stream = self._peer_stream(stream_id)
         return stream.channel
+
+    def _peer_stream(self, stream_id: int) -> QuicStream:
+        """Bring up a peer-initiated stream and hand it to an accept."""
+        stream = self.streams[stream_id] = QuicStream(self, stream_id)
+        waiters = self._accept_waiters
+        if waiters:
+            waiter = waiters.pop(0)
+            if not waiters:
+                self._accept_waiters = None
+            waiter.succeed(stream)
+        elif self._accept_queue is None:
+            self._accept_queue = [stream]
+        else:
+            self._accept_queue.append(stream)
+        return stream
 
     # -- lifecycle -------------------------------------------------------------------
 
@@ -192,7 +208,7 @@ class QuicConnection:
         """Tear the connection down and notify the peer."""
         if self.closed:
             return
-        self._send(ConnectionClose(self.conn_id), 32)
+        self._flow.send(ConnectionClose(self.conn_id), 32)
         self._handle_close()
 
     def _handle_close(self) -> None:
@@ -201,9 +217,9 @@ class QuicConnection:
         self.closed = True
         for stream in self.streams.values():
             stream.channel._on_close()  # noqa: SLF001 - deliberate teardown
-        while self._accept_waiters:
-            self._accept_waiters.pop(0).fail(
-                ConnectionClosedError("connection closed"))
+        waiters, self._accept_waiters = self._accept_waiters, None
+        for waiter in waiters or ():
+            waiter.fail(ConnectionClosedError("connection closed"))
 
 
 class QuicListener:

@@ -81,6 +81,8 @@ class Event:
         immediately (at the current simulation time).
         """
         if self.triggered:
+            if self.exception is not None:
+                self.loop.unobserved_failures.pop(self, None)
             self.loop.call_soon(callback, self)
         else:
             self._callbacks.append(callback)
@@ -144,6 +146,9 @@ class Interrupt(Exception):
 class Process(Event):
     """Drives a generator; itself an event that triggers when the
     generator returns (value = the generator's return value) or raises.
+
+    A process that raises while nothing waits on it is listed in its
+    loop's :attr:`EventLoop.unobserved_failures` until something does.
     """
 
     __slots__ = ("name", "_generator", "_waiting_on")
@@ -190,7 +195,7 @@ class Process(Event):
             self.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate via event
-            self.fail(exc)
+            self._die(exc)
             return
         finally:
             loop.active_process = None
@@ -198,6 +203,8 @@ class Process(Event):
         if isinstance(target, Event):
             self._waiting_on = target
             if target.triggered:
+                if target.exception is not None:
+                    loop.unobserved_failures.pop(target, None)
                 heappush(loop._queue, (loop._now, loop._sequence, self._step,
                                        (target,)))
                 loop._sequence += 1
@@ -218,7 +225,7 @@ class Process(Event):
             self.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate via event
-            self.fail(exc)
+            self._die(exc)
             return
         finally:
             loop.active_process = None
@@ -226,11 +233,18 @@ class Process(Event):
 
     def _wait_on(self, target: Event) -> None:
         if not isinstance(target, Event):
-            self.fail(SimulationError(
+            self._die(SimulationError(
                 f"process {self.name!r} yielded {target!r}, expected an Event"))
             return
         self._waiting_on = target
         target.add_callback(self._step)
+
+    def _die(self, exception: BaseException) -> None:
+        """Fail with what the generator raised; with nothing waiting,
+        the failure is kept where it can be seen."""
+        if not self._callbacks:
+            self.loop.unobserved_failures[self] = None
+        self.fail(exception)
 
 
 class AllOf(Event):
@@ -376,7 +390,7 @@ class EventLoop:
     """
 
     __slots__ = ("_now", "_sequence", "_queue", "_events_processed",
-                 "_cancelled", "active_process")
+                 "_cancelled", "active_process", "unobserved_failures")
 
     def __init__(self) -> None:
         self._now = 0.0
@@ -387,6 +401,9 @@ class EventLoop:
         #: The process whose generator is running right now, or None
         #: between steps (SimPy's ``env.active_process``).
         self.active_process: Process | None = None
+        #: Processes that raised while nothing waited on them, in the
+        #: order they failed; one leaves when something waits on it.
+        self.unobserved_failures: dict[Process, None] = {}
 
     @property
     def now(self) -> float:
@@ -433,7 +450,8 @@ class EventLoop:
         :meth:`run`'s end time. Cancelling an already-executed handle is
         the caller's bug (the handle may sit in the cancelled-set
         forever); callers like :class:`Timeout` guard with their own
-        triggered state.
+        triggered state. The set is replaced whenever it drains, so a
+        burst of cancellations does not leave its table behind.
         """
         self._cancelled.add(handle)
 
@@ -487,6 +505,8 @@ class EventLoop:
                     when, seq, callback, args = pop(queue)
                     if cancelled and seq in cancelled:
                         cancelled.discard(seq)
+                        if not cancelled:
+                            cancelled = self._cancelled = set()
                         continue  # invisible: must not advance the clock
                     self._now = when
                     callback(*args)
@@ -500,6 +520,8 @@ class EventLoop:
                 when, seq, callback, args = pop(queue)
                 if cancelled and seq in cancelled:
                     cancelled.discard(seq)
+                    if not cancelled:
+                        cancelled = self._cancelled = set()
                     continue  # invisible: must not advance the clock
                 if when > until:
                     # Past the deadline: put it back for the next run.
@@ -533,5 +555,6 @@ class EventLoop:
                 f"process {process.name!r} did not finish by "
                 f"{'idle' if until is None else until}")
         if process.exception is not None:
+            self.unobserved_failures.pop(process, None)
             raise process.exception
         return process.value

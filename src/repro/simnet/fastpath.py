@@ -859,7 +859,10 @@ class FastPath:
         transfer.done = True
         del self._in_flight[transfer]
         channel = transfer.channel
-        channel._fp_active.remove(transfer)
+        active = channel._fp_active
+        active.remove(transfer)
+        if not active:
+            channel._fp_active = None
         channel._cwnd = transfer.cwnd_final
         # Deliver into the far side, mirroring datagram arrival, and
         # credit the link counters with the packets the oracle would
@@ -939,7 +942,10 @@ class FastPath:
             self.loop.cancel_scheduled(transfer.handle)
         del self._in_flight[transfer]
         channel = transfer.channel
-        channel._fp_active.remove(transfer)
+        active = channel._fp_active
+        active.remove(transfer)
+        if not active:
+            channel._fp_active = None
         self.stats.demotions += 1
         self.stats.fallbacks[reason] = self.stats.fallbacks.get(reason, 0) + 1
         tracer = self.tracer

@@ -15,7 +15,6 @@ link-level serialization delay, MTU and loss behave realistically.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, NamedTuple
@@ -66,12 +65,12 @@ class CloseFrame:
 #: Wire size charged for a pure ACK or CLOSE frame.
 CONTROL_FRAME_BYTES = 16
 
-#: ``AckFrame(...)`` without the generated ``__new__`` frame: one per
-#: segment received.
-_new_ack = tuple.__new__
+#: ``AckFrame(...)`` / ``Segment(...)`` without the generated
+#: ``__new__`` frame: one per segment received / cut.
+_new_ack = _new_segment = tuple.__new__
 
 
-@dataclass
+@dataclass(slots=True)
 class ChannelStats:
     """Counters for tests and benchmarks."""
 
@@ -94,7 +93,19 @@ class ReliableChannel:
         mss: maximum segment payload size.
         initial_rtt_ms: seed for the RTO estimator (e.g. the handshake
             RTT measured by the owning connection).
+
+    A channel holds only what it has in flight: unsent messages wait
+    whole and are cut into segments as the window opens, and the
+    reorder buffer exists only while a segment waits in it.
     """
+
+    __slots__ = ("loop", "transmit", "header_bytes", "mss", "stats",
+                 "_next_seq", "_pending", "_cut", "_unacked", "_una",
+                 "_cwnd", "_dup_acks", "_srtt", "_rttvar", "_timer",
+                 "_expected_seq", "_out_of_order", "_recv_queue",
+                 "_recv_waiters", "closed", "remote_closed", "broken",
+                 "_fp_active", "_fp_closing", "_fp_busy_until", "_fp_cwnd",
+                 "_fp_tx_busy_until")
 
     def __init__(self, loop: "EventLoop",
                  transmit: Callable[[Any, int], None],
@@ -105,10 +116,19 @@ class ReliableChannel:
         self.header_bytes = header_bytes
         self.mss = mss
         self.stats = ChannelStats()
-        # sender state
+        # sender state: the seq of the next segment cut; messages not yet
+        # fully cut, as ``(payload, size, segments)`` (None when there
+        # are none) and how many segments of the first one went out.
         self._next_seq = 0
-        self._pending: deque[Segment] = deque()
-        self._unacked: "OrderedDict[int, tuple[Segment, float, int]]" = OrderedDict()
+        self._pending: list[tuple[Any, int, int]] | None = None
+        self._cut = 0
+        #: Sent, unacknowledged segments: seq -> (segment, sent at,
+        #: retransmissions). Segments go out in seq order, a
+        #: retransmission keeps its place and only an acked prefix
+        #: leaves, so the keys are the consecutive seqs from ``_una``
+        #: (the oldest unacked seq, or ``_next_seq`` when empty).
+        self._unacked: dict[int, tuple[Segment, float, int]] = {}
+        self._una = 0
         self._cwnd = INITIAL_CWND
         self._dup_acks = 0
         # RTT estimation (Jacobson/Karels)
@@ -116,17 +136,19 @@ class ReliableChannel:
         self._rttvar = initial_rtt_ms / 2
         #: Loop handle of the armed retransmission timer, or None.
         self._timer: int | None = None
-        # receiver state
+        # receiver state: segments that arrived ahead of a gap, delivered
+        # messages nobody asked for yet, and receivers waiting for one
+        # (each None while empty).
         self._expected_seq = 0
-        self._out_of_order: dict[int, Segment] = {}
-        self._recv_queue: list[Any] = []
-        self._recv_waiters: list["Event"] = []
+        self._out_of_order: dict[int, Segment] | None = None
+        self._recv_queue: list[Any] | None = None
+        self._recv_waiters: list["Event"] | None = None
         # lifecycle
         self.closed = False          # we closed
         self.remote_closed = False   # peer closed
         self.broken = False          # gave up after MAX_SEGMENT_RETRIES
         # fast-path state (see repro.simnet.fastpath): analytic transfers
-        # in flight, in channel order (a list from the first one on); a
+        # in flight, in channel order (a list while there are any); a
         # close deferred until the last of them lands; when the last one
         # delivers and the window it leaves behind; when this end's
         # access link is free again after the final ACK of a transfer it
@@ -140,28 +162,44 @@ class ReliableChannel:
     # -- sending ---------------------------------------------------------------
 
     def send_message(self, payload: Any, size: int) -> None:
-        """Queue one application message of ``size`` bytes for delivery."""
+        """Queue one application message of ``size`` bytes for delivery.
+
+        The message is cut into ``ceil(size / mss)`` segments (one for
+        an empty message), each ``mss`` bytes but the last, which carries
+        the payload; they are cut as the congestion window admits them.
+        """
         if self.closed:
             raise ConnectionClosedError("channel is closed")
         if size < 0:
             raise TransportError(f"negative message size {size}")
         self.stats.messages_sent += 1
-        chunks = max(1, (size + self.mss - 1) // self.mss)
-        remaining = size
-        for index in range(chunks):
-            chunk_size = min(self.mss, remaining) if chunks > 1 else size
-            remaining -= chunk_size
-            last = index == chunks - 1
-            self._pending.append(Segment(
-                self._next_seq, chunk_size, last, payload if last else None))
-            self._next_seq += 1
+        message = (payload, size, max(1, (size + self.mss - 1) // self.mss))
+        if self._pending is None:
+            self._pending = [message]
+        else:
+            self._pending.append(message)
         self._pump()
 
     def _pump(self) -> None:
-        while self._pending and len(self._unacked) < self._cwnd:
-            segment = self._pending.popleft()
+        pending = self._pending
+        unacked = self._unacked
+        while pending and len(unacked) < self._cwnd:
+            payload, size, segments = pending[0]
+            index = self._cut
+            seq = self._next_seq
+            self._next_seq = seq + 1
+            if index == segments - 1:
+                del pending[0]
+                self._cut = 0
+                segment = _new_segment(Segment, (
+                    seq, size - index * self.mss, True, payload))
+            else:
+                self._cut = index + 1
+                segment = _new_segment(Segment, (seq, self.mss, False, None))
             self._transmit_segment(segment, retransmission=False)
-        if self._unacked and self._timer is None:
+        if pending is not None and not pending:
+            self._pending = None
+        if unacked and self._timer is None:
             self._arm_timer()
 
     def _transmit_segment(self, segment: Segment, retransmission: bool) -> None:
@@ -199,30 +237,57 @@ class ReliableChannel:
         no buffered messages remain.
         """
         event = self.loop.event()
-        if self._recv_queue:
-            event.succeed(self._recv_queue.pop(0))
+        queue = self._recv_queue
+        if queue:
+            event.succeed(queue.pop(0))
+            if not queue:
+                self._recv_queue = None
         elif self.remote_closed:
             event.fail(ConnectionClosedError("peer closed the channel"))
+        elif self._recv_waiters is None:
+            self._recv_waiters = [event]
         else:
             self._recv_waiters.append(event)
         return event
 
     def _on_segment(self, segment: Segment) -> None:
         self.stats.segments_received += 1
-        if segment.seq >= self._expected_seq:
-            self._out_of_order.setdefault(segment.seq, segment)
-            while self._expected_seq in self._out_of_order:
-                ready = self._out_of_order.pop(self._expected_seq)
-                self._expected_seq += 1
-                if ready.message_end:
-                    self._deliver(ready.payload)
+        seq = segment.seq
+        expected = self._expected_seq
+        if seq == expected:
+            expected += 1
+            self._expected_seq = expected
+            if segment.message_end:
+                self._deliver(segment.payload)
+            buffered = self._out_of_order
+            if buffered is not None:
+                # The gap closed: hand on what waited behind it.
+                while expected in buffered:
+                    ready = buffered.pop(expected)
+                    expected += 1
+                    self._expected_seq = expected
+                    if ready.message_end:
+                        self._deliver(ready.payload)
+                if not buffered:
+                    self._out_of_order = None
+        elif seq > expected:
+            if self._out_of_order is None:
+                self._out_of_order = {seq: segment}
+            else:
+                self._out_of_order.setdefault(seq, segment)
         self.transmit(_new_ack(AckFrame, (self._expected_seq,)),
                       CONTROL_FRAME_BYTES)
 
     def _deliver(self, payload: Any) -> None:
         self.stats.messages_delivered += 1
-        if self._recv_waiters:
-            self._recv_waiters.pop(0).succeed(payload)
+        waiters = self._recv_waiters
+        if waiters:
+            waiter = waiters.pop(0)
+            if not waiters:
+                self._recv_waiters = None
+            waiter.succeed(payload)
+        elif self._recv_queue is None:
+            self._recv_queue = [payload]
         else:
             self._recv_queue.append(payload)
 
@@ -230,19 +295,21 @@ class ReliableChannel:
 
     def _on_ack(self, cumulative: int) -> None:
         unacked = self._unacked
-        # ``_unacked`` holds consecutive seqs in order (segments go out in
-        # seq order, a retransmission keeps its place and only an acked
-        # prefix leaves), so the newly acked segments are its first
-        # ``cumulative - oldest`` entries.
-        acked = (min(cumulative - next(iter(unacked)), len(unacked))
-                 if unacked else 0)
+        if not unacked:
+            return
+        # The window is the consecutive seqs from ``_una`` (see
+        # ``__init__``), so the newly acked segments are its first
+        # ``cumulative - _una`` entries.
+        una = self._una
+        acked = min(cumulative - una, len(unacked))
         if acked > 0:
-            popitem = unacked.popitem
-            for _ in range(acked - 1):
-                popitem(last=False)
+            newest = una + acked - 1
+            for seq in range(una, newest):
+                del unacked[seq]
             # Karn's rule: sample the RTT only off the newest newly-acked
             # segment, and only if it was never retransmitted.
-            _seq, (_segment, sent_time, retx) = popitem(last=False)
+            _segment, sent_time, retx = unacked.pop(newest)
+            self._una = newest + 1
             if retx == 0:
                 self._update_rtt(self.loop._now - sent_time)
             self._cwnd = min(MAX_CWND, self._cwnd + acked)
@@ -250,18 +317,18 @@ class ReliableChannel:
             if unacked:
                 self._arm_timer()
             else:
+                # A drained dict keeps the table it grew to.
+                unacked.clear()
                 self._cancel_timer()
             self._pump()
             return
-        if unacked:
-            self._dup_acks += 1
-            if self._dup_acks >= 3:
-                self._dup_acks = 0
-                self.stats.fast_retransmits += 1
-                oldest = next(iter(self._unacked))
-                segment, _time, _retx = self._unacked[oldest]
-                self._transmit_segment(segment, retransmission=True)
-                self._arm_timer()
+        self._dup_acks += 1
+        if self._dup_acks >= 3:
+            self._dup_acks = 0
+            self.stats.fast_retransmits += 1
+            segment, _time, _retx = unacked[una]
+            self._transmit_segment(segment, retransmission=True)
+            self._arm_timer()
 
     def _update_rtt(self, sample_ms: float) -> None:
         delta = sample_ms - self._srtt
@@ -296,8 +363,7 @@ class ReliableChannel:
         self._timer = None
         if not self._unacked:
             return
-        oldest = next(iter(self._unacked))
-        segment, _time, retx = self._unacked[oldest]
+        segment, _time, retx = self._unacked[self._una]
         if retx >= MAX_SEGMENT_RETRIES:
             self._break()
             return
@@ -314,9 +380,10 @@ class ReliableChannel:
         self.closed = True
         self._cancel_timer()
         self._unacked.clear()
-        self._pending.clear()
-        while self._recv_waiters:
-            self._recv_waiters.pop(0).fail(ConnectionClosedError(
+        self._pending = None
+        waiters, self._recv_waiters = self._recv_waiters, None
+        for waiter in waiters or ():
+            waiter.fail(ConnectionClosedError(
                 f"peer unresponsive after {MAX_SEGMENT_RETRIES} retries"))
 
     # -- close ----------------------------------------------------------------------
@@ -333,6 +400,6 @@ class ReliableChannel:
         if self.remote_closed:
             return
         self.remote_closed = True
-        while self._recv_waiters:
-            self._recv_waiters.pop(0).fail(
-                ConnectionClosedError("peer closed the channel"))
+        waiters, self._recv_waiters = self._recv_waiters, None
+        for waiter in waiters or ():
+            waiter.fail(ConnectionClosedError("peer closed the channel"))

@@ -1,8 +1,10 @@
 """Retry budgets: token buckets, refill, seeded backoff jitter."""
 
+import random
+
 import pytest
 
-from repro.core.skip.retry_budget import RetryBudget
+from repro.core.skip.retry_budget import LazyRandom, RetryBudget
 
 
 def make_budget(**kwargs) -> RetryBudget:
@@ -55,6 +57,22 @@ class TestBackoffJitter:
         other = [b.jittered_backoff(100.0) for _ in range(5)]
         assert seq1 == seq2
         assert seq1 != other
+
+
+class TestLazyRandom:
+    def test_draws_are_those_of_the_seeded_stream(self):
+        lazy, eager = LazyRandom("retry-jitter:c"), random.Random(
+            "retry-jitter:c")
+        assert [lazy.random() for _ in range(50)] == \
+            [eager.random() for _ in range(50)]
+
+    def test_no_state_until_the_first_draw(self):
+        budget = make_budget()
+        assert budget._jitter._rng is None
+        budget.try_spend(0.0)
+        assert budget._jitter._rng is None
+        budget.jittered_backoff(100.0)
+        assert budget._jitter._rng is not None
 
 
 class TestDisabledBudget:

@@ -60,6 +60,20 @@ class TestArtifacts:
         assert "-- process: jitter_curves (outside the digest) --" \
             in render_report(artifact)
 
+    def test_process_memory_rides_outside_the_digest(self, traced_world):
+        world, _plt = traced_world
+        artifact = artifact_of(world, label="t")
+        memory = artifact["process"]["memory"]
+        assert set(memory) == {"peak_rss_mb", "gc_objects"}
+        assert memory["peak_rss_mb"] > 0 and memory["gc_objects"] > 0
+        moved = json.loads(json.dumps(artifact))
+        moved["process"]["memory"]["peak_rss_mb"] *= 2
+        assert artifact_digest(moved) == artifact_digest(artifact)
+        assert "(no metric differences)" in diff_report(artifact, moved)
+        report = render_report(artifact)
+        assert "-- process: memory (outside the digest) --" in report
+        assert "\ngc_objects " in report and "\npeak_rss_mb " in report
+
     def test_write_then_load_round_trips(self, traced_world, tmp_path):
         world, _plt = traced_world
         artifact = artifact_of(world, label="t", extra={"seed": 131})

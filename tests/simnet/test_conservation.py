@@ -118,6 +118,7 @@ def test_a_drained_world_leaves_nothing_behind(spec, monkeypatch):
     world.internet.run()
     loop, network = world.internet.loop, world.internet.network
     assert loop._queue == [] and loop._cancelled == set()
+    assert loop.unobserved_failures == {}
     assert [link.name for link in network.links if link.inflight] == []
     records = Counter((entry.link, entry.event.partition("-")[0])
                       for entry in network.trace)

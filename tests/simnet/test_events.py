@@ -114,6 +114,19 @@ class TestCancellation:
         loop.run()
         assert timeout.triggered
 
+    def test_a_drained_cancelled_set_is_replaced(self, loop):
+        """A burst of cancellations leaves no table behind once the
+        cancelled entries have left the queue."""
+        handles = [loop.call_later(1.0 + i, lambda: None) for i in range(200)]
+        for handle in handles:
+            loop.cancel_scheduled(handle)
+        burst = loop._cancelled
+        loop.run()
+        assert loop._cancelled == set() and loop._cancelled is not burst
+        late = loop.call_later(1.0, lambda: None)
+        loop.cancel_scheduled(late)
+        assert loop._cancelled == {late}
+
 
 class TestEvent:
     def test_succeed_delivers_value(self, loop):
@@ -234,6 +247,81 @@ class TestProcess:
         process.interrupt()
         loop.run()
         assert process.value == "ok"
+
+
+class TestUnobservedFailures:
+    """A process that raises while nothing waits on it is listed on its
+    loop until something waits on it."""
+
+    @staticmethod
+    def handler(loop, error):
+        yield loop.timeout(1.0)
+        raise error
+
+    def test_a_failure_nobody_waits_on_is_listed(self, loop):
+        error = RuntimeError("respond broke")
+        process = loop.process(self.handler(loop, error), name="handler")
+        loop.run()
+        assert list(loop.unobserved_failures) == [process]
+        assert process.exception is error
+
+    def test_a_failure_a_parent_yields_later_is_not(self, loop):
+        process = loop.process(self.handler(loop, RuntimeError("late")))
+
+        def parent():
+            yield loop.timeout(5.0)  # the child has failed by now
+            with pytest.raises(RuntimeError, match="late"):
+                yield process
+            return "seen"
+
+        watcher = loop.process(parent())
+        loop.run(until=3.0)
+        assert list(loop.unobserved_failures) == [process]
+        loop.run()
+        assert watcher.value == "seen"
+        assert loop.unobserved_failures == {}
+
+    def test_a_failure_a_parent_waits_on_is_not(self, loop):
+        def parent():
+            with pytest.raises(RuntimeError):
+                yield loop.process(self.handler(loop, RuntimeError()))
+
+        loop.process(parent())
+        loop.run()
+        assert loop.unobserved_failures == {}
+
+    def test_a_callback_added_later_observes_it(self, loop):
+        process = loop.process(self.handler(loop, ValueError()))
+        loop.run()
+        seen = []
+        process.add_callback(seen.append)
+        loop.run()
+        assert seen == [process] and loop.unobserved_failures == {}
+
+    def test_combinators_observe_their_children(self, loop):
+        children = [loop.process(self.handler(loop, ValueError()))
+                    for _ in range(2)]
+        any_of = loop.any_of(children)
+        loop.run()
+        assert any_of.exception is not None
+        assert loop.unobserved_failures == {}
+
+    def test_run_process_raises_what_it_reads(self, loop):
+        with pytest.raises(KeyError):
+            loop.run_process(self.handler(loop, KeyError("x")))
+        assert loop.unobserved_failures == {}
+
+    def test_successes_and_yielded_non_events(self, loop):
+        def bad():
+            yield 42  # type: ignore[misc]
+
+        def good():
+            yield loop.timeout(1.0)
+
+        loop.process(good())
+        process = loop.process(bad())
+        loop.run()
+        assert list(loop.unobserved_failures) == [process]
 
 
 class TestCombinators:
