@@ -152,11 +152,21 @@ class BrowserExtension:
                        indicator: PageIndicator | None = None,
                        parent=NULL_SPAN) -> Generator:
         """Intercept one browser request (simulation process); returns a
-        :class:`FetchOutcome`."""
-        tracer = self.tracer
-        span = tracer.span("extension.intercept", parent=parent,
-                           host=request.host, url=request.url) \
-            if tracer.enabled else NULL_SPAN
+        :class:`FetchOutcome`.
+
+        Untraced, this is the :meth:`_handle` generator itself, so a
+        resumption of the fetch crosses no span-wrapper frame.
+        """
+        if not self.tracer.enabled:
+            return self._handle(request, indicator, NULL_SPAN)
+        return self._traced_handle(request, indicator, parent)
+
+    def _traced_handle(self, request: HttpRequest,
+                       indicator: PageIndicator | None,
+                       parent) -> Generator:
+        """:meth:`_handle` inside its ``extension.intercept`` span."""
+        span = self.tracer.span("extension.intercept", parent=parent,
+                                host=request.host, url=request.url)
         try:
             outcome: FetchOutcome = yield from self._handle(
                 request, indicator, span)

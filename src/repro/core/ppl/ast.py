@@ -40,6 +40,28 @@ def parse_pattern(text: str) -> IsdAs:
     return IsdAs.parse(text)
 
 
+def _render_number(value: float) -> str:
+    """The shortest positional decimal that reads back as ``value``.
+
+    The lexer's ``NUMBER`` is digits with an optional fraction, so no
+    exponent: ``repr`` gives the shortest round-tripping digits and this
+    only moves its decimal point (``1.23e-05`` -> ``0.0000123``,
+    ``1e+16`` -> ``10000000000000000``, ``12.0`` -> ``12``).
+    """
+    text = repr(value)
+    if "e" not in text:
+        return text[:-2] if text.endswith(".0") else text
+    mantissa, exponent = text.split("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits = whole + fraction
+    point = len(whole) + int(exponent)
+    if point <= 0:
+        return "0." + "0" * -point + digits
+    if point >= len(digits):
+        return digits + "0" * (point - len(digits))
+    return f"{digits[:point]}.{digits[point:]}"
+
+
 @dataclass(frozen=True)
 class AclEntry:
     """One ACL line: allow (+) or deny (-) ASes matching ``pattern``."""
@@ -106,7 +128,7 @@ class Requirement:
 
     def render(self) -> str:
         """The PPL source form of this requirement."""
-        return f"require {self.metric} {self.op} {self.value:g}"
+        return f"require {self.metric} {self.op} {_render_number(self.value)}"
 
 
 @dataclass(frozen=True)

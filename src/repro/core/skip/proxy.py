@@ -235,11 +235,19 @@ class SkipProxy:
         Raises :class:`StrictModeViolation` when ``strict`` and no
         policy-compliant SCION route exists, and :class:`HttpError` when
         no route at all exists.
+
+        Untraced, this is the :meth:`_fetch` generator itself, so a
+        resumption of the fetch crosses no span-wrapper frame.
         """
-        tracer = self.tracer
-        span = tracer.span("proxy.fetch", parent=parent,
-                           host=request.host, strict=strict) \
-            if tracer.enabled else NULL_SPAN
+        if not self.tracer.enabled:
+            return self._fetch(request, strict, NULL_SPAN)
+        return self._traced_fetch(request, strict, parent)
+
+    def _traced_fetch(self, request: HttpRequest, strict: bool,
+                      parent) -> Generator:
+        """:meth:`_fetch` inside its ``proxy.fetch`` span."""
+        span = self.tracer.span("proxy.fetch", parent=parent,
+                                host=request.host, strict=strict)
         try:
             result: ProxyResult = yield from self._fetch(request, strict,
                                                          span)

@@ -30,18 +30,17 @@ import atexit
 import dataclasses
 import functools
 import math
-import multiprocessing
 import os
-import pickle
 import time
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ReproError
 from repro.internet.knobs import resolve_int_knob
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Environment variable overriding the default worker count.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -116,6 +115,12 @@ def mean(values) -> float:
 # to serial ones on every platform. One pool is kept alive per worker count
 # so its startup cost amortizes across the many cells a full `run_all`
 # regeneration submits.
+#
+# The pool stack (``multiprocessing``, ``concurrent.futures``, ``pickle``
+# and the ``socket``/``queue``/``logging`` they pull in: 26 modules,
+# ~1.4 MB) is imported at the first fan-out, like numpy in ``BoxStats``:
+# every serial run — each benchmark child, each ``--workers 1`` battery —
+# would otherwise load it for nothing.
 
 _pool: ProcessPoolExecutor | None = None
 _pool_workers = 0
@@ -135,6 +140,9 @@ atexit.register(_shutdown_pool)
 def _shared_pool(workers: int) -> ProcessPoolExecutor:
     global _pool, _pool_workers
     if _pool is None or _pool_workers < workers:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         _shutdown_pool()
         _pool = ProcessPoolExecutor(
             max_workers=workers,
@@ -149,6 +157,8 @@ def _run_trial(payload: tuple[Callable[[int], float], int]) -> float:
 
 
 def _picklable(trial: Callable[[int], float]) -> bool:
+    import pickle
+
     try:
         pickle.dumps(trial)
         return True
@@ -192,6 +202,8 @@ class PendingSamples:
         """
         if isinstance(self._results, list):
             return self._results
+        from concurrent.futures.process import BrokenProcessPool
+
         try:
             samples = list(self._results)
         except BrokenProcessPool:
@@ -211,6 +223,8 @@ def submit_samples(trial: Callable[[int], float], seeds: Sequence[int],
     """
     workers = min(resolve_workers(workers), len(seeds))
     if workers > 1 and _picklable(trial):
+        from concurrent.futures.process import BrokenProcessPool
+
         pool = _shared_pool(workers)
         payloads = [(trial, seed) for seed in seeds]
         chunksize = battery_chunksize(len(seeds), workers)

@@ -4,7 +4,10 @@
 and every fresh process — a spawned pool worker, one benchmark child —
 pays for ``import repro`` before its first trial. Only battery summaries
 (``BoxStats``) need it, so only they may import it. ``networkx`` is no
-dependency at all; nothing a world runs may pull it in.
+dependency at all; nothing a world runs may pull it in. The process-pool
+stack (``multiprocessing``, ``concurrent.futures``, ``pickle`` and the
+``socket``/``queue``/``logging`` they pull in) is for a ``workers > 1``
+fan-out only; a serial run never loads it.
 """
 
 import os
@@ -28,6 +31,9 @@ assert remote_setup.remote_trial(remote_setup.FAR_ORIGIN,
                                  n_resources=4) > 0
 assert population_trial("opportunistic-SCION", 7, users=4,
                         sites=6).loads > 0
+pool_stack = [m for m in ("multiprocessing", "concurrent.futures", "pickle",
+                          "socket", "queue", "logging") if m in sys.modules]
+assert not pool_stack, f"a serial run loaded {pool_stack}"
 print(sorted(m for m in ("numpy", "networkx") if m in sys.modules))
 """
 
