@@ -7,10 +7,11 @@ built-in policies) construct it directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from repro.errors import AddressError, PolicyError
-from repro.topology.isd_as import IsdAs
+from repro.errors import PolicyError
+from repro.topology.isd_as import IsdAs, parse_isd
 
 #: Metrics a policy can constrain or order by, mapped to
 #: :class:`~repro.scion.path.PathMetadata` by the evaluator.
@@ -32,11 +33,7 @@ def parse_pattern(text: str) -> IsdAs:
     ``1-ff00:0:110`` (exactly one AS).
     """
     if "-" not in text:
-        try:
-            isd = int(text, 10)
-        except ValueError:
-            raise AddressError(f"invalid ISD-AS pattern {text!r}") from None
-        return IsdAs(isd=isd, asn=0)
+        return IsdAs(isd=parse_isd(text), asn=0)
     return IsdAs.parse(text)
 
 
@@ -111,6 +108,19 @@ class Requirement:
             raise PolicyError(f"unknown metric {self.metric!r}")
         if self.op not in OPERATORS:
             raise PolicyError(f"unknown operator {self.op!r}")
+        # Only what the text form carries: its numbers are digits with
+        # an optional fraction (no sign, exponent, infinity or NaN), read
+        # as a float.
+        try:
+            value = float(self.value)
+        except (TypeError, ValueError, OverflowError):
+            value = math.nan
+        if not 0.0 <= value < math.inf:
+            raise PolicyError(
+                f"requirement value {self.value!r} is not a finite "
+                f"number >= 0")
+        # abs: -0.0 passes the check above, and its text reads "0".
+        object.__setattr__(self, "value", abs(value))
 
     def holds(self, actual: float) -> bool:
         """Evaluate the constraint against a concrete metric value."""

@@ -308,7 +308,7 @@ def collect_sample(world: World, arm: str, rows) -> OverloadSample:
     shed = stale + int(metrics.total("admission_shed_rejected"))
     admitted = metrics.total("admission_admitted")
     ended = max((row[1] for row in rows), default=spike_end)
-    return OverloadSample(
+    sample = OverloadSample(
         arm=arm,
         users=config.users,
         loads=len(rows),
@@ -334,6 +334,10 @@ def collect_sample(world: World, arm: str, rows) -> OverloadSample:
         duration_ms=internet.loop.now,
         events=internet.loop.events_processed,
     )
+    # The sample is the world's last read: close it, so it is freed by
+    # reference counting once the caller lets go.
+    world.close()
+    return sample
 
 
 def drain_arm(arm: str, seed: int, config: OverloadConfig = DEFAULT_CONFIG

@@ -175,7 +175,7 @@ def collect_sample(world: World, mode: str, users: int,
     daemon_hits = int(metrics.total("daemon_cache_hits"))
     duration_ms = internet.loop.now
     lookups = internet.path_server.stats.total()
-    return PopulationSample(
+    sample = PopulationSample(
         mode=mode,
         users=users,
         loads=len(rows),
@@ -201,6 +201,10 @@ def collect_sample(world: World, mode: str, users: int,
             (dict(labels)["isd_as"], int(sent)) for labels, sent
             in metrics.gauges_named("as_link_bytes").items()),
     )
+    # The sample is the world's last read: close it, so it is freed by
+    # reference counting once the caller lets go.
+    world.close()
+    return sample
 
 
 def harvest_rows(processes) -> list:

@@ -107,7 +107,9 @@ def remote_load(primary: str, condition: str, seed: int,
 
 def remote_trial(primary: str, condition: str, seed: int, **params) -> float:
     """One Figure 5 / Figure 6 trial; returns the PLT in ms."""
-    return remote_load(primary, condition, seed, **params)[1].plt_ms
+    world, result = remote_load(primary, condition, seed, **params)
+    world.close()
+    return result.plt_ms
 
 
 def _gain_ms(result) -> float:

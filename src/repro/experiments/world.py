@@ -104,6 +104,12 @@ class World:
     #: The scenario's sizing record, where it has one (overload).
     config: Any = None
 
+    def close(self) -> None:
+        """Finish the world (:meth:`Internet.close`): everything a
+        sample reads stays readable, and the world is freed by
+        reference counting once its last reference goes."""
+        self.internet.close()
+
     @property
     def browser(self):
         """The browser of a one-user world."""

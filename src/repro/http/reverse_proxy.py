@@ -58,8 +58,8 @@ class ScionReverseProxy:
         while True:
             stream: QuicStream = yield connection.accept_stream()
             assert self.host.loop is not None
-            self.host.loop.process(self._serve_stream(stream),
-                                   name=f"revproxy:{self.host.name}")
+            self.host.loop.serve(self._serve_stream(stream),
+                                 name=f"revproxy:{self.host.name}")
 
     def _serve_stream(self, stream: QuicStream) -> Generator:
         from repro.errors import ConnectionClosedError

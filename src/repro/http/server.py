@@ -129,7 +129,7 @@ class HttpServer:
         while True:
             stream: QuicStream = yield connection.accept_stream()
             assert self.host.loop is not None
-            self.host.loop.process(
+            self.host.loop.serve(
                 self._serve_stream(stream, over_scion=True),
                 name=f"http-stream:{self.host.name}")
 

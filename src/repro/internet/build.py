@@ -302,6 +302,30 @@ class Internet:
         """The simulation event loop."""
         return self.network.loop
 
+    def close(self) -> None:
+        """Finish this world, so that reference counting frees it once
+        its last reference goes.
+
+        Outside simulated time: the loop closes every parked handler in
+        the order it was started (:meth:`EventLoop.close`), then the
+        hosts' sockets, the links and the fast path let go of the
+        back-references that made the world reachable from itself. No
+        event is scheduled, the clock stays put, and every count stays
+        readable: :meth:`Network.stats`, the link and node counters,
+        the fast-path, path-server, admission and daemon stats. A second
+        call does nothing; :meth:`run` raises from then on.
+        """
+        loop = self.loop
+        if loop.closed:
+            return
+        loop.close()
+        for host in self.hosts.values():
+            host.detach()
+        for link in self.network.links:
+            link.detach()
+        if self.fastpath is not None:
+            self.fastpath.detach()
+
     def run(self, until: float | None = None) -> float:
         """Run the simulation; see :meth:`EventLoop.run`."""
         return self.network.run(until=until)

@@ -320,6 +320,22 @@ class UdpSocket:
             self._next_waiter().fail(
                 TransportError(f"socket {self.host.name}:{self.port} closed"))
 
+    def detach(self) -> None:
+        """Let go of the reader in a finished world (see
+        :meth:`repro.internet.build.Internet.close`).
+
+        A reader is a bound method of a connection or a listener that
+        sends through this socket, so this edge makes the owner
+        reachable from itself. An owner with a ``detach`` (a listener, a
+        QUIC connection) lets go of what it holds too.
+        """
+        reader = self._reader
+        self._reader = None
+        self._reader_live = False
+        detach = getattr(getattr(reader, "__self__", None), "detach", None)
+        if detach is not None:
+            detach()
+
 
 class Host(Node):
     """An end host attached to its AS router on port 1."""
@@ -359,6 +375,13 @@ class Host(Node):
     def release_port(self, port: int) -> None:
         """Forget a closed socket's binding."""
         self._sockets.pop(port, None)
+
+    def detach(self) -> None:
+        """Let go of every socket, each detached in bind order (see
+        :meth:`repro.internet.build.Internet.close`)."""
+        sockets, self._sockets = self._sockets, {}
+        for socket in sockets.values():
+            socket.detach()
 
     # -- data path ------------------------------------------------------------
 

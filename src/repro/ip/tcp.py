@@ -127,6 +127,11 @@ class TcpListener:
         socket closes delivery)."""
         self.socket.close()
 
+    def detach(self) -> None:
+        """Let go of the handler in a finished world (see
+        :meth:`UdpSocket.detach`)."""
+        self.handler = None
+
     def _on_datagram(self, datagram: Datagram) -> None:
         key = (datagram.src, datagram.src_port)
         if isinstance(datagram.payload, Syn):
@@ -150,8 +155,8 @@ class TcpListener:
             self.host.fastpath.register(
                 connection, "tcp", syn.payload.conn_id, "server",
                 self.host, syn.src, syn.via, reply_path)
-        self.host.loop.process(self.handler(connection),
-                               name=f"tcp-handler:{self.host.name}:{self.port}")
+        self.host.loop.serve(self.handler(connection),
+                             name=f"tcp-handler:{self.host.name}:{self.port}")
         return connection
 
     def _reply(self, datagram: Datagram, frame: Any) -> None:

@@ -49,13 +49,16 @@ class SpanEvent:
 class Span:
     """One timed operation in the trace tree."""
 
-    __slots__ = ("tracer", "name", "span_id", "parent_id", "start_ms",
+    __slots__ = ("loop", "name", "span_id", "parent_id", "start_ms",
                  "end_ms", "status", "attributes", "events")
 
     def __init__(self, tracer: "Tracer", name: str, span_id: int,
                  parent_id: int | None, start_ms: float,
                  attributes: dict[str, Any]) -> None:
-        self.tracer = tracer
+        #: The clock, not the tracer: a tracer holds its spans, and a
+        #: span that held its tracer would keep both alive until the
+        #: cyclic collector ran.
+        self.loop = tracer.loop
         self.name = name
         self.span_id = span_id
         self.parent_id = parent_id
@@ -83,14 +86,14 @@ class Span:
     def event(self, name: str, **attributes: Any) -> "Span":
         """Record a point-in-time event at the current simulated time."""
         self.events.append(SpanEvent(name=name,
-                                     time_ms=self.tracer.loop.now,
+                                     time_ms=self.loop.now,
                                      attributes=attributes))
         return self
 
     def end(self, status: str = STATUS_OK) -> "Span":
         """Close the span at the current simulated time (idempotent)."""
         if self.end_ms is None:
-            self.end_ms = self.tracer.loop.now
+            self.end_ms = self.loop.now
             self.status = status
         return self
 

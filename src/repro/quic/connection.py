@@ -109,8 +109,8 @@ class QuicConnection:
     """An established QUIC connection (either side)."""
 
     __slots__ = ("loop", "conn_id", "_flow", "initial_rtt_ms", "is_client",
-                 "closed", "streams", "_next_stream_id", "_accept_queue",
-                 "_accept_waiters", "fastpath", "_fp_record")
+                 "closed", "_stream", "_streams", "_next_stream_id",
+                 "_accept_queue", "_accept_waiters", "fastpath", "_fp_record")
 
     def __init__(self, loop, conn_id: int, flow: UdpFlow,
                  initial_rtt_ms: float, is_client: bool) -> None:
@@ -121,7 +121,10 @@ class QuicConnection:
         self.initial_rtt_ms = initial_rtt_ms
         self.is_client = is_client
         self.closed = False
-        self.streams: dict[int, QuicStream] = {}
+        #: The first stream, and the later ones by id (None until there
+        #: is a second): a pooled HTTP connection carries exactly one.
+        self._stream: QuicStream | None = None
+        self._streams: dict[int, QuicStream] | None = None
         self._next_stream_id = 0 if is_client else 1
         #: Peer-opened streams not yet accepted, and accepts waiting for
         #: one (each None while empty).
@@ -134,12 +137,38 @@ class QuicConnection:
 
     # -- streams -----------------------------------------------------------------
 
+    @property
+    def streams(self) -> dict[int, QuicStream]:
+        """Every stream of the connection by id, in the order they came
+        up (a fresh dict)."""
+        streams = {} if self._stream is None else {
+            self._stream.stream_id: self._stream}
+        if self._streams is not None:
+            streams.update(self._streams)
+        return streams
+
+    def _add_stream(self, stream: QuicStream) -> None:
+        if self._stream is None:
+            self._stream = stream
+        elif self._streams is None:
+            self._streams = {stream.stream_id: stream}
+        else:
+            self._streams[stream.stream_id] = stream
+
+    def _other_stream(self, stream_id: int) -> QuicStream:
+        """Stream ``stream_id`` when it is not the first one: a later
+        stream, or one the peer just opened (brought up here)."""
+        streams = self._streams
+        if streams is not None and stream_id in streams:
+            return streams[stream_id]
+        return self._peer_stream(stream_id)
+
     def open_stream(self) -> QuicStream:
         """Open a new locally-initiated bidirectional stream."""
         if self.closed:
             raise ConnectionClosedError("connection is closed")
         stream = QuicStream(self, self._next_stream_id)
-        self.streams[self._next_stream_id] = stream
+        self._add_stream(stream)
         self._next_stream_id += 4
         return stream
 
@@ -170,9 +199,9 @@ class QuicConnection:
                 return
             if not isinstance(payload, StreamFrame):
                 return  # stray handshake duplicates (ClientHello / ServerHello)
-        stream = self.streams.get(payload.stream_id)
-        if stream is None:
-            stream = self._peer_stream(payload.stream_id)
+        stream = self._stream
+        if stream is None or stream.stream_id != payload.stream_id:
+            stream = self._other_stream(payload.stream_id)
         stream.channel.on_frame(payload.frame)
 
     def fastpath_channel(self, stream_id: int) -> "ReliableChannel":
@@ -182,14 +211,15 @@ class QuicConnection:
         is created (and accept waiters woken) at delivery time, exactly
         when the first data packet would have arrived.
         """
-        stream = self.streams.get(stream_id)
-        if stream is None:
-            stream = self._peer_stream(stream_id)
+        stream = self._stream
+        if stream is None or stream.stream_id != stream_id:
+            stream = self._other_stream(stream_id)
         return stream.channel
 
     def _peer_stream(self, stream_id: int) -> QuicStream:
         """Bring up a peer-initiated stream and hand it to an accept."""
-        stream = self.streams[stream_id] = QuicStream(self, stream_id)
+        stream = QuicStream(self, stream_id)
+        self._add_stream(stream)
         waiters = self._accept_waiters
         if waiters:
             waiter = waiters.pop(0)
@@ -221,6 +251,14 @@ class QuicConnection:
         for waiter in waiters or ():
             waiter.fail(ConnectionClosedError("connection closed"))
 
+    def detach(self) -> None:
+        """Let go of the streams, and each stream's channel of the
+        stream, in a finished world (see :meth:`UdpSocket.detach`)."""
+        for stream in self.streams.values():
+            stream.channel.transmit = None
+        self._stream = self._streams = None
+        self._accept_queue = self._accept_waiters = None
+
 
 class QuicListener:
     """A listening QUIC endpoint spawning one handler per connection."""
@@ -238,6 +276,13 @@ class QuicListener:
     def close(self) -> None:
         """Stop accepting new connections."""
         self.socket.close()
+
+    def detach(self) -> None:
+        """Let go of the handler and of what every connection holds, in
+        a finished world (see :meth:`UdpSocket.detach`)."""
+        self.handler = None
+        for connection in self.connections.values():
+            connection.detach()
 
     def _on_datagram(self, datagram: Datagram) -> None:
         key = (datagram.src, datagram.src_port)
@@ -264,8 +309,8 @@ class QuicListener:
             self.host.fastpath.register(
                 connection, "quic", hello.payload.conn_id, "server",
                 self.host, hello.src, hello.via, reply_path)
-        self.host.loop.process(self.handler(connection),
-                               name=f"quic-handler:{self.host.name}:{self.port}")
+        self.host.loop.serve(self.handler(connection),
+                             name=f"quic-handler:{self.host.name}:{self.port}")
         return connection
 
     def _reply(self, datagram: Datagram, frame: Any) -> None:

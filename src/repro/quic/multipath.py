@@ -74,8 +74,8 @@ class BulkSink:
         while True:
             stream = yield connection.accept_stream()
             assert self.host.loop is not None
-            self.host.loop.process(self._drain(stream),
-                                   name=f"bulk-sink:{self.host.name}")
+            self.host.loop.serve(self._drain(stream),
+                                 name=f"bulk-sink:{self.host.name}")
 
     def _drain(self, stream) -> Generator:
         from repro.errors import ConnectionClosedError

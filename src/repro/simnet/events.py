@@ -390,7 +390,8 @@ class EventLoop:
     """
 
     __slots__ = ("_now", "_sequence", "_queue", "_events_processed",
-                 "_cancelled", "active_process", "unobserved_failures")
+                 "_cancelled", "active_process", "unobserved_failures",
+                 "_handlers", "closed")
 
     def __init__(self) -> None:
         self._now = 0.0
@@ -404,6 +405,10 @@ class EventLoop:
         #: Processes that raised while nothing waited on them, in the
         #: order they failed; one leaves when something waits on it.
         self.unobserved_failures: dict[Process, None] = {}
+        #: Every process started with :meth:`serve`, in start order.
+        self._handlers: list[Process] = []
+        #: Set by :meth:`close`; a closed loop runs nothing more.
+        self.closed = False
 
     @property
     def now(self) -> float:
@@ -477,6 +482,16 @@ class EventLoop:
         """Start a generator as a simulation process."""
         return Process(self, generator, name=name)
 
+    def serve(self, generator: Generator[Event, Any, Any],
+              name: str = "") -> Process:
+        """Start a generator that serves until the loop closes: a
+        listener's handler for one accepted connection or stream. It is
+        scheduled exactly as :meth:`process` schedules, and
+        :meth:`close` closes it if it is still parked then."""
+        process = Process(self, generator, name=name)
+        self._handlers.append(process)
+        return process
+
     def all_of(self, events: list[Event]) -> AllOf:
         """Event that triggers when all of ``events`` have triggered."""
         return AllOf(self, events)
@@ -494,6 +509,8 @@ class EventLoop:
         guards against runaway simulations (a protocol bug that schedules
         forever); exceeding it raises :class:`SimulationError`.
         """
+        if self.closed:
+            raise SimulationError("the event loop is closed")
         queue = self._queue
         pop = heappop
         cancelled = self._cancelled
@@ -539,6 +556,28 @@ class EventLoop:
             return self._now
         finally:
             self._events_processed += processed
+
+    def close(self) -> None:
+        """Finish the loop, outside simulated time.
+
+        Every process started with :meth:`serve` that is still parked
+        has its generator closed, in the order the processes were
+        started, and lets go of the event it waited on; whatever is
+        still scheduled is dropped. Nothing runs: the clock and
+        :attr:`events_processed` stay where they are. From then on
+        :meth:`run` raises :class:`SimulationError`; a second call does
+        nothing.
+        """
+        if self.closed:
+            return
+        self.closed = True
+        handlers, self._handlers = self._handlers, []
+        for process in handlers:
+            if not process.triggered:
+                process._waiting_on = None
+                process._generator.close()
+        self._queue = []
+        self._cancelled = set()
 
     def run_process(self, generator: Generator[Event, Any, Any],
                     until: float | None = None) -> Any:

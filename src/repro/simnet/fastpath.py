@@ -561,6 +561,17 @@ class FastPath:
         conn.fastpath = self
         conn._fp_record = record
 
+    def detach(self) -> None:
+        """Let go of every endpoint, route and transfer in a finished
+        world (see :meth:`repro.internet.build.Internet.close`);
+        :attr:`stats` stays readable."""
+        for pair in self._endpoints.values():
+            for record in pair.values():
+                record.conn = record.peer = None
+        self._endpoints = {}
+        self._in_flight = {}
+        self._routes = {}
+
     # -- live revocation -----------------------------------------------------
 
     def on_link_changed(self, link: Any) -> None:

@@ -176,6 +176,14 @@ class Link:
                 f"{node_name} is not attached to link {self.name}")
         return peer[1]
 
+    def detach(self) -> None:
+        """Let go of both endpoints and the watcher in a finished world
+        (see :meth:`repro.internet.build.Internet.close`): the link
+        carries nothing more, and its counters stay readable."""
+        self._endpoints = {}
+        self._peer_of = {}
+        self.watcher = None
+
     def busy_until(self, sender_name: str) -> float:
         """When the transmitter in ``sender_name``'s direction frees up.
 

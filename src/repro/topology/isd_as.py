@@ -20,21 +20,42 @@ MAX_ASN = (1 << 48) - 1
 MAX_ISD = (1 << 16) - 1
 
 _HEX_ASN_RE = re.compile(
-    r"^([0-9a-fA-F]{1,4}):([0-9a-fA-F]{1,4}):([0-9a-fA-F]{1,4})$")
+    r"([0-9a-fA-F]{1,4}):([0-9a-fA-F]{1,4}):([0-9a-fA-F]{1,4})")
+#: A decimal number as the notation writes it: ASCII digits and nothing
+#: else (``int()`` would also take a sign, ``_`` separators, surrounding
+#: whitespace and non-ASCII digits). Twenty digits are more than any
+#: ISD or AS number needs, and keep ``int()`` off arbitrarily long text.
+_DECIMAL_RE = re.compile(r"[0-9]{1,20}")
+
+
+def _decimal(text: str) -> int | None:
+    """``text`` as a decimal number, or None if it is not one."""
+    return int(text) if _DECIMAL_RE.fullmatch(text) else None
+
+
+def parse_isd(text: str) -> int:
+    """Parse an ISD number (decimal); raises :class:`AddressError` for
+    anything else."""
+    value = _decimal(text)
+    if value is None:
+        raise AddressError(f"invalid ISD {text!r}")
+    if value > MAX_ISD:
+        raise AddressError(f"ISD out of range: {value}")
+    return value
 
 
 def parse_asn(text: str) -> int:
     """Parse an AS number in decimal (``64512``) or dotted-hex
-    (``ff00:0:110``) notation."""
-    match = _HEX_ASN_RE.match(text)
+    (``ff00:0:110``) notation; raises :class:`AddressError` for
+    anything else."""
+    match = _HEX_ASN_RE.fullmatch(text)
     if match:
         high, middle, low = (int(part, 16) for part in match.groups())
         return (high << 32) | (middle << 16) | low
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise AddressError(f"invalid AS number {text!r}") from None
-    if not 0 <= value <= MAX_ASN:
+    value = _decimal(text)
+    if value is None:
+        raise AddressError(f"invalid AS number {text!r}")
+    if value > MAX_ASN:
         raise AddressError(f"AS number out of range: {value}")
     return value
 
@@ -81,11 +102,7 @@ class IsdAs:
         isd_text, separator, asn_text = text.partition("-")
         if not separator:
             raise AddressError(f"missing '-' in ISD-AS {text!r}")
-        try:
-            isd = int(isd_text, 10)
-        except ValueError:
-            raise AddressError(f"invalid ISD in {text!r}") from None
-        return cls(isd=isd, asn=parse_asn(asn_text))
+        return cls(isd=parse_isd(isd_text), asn=parse_asn(asn_text))
 
     @property
     def is_wildcard(self) -> bool:

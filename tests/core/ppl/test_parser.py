@@ -84,6 +84,8 @@ class TestErrors:
         ('policy "p" { acl { + } acl { + } }', "duplicate acl"),
         ('policy "p" { sequence "0" sequence "0" }', "duplicate sequence"),
         ('policy "p" { sequence "not-a-pattern!" }', "invalid sequence hop"),
+        ('policy "p" { acl { + \u0661 } }', "invalid pattern"),
+        ('policy "p" { sequence "\u0661-0" }', "invalid sequence hop"),
         ('policy "p" ', "expected"),
         ('"p" { }', "expected"),
     ])

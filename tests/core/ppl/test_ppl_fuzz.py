@@ -1,12 +1,16 @@
 """Property tests for the PPL text form: render round trip and fuzzing.
 
-Every policy the parser can produce must render to source that parses
+Every policy that can be constructed must render to source that parses
 back to the same policy, whatever its requirement values: ``:g``
 formatting once rounded ``12.3456789`` to ``12.3457`` and wrote
-``1234567`` as ``1.23457e+06``, which the lexer cannot read. And
-whatever text a user or a page hands the lexer and parser, the only
-exceptions they raise are :mod:`repro.errors` ones.
+``1234567`` as ``1.23457e+06``, which the lexer cannot read, and a
+negative or infinite bound rendered text the parser rejects (such a
+requirement can no longer be built). And whatever text a user or a page
+hands the lexer and parser, the only exceptions they raise are
+:mod:`repro.errors` ones.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +28,7 @@ from repro.core.ppl.ast import (
     SequenceToken,
 )
 from repro.core.ppl.lexer import tokenize
-from repro.errors import ReproError
+from repro.errors import PolicyError, ReproError
 from repro.topology.isd_as import MAX_ASN, MAX_ISD, IsdAs
 
 PATTERNS = st.one_of(
@@ -35,6 +39,22 @@ PATTERNS = st.one_of(
 #: Any finite value >= 0: the lexer has no sign, exponent or infinity.
 VALUES = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 
+
+def _requirement(metric: str, op: str, value) -> Requirement | None:
+    try:
+        return Requirement(metric, op, value)
+    except PolicyError:
+        return None
+
+
+#: Every requirement that can be constructed, from any value a caller
+#: might pass.
+REQUIREMENTS = st.builds(
+    _requirement, st.sampled_from(METRICS), st.sampled_from(OPERATORS),
+    st.one_of(st.floats(), st.integers(), st.booleans(),
+              st.sampled_from(["1", "1.5", " 2 ", "-1", "nan", "1e3"])),
+).filter(lambda requirement: requirement is not None)
+
 POLICIES = st.builds(
     Policy,
     name=st.text(st.characters(exclude_characters='"\n'), max_size=12),
@@ -43,10 +63,7 @@ POLICIES = st.builds(
     sequence=st.none() | st.lists(
         st.builds(SequenceToken, PATTERNS, st.sampled_from(MODIFIERS)),
         min_size=1, max_size=4).map(tuple),
-    requirements=st.lists(
-        st.builds(Requirement, st.sampled_from(METRICS),
-                  st.sampled_from(OPERATORS), VALUES),
-        max_size=4).map(tuple),
+    requirements=st.lists(REQUIREMENTS, max_size=4).map(tuple),
     preferences=st.lists(
         st.builds(Preference, st.sampled_from(METRICS), st.booleans()),
         max_size=3).map(tuple),
@@ -84,6 +101,19 @@ def test_render_parses_back_to_the_same_policy(policy):
 def test_requirement_renders_a_positional_decimal(value, text):
     requirement = Requirement("latency", "<=", value)
     assert requirement.render() == f"require latency <= {text}"
+
+
+@pytest.mark.parametrize("value", [-1.0, -5e-324, -1, math.inf, -math.inf,
+                                   math.nan, 10**400, "inf", None])
+def test_requirement_rejects_what_the_text_cannot_carry(value):
+    with pytest.raises(PolicyError):
+        Requirement("latency", "<=", value)
+
+
+@settings(max_examples=200)
+@given(VALUES)
+def test_every_finite_value_at_least_zero_is_a_requirement(value):
+    assert Requirement("latency", "<=", value).value == value
 
 
 @settings(max_examples=300)

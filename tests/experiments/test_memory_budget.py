@@ -9,10 +9,11 @@ memos) are not charged to the measured one.
 Most of a user's memory is their connections: about fifteen connection
 ends, each a transport with its reliable channel and the socket and
 flow under it. A connection holds only what it has in flight (DESIGN
-§5.8); the budget is the measured 67 KB per user plus 10 %. Containers
-built up front (a pre-cut segment deque and an ``OrderedDict`` window
-per channel, two jitter streams per browser) read 100 KB per user,
-which the budget rejects.
+§5.8), and a QUIC connection its one stream in a slot; the budget is
+the measured 64.4 KB per user plus 10 % (a stream dict per connection
+end read 67.0 KB). Containers built up front (a pre-cut segment deque
+and an ``OrderedDict`` window per channel, two jitter streams per
+browser) read 100 KB per user, which the budget rejects.
 """
 
 import gc
@@ -23,7 +24,7 @@ from repro.experiments.population import (build_population_world,
 
 USERS = 12
 #: KB a drained city may hold per user.
-KB_PER_USER_BUDGET = 73.7
+KB_PER_USER_BUDGET = 70.8
 
 
 def city():

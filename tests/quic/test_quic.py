@@ -98,6 +98,55 @@ class TestStreams:
 
         assert internet.loop.run_process(main()) == [0, 4, 8]
 
+    def test_three_streams_on_both_ends(self, world):
+        """The first stream sits in the connection's slot, the second
+        and third in its dict; frames reach the right stream on both
+        ends, and a close reaches all three."""
+        internet, ases, client, server = world
+        accepted = []
+
+        def handler(connection):
+            accepted.append(connection)
+            for _ in range(3):
+                stream = yield connection.accept_stream()
+                internet.loop.process(echo_once(stream))
+
+        def echo_once(stream):
+            message = yield stream.recv()
+            stream.send(("echo", message), 300 + 1_000 * message)
+            try:
+                yield stream.recv()
+            except ConnectionClosedError:
+                return "closed"
+
+        QuicListener(server, 443, handler)
+        path = client.daemon.paths(ases.remote_server)[0]
+
+        def main():
+            connection = yield from quic_connect(client, server.addr, 443,
+                                                 path=path)
+            streams = [connection.open_stream() for _ in range(3)]
+            for index, stream in reversed(list(enumerate(streams))):
+                stream.send(index, 5_000 * (3 - index))
+            replies = []
+            for stream in streams:
+                replies.append((yield stream.recv()))
+            return connection, replies
+
+        connection, replies = internet.loop.run_process(main())
+        assert replies == [("echo", 0), ("echo", 1), ("echo", 2)]
+        (peer,) = accepted
+        assert list(connection.streams) == [0, 4, 8]
+        # The peer brings streams up in the order their frames arrive.
+        assert list(peer.streams) == [8, 4, 0]
+        assert [stream.channel.stats.messages_delivered
+                for stream in peer.streams.values()] == [1, 1, 1]
+        connection.close()
+        internet.run()
+        assert peer.closed
+        assert all(stream.channel.remote_closed
+                   for stream in peer.streams.values())
+
     def test_no_cross_stream_head_of_line_blocking(self):
         """Loss on one stream must not delay another stream's delivery:
         each stream retransmits independently."""

@@ -33,6 +33,16 @@ class TestParsing:
         with pytest.raises(AddressError):
             IsdAs.parse(bad)
 
+    @pytest.mark.parametrize("bad", ["1_0-ff00:0:110", "\u0661-64512",
+                                     "+1-6_4512", "1-6_4512", " 1-64512",
+                                     "1-64512 ", "1-ff00:0:110\n",
+                                     "1-\uff16\uff14\uff15\uff11\uff12"])
+    def test_only_ascii_digits(self, bad):
+        """What ``int()`` tolerates beyond ASCII digits -- a sign, ``_``,
+        whitespace, non-ASCII digits -- is not the notation."""
+        with pytest.raises(AddressError):
+            IsdAs.parse(bad)
+
     def test_isd_range_enforced(self):
         with pytest.raises(AddressError):
             IsdAs(MAX_ISD + 1, 1)
