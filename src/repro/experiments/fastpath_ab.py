@@ -280,14 +280,12 @@ def _city_loads() -> list[tuple[float, bool]]:
         sites=40, arrival=ArrivalCurve(window_ms=10_000.0))
     processes = population.start_sessions(world)
     world.internet.run()
-    world.close()
     return [(row[2], row[3]) for row in population.harvest_rows(processes)]
 
 
 def _overload_loads(arm: str) -> list[tuple[float, bool]]:
     """One drained arm of the default 78-user flash crowd."""
-    world, rows = overload.drain_arm(arm, overload.OVERLOAD.base_seed)
-    world.close()
+    _world, rows = overload.drain_arm(arm, overload.OVERLOAD.base_seed)
     return [(row[2], row[3]) for row in rows]
 
 

@@ -162,7 +162,6 @@ def fault_trial(scenario: str, mode: str, seed: int,
     relies on that.
     """
     world, result = fault_load(scenario, mode, seed, n_resources)
-    world.close()
     total = 1 + len(world.page.resources)
     ok = result.ok_count
     return (result.plt_ms, float(ok), float(result.failover_count),

@@ -111,16 +111,13 @@ def figure3_load(condition: str, seed: int, n_resources: int = N_RESOURCES,
 
 def figure3_trial(condition: str, seed: int, **params) -> float:
     """One Figure 3 trial: fresh world, one page load, PLT out."""
-    world, result = figure3_load(condition, seed, **params)
-    world.close()
-    return result.plt_ms
+    return figure3_load(condition, seed, **params)[1].plt_ms
 
 
 def figure3_trial_events(condition: str, seed: int,
                          **params) -> tuple[float, float]:
     """One Figure 3 trial returning ``(plt_ms, loop events processed)``."""
     world, result = figure3_load(condition, seed, **params)
-    world.close()
     return result.plt_ms, float(world.internet.loop.events_processed)
 
 

@@ -72,13 +72,10 @@ ABLATION_A_CALIBRATIONS = {
 def ablation_a_trial(condition: str, seed: int,
                      n_resources: int = N_RESOURCES) -> float:
     """One overhead-decomposition trial on the mixed local page."""
-    world = build_local_world(
+    return load_once(build_local_world(
         make_page("mixed SCION-IP", n_resources, seed), seed,
         calibration=ABLATION_A_CALIBRATIONS[condition],
-        extension_enabled=condition != "no detour (BGP/IP)")
-    plt_ms = load_once(world)
-    world.close()
-    return plt_ms
+        extension_enabled=condition != "no detour (BGP/IP)"))
 
 
 def ablation_a_holds(ablation_a) -> bool:
@@ -243,7 +240,6 @@ def ablation_c_point(fraction: float, mode: str, seed: int = 0,
     world = build(replace(AVAILABILITY_WORLD, origins=origins, page=page,
                           strict=mode == "strict"), seed)
     result = load_page(world)
-    world.close()
     return ModeSweepPoint(fraction, mode,
                           sum(1 for outcome in result.outcomes if outcome.ok),
                           result.blocked_count, result.scion_count,
@@ -316,10 +312,8 @@ def ablation_d_trial(n_paths: int, seed: int,
     server = internet.add_host("server", server_as)
     BulkSink(server)
     paths = disjoint_paths(client.daemon.paths(server_as))
-    transfer_ms = internet.loop.run_process(
+    return internet.loop.run_process(
         multipath_send(client, server.addr, 4443, size, paths[:n_paths]))
-    internet.close()
-    return transfer_ms
 
 
 def _speedup(ablation_d: ExperimentResult) -> float:

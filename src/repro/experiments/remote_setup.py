@@ -107,9 +107,7 @@ def remote_load(primary: str, condition: str, seed: int,
 
 def remote_trial(primary: str, condition: str, seed: int, **params) -> float:
     """One Figure 5 / Figure 6 trial; returns the PLT in ms."""
-    world, result = remote_load(primary, condition, seed, **params)
-    world.close()
-    return result.plt_ms
+    return remote_load(primary, condition, seed, **params)[1].plt_ms
 
 
 def _gain_ms(result) -> float:

@@ -100,7 +100,6 @@ def resilience_trial(revocation: bool | None, mode: str, seed: int,
                               revocation=revocation)
     inject(world.internet, churn_schedule(world.ases))
     rows = world.internet.loop.run_process(_session(world, loads))
-    world.close()
     total_per_load = 1 + len(world.page.resources)
     first_fault = FLAPS[0][0]
     ttr = loads * LOAD_PERIOD_MS - first_fault

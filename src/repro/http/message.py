@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator
 
 from repro.errors import AddressError, HttpError
+from repro.topology.isd_as import decimal_value
 
 #: The paper's HSTS-like response header (§4.2): operators set it to
 #: instruct browsers to enforce strict SCION mode for this origin.
@@ -102,11 +103,11 @@ def _strict_scion_directives(value: str) -> tuple[int | None, Any]:
 def _parse_strict_scion(value: str) -> tuple[int | None, Any]:
     """``(max_age, address)`` of one ``Strict-SCION`` value.
 
-    The first ``max-age=`` directive decides the max-age (seconds,
-    negatives clamped to 0) and the first ``addr="isd-as,host"`` decides
-    the address; either is None when absent or malformed — a malformed
-    header is ignored, like a malformed HSTS header would be, and an
-    advertisement must never break a load.
+    The first ``max-age=`` directive decides the max-age (ASCII decimal
+    seconds, as :meth:`IsdAs.parse` reads numbers) and the first
+    ``addr="isd-as,host"`` decides the address; either is None when
+    absent or malformed — a malformed header is ignored, like HSTS's,
+    and an advertisement must never break a load.
     """
     from repro.scion.addr import HostAddr
     max_age = address = None
@@ -115,10 +116,7 @@ def _parse_strict_scion(value: str) -> tuple[int | None, Any]:
         part = part.strip()
         if not max_age_seen and part.startswith("max-age="):
             max_age_seen = True
-            try:
-                max_age = max(0, int(part[len("max-age="):]))
-            except ValueError:
-                pass
+            max_age = decimal_value(part[len("max-age="):])
         elif not address_seen and part.startswith("addr="):
             address_seen = True
             try:

@@ -22,6 +22,7 @@ by integration tests).
 from __future__ import annotations
 
 import random
+import sys
 
 from repro.errors import TopologyError
 from repro.internet.host import Host
@@ -325,6 +326,13 @@ class Internet:
             link.detach()
         if self.fastpath is not None:
             self.fastpath.detach()
+
+    def __del__(self, _finalizing=sys.is_finalizing) -> None:
+        # Nothing inside a world refers back here: dropping the last
+        # reference closes it. A constructor that raised left no world,
+        # and at interpreter exit there is nothing left to free early.
+        if "hosts" in vars(self) and not _finalizing():
+            self.close()
 
     def run(self, until: float | None = None) -> float:
         """Run the simulation; see :meth:`EventLoop.run`."""

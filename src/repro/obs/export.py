@@ -9,8 +9,8 @@ them into a text report of what moved.
 Artifacts are a pure function of (entry, cell, seed) — sorted keys, no
 timestamps — except for the ``process`` block: what this *process* had
 cached when it built the world (control-plane snapshots, fast-path
-jitter curves) and the memory it held (peak RSS, GC-tracked objects),
-which depend on what it ran before.
+jitter curves), the memory it held (peak RSS, GC-tracked objects) and
+its collector's counts, which depend on what it ran before.
 :func:`artifact_digest` and :func:`diff_report` skip that block, so two
 runs of the same world digest and diff the same from any process.
 """
@@ -39,10 +39,12 @@ def build_artifact(tracer: Any, metrics: MetricsRegistry,
     snapshot. Every completed ``page.load`` in the trace contributes a
     waterfall; loads still open when the artifact is built are skipped
     (their spans are present regardless). The control-plane
-    snapshot-cache and fast-path jitter-curve counters and the memory
+    snapshot-cache, jitter-curve and collector counters and the memory
     numbers are cumulative over the process, not the world, so they go
     under ``process`` (see the module docstring).
     """
+    import gc
+
     from repro.internet import snapshot
     from repro.simnet.fastpath import jitter_curve_stats
 
@@ -64,7 +66,11 @@ def build_artifact(tracer: Any, metrics: MetricsRegistry,
         "process": {"snapshot_cache": {**snapshot.stats.as_dict(),
                                        "size": snapshot.cache_size()},
                     "jitter_curves": jitter_curve_stats.as_dict(),
-                    "memory": process_memory()},
+                    "memory": process_memory(),
+                    # Per generation: collections run, objects freed.
+                    "gc": {f"gen{generation}_{key}": stats[key]
+                           for generation, stats in enumerate(gc.get_stats())
+                           for key in ("collections", "collected")}},
     }
 
 

@@ -14,6 +14,7 @@ carbon footprint, ESG rating, and price.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass
 
 from repro.scion.beacon import HopField
@@ -164,16 +165,19 @@ class ScionPath:
         path's own ``reverse()`` is pre-wired back to ``self`` —
         response traffic that reverses per packet hits the cache instead
         of rebuilding a full :class:`PathMetadata` each time, and
-        reverse-of-reverse is the identical object.
+        reverse-of-reverse is the identical object. The link back is
+        weak, so the pair is no reference cycle.
         """
         cached = getattr(self, "_reversed", None)
+        if type(cached) is weakref.ref:
+            cached = cached()
         if cached is not None:
             return cached
         reversed_path = self._build_reverse()
         # frozen dataclass: bypass the immutability guard for the cache
         # slot only. The cached object is derived state, not identity —
         # equality and hashing still use the declared fields.
-        object.__setattr__(reversed_path, "_reversed", self)
+        object.__setattr__(reversed_path, "_reversed", weakref.ref(self))
         object.__setattr__(self, "_reversed", reversed_path)
         return reversed_path
 

@@ -88,9 +88,7 @@ class Link:
         #: fast path (see :mod:`repro.simnet.fastpath`) subscribes here to
         #: revoke analytic eligibility the instant a fault hook fires.
         self.watcher = None
-        self._endpoints = {a.name: (a, a_port), b.name: (b, b_port)}
-        # Receiver per sender, precomputed: transmit() runs per packet and
-        # must not search the endpoint table each time.
+        # Receiver per sender, precomputed: transmit() runs per packet.
         self._peer_of = {a.name: (b, b_port, b.hop_step),
                          b.name: (a, a_port, a.hop_step)}
         # Transmitter-free times, one per direction, keyed by sender name.
@@ -180,7 +178,6 @@ class Link:
         """Let go of both endpoints and the watcher in a finished world
         (see :meth:`repro.internet.build.Internet.close`): the link
         carries nothing more, and its counters stay readable."""
-        self._endpoints = {}
         self._peer_of = {}
         self.watcher = None
 

@@ -28,7 +28,7 @@ _HEX_ASN_RE = re.compile(
 _DECIMAL_RE = re.compile(r"[0-9]{1,20}")
 
 
-def _decimal(text: str) -> int | None:
+def decimal_value(text: str) -> int | None:
     """``text`` as a decimal number, or None if it is not one."""
     return int(text) if _DECIMAL_RE.fullmatch(text) else None
 
@@ -36,7 +36,7 @@ def _decimal(text: str) -> int | None:
 def parse_isd(text: str) -> int:
     """Parse an ISD number (decimal); raises :class:`AddressError` for
     anything else."""
-    value = _decimal(text)
+    value = decimal_value(text)
     if value is None:
         raise AddressError(f"invalid ISD {text!r}")
     if value > MAX_ISD:
@@ -52,7 +52,7 @@ def parse_asn(text: str) -> int:
     if match:
         high, middle, low = (int(part, 16) for part in match.groups())
         return (high << 32) | (middle << 16) | low
-    value = _decimal(text)
+    value = decimal_value(text)
     if value is None:
         raise AddressError(f"invalid AS number {text!r}")
     if value > MAX_ASN:

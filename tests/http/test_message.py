@@ -99,11 +99,11 @@ class TestResponse:
             headers=Headers({STRICT_SCION_HEADER: "max-age=banana"}))
         assert response.strict_scion_max_age() is None
 
-    def test_strict_scion_negative_clamped(self):
+    def test_strict_scion_negative_rejected(self):
         response = HttpResponse(
             status=200,
             headers=Headers({STRICT_SCION_HEADER: "max-age=-5"}))
-        assert response.strict_scion_max_age() == 0
+        assert response.strict_scion_max_age() is None
 
     def test_strict_scion_case_insensitive_header_name(self):
         response = HttpResponse(

@@ -8,6 +8,7 @@ None), never raise, and answer only None, an int >= 0 or a
 :class:`HostAddr`.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,10 +27,12 @@ def reference_max_age(value: str) -> int | None:
     for part in value.split(";"):
         part = part.strip()
         if part.startswith("max-age="):
-            try:
-                return max(0, int(part[len("max-age="):]))
-            except ValueError:
-                return None
+            digits = part[len("max-age="):]
+            # One to twenty ASCII digits, the rule IsdAs.parse reads a
+            # number by: no sign, no ``_``, no whitespace, no other script.
+            if 0 < len(digits) <= 20 and set(digits) <= set("0123456789"):
+                return int(digits)
+            return None
     return None
 
 
@@ -83,9 +86,16 @@ def test_memoised_parse_equals_the_reference(value):
 
 
 def test_directives_found_anywhere_in_the_value():
-    value = 'x; addr="1-ff00:0:110,h"; max-age=+7; max-age=9; addr=junk'
+    value = 'x; addr="1-ff00:0:110,h"; max-age=7; max-age=9; addr=junk'
     assert response(value).strict_scion_max_age() == 7
     assert str(response(value).strict_scion_address()) == "1-ff00:0:110,h"
+
+
+@pytest.mark.parametrize("digits", ["1_0", "\u0663", "+5", "-5"])
+def test_max_age_takes_ascii_digits_only(digits):
+    value = f"max-age={digits}"
+    assert response(value).strict_scion_max_age() is None
+    assert reference_max_age(value) is None
 
 
 def test_first_malformed_directive_decides():

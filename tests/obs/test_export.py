@@ -74,6 +74,23 @@ class TestArtifacts:
         assert "-- process: memory (outside the digest) --" in report
         assert "\ngc_objects " in report and "\npeak_rss_mb " in report
 
+    def test_collector_counts_ride_outside_the_digest(self, traced_world):
+        world, _plt = traced_world
+        artifact = artifact_of(world, label="t")
+        counts = artifact["process"]["gc"]
+        assert set(counts) == {f"gen{generation}_{key}"
+                               for generation in range(3)
+                               for key in ("collections", "collected")}
+        assert all(type(value) is int and value >= 0
+                   for value in counts.values())
+        moved = json.loads(json.dumps(artifact))
+        moved["process"]["gc"]["gen2_collected"] += 1_000
+        assert artifact_digest(moved) == artifact_digest(artifact)
+        assert "(no metric differences)" in diff_report(artifact, moved)
+        report = render_report(artifact)
+        assert "-- process: gc (outside the digest) --" in report
+        assert "\ngen0_collections " in report
+
     def test_write_then_load_round_trips(self, traced_world, tmp_path):
         world, _plt = traced_world
         artifact = artifact_of(world, label="t", extra={"seed": 131})

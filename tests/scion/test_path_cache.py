@@ -8,6 +8,9 @@ the reversed path is field-for-field what the uncached construction
 builds, and reverse-of-reverse is the *identical* object.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.internet.build import Internet
@@ -36,6 +39,19 @@ class TestReverseCache:
 
     def test_reverse_of_reverse_is_the_same_object(self, path):
         assert path.reverse().reverse() is path
+
+    def test_the_pair_dies_by_reference_counting(self, path):
+        """The link back is weak: a path and its cached reverse are no
+        reference cycle."""
+        fresh = path._build_reverse()  # held by nothing else
+        refs = [weakref.ref(fresh), weakref.ref(fresh.reverse())]
+        assert fresh.reverse().reverse() is fresh
+        gc.disable()
+        try:
+            del fresh
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
     def test_cache_matches_uncached_construction(self, path):
         cached = path.reverse()

@@ -539,7 +539,7 @@ class TestContentionAtTheTransmitter:
         uplink = next(link for link in internet.network.links
                       if str(ases.client) in link.name
                       and str(ases.local_core) in link.name)
-        a_side, b_side = uplink._endpoints
+        a_side, b_side = uplink._peer_of
         from_name = a_side if sender == "br-core" else b_side
         uplink.transmit(Packet(src="x", dst="y", payload=None, size=1_000),
                         from_name)
